@@ -185,35 +185,38 @@ def test_request_trace_overhead(benchmark):
         trace = make_trace("poisson", rate_rps=SERVE_RATE,
                            duration_s=SERVE_DURATION, models=[_MODEL],
                            seed=_SEED, slo_latency_s=1.0)
+        sinks = []
+        if traced:
+            sinks = [RequestTracer(requests=trace.requests,
+                                   healthy_devices=len(fleet),
+                                   policy="slo"),
+                     BurnRateMonitor(BurnRateConfig(
+                         fast_window_s=0.5, slow_window_s=2.0))]
         scheduler = FleetScheduler(
-            fleet, SchedulerConfig(policy="slo"),
-            request_tracer=RequestTracer() if traced else None,
-            burn_monitor=(BurnRateMonitor(BurnRateConfig(
-                fast_window_s=0.5, slow_window_s=2.0))
-                if traced else None))
+            fleet, SchedulerConfig(policy="slo"), sinks=sinks)
         t0 = time.perf_counter()
         result = scheduler.run(trace)
-        return result, time.perf_counter() - t0
+        return result, sinks, time.perf_counter() - t0
 
-    plain, plain_s = run(False)
-    traced, traced_s = benchmark.pedantic(
+    plain, _, plain_s = run(False)
+    traced, (tracer, _), traced_s = benchmark.pedantic(
         lambda: run(True), rounds=1, iterations=1)
 
-    # The observe-only contract, re-checked at bench scale.
+    # Sinks only read the log, re-checked at bench scale.
     assert plain.event_log() == traced.event_log()
     assert plain.report.to_dict() == traced.report.to_dict()
-    assert traced.request_tracer.sampled_count == traced.report.arrived
+    assert tracer.sampled_count == traced.report.arrived
 
     overhead = traced_s / plain_s if plain_s > 0 else 1.0
     print()
     print(f"  request tracing: plain {plain_s:.2f}s, "
           f"traced {traced_s:.2f}s ({overhead:.2f}x, "
-          f"{traced.request_tracer.sampled_count} requests sampled)")
+          f"{tracer.sampled_count} requests sampled)")
     _record("request_trace_overhead", {
         "rate_rps": SERVE_RATE,
         "duration_s": SERVE_DURATION,
         # deterministic (tight bench-diff tolerance)
-        "requests_sampled": traced.request_tracer.sampled_count,
+        "requests_sampled": tracer.sampled_count,
         "completed": traced.report.completed,
         # wall-clock (loose tolerance)
         "plain_wall_s": round(plain_s, 3),

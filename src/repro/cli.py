@@ -575,21 +575,24 @@ def _cmd_serve_sim(args, obs, trace_path: Optional[str],
                              queue_capacity=args.queue_capacity,
                              recovery=recovery)
 
-    # Observe-only passengers: the request tracer (sampled span trees
-    # and the /requests SSE feed) and the burn-rate monitor.  Either
-    # way the event log / report stay byte-identical.
+    # Event-log projections riding the run as scheduler sinks: the
+    # request tracer (sampled span trees, the timeline and the
+    # /requests SSE feed) and the burn-rate monitor.
     exporters = [s for s in (sinks or [])
                  if hasattr(s, "request_log")]
     tracer = None
     if args.request_trace or args.timeline or exporters:
-        from repro.serving import RequestTracer, SamplingConfig
+        from repro.serving import (RequestTracer, SamplingConfig,
+                                   make_policy)
         try:
             sampling = SamplingConfig(head_rate=args.trace_sample,
                                       seed=args.seed)
         except ValueError as exc:
             print(f"powerlens serve-sim: {exc}", file=sys.stderr)
             return 2
-        tracer = RequestTracer(sampling)
+        tracer = RequestTracer(sampling, requests=trace.requests,
+                               healthy_devices=len(fleet),
+                               policy=make_policy(args.policy).name)
         for exporter in exporters:
             exporter.request_log = tracer.completion_records
     burn = None
@@ -607,10 +610,13 @@ def _cmd_serve_sim(args, obs, trace_path: Optional[str],
             print(f"powerlens serve-sim: {exc}", file=sys.stderr)
             return 2
 
+    projections = [p for p in (tracer, burn) if p is not None]
     scheduler = FleetScheduler(fleet, config, obs=obs,
-                               request_tracer=tracer,
-                               burn_monitor=burn)
+                               sinks=projections)
     result = scheduler.run(trace, n_jobs=args.jobs)
+    if obs is not None:
+        for projection in projections:
+            obs.metrics.merge(projection.metrics())
 
     if args.event_log:
         from pathlib import Path
@@ -624,13 +630,10 @@ def _cmd_serve_sim(args, obs, trace_path: Optional[str],
     if args.timeline:
         from pathlib import Path
 
-        from repro.obs.timeline import ServingTimeline
-        timeline = ServingTimeline.from_events(result.events)
         if burn is not None:
-            timeline.add_burn_spans(burn.span_rows())
-        sampled = ({t.request_id for t in tracer.traces()}
-                   if tracer is not None else None)
-        payload = timeline.to_chrome_trace(sampled_ids=sampled)
+            tracer.add_burn_spans(burn.span_rows())
+        payload = tracer.to_chrome_trace(
+            sampled_ids={row.request_id for row in tracer.traces()})
         Path(args.timeline).write_text(
             _json.dumps(payload, sort_keys=True))
         print(f"timeline written to {args.timeline} (open at "

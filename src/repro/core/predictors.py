@@ -87,7 +87,7 @@ class HyperparamPredictor:
                               (xs[va], xt[va]), y[va], verbose=verbose)
         self._fitted = True
         pred_te = trainer.predict((xs[te], xt[te]))
-        _, val_acc = trainer.evaluate((xs[va], xt[va]), y[va])
+        val_acc = accuracy(trainer.predict((xs[va], xt[va])), y[va])
         equivalent = 0.0
         if dataset.qualities is not None and len(te) > 0:
             q = dataset.qualities[te]
@@ -145,7 +145,7 @@ class DecisionModel:
                               verbose=verbose)
         self._fitted = True
         pred_te = trainer.predict((x[te],))
-        _, val_acc = trainer.evaluate((x[va],), y[va])
+        val_acc = accuracy(trainer.predict((x[va],)), y[va])
         return FitReport(
             test_accuracy=accuracy(pred_te, y[te]),
             val_accuracy=val_acc,

@@ -50,11 +50,17 @@ from repro.graph import Graph
 from repro.hw.analytic import AnalyticEvaluator
 
 __all__ = ["FeatureBuckets", "PlanFamily", "analytic_plan",
-           "build_plan_family", "PlanFamilyGovernor",
+           "build_plan_family", "floor_bucket", "PlanFamilyGovernor",
            "AdaptivePlanFamilyGovernor"]
 
 #: (batch bucket index, sparsity bucket index)
 Bucket = Tuple[int, int]
+
+
+def floor_bucket(edges: Sequence[float], value: float) -> int:
+    """Index of the largest edge not exceeding ``value``; values below
+    the first edge clamp to bucket 0 (the module's boundary rules)."""
+    return max(0, bisect_right(edges, value) - 1)
 
 
 def analytic_plan(evaluator: AnalyticEvaluator, graph: Graph,
@@ -119,11 +125,10 @@ class FeatureBuckets:
                        range(len(self.sparsity_edges)))
 
     def batch_bucket(self, batch_size: int) -> int:
-        return max(0, bisect_right(self.batch_edges, int(batch_size)) - 1)
+        return floor_bucket(self.batch_edges, int(batch_size))
 
     def sparsity_bucket(self, sparsity: float) -> int:
-        return max(0,
-                   bisect_right(self.sparsity_edges, float(sparsity)) - 1)
+        return floor_bucket(self.sparsity_edges, float(sparsity))
 
     def bucket_for(self, batch_size: int,
                    sparsity: float = 0.0) -> Bucket:

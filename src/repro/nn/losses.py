@@ -23,6 +23,8 @@ class SoftmaxCrossEntropy:
         if logits.ndim != 2:
             raise ValueError("logits must be (batch, classes)")
         n = logits.shape[0]
+        if n == 0:
+            raise ValueError("cross-entropy of an empty batch is undefined")
         probs = softmax(logits)
         eps = 1e-12
         loss = -np.log(probs[np.arange(n), targets] + eps).mean()

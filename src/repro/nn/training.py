@@ -81,7 +81,9 @@ class Trainer:
             verbose: bool = False) -> TrainingHistory:
         """Train until convergence or ``max_epochs``.
 
-        Early stopping restores the best-validation-loss parameters.
+        Early stopping restores the best-validation-loss parameters.  An
+        empty validation split counts as no validation: training runs
+        the full ``max_epochs`` budget.
         """
         t0 = time.perf_counter()
         optimizer = Adam(self.model.params(), self.model.grads(),
@@ -90,6 +92,8 @@ class Trainer:
         best_val = np.inf
         best_params: Optional[List[np.ndarray]] = None
         stale = 0
+        validate = val_inputs is not None and val_targets is not None \
+            and len(val_targets) > 0
         for epoch in range(self.max_epochs):
             self.model.train()
             epoch_loss = 0.0
@@ -106,7 +110,7 @@ class Trainer:
                 n_batches += 1
             self.history.train_loss.append(epoch_loss / max(n_batches, 1))
 
-            if val_inputs is not None and val_targets is not None:
+            if validate:
                 val_loss, val_acc = self.evaluate(val_inputs, val_targets)
                 self.history.val_loss.append(val_loss)
                 self.history.val_accuracy.append(val_acc)

@@ -9,16 +9,16 @@ too fast.  A single window either alerts late (long window) or flaps
 *both* to exceed the threshold gives quick detection with automatic
 reset once the bad fraction subsides.
 
-The monitor consumes the scheduler's request-terminal events in
-virtual time (``observe(t, ok)`` — completions carry their SLO
-verdict, every drop counts as bad) and is strictly observe-only: it
-never touches an RNG or the scheduler's state, so enabling it cannot
-perturb the canonical event log (property-tested).  Alert episodes are
-recorded as ``slo_burn`` spans (start/end in virtual time, peak burns
-as attributes) and the registry from :meth:`BurnRateMonitor.metrics`
-exposes ``powerlens_slo_burn_fast``/``_slow`` peak-burn gauges plus a
-``powerlens_slo_burn_alerts_total`` counter, mergeable into the run's
-fleet metrics.
+The monitor is a scheduler sink: called with every event-log record,
+it folds the request-terminal ones in virtual time (completions carry
+their SLO verdict, every drop counts as bad; ``observe(t, ok)`` feeds
+a verdict directly).  It only reads records, so it cannot perturb the
+run.  Alert episodes are recorded as ``slo_burn`` spans (start/end in
+virtual time, peak burns as attributes); an episode still firing when
+the stream stops closes at the last event's time.  The registry from
+:meth:`BurnRateMonitor.metrics` exposes ``powerlens_slo_burn_fast``/
+``_slow`` peak-burn gauges plus a ``powerlens_slo_burn_alerts_total``
+counter.
 
 Calibration contract (pinned in ``tests/test_obs_burnrate.py``): on a
 clean, fault-free run of every governor×policy conformance cell the
@@ -131,14 +131,26 @@ class BurnRateMonitor:
         self.bad_events = 0
         self.peak_fast_burn = 0.0
         self.peak_slow_burn = 0.0
-        self.alerts: List[BurnAlert] = []
+        self._closed: List[BurnAlert] = []
         self._episode: Optional[Dict[str, Any]] = None
-        self._finalized = False
+        self._t_last = 0.0
 
     # ------------------------------------------------------------------
+    def __call__(self, event: Dict[str, Any]) -> None:
+        """Fold one serving event-log record (the sink interface)."""
+        t = float(event["t"])
+        kind = event["event"]
+        if kind == "complete":
+            self.observe(t, bool(event["slo_ok"]))
+        elif kind == "drop":
+            self.observe(t, False)
+        else:
+            self._t_last = t
+
     def observe(self, t: float, ok: bool) -> None:
         """Record one request-terminal event at virtual time ``t``
         (``ok`` is the SLO verdict; drops pass ``False``)."""
+        self._t_last = t
         self.events += 1
         if not ok:
             self.bad_events += 1
@@ -164,31 +176,21 @@ class BurnRateMonitor:
                 episode["events"] += 1
                 episode["bad"] += 0 if ok else 1
             else:
-                self._close_episode(t)
-
-    def finalize(self, t_end: float) -> None:
-        """Close the run at virtual ``t_end`` (idempotent) — any
-        still-firing episode ends here."""
-        if self._finalized:
-            return
-        self._finalized = True
-        if self._episode is not None:
-            self._close_episode(t_end)
-
-    def _close_episode(self, t: float) -> None:
-        episode = self._episode
-        assert episode is not None
-        self._episode = None
-        self.alerts.append(BurnAlert(
-            t_start=episode["t_start"], t_end=t,
-            peak_fast_burn=episode["peak_fast"],
-            peak_slow_burn=episode["peak_slow"],
-            events=episode["events"], bad_events=episode["bad"]))
+                self._closed.append(_alert(self._episode, t))
+                self._episode = None
 
     # ------------------------------------------------------------------
     @property
+    def alerts(self) -> List[BurnAlert]:
+        """Alert episodes so far; one still firing ends at the last
+        event's time."""
+        if self._episode is None:
+            return list(self._closed)
+        return self._closed + [_alert(self._episode, self._t_last)]
+
+    @property
     def alert_count(self) -> int:
-        return len(self.alerts) + (1 if self._episode is not None else 0)
+        return len(self._closed) + (self._episode is not None)
 
     def span_rows(self) -> List[Tuple[str, float, float, Dict[str, Any]]]:
         """Alert episodes as ``(name, t_start, t_end, attrs)`` rows for
@@ -220,7 +222,7 @@ class BurnRateMonitor:
         registry.counter(
             "powerlens_slo_burn_alerts_total",
             help="Burn-rate alert episodes fired").inc(
-            len(self.alerts))
+            self.alert_count)
         registry.counter(
             "powerlens_slo_burn_events_total",
             help="Request-terminal events observed by the burn monitor"
@@ -233,6 +235,7 @@ class BurnRateMonitor:
 
     def summary(self) -> Dict[str, Any]:
         """Small JSON-friendly digest for CLI reporting."""
+        alerts = self.alerts
         return {
             "objective": self.config.objective,
             "fast_window_s": self.config.fast_window_s,
@@ -242,10 +245,18 @@ class BurnRateMonitor:
             "bad_events": self.bad_events,
             "peak_fast_burn": self.peak_fast_burn,
             "peak_slow_burn": self.peak_slow_burn,
-            "alerts": len(self.alerts),
+            "alerts": len(alerts),
             "alert_spans": [
                 {"t_start": a.t_start, "t_end": a.t_end,
                  "peak_fast_burn": a.peak_fast_burn,
                  "peak_slow_burn": a.peak_slow_burn}
-                for a in self.alerts],
+                for a in alerts],
         }
+
+
+def _alert(episode: Dict[str, Any], t_end: float) -> BurnAlert:
+    return BurnAlert(
+        t_start=episode["t_start"], t_end=t_end,
+        peak_fast_burn=episode["peak_fast"],
+        peak_slow_burn=episode["peak_slow"],
+        events=episode["events"], bad_events=episode["bad"])

@@ -9,7 +9,11 @@ module turns that log back into structure:
 * :class:`ServingTimeline` — per-request lifecycles (arrival → batch
   ready → dispatch → terminal), per-device busy/probe intervals, the
   queue-depth step function, and recovery transitions, reconstructed
-  purely from the log (no simulator state needed);
+  purely from the log (no simulator state needed).  The reconstruction
+  is an incremental fold, one record at a time, so the same code runs
+  live as a scheduler sink and post hoc over a written log — the
+  request tracer (:mod:`repro.serving.request_trace`) is this fold
+  plus sampling and span export;
 * a **critical-path breakdown**: each completed request's latency is
   decomposed into ``queue`` (waiting while its batch accumulated),
   ``batch`` (formed batch waiting for a device) and ``service``
@@ -34,13 +38,14 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
+from types import SimpleNamespace
 from typing import (Any, Dict, Iterable, List, Optional, Sequence,
                     Set, Tuple, Union)
 
 from repro.obs.metrics import nearest_rank_index
 
 __all__ = ["RequestRow", "DeviceTrack", "ServingTimeline",
-           "read_event_log", "looks_like_event_log",
+           "OUTCOME_COMPLETED", "read_event_log", "looks_like_event_log",
            "summarize_serving_events", "validate_chrome_trace"]
 
 #: Virtual seconds → Chrome ``ts`` microseconds.
@@ -49,6 +54,15 @@ _US = 1e6
 #: Event kinds rendered as instant markers on their device's track.
 _DEVICE_MARKERS = ("drain", "redrain", "cooldown", "probe_fail",
                    "readmit", "recover", "recovery_exhausted")
+
+#: Healthy-device count change carried by each fleet-health event.
+_HEALTH_DELTA = {"drain": -1, "redrain": -1, "readmit": 1}
+
+OUTCOME_COMPLETED = "completed"
+
+#: Per-request defaults for ids missing from the timeline's request table.
+_UNKNOWN_REQUEST = SimpleNamespace(images=0, sparsity=0.0,
+                                   slo_latency_s=math.inf)
 
 
 def read_event_log(path: Union[str, Path]
@@ -127,7 +141,11 @@ class RequestRow:
     """One request's lifecycle reconstructed from the event log.
 
     ``queue_s + batch_s + service_s == latency_s`` exactly (each is a
-    difference of the same four timestamps).
+    difference of the same four timestamps; drops put the whole wait
+    in ``queue_s``).  ``sparsity``/``slo_latency_s`` come from the
+    timeline's request table, the dispatch fields from the ``dispatch``
+    event; ``recovery_stall_s`` is the queue residency spent with zero
+    healthy devices.
     """
 
     request_id: int
@@ -137,11 +155,22 @@ class RequestRow:
     t_batch_ready: float
     t_dispatch: float
     t_end: float
-    outcome: str
+    outcome: str = ""
     device: str = ""
     slo_ok: bool = True
     energy_j: float = 0.0
     cause: str = ""
+    sparsity: float = 0.0
+    slo_latency_s: float = math.inf
+    dispatch_seq: int = -1
+    batch_request_ids: Tuple[int, ...] = ()
+    ledger_energy_j: float = 0.0
+    sparsity_bucket: float = 0.0
+    plan_fingerprint: str = ""
+    recovery_state: str = ""
+    new_anomalies: int = 0
+    recovery_stall_s: float = 0.0
+    sampled_head: bool = True
 
     @property
     def latency_s(self) -> float:
@@ -161,7 +190,13 @@ class RequestRow:
 
     @property
     def completed(self) -> bool:
-        return self.outcome == "completed"
+        return self.outcome == OUTCOME_COMPLETED
+
+    @property
+    def anomalous(self) -> bool:
+        """Dropped, SLO-violating, or served by an anomaly-flagged job."""
+        return (self.outcome != OUTCOME_COMPLETED or not self.slo_ok
+                or self.new_anomalies > 0)
 
 
 @dataclass
@@ -180,102 +215,169 @@ class DeviceTrack:
 
 
 class ServingTimeline:
-    """Structured view of one serving run (see module docstring)."""
+    """Structured view of one serving run (see module docstring).
 
-    def __init__(self) -> None:
+    An incremental fold over the event log: calling the timeline with
+    one record folds it in, so an instance can ride
+    :class:`~repro.serving.scheduler.FleetScheduler` as a sink or
+    replay a written log (:meth:`from_events`) with the same result.
+    ``requests`` (anything with ``request_id``/``images``/``sparsity``/
+    ``slo_latency_s``, e.g. an ``ArrivalTrace``'s requests) fills the
+    per-request fields the log does not carry; ``healthy_devices`` is
+    the fleet's healthy-device count at the start of the run, which
+    enables ``recovery_stall_s`` (left at 0 when unknown).
+    """
+
+    def __init__(self, requests: Iterable[Any] = (),
+                 healthy_devices: Optional[int] = None) -> None:
         self.requests: Dict[int, RequestRow] = {}
         self.devices: Dict[str, DeviceTrack] = {}
         self.queue_depth: List[Tuple[float, int]] = []
         self.burn_spans: List[Tuple[float, float, Dict[str, Any]]] = []
         self.makespan_s = 0.0
         self.n_events = 0
+        self._specs = {r.request_id: r for r in requests}
+        self._pending: Dict[int, RequestRow] = {}
+        self._depth = 0
+        self._dispatch_seq = 0
+        self._healthy = healthy_devices
+        self._dead: List[Tuple[float, float]] = []
+        self._dead_since = 0.0 if healthy_devices == 0 else None
 
     # ------------------------------------------------------------------
     @classmethod
-    def from_events(cls, events: Sequence[Dict[str, Any]]
-                    ) -> "ServingTimeline":
-        """Rebuild the run's structure from its event log."""
-        tl = cls()
-        tl.n_events = len(events)
-        arrivals: Dict[int, Tuple[float, str, int]] = {}
-        dispatched: Dict[int, Tuple[float, float, str]] = {}
-        depth = 0
-
-        def device_track(name: str) -> DeviceTrack:
-            track = tl.devices.get(name)
-            if track is None:
-                track = DeviceTrack(name)
-                tl.devices[name] = track
-            return track
-
-        def note_depth(t: float) -> None:
-            tl.queue_depth.append((t, depth))
-
+    def from_events(cls, events: Iterable[Dict[str, Any]],
+                    **kwargs: Any) -> "ServingTimeline":
+        """Rebuild the run's structure from its event log (``kwargs``
+        go to the constructor)."""
+        timeline = cls(**kwargs)
         for event in events:
-            kind = event["event"]
-            t = float(event["t"])
-            tl.makespan_s = max(tl.makespan_s, t)
-            if kind == "admit":
-                rid = int(event["request_id"])
-                arrivals[rid] = (t, str(event.get("model", "")),
-                                 int(event.get("images", 0)))
-                depth += 1
-                note_depth(t)
-            elif kind == "dispatch":
-                name = str(event["device"])
-                ids = [int(i) for i in event.get("request_ids", [])]
-                t_done = float(event.get("predicted_done", t))
-                t_ready = max(
-                    (arrivals[i][0] for i in ids if i in arrivals),
-                    default=t)
-                for rid in ids:
-                    dispatched[rid] = (t, t_ready, name)
-                label = (f"{event.get('model', 'job')}"
-                         f"x{event.get('images', '?')}"
-                         f" ({event.get('n_requests', len(ids))} req)")
-                device_track(name).jobs.append((t, t_done, label))
-                depth -= len(ids)
-                note_depth(t)
-            elif kind == "complete":
-                rid = int(event["request_id"])
-                t_arr, model, images = arrivals.get(rid, (t, "", 0))
-                t_disp, t_ready, device = dispatched.get(
-                    rid, (t, t_arr, str(event.get("device", ""))))
-                tl.requests[rid] = RequestRow(
-                    request_id=rid, model=model, images=images,
-                    t_arrival=t_arr, t_batch_ready=t_ready,
-                    t_dispatch=t_disp, t_end=t, outcome="completed",
-                    device=device or str(event.get("device", "")),
-                    slo_ok=bool(event.get("slo_ok", True)),
-                    energy_j=float(event.get("energy", 0.0)))
-            elif kind == "drop":
-                rid = int(event["request_id"])
-                reason = str(event.get("reason", "unknown"))
-                known = rid in arrivals
-                t_arr, model, images = arrivals.get(
-                    rid, (t, str(event.get("model", "")), 0))
-                tl.requests[rid] = RequestRow(
-                    request_id=rid, model=model, images=images,
-                    t_arrival=t_arr, t_batch_ready=t, t_dispatch=t,
-                    t_end=t, outcome=reason, slo_ok=False,
-                    cause=str(event.get("cause", "")))
-                if known and reason != "queue_full":
-                    depth -= 1
-                    note_depth(t)
-            elif kind == "probe":
-                name = str(event["device"])
-                duration = float(event.get("duration", 0.0))
-                device_track(name).probes.append((t, t + duration))
-                tl.makespan_s = max(tl.makespan_s, t + duration)
-            elif kind in _DEVICE_MARKERS:
-                device_track(str(event["device"])).markers.append(
-                    (t, kind))
-        return tl
+            timeline(event)
+        return timeline
 
     @classmethod
-    def from_file(cls, path: Union[str, Path]) -> "ServingTimeline":
+    def from_file(cls, path: Union[str, Path],
+                  **kwargs: Any) -> "ServingTimeline":
         events, _ = read_event_log(path)
-        return cls.from_events(events)
+        return cls.from_events(events, **kwargs)
+
+    # ------------------------------------------------------------------
+    def __call__(self, event: Dict[str, Any]) -> None:
+        """Fold one event-log record into the timeline."""
+        kind = event["event"]
+        t = float(event["t"])
+        self.n_events += 1
+        self.makespan_s = max(self.makespan_s, t)
+        if kind == "admit":
+            rid = int(event["request_id"])
+            self._pending[rid] = self._new_row(rid, t, event)
+            self._note_depth(t, 1)
+        elif kind == "dispatch":
+            self._fold_dispatch(t, event)
+        elif kind == "complete":
+            rid = int(event["request_id"])
+            row = self._pending.pop(rid, None) \
+                or self._new_row(rid, t, event)
+            row.t_end = t
+            row.outcome = OUTCOME_COMPLETED
+            row.device = row.device or str(event.get("device", ""))
+            row.slo_ok = bool(event.get("slo_ok", True))
+            row.energy_j = float(event.get("energy", 0.0))
+            row.recovery_stall_s = self._stall(row.t_arrival,
+                                               row.t_dispatch)
+            self._finish(row)
+        elif kind == "drop":
+            rid = int(event["request_id"])
+            row = self._pending.pop(rid, None)
+            if row is None:
+                # ``queue_full`` rejections never entered the queue.
+                row = self._new_row(rid, t, event)
+            else:
+                self._note_depth(t, -1)
+                row.recovery_stall_s = self._stall(row.t_arrival, t)
+            row.t_batch_ready = row.t_dispatch = row.t_end = t
+            row.outcome = str(event.get("reason", "unknown"))
+            row.slo_ok = False
+            row.cause = str(event.get("cause", ""))
+            self._finish(row)
+        elif kind == "probe":
+            self._dispatch_seq += 1
+            duration = float(event.get("duration", 0.0))
+            self._track(str(event["device"])).probes.append(
+                (t, t + duration))
+            self.makespan_s = max(self.makespan_s, t + duration)
+        elif kind in _DEVICE_MARKERS:
+            self._track(str(event["device"])).markers.append((t, kind))
+            if self._healthy is not None and kind in _HEALTH_DELTA:
+                self._note_health(t, _HEALTH_DELTA[kind])
+
+    def _fold_dispatch(self, t: float, event: Dict[str, Any]) -> None:
+        name = str(event["device"])
+        ids = tuple(int(i) for i in event.get("request_ids", ()))
+        rows = [self._pending[i] for i in ids if i in self._pending]
+        t_ready = max((row.t_arrival for row in rows), default=t)
+        ledger_share = (float(event.get("ledger_energy", 0.0)) / len(ids)
+                        if ids else 0.0)
+        for row in rows:
+            row.t_batch_ready = t_ready
+            row.t_dispatch = t
+            row.device = name
+            row.dispatch_seq = self._dispatch_seq
+            row.batch_request_ids = ids
+            row.ledger_energy_j = ledger_share
+            row.sparsity_bucket = float(event.get("sparsity_bucket", 0.0))
+            row.plan_fingerprint = str(event.get("plan", ""))
+            row.recovery_state = str(event.get("recovery_state", ""))
+            row.new_anomalies = int(event.get("new_anomalies", 0))
+        self._dispatch_seq += 1
+        label = (f"{event.get('model', 'job')}"
+                 f"x{event.get('images', '?')}"
+                 f" ({event.get('n_requests', len(ids))} req)")
+        t_done = float(event.get("predicted_done", t))
+        self._track(name).jobs.append((t, t_done, label))
+        self._note_depth(t, -len(ids))
+
+    def _new_row(self, rid: int, t: float,
+                 event: Dict[str, Any]) -> RequestRow:
+        spec = self._specs.get(rid, _UNKNOWN_REQUEST)
+        return RequestRow(
+            request_id=rid, model=str(event.get("model", "")),
+            images=int(event.get("images", spec.images)),
+            t_arrival=t, t_batch_ready=t, t_dispatch=t, t_end=t,
+            sparsity=spec.sparsity, slo_latency_s=spec.slo_latency_s)
+
+    def _finish(self, row: RequestRow) -> None:
+        """A request reached its terminal event."""
+        self.requests[row.request_id] = row
+
+    def _track(self, name: str) -> DeviceTrack:
+        track = self.devices.get(name)
+        if track is None:
+            track = self.devices[name] = DeviceTrack(name)
+        return track
+
+    def _note_depth(self, t: float, delta: int) -> None:
+        self._depth += delta
+        self.queue_depth.append((t, self._depth))
+
+    def _note_health(self, t: float, delta: int) -> None:
+        self._healthy += delta
+        if self._healthy == 0:
+            if self._dead_since is None:
+                self._dead_since = t
+        elif self._dead_since is not None:
+            self._dead.append((self._dead_since, t))
+            self._dead_since = None
+
+    def _stall(self, t_from: float, t_to: float) -> float:
+        """Overlap of ``[t_from, t_to]`` with zero-healthy intervals."""
+        intervals = list(self._dead)
+        if self._dead_since is not None:
+            intervals.append((self._dead_since, t_to))
+        total = 0.0
+        for start, end in intervals:
+            total += max(0.0, min(end, t_to) - max(start, t_from))
+        return total
 
     # ------------------------------------------------------------------
     def add_burn_spans(

@@ -57,7 +57,6 @@ from repro.serving.queueing import (
     make_policy,
 )
 from repro.serving.request_trace import (
-    RequestTrace,
     RequestTracer,
     SamplingConfig,
     head_sample_keep,
@@ -86,7 +85,7 @@ __all__ = [
     "POLICY_REGISTRY", "QueuePolicy", "make_policy",
     "FleetScheduler", "SchedulerConfig", "ServingResult",
     "canonical_event_line",
-    "RequestTrace", "RequestTracer", "SamplingConfig",
+    "RequestTracer", "SamplingConfig",
     "head_sample_keep",
     "DeviceSummary", "RequestOutcome", "SLOReport", "nearest_rank",
 ]

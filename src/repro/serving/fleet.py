@@ -50,7 +50,7 @@ from repro.governors import (
     PresetGovernor,
     make_governor,
 )
-from repro.governors.family import analytic_plan
+from repro.governors.family import analytic_plan, floor_bucket
 from repro.hw.analytic import AnalyticEvaluator
 from repro.hw.faults import FaultProfile
 from repro.hw.platform import PlatformSpec, get_platform
@@ -336,12 +336,11 @@ class SimulatedDevice:
     # ------------------------------------------------------------------
     def sparsity_bucket(self, sparsity: float) -> float:
         """Representative sparsity the plans for ``sparsity`` are built
-        at: the largest configured edge not exceeding it (bisect —
-        deterministic and total; always 0.0 for non-family governors)."""
-        from bisect import bisect_right
-
+        at: the largest configured edge not exceeding it (the
+        :class:`~repro.governors.family.FeatureBuckets` floor rule;
+        always 0.0 for non-family governors)."""
         edges = self.sparsity_edges
-        return edges[max(0, bisect_right(edges, float(sparsity)) - 1)]
+        return edges[floor_bucket(edges, float(sparsity))]
 
     def plan_for(self, graph: Graph, batch_size: int,
                  sparsity: float = 0.0) -> FrequencyPlan:

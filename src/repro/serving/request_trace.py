@@ -1,39 +1,37 @@
 """Request-lifecycle tracing for the fleet serving simulator.
 
 The serving event log says *what* happened; this module says *where
-each request's latency went*.  A :class:`RequestTracer` rides the
-scheduler's event loop as a strictly observe-only passenger: the
-scheduler calls it at admission, dispatch, completion and every drop,
-all in **virtual time**, and the tracer assembles one span tree per
-request::
+each request's latency went*.  A :class:`RequestTracer` is a scheduler
+sink: :class:`~repro.serving.scheduler.FleetScheduler` hands it every
+event-log record, and it folds them with the
+:class:`~repro.obs.timeline.ServingTimeline` reconstruction into one
+span tree per request::
 
     request                          (admit .. terminal)
       queued                         (admit .. last co-batched arrival)
       batched                        (batch formed .. dispatch)
       dispatched                     (dispatch .. completion)
 
-with attributes for the device id, queueing-policy decision, sparsity
-bucket, plan-family member (the executed plan's fingerprint), the
-device's recovery state at dispatch, and the request's even share of
-the dispatch :class:`~repro.obs.ledger.EnergyLedger` joules.  Dropped
-requests carry a single ``queued`` child ending at the drop, and
-``queue_full`` rejections are zero-length roots.
+with attributes for the device id, queueing policy, sparsity bucket,
+plan-family member (the executed plan's fingerprint), the device's
+recovery state at dispatch, and the request's even share of the
+dispatch :class:`~repro.obs.ledger.EnergyLedger` joules — all read off
+the ``dispatch`` event.  Dropped requests carry a single ``queued``
+child ending at the drop, and ``queue_full`` rejections are
+zero-length roots.
 
-Because every timestamp is the scheduler's virtual clock and every
-attribute is a value the scheduler already computed, tracing cannot
-perturb the run: the canonical event log, the SLO report and the
-ledger totals are byte-identical with tracing on or off
-(``tests/test_serving_request_trace.py`` pins this across governors,
-policies, fault profiles, recovery configs and ``n_jobs``).
+A sink only reads records the scheduler already appended to its log,
+so tracing cannot perturb the run; and because the tracer *is* the log
+fold, a tracer rebuilt from a written event log
+(:meth:`RequestTracer.from_file`) yields the same rows as the live one
+(``tests/test_serving_request_trace.py`` pins both).
 
 **Sampling** keeps million-request runs bounded.  Head sampling is a
 pure function of ``(seed, request_id)`` (sha256, no shared RNG
 streams), so the sampled set is identical on every replay; tail
 sampling *always* keeps the interesting requests — SLO violations,
 expirations, unserviceable/queue-full drops and requests whose job
-raised anomalies — regardless of the head rate.  The components
-``queue_s + batch_s + service_s`` sum to the end-to-end latency
-exactly (each is a difference of the same three timestamps).
+raised anomalies — regardless of the head rate.
 
 Export is the same JSONL span schema as :mod:`repro.obs.tracing`, so
 ``powerlens trace`` replays a request-trace file unchanged; span ids
@@ -46,21 +44,15 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, Iterable, List, Optional, Union
 
 from repro.obs.metrics import MetricsRegistry
-from repro.serving.arrivals import Request
+from repro.obs.timeline import OUTCOME_COMPLETED, RequestRow, ServingTimeline
 
-__all__ = ["SamplingConfig", "RequestTrace", "RequestTracer",
-           "head_sample_keep", "OUTCOME_COMPLETED"]
-
-OUTCOME_COMPLETED = "completed"
-
-#: Terminal outcomes that tail sampling always keeps (plus SLO
-#: violations and anomaly-flagged completions).
-_TAIL_OUTCOMES = ("expired", "unserviceable", "queue_full")
+__all__ = ["SamplingConfig", "RequestTracer", "head_sample_keep",
+           "OUTCOME_COMPLETED"]
 
 
 def head_sample_keep(seed: int, request_id: int, rate: float) -> bool:
@@ -84,177 +76,102 @@ class SamplingConfig:
     """Deterministic sampling knobs for :class:`RequestTracer`.
 
     ``head_rate`` is the fraction of requests kept unconditionally
-    (seeded, per-request-id); ``keep_tail`` retains 100% of the
-    anomalous tail (drops, SLO violations, anomaly-flagged jobs) on
-    top of the head sample.
+    (seeded, per-request-id); the anomalous tail (drops, SLO
+    violations, anomaly-flagged jobs) is always kept on top.
     """
 
     head_rate: float = 1.0
     seed: int = 0
-    keep_tail: bool = True
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.head_rate <= 1.0:
             raise ValueError("head_rate must be in [0, 1]")
 
 
-@dataclass(frozen=True)
-class RequestTrace:
-    """One request's reconstructed lifecycle (virtual timestamps).
+def request_record(row: RequestRow) -> Dict[str, Any]:
+    """Flat completion/drop record (the ``/requests`` SSE feed)."""
+    record: Dict[str, Any] = {
+        "type": "request",
+        "request_id": row.request_id,
+        "model": row.model,
+        "images": row.images,
+        "outcome": row.outcome,
+        "t_arrival": row.t_arrival,
+        "t_end": row.t_end,
+        "latency_s": row.latency_s,
+        "queue_s": row.queue_s,
+        "batch_s": row.batch_s,
+        "service_s": row.service_s,
+        "slo_ok": row.slo_ok,
+    }
+    if row.device:
+        record["device"] = row.device
+        record["energy_j"] = row.energy_j
+        record["ledger_energy_j"] = row.ledger_energy_j
+    if row.cause:
+        record["cause"] = row.cause
+    if row.sparsity > 0.0:
+        record["sparsity"] = row.sparsity
+    if row.recovery_stall_s > 0.0:
+        record["recovery_stall_s"] = row.recovery_stall_s
+    return record
 
-    The three latency components partition ``[t_arrival, t_end]``:
 
-    * ``queue_s`` — admit until the last co-batched request arrived
-      (the request is queued while its batch accumulates);
-    * ``batch_s`` — formed batch waiting for a healthy idle device and
-      the policy's nod;
-    * ``service_s`` — dispatch to completion on the device.
-
-    For dropped requests the whole wait is ``queue_s`` and the other
-    components are zero, so the identity ``queue_s + batch_s +
-    service_s == latency_s`` holds for every outcome.
-    """
-
-    request_id: int
-    model: str
-    images: int
-    sparsity: float
-    slo_latency_s: float
-    t_arrival: float
-    t_batch_ready: float
-    t_dispatch: float
-    t_end: float
-    outcome: str
-    device: str = ""
-    policy: str = ""
-    dispatch_seq: int = -1
-    batch_n_requests: int = 0
-    batch_request_ids: Tuple[int, ...] = ()
-    energy_j: float = 0.0
-    ledger_energy_j: float = 0.0
-    sparsity_bucket: float = 0.0
-    plan_fingerprint: str = ""
-    recovery_state: str = ""
-    new_anomalies: int = 0
-    slo_ok: bool = True
-    cause: str = ""
-    recovery_stall_s: float = 0.0
-    sampled_head: bool = True
-
-    # -- latency decomposition -----------------------------------------
-    @property
-    def latency_s(self) -> float:
-        return self.t_end - self.t_arrival
-
-    @property
-    def queue_s(self) -> float:
-        return self.t_batch_ready - self.t_arrival
-
-    @property
-    def batch_s(self) -> float:
-        return self.t_dispatch - self.t_batch_ready
-
-    @property
-    def service_s(self) -> float:
-        return self.t_end - self.t_dispatch
-
-    @property
-    def completed(self) -> bool:
-        return self.outcome == OUTCOME_COMPLETED
-
-    @property
-    def anomalous(self) -> bool:
-        """True for every tail-sampled condition."""
-        return (self.outcome != OUTCOME_COMPLETED or not self.slo_ok
-                or self.new_anomalies > 0)
-
-    # -- export --------------------------------------------------------
-    def to_record(self) -> Dict[str, Any]:
-        """Flat completion/drop record (the ``/requests`` SSE feed)."""
-        record: Dict[str, Any] = {
-            "type": "request",
-            "request_id": self.request_id,
-            "model": self.model,
-            "images": self.images,
-            "outcome": self.outcome,
-            "t_arrival": self.t_arrival,
-            "t_end": self.t_end,
-            "latency_s": self.latency_s,
-            "queue_s": self.queue_s,
-            "batch_s": self.batch_s,
-            "service_s": self.service_s,
-            "slo_ok": self.slo_ok,
-        }
-        if self.device:
-            record["device"] = self.device
-            record["energy_j"] = self.energy_j
-            record["ledger_energy_j"] = self.ledger_energy_j
-        if self.cause:
-            record["cause"] = self.cause
-        if self.sparsity > 0.0:
-            record["sparsity"] = self.sparsity
-        if self.recovery_stall_s > 0.0:
-            record["recovery_stall_s"] = self.recovery_stall_s
-        return record
-
-    def span_records(self, next_id: int) -> List[Dict[str, Any]]:
-        """The span tree as JSONL records (ids from ``next_id`` up),
-        compatible with :func:`repro.obs.replay.read_trace`."""
-        root_attrs: Dict[str, Any] = {
-            "request_id": self.request_id,
-            "model": self.model,
-            "images": self.images,
-            "outcome": self.outcome,
-            "policy": self.policy,
-            "slo_ok": self.slo_ok,
-        }
-        if math.isfinite(self.slo_latency_s):
-            root_attrs["slo_latency_s"] = self.slo_latency_s
-        if self.sparsity > 0.0:
-            root_attrs["sparsity"] = self.sparsity
-        if self.cause:
-            root_attrs["cause"] = self.cause
-        if not self.sampled_head:
-            root_attrs["tail_sampled"] = True
-        records = [_span(next_id, None, "request", self.t_arrival,
-                         self.t_end, root_attrs)]
-        root_id = next_id
-        next_id += 1
-        if self.outcome == "queue_full":
-            return records
-        queued_attrs: Dict[str, Any] = {"queue_s": self.queue_s}
-        if self.recovery_stall_s > 0.0:
-            queued_attrs["recovery_stall_s"] = self.recovery_stall_s
-        records.append(_span(next_id, root_id, "queued", self.t_arrival,
-                             self.t_batch_ready, queued_attrs))
-        next_id += 1
-        if not self.completed:
-            return records
-        records.append(_span(
-            next_id, root_id, "batched", self.t_batch_ready,
-            self.t_dispatch,
-            {"batch_s": self.batch_s,
-             "n_requests": self.batch_n_requests,
-             "request_ids": list(self.batch_request_ids)}))
-        next_id += 1
-        dispatched_attrs: Dict[str, Any] = {
-            "service_s": self.service_s,
-            "device": self.device,
-            "dispatch_seq": self.dispatch_seq,
-            "energy_j": self.energy_j,
-            "ledger_energy_j": self.ledger_energy_j,
-            "recovery_state": self.recovery_state,
-        }
-        if self.plan_fingerprint:
-            dispatched_attrs["plan"] = self.plan_fingerprint
-        if self.sparsity_bucket > 0.0:
-            dispatched_attrs["sparsity_bucket"] = self.sparsity_bucket
-        if self.new_anomalies:
-            dispatched_attrs["new_anomalies"] = self.new_anomalies
-        records.append(_span(next_id, root_id, "dispatched",
-                             self.t_dispatch, self.t_end,
-                             dispatched_attrs))
+def request_spans(row: RequestRow, policy: str,
+                  next_id: int) -> List[Dict[str, Any]]:
+    """One request's span tree as JSONL records (ids from ``next_id``
+    up), compatible with :func:`repro.obs.replay.read_trace`."""
+    root_attrs: Dict[str, Any] = {
+        "request_id": row.request_id,
+        "model": row.model,
+        "images": row.images,
+        "outcome": row.outcome,
+        "policy": policy,
+        "slo_ok": row.slo_ok,
+    }
+    if math.isfinite(row.slo_latency_s):
+        root_attrs["slo_latency_s"] = row.slo_latency_s
+    if row.sparsity > 0.0:
+        root_attrs["sparsity"] = row.sparsity
+    if row.cause:
+        root_attrs["cause"] = row.cause
+    if not row.sampled_head:
+        root_attrs["tail_sampled"] = True
+    root_id = next_id
+    records = [_span(root_id, None, "request", row.t_arrival, row.t_end,
+                     root_attrs)]
+    if row.outcome == "queue_full":
         return records
+    queued_attrs: Dict[str, Any] = {"queue_s": row.queue_s}
+    if row.recovery_stall_s > 0.0:
+        queued_attrs["recovery_stall_s"] = row.recovery_stall_s
+    records.append(_span(root_id + 1, root_id, "queued", row.t_arrival,
+                         row.t_batch_ready, queued_attrs))
+    if not row.completed:
+        return records
+    records.append(_span(
+        root_id + 2, root_id, "batched", row.t_batch_ready,
+        row.t_dispatch,
+        {"batch_s": row.batch_s,
+         "n_requests": len(row.batch_request_ids),
+         "request_ids": list(row.batch_request_ids)}))
+    dispatched_attrs: Dict[str, Any] = {
+        "service_s": row.service_s,
+        "device": row.device,
+        "dispatch_seq": row.dispatch_seq,
+        "energy_j": row.energy_j,
+        "ledger_energy_j": row.ledger_energy_j,
+        "recovery_state": row.recovery_state,
+    }
+    if row.plan_fingerprint:
+        dispatched_attrs["plan"] = row.plan_fingerprint
+    if row.sparsity_bucket > 0.0:
+        dispatched_attrs["sparsity_bucket"] = row.sparsity_bucket
+    if row.new_anomalies:
+        dispatched_attrs["new_anomalies"] = row.new_anomalies
+    records.append(_span(root_id + 3, root_id, "dispatched",
+                         row.t_dispatch, row.t_end, dispatched_attrs))
+    return records
 
 
 def _span(span_id: int, parent_id: Optional[int], name: str,
@@ -265,196 +182,53 @@ def _span(span_id: int, parent_id: Optional[int], name: str,
             "attrs": attrs}
 
 
-@dataclass
-class _Pending:
-    """Mutable in-flight state between admit and the terminal event."""
+class RequestTracer(ServingTimeline):
+    """Sampled request-lifecycle recorder (see module docstring).
 
-    request: Request
-    t_arrival: float
-    t_batch_ready: float = 0.0
-    t_dispatch: float = 0.0
-    device: str = ""
-    dispatch_seq: int = -1
-    batch_n_requests: int = 0
-    batch_request_ids: Tuple[int, ...] = ()
-    ledger_share_j: float = 0.0
-    sparsity_bucket: float = 0.0
-    plan_fingerprint: str = ""
-    recovery_state: str = ""
-    new_anomalies: int = 0
-
-
-class RequestTracer:
-    """Observe-only request-lifecycle recorder (see module docstring).
-
-    The scheduler drives it through the ``on_*`` hooks; only requests
-    that survive sampling are materialized as :class:`RequestTrace`
-    objects (in-flight state is O(queue depth), not O(trace length)).
-    ``completion_records`` is the append-only list the
+    A :class:`~repro.obs.timeline.ServingTimeline` whose terminal rows
+    also pass through head/tail sampling.  Everything known before the
+    run comes from the constructor: the queueing ``policy`` name, the
+    ``requests`` table (per-request SLO and sparsity — pass the
+    ``ArrivalTrace``'s requests) and the initial ``healthy_devices``
+    count.  ``completion_records`` is the append-only list the
     ``/requests`` SSE endpoint tails.
     """
 
-    def __init__(self, sampling: Optional[SamplingConfig] = None) -> None:
+    def __init__(self, sampling: Optional[SamplingConfig] = None,
+                 requests: Iterable[Any] = (),
+                 healthy_devices: Optional[int] = None,
+                 policy: str = "") -> None:
+        super().__init__(requests, healthy_devices)
         self.sampling = sampling or SamplingConfig()
-        self.policy = ""
-        self.requests_seen = 0
+        self.policy = policy
         self.sampled_head_count = 0
         self.sampled_tail_count = 0
         self.completion_records: List[Dict[str, Any]] = []
-        self._pending: Dict[int, _Pending] = {}
-        self._traces: List[RequestTrace] = []
-        self._dead_intervals: List[Tuple[float, float]] = []
-        self._dead_since: Optional[float] = None
-        self._finalized = False
-        self._t_end = 0.0
+        self._traces: List[RequestRow] = []
 
-    # ------------------------------------------------------------------
-    # scheduler hooks (virtual time; all strictly observe-only)
-    # ------------------------------------------------------------------
-    def begin_run(self, policy: str, n_healthy: int) -> None:
-        self.policy = policy
-        self._dead_since = 0.0 if n_healthy == 0 else None
-
-    def note_fleet_health(self, t: float, n_healthy: int) -> None:
-        """Track intervals with zero healthy devices — the recovery
-        stall attributed to requests queued across them."""
-        if n_healthy == 0:
-            if self._dead_since is None:
-                self._dead_since = t
-        elif self._dead_since is not None:
-            self._dead_intervals.append((self._dead_since, t))
-            self._dead_since = None
-
-    def on_admit(self, t: float, request: Request) -> None:
-        self.requests_seen += 1
-        self._pending[request.request_id] = _Pending(request, t)
-
-    def on_dispatch(self, t: float, batch: Sequence[Request],
-                    device: Any, record: Any, seq: int) -> None:
-        t_ready = max(r.t_arrival for r in batch)
-        ids = tuple(r.request_id for r in batch)
-        ledger_share = record.ledger_energy_j / len(batch)
-        for request in batch:
-            pending = self._pending.get(request.request_id)
-            if pending is None:
-                continue
-            pending.t_batch_ready = t_ready
-            pending.t_dispatch = t
-            pending.device = device.name
-            pending.dispatch_seq = seq
-            pending.batch_n_requests = len(batch)
-            pending.batch_request_ids = ids
-            pending.ledger_share_j = ledger_share
-            pending.sparsity_bucket = device.sparsity_bucket(
-                request.sparsity)
-            pending.plan_fingerprint = record.plan_fingerprint
-            pending.recovery_state = device.recovery_state
-            pending.new_anomalies = record.new_anomalies
-
-    def on_complete(self, t: float, outcome: Any) -> None:
-        """``outcome`` is the scheduler's
-        :class:`~repro.serving.slo_report.RequestOutcome`."""
-        pending = self._pending.pop(outcome.request_id, None)
-        if pending is None:
-            return
-        self._finalize_request(RequestTrace(
-            request_id=outcome.request_id,
-            model=outcome.model,
-            images=outcome.images,
-            sparsity=pending.request.sparsity,
-            slo_latency_s=outcome.slo_latency_s,
-            t_arrival=pending.t_arrival,
-            t_batch_ready=pending.t_batch_ready,
-            t_dispatch=pending.t_dispatch,
-            t_end=t,
-            outcome=OUTCOME_COMPLETED,
-            device=outcome.device,
-            policy=self.policy,
-            dispatch_seq=pending.dispatch_seq,
-            batch_n_requests=pending.batch_n_requests,
-            batch_request_ids=pending.batch_request_ids,
-            energy_j=outcome.energy_j,
-            ledger_energy_j=pending.ledger_share_j,
-            sparsity_bucket=pending.sparsity_bucket,
-            plan_fingerprint=pending.plan_fingerprint,
-            recovery_state=pending.recovery_state,
-            new_anomalies=pending.new_anomalies,
-            slo_ok=outcome.slo_ok,
-            recovery_stall_s=self._stall(pending.t_arrival,
-                                         pending.t_dispatch),
-        ))
-
-    def on_drop(self, t: float, request: Request, reason: str,
-                cause: Optional[str] = None) -> None:
-        pending = self._pending.pop(request.request_id, None)
-        if pending is None:
-            # ``queue_full`` rejections never entered the queue.
-            self.requests_seen += 1
-            t_arrival = request.t_arrival
-        else:
-            t_arrival = pending.t_arrival
-        self._finalize_request(RequestTrace(
-            request_id=request.request_id,
-            model=request.model,
-            images=request.images,
-            sparsity=request.sparsity,
-            slo_latency_s=request.slo_latency_s,
-            t_arrival=t_arrival,
-            t_batch_ready=t,
-            t_dispatch=t,
-            t_end=t,
-            outcome=reason,
-            policy=self.policy,
-            slo_ok=False,
-            cause=cause or "",
-            recovery_stall_s=(self._stall(t_arrival, t)
-                              if pending is not None else 0.0),
-        ))
-
-    def finalize(self, t_end: float) -> None:
-        """Close the run at virtual ``t_end`` (idempotent)."""
-        if self._finalized:
-            return
-        self._finalized = True
-        self._t_end = t_end
-        if self._dead_since is not None:
-            self._dead_intervals.append((self._dead_since, t_end))
-            self._dead_since = None
-
-    # ------------------------------------------------------------------
-    # sampling
-    # ------------------------------------------------------------------
-    def _finalize_request(self, trace: RequestTrace) -> None:
+    def _finish(self, row: RequestRow) -> None:
+        super()._finish(row)
         cfg = self.sampling
-        head = head_sample_keep(cfg.seed, trace.request_id,
-                                cfg.head_rate)
-        tail = cfg.keep_tail and trace.anomalous
-        if not head and not tail:
-            return
-        if head:
+        if head_sample_keep(cfg.seed, row.request_id, cfg.head_rate):
             self.sampled_head_count += 1
-        else:
-            trace = RequestTrace(
-                **{**_trace_fields(trace), "sampled_head": False})
+        elif row.anomalous:
+            row.sampled_head = False
             self.sampled_tail_count += 1
-        self._traces.append(trace)
-        self.completion_records.append(trace.to_record())
-
-    def _stall(self, t_from: float, t_to: float) -> float:
-        """Overlap of ``[t_from, t_to]`` with zero-healthy intervals."""
-        total = 0.0
-        intervals = list(self._dead_intervals)
-        if self._dead_since is not None:
-            intervals.append((self._dead_since, t_to))
-        for start, end in intervals:
-            total += max(0.0, min(end, t_to) - max(start, t_from))
-        return total
+        else:
+            return
+        self._traces.append(row)
+        self.completion_records.append(request_record(row))
 
     # ------------------------------------------------------------------
     # outputs
     # ------------------------------------------------------------------
-    def traces(self) -> List[RequestTrace]:
-        """Sampled request traces in terminal-event order."""
+    @property
+    def requests_seen(self) -> int:
+        """Requests admitted or rejected so far."""
+        return len(self.requests) + len(self._pending)
+
+    def traces(self) -> List[RequestRow]:
+        """Sampled request rows in terminal-event order."""
         return list(self._traces)
 
     @property
@@ -482,12 +256,9 @@ class RequestTracer:
         """Every sampled request's span tree, ids dense in request-id
         order (byte-stable across replays)."""
         records: List[Dict[str, Any]] = []
-        next_id = 1
-        for trace in sorted(self._traces,
-                            key=lambda tr: tr.request_id):
-            spans = trace.span_records(next_id)
-            next_id += len(spans)
-            records.extend(spans)
+        for row in sorted(self._traces, key=lambda r: r.request_id):
+            records.extend(request_spans(row, self.policy,
+                                         len(records) + 1))
         return records
 
     def export_jsonl(self, path: Union[str, Path],
@@ -498,13 +269,10 @@ class RequestTracer:
         ``slo_burn`` spans after the request spans."""
         path = Path(path)
         records = self.span_records()
-        next_id = len(records) + 1
-        burn_records: List[Dict[str, Any]] = []
         if burn is not None:
             for name, t_start, t_end, attrs in burn.span_rows():
-                burn_records.append(
-                    _span(next_id, None, name, t_start, t_end, attrs))
-                next_id += 1
+                records.append(_span(len(records) + 1, None, name,
+                                     t_start, t_end, attrs))
         meta = {"type": "meta", "format": "powerlens-request-trace",
                 "version": 1,
                 "requests_seen": self.requests_seen,
@@ -513,16 +281,9 @@ class RequestTracer:
                 "head_rate": self.sampling.head_rate,
                 "sampling_seed": self.sampling.seed,
                 "policy": self.policy,
-                "spans": len(records) + len(burn_records),
+                "spans": len(records),
                 "dropped": 0}
         lines = [json.dumps(meta, sort_keys=True)]
-        lines += [json.dumps(rec, sort_keys=True)
-                  for rec in records + burn_records]
+        lines += [json.dumps(rec, sort_keys=True) for rec in records]
         path.write_text("\n".join(lines) + "\n")
         return path
-
-
-def _trace_fields(trace: RequestTrace) -> Dict[str, Any]:
-    """Dataclass fields of ``trace`` as kwargs (frozen → rebuild)."""
-    return {name: getattr(trace, name)
-            for name in trace.__dataclass_fields__}

@@ -36,6 +36,14 @@ suite pins.  The event heap orders ties by ``(t, priority, seq)`` with
 completions (priority 0) ahead of arrivals (priority 1), so equal-time
 ordering is explicit, never dict- or hash-dependent.
 
+The log is also the only way the run is observed: ``sinks`` are called
+with each record as it is appended.  Request traces
+(:class:`~repro.serving.request_trace.RequestTracer`), burn-rate alerts
+(:class:`~repro.obs.burnrate.BurnRateMonitor`) and the timeline
+(:class:`~repro.obs.timeline.ServingTimeline`) are such sinks, so they
+cannot change what the loop does, and replaying a written log through
+them rebuilds what they saw live.
+
 ``n_jobs`` never touches execution: the event loop is strictly
 sequential; extra workers only pre-warm the per-device plan caches
 (pure functions), so results are byte-identical at any ``n_jobs``.
@@ -47,11 +55,10 @@ import heapq
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.hw.simulator import InferenceJob
 from repro.obs import Observability, NULL_OBS
-from repro.obs.burnrate import BurnRateMonitor
 from repro.obs.metrics import DEFAULT_BUCKETS, MetricsRegistry
 from repro.serving.arrivals import ArrivalTrace, Request
 from repro.serving.fleet import (
@@ -61,7 +68,6 @@ from repro.serving.fleet import (
     SimulatedDevice,
 )
 from repro.serving.queueing import QueuePolicy, make_policy
-from repro.serving.request_trace import RequestTracer
 from repro.serving.slo_report import (
     DeviceSummary,
     RequestOutcome,
@@ -70,8 +76,12 @@ from repro.serving.slo_report import (
 from repro.workloads import make_request_job
 
 __all__ = ["SchedulerConfig", "ServingResult", "FleetScheduler",
-           "canonical_event_line", "DROP_QUEUE_FULL", "DROP_EXPIRED",
-           "DROP_UNSERVICEABLE"]
+           "EventSink", "canonical_event_line", "DROP_QUEUE_FULL",
+           "DROP_EXPIRED", "DROP_UNSERVICEABLE"]
+
+#: A sink is called with every event record the moment it is appended
+#: to the log; it may read the record but must not mutate it.
+EventSink = Callable[[Dict[str, object]], None]
 
 #: Heap priorities: completions free devices before same-time arrivals;
 #: recovery probes run after both so they never shadow real traffic.
@@ -122,10 +132,6 @@ class ServingResult:
     outcomes: List[RequestOutcome]
     metrics: MetricsRegistry
     dispatches: List[DispatchRecord] = field(default_factory=list)
-    #: The observe-only passengers of the run, when enabled (their
-    #: sampled traces / alert episodes are read off these objects).
-    request_tracer: Optional[RequestTracer] = None
-    burn_monitor: Optional[BurnRateMonitor] = None
 
     def event_log(self) -> str:
         """Canonical JSONL event log (byte-identical across runs)."""
@@ -139,19 +145,15 @@ class FleetScheduler:
     def __init__(self, fleet: Fleet,
                  config: Optional[SchedulerConfig] = None,
                  obs: Optional[Observability] = None,
-                 request_tracer: Optional[RequestTracer] = None,
-                 burn_monitor: Optional[BurnRateMonitor] = None) -> None:
+                 sinks: Sequence[EventSink] = ()) -> None:
         self.fleet = fleet
         self.config = config or SchedulerConfig()
         self.policy: QueuePolicy = make_policy(self.config.policy)
         self.obs = obs if obs is not None else NULL_OBS
-        # Strictly observe-only passengers: every hook below consumes
-        # values the loop already computed (virtual times included) and
-        # never touches an RNG, so enabling them keeps the event log,
-        # SLO report and ledger totals byte-identical (property-tested
-        # in tests/test_serving_request_trace.py).
-        self.request_tracer = request_tracer
-        self.burn_monitor = burn_monitor
+        # Request traces, burn-rate alerts and timelines are projections
+        # of the event log: each sink sees exactly the records appended
+        # to ``events``, in order, and nothing else of the run.
+        self.sinks = tuple(sinks)
 
     # ------------------------------------------------------------------
     def run(self, trace: ArrivalTrace, n_jobs: int = 1) -> ServingResult:
@@ -199,6 +201,8 @@ class FleetScheduler:
             help="Arrival-to-completion latency",
             buckets=DEFAULT_BUCKETS)
 
+        sinks = self.sinks
+
         def emit(t: float, kind: str, **fields: object) -> None:
             nonlocal event_seq
             record: Dict[str, object] = {"seq": event_seq, "t": t,
@@ -206,14 +210,8 @@ class FleetScheduler:
             record.update(fields)
             events.append(record)
             event_seq += 1
-
-        tracer = self.request_tracer
-        burn = self.burn_monitor
-
-        def note_health(t: float) -> None:
-            if tracer is not None:
-                tracer.note_fleet_health(
-                    t, sum(1 for d in fleet.devices if not d.drained))
+            for sink in sinks:
+                sink(record)
 
         # (t, priority, tiebreak_seq, kind, payload)
         heap: List[Tuple[float, int, int, str, object]] = []
@@ -228,10 +226,6 @@ class FleetScheduler:
         # batch 1 — a fixed, deterministic choice.
         probe_graph = (fleet.graph_for(sorted(trace.models)[0])
                        if trace.requests else None)
-        if tracer is not None:
-            tracer.begin_run(
-                self.policy.name,
-                sum(1 for d in fleet.devices if not d.drained))
 
         def drop(t: float, request: Request, reason: str,
                  cause: Optional[str] = None) -> None:
@@ -243,10 +237,6 @@ class FleetScheduler:
             if cause is not None:
                 fields["cause"] = cause
             emit(t, "drop", **fields)
-            if tracer is not None:
-                tracer.on_drop(t, request, reason, cause)
-            if burn is not None:
-                burn.observe(t, False)
 
         def work_remains() -> bool:
             return bool(queue) or arrivals_pending > 0
@@ -350,18 +340,22 @@ class FleetScheduler:
                 dispatches.append(record)
                 m_jobs.inc()
                 t_done = t + record.duration_s
-                # Dense traces omit the sparsity field entirely so their
-                # event logs stay byte-identical to pre-sparsity runs.
-                sparse_fields = ({"sparsity": batch[0].sparsity}
-                                 if batch[0].sparsity > 0.0 else {})
+                # Dense, fault-free dispatches omit the sparsity and
+                # anomaly fields entirely (zero is the reader default).
+                extra: Dict[str, object] = {}
+                if batch[0].sparsity > 0.0:
+                    extra["sparsity"] = batch[0].sparsity
+                if record.sparsity_bucket > 0.0:
+                    extra["sparsity_bucket"] = record.sparsity_bucket
+                if record.new_anomalies:
+                    extra["new_anomalies"] = record.new_anomalies
                 emit(t, "dispatch", device=device.name,
                      model=batch[0].model, images=batch[0].images,
                      n_requests=len(batch),
                      request_ids=[r.request_id for r in batch],
-                     predicted_done=t_done, **sparse_fields)
-                if tracer is not None:
-                    tracer.on_dispatch(t, batch, device, record,
-                                       dispatch_seq)
+                     predicted_done=t_done, plan=record.plan_fingerprint,
+                     ledger_energy=record.ledger_energy_j,
+                     recovery_state=device.recovery_state, **extra)
                 heapq.heappush(heap, (t_done, _PRIO_COMPLETE, heap_seq,
                                       "complete",
                                       (device, batch, record, t)))
@@ -382,8 +376,6 @@ class FleetScheduler:
                     m_admitted.inc()
                     emit(t, "admit", request_id=request.request_id,
                          model=request.model, images=request.images)
-                    if tracer is not None:
-                        tracer.on_admit(t, request)
                     purge_if_dead(t)
             elif kind == "probe":
                 device = payload
@@ -427,7 +419,6 @@ class FleetScheduler:
                     m_readmits.inc()
                     emit(t, "readmit", device=device.name,
                          probation_jobs=recovery.probation_jobs)
-                    note_health(t)
             else:  # complete
                 device, batch, record, t_dispatch = payload
                 device.busy = False
@@ -454,10 +445,6 @@ class FleetScheduler:
                          latency=outcome.latency_s,
                          energy=share,
                          slo_ok=outcome.slo_ok)
-                    if tracer is not None:
-                        tracer.on_complete(t, outcome)
-                    if burn is not None:
-                        burn.observe(t, outcome.slo_ok)
                 if recovery is not None \
                         and device.recovery_state == "probation":
                     if record.new_anomalies > 0:
@@ -469,7 +456,6 @@ class FleetScheduler:
                         m_drains.inc()
                         emit(t, "redrain", device=device.name,
                              anomalies=device.anomaly_count)
-                        note_health(t)
                         schedule_probe(t, device)
                         purge_if_dead(t)
                     else:
@@ -483,7 +469,6 @@ class FleetScheduler:
                     m_drains.inc()
                     emit(t, "drain", device=device.name,
                          anomalies=device.anomaly_count)
-                    note_health(t)
                     schedule_probe(t, device)
                     purge_if_dead(t)
             try_dispatch(t)
@@ -497,25 +482,16 @@ class FleetScheduler:
         queue.clear()
         for device in fleet.devices:
             device.finalize_drain_accounting(t_end)
-        if tracer is not None:
-            tracer.finalize(t_end)
-        if burn is not None:
-            burn.finalize(t_end)
 
         report = self._build_report(trace, outcomes, drops, makespan)
         fleet_metrics = self.fleet.merged_metrics()
         fleet_metrics.merge(metrics)
         self._record_summary_metrics(fleet_metrics, report)
-        if tracer is not None:
-            fleet_metrics.merge(tracer.metrics())
-        if burn is not None:
-            fleet_metrics.merge(burn.metrics())
         if self.obs.metrics.enabled:
             self.obs.metrics.merge(fleet_metrics)
         return ServingResult(report=report, events=events,
                              outcomes=outcomes, metrics=fleet_metrics,
-                             dispatches=dispatches,
-                             request_tracer=tracer, burn_monitor=burn)
+                             dispatches=dispatches)
 
     # ------------------------------------------------------------------
     def _build_report(self, trace: ArrivalTrace,

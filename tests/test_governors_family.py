@@ -4,8 +4,9 @@ The contract under test (see ``repro.governors.family``):
 
 * **bucket determinism + totality** — ``FeatureBuckets.bucket_for`` is
   pure arithmetic: every ``(batch >= 1, sparsity in [0, 1))`` maps to
-  exactly one in-range bucket, the same one on every call
-  (hypothesis-pinned);
+  exactly one in-range bucket, the same one on every call, and a
+  serving device configured with the same sparsity edges selects the
+  same bucket (hypothesis-pinned);
 * **size-1 degeneration** — a family of one member issues byte-identical
   DVFS commands to a :class:`PresetGovernor` carrying the same plan
   (per-job energy/time/switch-count signatures over simulator runs);
@@ -38,6 +39,7 @@ from repro.hw.analytic import AnalyticEvaluator
 from repro.hw.platform import get_platform
 from repro.hw.simulator import InferenceJob, InferenceSimulator
 from repro.obs.ledger import EnergyLedger
+from repro.serving import DeviceConfig, SimulatedDevice
 
 PLATFORM = get_platform("tx2")
 EVALUATOR = AnalyticEvaluator(PLATFORM)
@@ -73,10 +75,21 @@ class TestFeatureBuckets:
     @settings(max_examples=200, deadline=None)
     @given(batch=st.integers(1, 10_000),
            sparsity=st.floats(0.0, 1.0, exclude_max=True,
-                              allow_nan=False))
-    def test_total_and_deterministic(self, batch, sparsity):
-        fb = FeatureBuckets((1, 4, 16, 64), (0.0, 0.25, 0.5))
+                              allow_nan=False),
+           extra_edges=st.lists(st.floats(0.0, 1.0, exclude_max=True,
+                                          allow_nan=False),
+                                max_size=4))
+    def test_total_and_deterministic(self, batch, sparsity,
+                                     extra_edges):
+        edges = tuple(sorted({0.0, 0.25, 0.5, *extra_edges}))
+        fb = FeatureBuckets((1, 4, 16, 64), edges)
         b = fb.bucket_for(batch, sparsity)
+        # The fleet device applies the same floor rule to the same
+        # edges: its plan bucket is this bucket's representative.
+        device = SimulatedDevice(DeviceConfig("d", "tx2"),
+                                 governor="powerlens-family",
+                                 sparsity_edges=edges)
+        assert device.sparsity_bucket(sparsity) == fb.representative(b)[1]
         assert b == fb.bucket_for(batch, sparsity)
         assert 0 <= b[0] < len(fb.batch_edges)
         assert 0 <= b[1] < len(fb.sparsity_edges)

@@ -173,6 +173,11 @@ class TestLosses:
         with pytest.raises(ValueError):
             SoftmaxCrossEntropy().forward(np.zeros(3), np.array([0]))
 
+    def test_ce_rejects_empty_batch(self):
+        with pytest.raises(ValueError, match="empty batch"):
+            SoftmaxCrossEntropy().forward(np.zeros((0, 3)),
+                                          np.zeros(0, dtype=int))
+
     def test_mse(self):
         loss, grad = MSELoss().forward(np.array([1.0, 2.0]),
                                        np.array([0.0, 0.0]))

@@ -135,6 +135,18 @@ class TestTrainer:
         assert len(hist.train_loss) == len(hist.val_loss)
         assert len(hist.val_accuracy) == len(hist.val_loss)
 
+    def test_empty_validation_split_means_no_validation(self):
+        # Regression: an empty split used to average an empty slice into
+        # a NaN loss that never beat best_val, so training silently
+        # stopped after ``patience`` epochs.
+        x, y = self._separable(40)
+        model = Sequential.mlp([4, 8, 2], seed=4)
+        trainer = Trainer(model, lr=1e-3, max_epochs=12, patience=3)
+        hist = trainer.fit((x,), y, (x[:0],), y[:0])
+        assert hist.epochs == 12
+        assert hist.val_loss == [] and hist.best_epoch == -1
+        assert all(np.isfinite(hist.train_loss))
+
     def test_loss_decreases(self):
         x, y = self._separable(400)
         model = Sequential.mlp([4, 16, 2], seed=3)

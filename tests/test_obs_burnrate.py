@@ -46,7 +46,7 @@ def _serve_with_burn(governor: str, policy: str, seed: int = 11,
     monitor = BurnRateMonitor(config or BurnRateConfig(
         fast_window_s=0.125, slow_window_s=0.5))
     FleetScheduler(fleet, SchedulerConfig(policy=policy),
-                   burn_monitor=monitor).run(trace)
+                   sinks=[monitor]).run(trace)
     return monitor
 
 
@@ -108,7 +108,6 @@ class TestWindowMath:
         monitor = BurnRateMonitor(BurnRateConfig(min_events=1))
         for i in range(100):
             monitor.observe(i * 0.01, True)
-        monitor.finalize(1.0)
         assert monitor.alert_count == 0
         assert monitor.peak_fast_burn == 0.0
 
@@ -119,14 +118,14 @@ class TestWindowMath:
         monitor = BurnRateMonitor(cfg)
         for i in range(30):
             monitor.observe(i * 0.01, False)
-        monitor.finalize(0.3)
-        # bad_fraction 1.0 → burn 100 ≫ threshold, one long episode.
+        # bad_fraction 1.0 → burn 100 ≫ threshold, one long episode,
+        # still firing, so it ends at the last event.
         assert len(monitor.alerts) == 1
         alert = monitor.alerts[0]
         assert isinstance(alert, BurnAlert)
         assert alert.peak_fast_burn == pytest.approx(100.0)
         assert alert.peak_slow_burn == pytest.approx(100.0)
-        assert alert.t_end == 0.3
+        assert alert.t_end == 29 * 0.01
         assert alert.duration_s > 0
 
     def test_min_events_floor_suppresses_early_blip(self):
@@ -135,7 +134,6 @@ class TestWindowMath:
         monitor = BurnRateMonitor(cfg)
         for i in range(5):
             monitor.observe(i * 0.01, False)
-        monitor.finalize(0.05)
         assert monitor.alert_count == 0
         # Burn was still recorded as a peak, just below alerting.
         assert monitor.peak_fast_burn > 0
@@ -152,10 +150,10 @@ class TestWindowMath:
         for _ in range(200):         # recovery: all ok, windows slide
             monitor.observe(t, True)
             t += 0.01
-        monitor.finalize(t)
         assert len(monitor.alerts) == 1
         alert = monitor.alerts[0]
-        assert alert.t_end < t       # closed by recovery, not finalize
+        # Closed by the recovery, not at the last event.
+        assert alert.t_end < t - 0.01
         assert alert.bad_events > 0
 
     def test_slow_window_gates_fast_blip(self):
@@ -173,7 +171,6 @@ class TestWindowMath:
         for _ in range(10):          # brief spike
             monitor.observe(t, False)
             t += 0.01
-        monitor.finalize(t)
         assert monitor.alert_count == 0
         assert monitor.peak_fast_burn >= cfg.threshold
 
@@ -187,18 +184,22 @@ class TestWindowMath:
         assert monitor._fast.bad == 0
         assert len(monitor._fast.events) == 1
 
-    def test_finalize_idempotent_and_closes_open_episode(self):
+    def test_open_episode_closes_at_last_event(self):
         cfg = BurnRateConfig(objective=0.9, min_events=1,
                              threshold=1.0)
         monitor = BurnRateMonitor(cfg)
         for i in range(5):
-            monitor.observe(i * 0.01, False)
+            monitor({"seq": i, "t": i * 0.01, "event": "drop"})
         assert monitor.alert_count == 1   # open episode counted
-        assert monitor.alerts == []
-        monitor.finalize(0.05)
-        monitor.finalize(99.0)
+        assert monitor.alerts[0].t_end == 4 * 0.01
+        # Non-terminal events move the close time but not the windows.
+        monitor({"seq": 5, "t": 0.2, "event": "readmit"})
+        assert monitor.events == 5
+        assert [a.t_end for a in monitor.alerts] == [0.2]
+        # Reading is a projection: it never closes the episode itself.
+        monitor({"seq": 6, "t": 0.21, "event": "drop"})
         assert len(monitor.alerts) == 1
-        assert monitor.alerts[0].t_end == 0.05
+        assert monitor.alerts[0].events == 6
 
     def test_span_rows_shape(self):
         cfg = BurnRateConfig(objective=0.9, min_events=1,
@@ -206,7 +207,6 @@ class TestWindowMath:
         monitor = BurnRateMonitor(cfg)
         for i in range(5):
             monitor.observe(i * 0.01, False)
-        monitor.finalize(0.05)
         rows = monitor.span_rows()
         assert len(rows) == 1
         name, t_start, t_end, attrs = rows[0]
@@ -218,7 +218,6 @@ class TestWindowMath:
     def test_summary_digest(self):
         monitor = BurnRateMonitor()
         monitor.observe(0.0, True)
-        monitor.finalize(0.1)
         digest = monitor.summary()
         assert digest["events"] == 1
         assert digest["alerts"] == 0

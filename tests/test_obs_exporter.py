@@ -279,7 +279,7 @@ class TestRequestsEndpoint:
                                models=["small_cnn"], seed=7)
             result = FleetScheduler(
                 fleet, SchedulerConfig(policy="fifo"),
-                request_tracer=tracer).run(trace)
+                sinks=[tracer]).run(trace)
             assert result.report.completed > 0
             last_id = tracer.completion_records[-1]["request_id"]
             text = self._read_sse(

@@ -1,11 +1,12 @@
-"""Request-lifecycle tracing: byte-identity, sampling, decomposition.
+"""Request-lifecycle tracing: one event stream, sampling, decomposition.
 
-The tentpole invariant pinned here: a :class:`RequestTracer` (and a
-:class:`BurnRateMonitor`) riding the scheduler is **strictly
-observe-only** — the canonical event log, the SLO report and the
-ledger totals are byte-identical with tracing on or off, across
-governors × policies × fault profiles × recovery configs ×
-``n_jobs``.  Also pinned:
+The tentpole invariant pinned here: a :class:`RequestTracer` and a
+:class:`BurnRateMonitor` are **projections of the scheduler's event
+log**.  They ride the run as sinks that see exactly the records the
+scheduler appends to ``result.events``, in order, and a tracer rebuilt
+from the written ``event_log()`` file yields the same rows, spans and
+alerts as the live one — across governors × policies × fault storms ×
+recovery configs × ``n_jobs``.  Also pinned:
 
 * **sampling determinism** — the head-sampled id set is a pure
   function of ``(seed, request_id)``, so replays sample identically;
@@ -14,6 +15,8 @@ governors × policies × fault profiles × recovery configs ×
   ``head_rate=0``;
 * **exact decomposition** — ``queue_s + batch_s + service_s`` equals
   the end-to-end latency within 1e-9 for every outcome;
+* **recovery stalls** — ``recovery_stall_s`` is the overlap of a
+  request's queue residency with the log's drain→readmit intervals;
 * **replayable export** — ``export_jsonl`` files parse with
   :func:`repro.obs.replay.read_trace` with zero malformed lines.
 """
@@ -21,6 +24,10 @@ governors × policies × fault profiles × recovery configs ×
 from __future__ import annotations
 
 import math
+import tempfile
+from dataclasses import asdict
+from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -28,7 +35,9 @@ from hypothesis import given, settings, strategies as st
 from repro.hw.faults import FaultProfile
 from repro.obs.burnrate import BurnRateConfig, BurnRateMonitor
 from repro.obs.replay import read_trace, span_tree
+from repro.obs.timeline import ServingTimeline, read_event_log
 from repro.serving import (
+    ArrivalTrace,
     DeviceConfig,
     Fleet,
     FleetScheduler,
@@ -36,7 +45,9 @@ from repro.serving import (
     RequestTracer,
     SamplingConfig,
     SchedulerConfig,
+    ServingResult,
     head_sample_keep,
+    make_policy,
     make_trace,
 )
 from tests.conftest import build_small_cnn
@@ -45,6 +56,7 @@ pytestmark = pytest.mark.serving
 
 MODEL = "small_cnn"
 STORM = dict(telemetry_noise_std=0.8, switch_drop_rate=0.2)
+TWO_BOARDS = (("tx2-0", "tx2"), ("agx-1", "agx"))
 
 _SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
 _POLICIES = st.sampled_from(["fifo", "slo", "energy"])
@@ -52,71 +64,158 @@ _GOVERNORS = st.sampled_from(
     ["powerlens", "powerlens-adaptive", "ondemand", "performance"])
 
 
+class Run(NamedTuple):
+    result: ServingResult
+    tracer: RequestTracer
+    monitor: BurnRateMonitor
+    trace: ArrivalTrace
+
+
 def _run(seed: int, policy: str = "fifo", governor: str = "powerlens",
          rate: float = 30.0, duration: float = 0.5,
          slo: float = math.inf, faults: FaultProfile = None,
          recovery: RecoveryConfig = None, n_jobs: int = 1,
          queue_capacity: int = 64, sampling: SamplingConfig = None,
-         traced: bool = True, burn: BurnRateConfig = None):
-    fleet = Fleet.build([DeviceConfig("tx2-0", "tx2"),
-                         DeviceConfig("agx-1", "agx")],
+         burn: BurnRateConfig = None, devices=TWO_BOARDS,
+         extra_sinks=()) -> Run:
+    fleet = Fleet.build([DeviceConfig(name, platform)
+                         for name, platform in devices],
                         governor=governor, fleet_seed=seed,
                         faults=faults)
     fleet.add_graph(build_small_cnn(MODEL))
     trace = make_trace("poisson", rate_rps=rate, duration_s=duration,
                        models=[MODEL], seed=seed, slo_latency_s=slo)
-    tracer = RequestTracer(sampling) if traced else None
-    monitor = (BurnRateMonitor(burn or BurnRateConfig(
-        fast_window_s=0.1, slow_window_s=0.4)) if traced else None)
+    tracer = RequestTracer(sampling, requests=trace.requests,
+                           healthy_devices=len(fleet),
+                           policy=make_policy(policy).name)
+    monitor = BurnRateMonitor(burn or BurnRateConfig(
+        fast_window_s=0.1, slow_window_s=0.4))
     scheduler = FleetScheduler(
         fleet,
         SchedulerConfig(policy=policy, queue_capacity=queue_capacity,
                         recovery=recovery),
-        request_tracer=tracer, burn_monitor=monitor)
-    return scheduler.run(trace, n_jobs=n_jobs)
+        sinks=[tracer, monitor, *extra_sinks])
+    return Run(scheduler.run(trace, n_jobs=n_jobs), tracer, monitor,
+               trace)
+
+
+def _matrix_run(seed, policy, governor, storm, recovery_on, n_jobs,
+                extra_sinks=()) -> Run:
+    return _run(seed, policy=policy, governor=governor, slo=0.5,
+                duration=1.0, n_jobs=n_jobs, extra_sinks=extra_sinks,
+                faults=(FaultProfile(seed=seed, **STORM) if storm
+                        else None),
+                recovery=(RecoveryConfig(cooldown_s=0.05,
+                                         max_cooldown_s=0.4)
+                          if recovery_on else None))
+
+
+_MATRIX = dict(seed=_SEEDS, policy=_POLICIES, governor=_GOVERNORS,
+               storm=st.booleans(), recovery_on=st.booleans(),
+               n_jobs=st.sampled_from([1, 4]))
 
 
 # ----------------------------------------------------------------------
-# byte-identity: tracing never perturbs the run
+# one stream: every projection reads the event log and nothing else
 # ----------------------------------------------------------------------
-class TestByteIdentity:
+class TestOneStream:
     @settings(max_examples=10, deadline=None)
-    @given(seed=_SEEDS, policy=_POLICIES, governor=_GOVERNORS)
-    def test_tracing_invisible_across_governors_and_policies(
-            self, seed, policy, governor):
-        plain = _run(seed, policy=policy, governor=governor,
-                     traced=False)
-        traced = _run(seed, policy=policy, governor=governor)
-        assert plain.event_log() == traced.event_log()
-        assert plain.report.to_dict() == traced.report.to_dict()
-        assert (plain.report.ledger_energy_j
-                == traced.report.ledger_energy_j)
+    @given(**_MATRIX)
+    def test_sinks_receive_exactly_the_events(
+            self, seed, policy, governor, storm, recovery_on, n_jobs):
+        seen = []
+        run = _matrix_run(seed, policy, governor, storm, recovery_on,
+                          n_jobs, extra_sinks=[seen.append])
+        events = run.result.events
+        assert len(seen) == len(events)
+        assert all(a is b for a, b in zip(seen, events))
+        assert [e["seq"] for e in seen] == list(range(len(events)))
 
-    @settings(max_examples=6, deadline=None)
-    @given(seed=_SEEDS,
-           recovery_on=st.booleans(),
-           n_jobs=st.sampled_from([1, 4]))
-    def test_tracing_invisible_under_faults_and_recovery(
-            self, seed, recovery_on, n_jobs):
-        faults = FaultProfile(seed=seed, **STORM)
-        recovery = (RecoveryConfig(cooldown_s=0.05, max_cooldown_s=0.4)
-                    if recovery_on else None)
-        kwargs = dict(policy="slo", slo=0.5, duration=1.0,
-                      recovery=recovery, n_jobs=n_jobs)
-        plain = _run(seed, faults=FaultProfile(seed=seed, **STORM),
-                     traced=False, **kwargs)
-        traced = _run(seed, faults=faults, **kwargs)
-        assert plain.event_log() == traced.event_log()
-        assert plain.report.to_dict() == traced.report.to_dict()
-        assert (plain.report.ledger_energy_j
-                == traced.report.ledger_energy_j)
+    @settings(max_examples=10, deadline=None)
+    @given(**_MATRIX)
+    def test_replayed_log_rebuilds_the_live_rows(
+            self, seed, policy, governor, storm, recovery_on, n_jobs):
+        run = _matrix_run(seed, policy, governor, storm, recovery_on,
+                          n_jobs)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "events.jsonl"
+            path.write_text(run.result.event_log())
+            events, malformed = read_event_log(path)
+        assert malformed == 0
+        replay = RequestTracer.from_events(
+            events, requests=run.trace.requests, healthy_devices=2,
+            policy=make_policy(policy).name)
+        monitor = BurnRateMonitor(run.monitor.config)
+        for event in events:
+            monitor(event)
+        plain = ServingTimeline.from_events(events)
+        live = run.tracer
+        assert ([asdict(r) for r in replay.traces()]
+                == [asdict(r) for r in live.traces()])
+        assert replay.span_records() == live.span_records()
+        assert replay.completion_records == live.completion_records
+        assert monitor.alerts == run.monitor.alerts
+        # The plain timeline is the same fold without the request
+        # table: identical rendering of the run.
+        assert plain.to_chrome_trace() == live.to_chrome_trace()
+        assert plain.format_report() == live.format_report()
 
+
+class TestByteIdentity:
     def test_sampling_rate_never_changes_outputs(self):
         full = _run(5, sampling=SamplingConfig(head_rate=1.0))
-        none = _run(5, sampling=SamplingConfig(head_rate=0.0,
-                                               keep_tail=False))
-        assert full.event_log() == none.event_log()
-        assert full.report.to_dict() == none.report.to_dict()
+        none = _run(5, sampling=SamplingConfig(head_rate=0.0))
+        assert full.result.event_log() == none.result.event_log()
+        assert (full.result.report.to_dict()
+                == none.result.report.to_dict())
+        assert none.tracer.sampled_count == 0
+
+
+# ----------------------------------------------------------------------
+# recovery stalls: queue residency ∩ zero-healthy intervals of the log
+# ----------------------------------------------------------------------
+class TestRecoveryStall:
+    def test_stall_is_queue_overlap_with_drain_intervals(self):
+        run = _run(3, rate=40.0, duration=1.0, slo=0.2,
+                   devices=(("tx2-0", "tx2"),),
+                   faults=FaultProfile(seed=3, **STORM),
+                   recovery=RecoveryConfig(cooldown_s=0.05))
+        events = run.result.events
+        kinds = [e["event"] for e in events]
+        assert "drain" in kinds and "readmit" in kinds
+        # [drain, readmit] intervals of the single device, read back
+        # from the log; one still open at the end runs to infinity.
+        intervals, start = [], None
+        for event in events:
+            if event["event"] in ("drain", "redrain"):
+                start = event["t"]
+            elif event["event"] == "readmit":
+                intervals.append((start, event["t"]))
+                start = None
+        if start is not None:
+            intervals.append((start, math.inf))
+        rows = run.tracer.traces()
+        assert len(rows) == run.result.report.arrived
+        stalled = 0
+        for row in rows:
+            expected = math.fsum(
+                max(0.0, min(end, row.t_dispatch)
+                    - max(begin, row.t_arrival))
+                for begin, end in intervals)
+            assert row.recovery_stall_s == pytest.approx(expected,
+                                                         abs=1e-12)
+            stalled += row.recovery_stall_s > 0.0
+        assert stalled > 0
+
+    def test_no_stall_without_fleet_health_count(self):
+        run = _run(3, rate=40.0, duration=1.0, slo=0.2,
+                   devices=(("tx2-0", "tx2"),),
+                   faults=FaultProfile(seed=3, **STORM),
+                   recovery=RecoveryConfig(cooldown_s=0.05))
+        replay = RequestTracer.from_events(
+            run.result.events, requests=run.trace.requests)
+        assert all(row.recovery_stall_s == 0.0
+                   for row in replay.traces())
 
 
 # ----------------------------------------------------------------------
@@ -141,28 +240,28 @@ class TestSampling:
         cfg = SamplingConfig(head_rate=0.3, seed=42)
         a = _run(9, rate=80.0, sampling=cfg)
         b = _run(9, rate=80.0, sampling=cfg)
-        ids_a = {t.request_id for t in a.request_tracer.traces()}
-        ids_b = {t.request_id for t in b.request_tracer.traces()}
+        ids_a = {t.request_id for t in a.tracer.traces()}
+        ids_b = {t.request_id for t in b.tracer.traces()}
         assert ids_a == ids_b
-        assert a.request_tracer.sampled_count < a.report.arrived
+        assert a.tracer.sampled_count < a.result.report.arrived
 
     def test_different_seed_different_sampled_set(self):
         a = _run(9, rate=80.0,
                  sampling=SamplingConfig(head_rate=0.3, seed=1))
         b = _run(9, rate=80.0,
                  sampling=SamplingConfig(head_rate=0.3, seed=2))
-        ids_a = {t.request_id for t in a.request_tracer.traces()}
-        ids_b = {t.request_id for t in b.request_tracer.traces()}
+        ids_a = {t.request_id for t in a.tracer.traces()}
+        ids_b = {t.request_id for t in b.tracer.traces()}
         assert ids_a != ids_b
 
     def test_tail_keeps_every_anomalous_request(self):
         # Tight SLO + tiny queue: expirations, violations and
         # queue_full rejections abound; head_rate=0 keeps only them.
-        result = _run(3, rate=200.0, duration=0.5, slo=0.05,
-                      queue_capacity=4,
-                      sampling=SamplingConfig(head_rate=0.0))
-        tracer = result.request_tracer
-        report = result.report
+        run = _run(3, rate=200.0, duration=0.5, slo=0.05,
+                   queue_capacity=4,
+                   sampling=SamplingConfig(head_rate=0.0))
+        tracer = run.tracer
+        report = run.result.report
         anomalous = (report.dropped_expired
                      + report.dropped_unserviceable
                      + report.dropped_queue_full
@@ -176,27 +275,20 @@ class TestSampling:
         outcomes = {t.outcome for t in traces}
         assert "expired" in outcomes or "queue_full" in outcomes
 
-    def test_keep_tail_false_drops_the_tail(self):
-        result = _run(3, rate=200.0, duration=0.5, slo=0.05,
-                      queue_capacity=4,
-                      sampling=SamplingConfig(head_rate=0.0,
-                                              keep_tail=False))
-        assert result.request_tracer.sampled_count == 0
-
     def test_invalid_head_rate_rejected(self):
         with pytest.raises(ValueError):
             SamplingConfig(head_rate=1.5)
         with pytest.raises(ValueError):
             SamplingConfig(head_rate=-0.1)
 
-    def test_sampling_metrics_merged_into_fleet_registry(self):
-        result = _run(5)
-        seen = result.metrics.counter(
-            "powerlens_request_trace_seen_total").value
-        sampled = result.metrics.counter(
+    def test_sampling_metrics_registry(self):
+        run = _run(5)
+        metrics = run.tracer.metrics()
+        seen = metrics.counter("powerlens_request_trace_seen_total").value
+        sampled = metrics.counter(
             "powerlens_request_trace_sampled_total").value
-        assert seen == result.report.arrived
-        assert sampled == result.request_tracer.sampled_count
+        assert seen == run.result.report.arrived
+        assert sampled == run.tracer.sampled_count
 
 
 # ----------------------------------------------------------------------
@@ -207,9 +299,9 @@ class TestDecomposition:
     @given(seed=_SEEDS, policy=_POLICIES,
            slo=st.sampled_from([math.inf, 0.5, 0.05]))
     def test_components_sum_to_latency(self, seed, policy, slo):
-        result = _run(seed, policy=policy, slo=slo, rate=60.0,
-                      queue_capacity=8)
-        traces = result.request_tracer.traces()
+        run = _run(seed, policy=policy, slo=slo, rate=60.0,
+                   queue_capacity=8)
+        traces = run.tracer.traces()
         assert traces
         for tr in traces:
             total = tr.queue_s + tr.batch_s + tr.service_s
@@ -218,11 +310,10 @@ class TestDecomposition:
             assert tr.service_s >= 0
 
     def test_completed_trace_attributes(self):
-        result = _run(5, policy="slo")
-        completed = [t for t in result.request_tracer.traces()
-                     if t.completed]
+        run = _run(5, policy="slo")
+        completed = [t for t in run.tracer.traces() if t.completed]
         assert completed
-        by_id = {o.request_id: o for o in result.outcomes}
+        by_id = {o.request_id: o for o in run.result.outcomes}
         for tr in completed:
             outcome = by_id[tr.request_id]
             assert tr.device == outcome.device
@@ -231,23 +322,21 @@ class TestDecomposition:
             assert tr.plan_fingerprint
             assert tr.recovery_state
             assert tr.request_id in tr.batch_request_ids
-            assert tr.batch_n_requests == len(tr.batch_request_ids)
             assert tr.ledger_energy_j > 0.0
 
     def test_ledger_shares_sum_to_fleet_total(self):
-        result = _run(5)
-        traces = result.request_tracer.traces()
-        assert len(traces) == result.report.arrived  # head_rate=1
+        run = _run(5)
+        traces = run.tracer.traces()
+        assert len(traces) == run.result.report.arrived  # head_rate=1
         share_sum = math.fsum(t.ledger_energy_j for t in traces
                               if t.completed)
         assert share_sum == pytest.approx(
-            result.report.ledger_energy_j, rel=1e-9)
+            run.result.report.ledger_energy_j, rel=1e-9)
 
     def test_drop_traces_are_queue_only(self):
-        result = _run(3, rate=200.0, duration=0.5, slo=0.05,
-                      queue_capacity=4)
-        drops = [t for t in result.request_tracer.traces()
-                 if not t.completed]
+        run = _run(3, rate=200.0, duration=0.5, slo=0.05,
+                   queue_capacity=4)
+        drops = [t for t in run.tracer.traces() if not t.completed]
         assert drops
         for tr in drops:
             assert tr.batch_s == 0.0 and tr.service_s == 0.0
@@ -261,9 +350,8 @@ class TestDecomposition:
 # ----------------------------------------------------------------------
 class TestExport:
     def test_export_readable_by_read_trace(self, tmp_path):
-        result = _run(5, policy="slo")
-        path = result.request_tracer.export_jsonl(
-            tmp_path / "req.jsonl")
+        run = _run(5, policy="slo")
+        path = run.tracer.export_jsonl(tmp_path / "req.jsonl")
         trace = read_trace(path)
         assert trace.malformed_lines == 0
         assert len(trace.spans) > 0
@@ -278,20 +366,20 @@ class TestExport:
             assert names == ["queued", "batched", "dispatched"]
 
     def test_export_is_byte_stable(self, tmp_path):
-        a = _run(5).request_tracer.export_jsonl(tmp_path / "a.jsonl")
-        b = _run(5).request_tracer.export_jsonl(tmp_path / "b.jsonl")
+        a = _run(5).tracer.export_jsonl(tmp_path / "a.jsonl")
+        b = _run(5).tracer.export_jsonl(tmp_path / "b.jsonl")
         assert a.read_bytes() == b.read_bytes()
 
     def test_export_appends_burn_spans(self, tmp_path):
-        result = _run(3, rate=200.0, duration=0.5, slo=0.02,
-                      burn=BurnRateConfig(objective=0.99,
-                                          fast_window_s=0.05,
-                                          slow_window_s=0.1,
-                                          min_events=3))
-        monitor = result.burn_monitor
+        run = _run(3, rate=200.0, duration=0.5, slo=0.02,
+                   burn=BurnRateConfig(objective=0.99,
+                                       fast_window_s=0.05,
+                                       slow_window_s=0.1,
+                                       min_events=3))
+        monitor = run.monitor
         assert monitor.alert_count > 0
-        path = result.request_tracer.export_jsonl(
-            tmp_path / "req.jsonl", burn=monitor)
+        path = run.tracer.export_jsonl(tmp_path / "req.jsonl",
+                                       burn=monitor)
         trace = read_trace(path)
         burn_spans = [s for s in trace.spans
                       if s["name"] == "slo_burn"]
