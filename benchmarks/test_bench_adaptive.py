@@ -23,7 +23,6 @@ Scale knobs:
   (default 3).
 """
 
-import json
 import math
 import os
 import time
@@ -41,6 +40,7 @@ from repro.serving import (
     SchedulerConfig,
     make_trace,
 )
+from benchmarks._harness import record
 from tests.conftest import build_small_cnn
 
 pytestmark = pytest.mark.perf
@@ -55,22 +55,6 @@ BENCH_JSON = Path(__file__).resolve().parent.parent / "BENCH_adaptive.json"
 
 _SEED = 3
 _MODEL = "small_cnn"
-
-
-def _record(section: str, payload: dict) -> None:
-    """Read-modify-write one section of ``BENCH_adaptive.json``."""
-    data = {}
-    if BENCH_JSON.exists():
-        try:
-            data = json.loads(BENCH_JSON.read_text())
-        except (OSError, ValueError):
-            data = {}
-    payload = dict(payload)
-    payload["recorded_at"] = time.strftime("%Y-%m-%dT%H:%M:%S")
-    payload["host_cpus"] = os.cpu_count()
-    data[section] = payload
-    BENCH_JSON.write_text(json.dumps(data, indent=2, sort_keys=True)
-                          + "\n")
 
 
 @pytest.mark.benchmark(group="adaptive")
@@ -115,7 +99,7 @@ def test_adaptive_retention_sweep(benchmark):
         print(f"  scale {scale:g}: family {gain_fm * 100:+.2f}% vs "
               f"adaptive {gain_ad * 100:+.2f}% vs "
               f"static {gain_st * 100:+.2f}% over BiM")
-    _record("retention", payload)
+    record(BENCH_JSON, "retention", payload)
 
 
 @pytest.mark.benchmark(group="adaptive")
@@ -158,7 +142,7 @@ def test_recovery_storm(benchmark):
           f"({readmissions} readmissions, "
           f"{recovered.report.drained_device_seconds:.2f} drained "
           f"device-seconds)")
-    _record("recovery_storm", {
+    record(BENCH_JSON, "recovery_storm", {
         "rate_rps": 30.0,
         "duration_s": RECOVERY_DURATION,
         "seed": _SEED,

@@ -26,7 +26,6 @@ Scale knobs:
   corpus (default 16).
 """
 
-import json
 import os
 import time
 from pathlib import Path
@@ -47,6 +46,8 @@ from repro.hw import jetson_tx2
 from repro.hw.analytic import AnalyticEvaluator
 from repro.models.random_gen import RandomDNNConfig, RandomDNNGenerator
 
+from benchmarks._harness import record
+
 pytestmark = pytest.mark.perf
 
 DATAGEN_NETWORKS = int(
@@ -58,22 +59,6 @@ DISTANCE_NETWORKS = int(
     os.environ.get("POWERLENS_BENCH_DISTANCE_NETWORKS", "16"))
 
 BENCH_JSON = Path(__file__).resolve().parent.parent / "BENCH_datagen.json"
-
-
-def _record(section: str, payload: dict) -> None:
-    """Read-modify-write one section of ``BENCH_datagen.json``."""
-    data = {}
-    if BENCH_JSON.exists():
-        try:
-            data = json.loads(BENCH_JSON.read_text())
-        except (OSError, ValueError):
-            data = {}
-    payload = dict(payload)
-    payload["recorded_at"] = time.strftime("%Y-%m-%dT%H:%M:%S")
-    payload["host_cpus"] = os.cpu_count()
-    data[section] = payload
-    BENCH_JSON.write_text(json.dumps(data, indent=2, sort_keys=True)
-                          + "\n")
 
 
 @pytest.mark.benchmark(group="datagen")
@@ -140,7 +125,7 @@ def test_datagen_scaling(benchmark):
         payload["pool_speedup_note"] = (
             f"omitted: {os.cpu_count()} CPU(s) < {DATAGEN_JOBS} "
             f"workers, measurement reflects pool overhead only")
-    _record("datagen_scaling", payload)
+    record(BENCH_JSON, "datagen_scaling", payload)
 
     # The parallel path must be provably equivalent at benchmark scale.
     assert a1.x_struct.tobytes() == a2.x_struct.tobytes()
@@ -211,7 +196,7 @@ def test_labeling_fastpath_speedup(benchmark):
         f"{k} {v:.2f}s" for k, v in sorted(stage_totals.items())))
     print(f"  speedup: {speedup:.1f}x")
 
-    _record("labeling_fastpath", {
+    record(BENCH_JSON, "labeling_fastpath", {
         "n_networks": LABEL_NETWORKS,
         "n_schemes": len(grid),
         "reference_wall_time_s": round(ref_s, 3),
@@ -290,7 +275,7 @@ def test_distance_fastpath_speedup(benchmark):
     print(f"  fast:      {fast_s:6.2f}s")
     print(f"  speedup: {speedup:.2f}x")
 
-    _record("distance_fastpath", {
+    record(BENCH_JSON, "distance_fastpath", {
         "n_networks": DISTANCE_NETWORKS,
         "n_schemes": len(grid),
         "windows": windows,

@@ -8,7 +8,10 @@ served under each queueing policy; the run records
 * served efficiency — joules/request and latency percentiles inside
   the simulation (deterministic: these regress via ``bench-diff`` at
   tight tolerance),
-* plan-cache effectiveness — hit rate across the fleet.
+* plan-cache effectiveness — hit rate across the fleet,
+* the dispatch memo — a clean fleet served with and without it
+  (byte-identical event logs, recorded speedup), then requests/s of one
+  long static trace.
 
 Everything lands in ``BENCH_serving.json`` at the repo root, compared
 in CI by ``powerlens bench-diff`` with per-key tolerances (virtual
@@ -22,7 +25,6 @@ Scale knobs:
   (default 30).
 """
 
-import json
 import os
 import time
 from pathlib import Path
@@ -41,6 +43,7 @@ from repro.serving import (
     SchedulerConfig,
     make_trace,
 )
+from benchmarks._harness import record
 from tests.conftest import build_small_cnn
 
 pytestmark = pytest.mark.perf
@@ -55,22 +58,6 @@ BENCH_JSON = Path(__file__).resolve().parent.parent / "BENCH_serving.json"
 _SEED = 23
 _MODEL = "small_cnn"
 _POLICIES = ("fifo", "slo", "energy")
-
-
-def _record(section: str, payload: dict) -> None:
-    """Read-modify-write one section of ``BENCH_serving.json``."""
-    data = {}
-    if BENCH_JSON.exists():
-        try:
-            data = json.loads(BENCH_JSON.read_text())
-        except (OSError, ValueError):
-            data = {}
-    payload = dict(payload)
-    payload["recorded_at"] = time.strftime("%Y-%m-%dT%H:%M:%S")
-    payload["host_cpus"] = os.cpu_count()
-    data[section] = payload
-    BENCH_JSON.write_text(json.dumps(data, indent=2, sort_keys=True)
-                          + "\n")
 
 
 def _serve(policy: str):
@@ -126,7 +113,7 @@ def test_serving_policy_sweep(benchmark):
               f"({report.completed / wall_s:,.0f} req/s), "
               f"{report.joules_per_request:.3f} J/req, "
               f"p99 {report.latency_p99_s * 1000:.1f} ms")
-    _record("policy_sweep", payload)
+    record(BENCH_JSON, "policy_sweep", payload)
 
     # The energy policy's whole point: it never pays more J/request
     # than FIFO on the same trace (wider batches amortize overheads).
@@ -161,7 +148,7 @@ def test_serving_prewarm_scaling(benchmark):
     print()
     print(f"  prewarm+serve: n_jobs=1 {serial_s:.2f}s, "
           f"n_jobs=4 {pooled_s:.2f}s (byte-identical output)")
-    _record("prewarm_scaling", {
+    record(BENCH_JSON, "prewarm_scaling", {
         "n_devices": 4,
         "serial_wall_s": round(serial_s, 3),
         "pooled_wall_s": round(pooled_s, 3),
@@ -212,7 +199,7 @@ def test_request_trace_overhead(benchmark):
     print(f"  request tracing: plain {plain_s:.2f}s, "
           f"traced {traced_s:.2f}s ({overhead:.2f}x, "
           f"{tracer.sampled_count} requests sampled)")
-    _record("request_trace_overhead", {
+    record(BENCH_JSON, "request_trace_overhead", {
         "rate_rps": SERVE_RATE,
         "duration_s": SERVE_DURATION,
         # deterministic (tight bench-diff tolerance)
@@ -282,7 +269,7 @@ def test_static_sim_fastpath(benchmark):
     print(f"  static sim, {len(jobs)} jobs x {SIM_RUNS} runs: "
           f"reference {ref_s:.2f}s, fast {fast_s:.2f}s "
           f"({speedup:.2f}x)")
-    _record("static_sim_fastpath", {
+    record(BENCH_JSON, "static_sim_fastpath", {
         "n_jobs": len(jobs),
         "sim_runs": SIM_RUNS,
         "reference_wall_s": round(ref_s, 3),
@@ -291,3 +278,86 @@ def test_static_sim_fastpath(benchmark):
     })
     assert speedup >= 2.0, (
         f"static sim fast path regressed: {speedup:.2f}x < 2x")
+
+
+#: The clean fleet of the memo bench: two boards of each platform and
+#: four Table-1 models, 8 images a request (the ``serve.steady`` shape).
+_MEMO_PLATFORMS = ("tx2", "tx2", "agx", "agx")
+_MEMO_MODELS = ("resnet18", "resnet34", "alexnet", "squeezenet1_1")
+_MEMO_RATE = 12.0
+#: Requests of the memo on/off comparison trace and of the long memo-on
+#: trace (``serving_core_fastpath`` is defined at these sizes).
+MEMO_COMPARE = 5000
+MEMO_REQUESTS = 100_000
+
+
+def _serve_static(n_requests: int, memo: bool):
+    """Serve a seeded static Poisson trace of at least ``n_requests``
+    requests (5% headroom on the expected count); ``memo=False``
+    patches the dispatch memo off."""
+    from repro.serving.fleet import SimulatedDevice
+
+    with pytest.MonkeyPatch.context() as mp:
+        if not memo:
+            mp.setattr(SimulatedDevice, "_dispatch_is_static",
+                       lambda self: False)
+        fleet = Fleet.build(
+            [DeviceConfig(f"{p}-{i}", p)
+             for i, p in enumerate(_MEMO_PLATFORMS)],
+            governor="powerlens", fleet_seed=_SEED)
+    for model in _MEMO_MODELS:
+        fleet.graph_for(model)
+    trace = make_trace("poisson", rate_rps=_MEMO_RATE,
+                       duration_s=1.05 * n_requests / _MEMO_RATE,
+                       models=_MEMO_MODELS, seed=_SEED, slo_latency_s=1.0,
+                       images_per_request=8)
+    scheduler = FleetScheduler(fleet, SchedulerConfig(policy="slo"))
+    t0 = time.perf_counter()
+    result = scheduler.run(trace)
+    return result, fleet, time.perf_counter() - t0
+
+
+@pytest.mark.benchmark(group="serving")
+def test_serving_core_fastpath(benchmark):
+    """Dispatch memo on a clean fleet: byte-identical event logs and
+    >= 5x wall clock against the full path, then the memo-on
+    requests/s of one long static trace."""
+    memo_off, _, off_s = _serve_static(MEMO_COMPARE, memo=False)
+    memo_on, _, on_s = _serve_static(MEMO_COMPARE, memo=True)
+    assert memo_on.report.arrived >= MEMO_COMPARE
+    assert memo_on.event_log() == memo_off.event_log()
+    assert memo_on.report.to_dict() == memo_off.report.to_dict()
+    speedup = off_s / on_s
+
+    long_run, fleet, long_s = benchmark.pedantic(
+        lambda: _serve_static(MEMO_REQUESTS, memo=True),
+        rounds=1, iterations=1)
+    report = long_run.report
+    assert report.arrived >= MEMO_REQUESTS
+    assert report.conserved and report.energy_reconciled
+    hits = sum(d.memo_hits for d in fleet.devices)
+    misses = sum(d.memo_misses for d in fleet.devices)
+    print()
+    print(f"  dispatch memo, {memo_on.report.arrived} requests: full path "
+          f"{off_s:.2f}s, memo {on_s:.2f}s ({speedup:.1f}x)")
+    print(f"  {report.arrived} requests: {report.completed} served in "
+          f"{long_s:.2f}s ({report.completed / long_s:,.0f} req/s), "
+          f"{hits} memo hits / {misses} misses")
+    record(BENCH_JSON, "serving_core_fastpath", {
+        "rate_rps": _MEMO_RATE,
+        "seed": _SEED,
+        # deterministic (tight bench-diff tolerance)
+        "compare_requests": memo_on.report.arrived,
+        "requests": report.arrived,
+        "completed": report.completed,
+        "memo_hits": hits,
+        "memo_misses": misses,
+        # wall-clock (loose tolerance)
+        "memo_off_wall_s": round(off_s, 3),
+        "memo_on_wall_s": round(on_s, 3),
+        "speedup": round(speedup, 2),
+        "served_wall_s": round(long_s, 3),
+        "requests_per_s": round(report.completed / long_s, 1),
+    })
+    assert speedup >= 5.0, (
+        f"dispatch memo regressed: {speedup:.2f}x < 5x")

@@ -276,6 +276,12 @@ class AnomalyDetector:
     # ------------------------------------------------------------------
     # inspection
     # ------------------------------------------------------------------
+    @property
+    def emitted(self) -> int:
+        """Anomalies emitted so far, retained or dropped past
+        ``max_records`` (the count health decisions must use)."""
+        return len(self.anomalies) + self.dropped
+
     def counts(self) -> Dict[str, int]:
         """Anomaly totals by kind (retained records only)."""
         out: Dict[str, int] = {}

@@ -8,7 +8,7 @@ flaking on the noise inherent to shared runners:
 
 * **exact keys** (corpus shape: ``n_networks``, ``n_blocks``,
   ``n_jobs``, ``n_schemes``) must match bit-for-bit;
-* **ignored keys** (environment stamps: ``recorded_at``,
+* **ignored keys** (environment stamps: ``recorded_at``, ``host``,
   ``host_cpus``, ``*_note``) never participate;
 * everything numeric else compares within a relative tolerance
   (default ±50 %, overridable per key pattern);
@@ -39,7 +39,7 @@ DEFAULT_REL_TOL = 0.5
 EXACT_KEYS = frozenset({"n_networks", "n_blocks", "n_jobs", "n_schemes"})
 
 #: Leaf keys that never participate (environment stamps).
-IGNORED_KEYS = frozenset({"recorded_at", "host_cpus"})
+IGNORED_KEYS = frozenset({"recorded_at", "host", "host_cpus"})
 
 STATUS_OK = "ok"
 STATUS_WARN = "warn"

@@ -77,6 +77,26 @@ def _snapshot(fn):
             time.sleep(0.001)
 
 
+class _ExporterServer(ThreadingHTTPServer):
+    """Threaded server whose daemon handler threads are still joinable:
+    the stdlib only tracks (and joins on ``server_close``) non-daemon
+    ones."""
+
+    daemon_threads = True
+
+    def __init__(self, *args: Any, **kwargs: Any) -> None:
+        super().__init__(*args, **kwargs)
+        self.handler_threads: List[threading.Thread] = []
+
+    def process_request(self, request, client_address) -> None:
+        thread = threading.Thread(target=self.process_request_thread,
+                                  args=(request, client_address),
+                                  daemon=True)
+        self.handler_threads = [t for t in self.handler_threads
+                                if t.is_alive()] + [thread]
+        thread.start()
+
+
 class _ExporterHandler(BaseHTTPRequestHandler):
     """Request handler bound to the owning :class:`MetricsExporter`
     through the server instance."""
@@ -206,7 +226,7 @@ class MetricsExporter:
         #: tracer's ``completion_records`` here; settable after start).
         self.request_log = request_log
         self._requested_port = port
-        self._server: Optional[ThreadingHTTPServer] = None
+        self._server: Optional[_ExporterServer] = None
         self._thread: Optional[threading.Thread] = None
         self._stopping = threading.Event()
 
@@ -230,12 +250,8 @@ class MetricsExporter:
         if self._server is not None:
             raise RuntimeError("exporter already started")
         self._stopping.clear()
-        server = ThreadingHTTPServer((self.host, self._requested_port),
-                                     _ExporterHandler)
-        server.daemon_threads = True
-        # Track handler threads so stop() can join them (bounded: the
-        # SSE loop re-checks _stopping every poll interval).
-        server.block_on_close = True
+        server = _ExporterServer((self.host, self._requested_port),
+                                 _ExporterHandler)
         server.exporter = self  # type: ignore[attr-defined]
         self._server = server
         self._thread = threading.Thread(
@@ -254,7 +270,10 @@ class MetricsExporter:
         server.shutdown()
         if thread is not None:
             thread.join(timeout=5.0)
-        server.server_close()  # joins handler threads, closes socket
+        server.server_close()
+        # Bounded: the SSE loops re-check _stopping every poll interval.
+        for handler in server.handler_threads:
+            handler.join(timeout=5.0)
 
     def __enter__(self) -> "MetricsExporter":
         return self.start()

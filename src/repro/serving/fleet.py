@@ -26,7 +26,14 @@ to treat it as an independent worker:
   probation anomaly) driven by the scheduler's event loop;
 * per-device **observability** — an enabled
   :class:`~repro.obs.metrics.MetricsRegistry` the fleet later merges
-  into the single scheduler-wide registry.
+  into the single scheduler-wide registry;
+* a **dispatch memo** — on a *static* device (no noise, no faults, a
+  non-adaptive governor) a dispatch's outcome is a pure function of the
+  job and the selected plan, so the first full run of each
+  ``(graph, batch, n_batches, sparsity, cpu work, plan)`` key is
+  recorded and later dispatches of that key replay it: the same
+  :class:`DispatchRecord` numbers and the same metric effects, without
+  the simulator or the ledger (DESIGN.md §5l).
 
 Everything is deterministic: per-job simulator and fault seeds are
 derived with sha256 from ``(fleet seed, device name, dispatch seq)``,
@@ -58,7 +65,12 @@ from repro.hw.simulator import InferenceJob, InferenceSimulator
 from repro.obs import Observability, NULL_TRACER
 from repro.obs.anomaly import AnomalyConfig, AnomalyDetector
 from repro.obs.ledger import EnergyLedger
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import (
+    DEFAULT_BUCKETS,
+    Counter,
+    Histogram,
+    MetricsRegistry,
+)
 
 __all__ = ["PLAN_CACHE_VERSION", "plan_cache_key", "analytic_plan",
            "PlanCache", "DeviceConfig", "DispatchRecord",
@@ -132,13 +144,21 @@ class PlanCache:
         self.hits = 0
         self.misses = 0
         self._plans: Dict[str, FrequencyPlan] = {}
+        # Content hashes per (graph fingerprint, batch, sparsity): the
+        # other key inputs are fixed per cache, so a lookup need not
+        # re-serialize the platform on every dispatch.
+        self._keys: Dict[Tuple[str, int, float], str] = {}
         self._lock = threading.Lock()
 
     def key_for(self, graph: Graph, batch_size: int,
                 sparsity: float = 0.0) -> str:
-        return plan_cache_key(self.evaluator.platform, graph, batch_size,
-                              self.latency_slack, self.block_size,
-                              sparsity)
+        ident = (graph.fingerprint(), int(batch_size), float(sparsity))
+        key = self._keys.get(ident)
+        if key is None:
+            key = self._keys[ident] = plan_cache_key(
+                self.evaluator.platform, graph, batch_size,
+                self.latency_slack, self.block_size, sparsity)
+        return key
 
     def get_or_build(self, graph: Graph, batch_size: int,
                      sparsity: float = 0.0) -> FrequencyPlan:
@@ -234,6 +254,83 @@ class DispatchRecord:
     sparsity_bucket: float = 0.0   # bucket the plan was selected for
 
 
+class _Taped:
+    """A device counter or histogram that also records every increment
+    (summed per counter) or observation (in order) on a tape."""
+
+    __slots__ = ("metric", "tape")
+
+    def __init__(self, metric, tape: "_MetricTape") -> None:
+        self.metric = metric
+        self.tape = tape
+
+    def inc(self, n: int = 1) -> None:
+        self.metric.inc(n)
+        incs = self.tape.incs
+        incs[self.metric] = incs.get(self.metric, 0) + int(n)
+
+    def observe(self, value: float) -> None:
+        self.metric.observe(value)
+        self.tape.observed.append((self.metric, value))
+
+
+class _MetricTape:
+    """Registry view for one memo-miss simulator run: metrics resolve
+    to the device registry's own objects, and every counter increment
+    and histogram observation the simulator makes is also recorded, so
+    a memo hit can replay the run's metric effects exactly (only the
+    counter/histogram surface the simulator uses)."""
+
+    def __init__(self, registry: MetricsRegistry) -> None:
+        self.registry = registry
+        self.incs: Dict[Counter, int] = {}
+        self.observed: List[Tuple[Histogram, float]] = []
+
+    def counter(self, name: str, help: str = "") -> _Taped:
+        return _Taped(self.registry.counter(name, help), self)
+
+    def histogram(self, name: str, help: str = "",
+                  buckets: Sequence[float] = DEFAULT_BUCKETS) -> _Taped:
+        return _Taped(self.registry.histogram(name, help, buckets), self)
+
+    def explains(self, before: Dict[str, object],
+                 after: Dict[str, object]) -> bool:
+        """True when the tape accounts for every change between two
+        :func:`_metric_state` snapshots of the device registry — i.e.
+        nothing outside the simulator (a governor counter, an anomaly)
+        touched the registry during the run."""
+        expected = dict(before)
+        for metric, n in self.incs.items():
+            expected[metric.name] = expected.get(metric.name, 0) + n
+        for metric, _value in self.observed:
+            expected[metric.name] = expected.get(metric.name, 0) + 1
+        return expected == after
+
+    def replay(self) -> None:
+        """Apply the recorded effects again: counter increments, then
+        histogram observations in their original order (so float sums
+        stay byte-identical)."""
+        for metric, n in self.incs.items():
+            metric.inc(n)
+        for metric, value in self.observed:
+            metric.observe(value)
+
+
+def _metric_state(registry: MetricsRegistry) -> Dict[str, object]:
+    """Comparable snapshot: counter values, histogram observation
+    counts, and the full state of anything else (gauges)."""
+    state: Dict[str, object] = {}
+    for name in registry.names():
+        metric = registry.get(name)
+        if isinstance(metric, Counter):
+            state[name] = metric.value
+        elif isinstance(metric, Histogram):
+            state[name] = metric.count
+        else:
+            state[name] = metric.to_dict()
+    return state
+
+
 class SimulatedDevice:
     """One board of the fleet (see module docstring)."""
 
@@ -310,6 +407,14 @@ class SimulatedDevice:
         # never leak across family members.
         self._plan_overlay: Dict[Tuple[str, int, float],
                                  FrequencyPlan] = {}
+        # Dispatch memo: key -> (record of the full run, its metric
+        # tape); None when a dispatch is not a pure function of its key.
+        # Hit/miss counts are for tests and benches only.
+        self._memo: Optional[Dict[tuple, Tuple[DispatchRecord,
+                                               _MetricTape]]] = \
+            {} if self._dispatch_is_static() else None
+        self.memo_hits = 0
+        self.memo_misses = 0
         # -- scheduler-visible state --------------------------------------
         self.busy = False
         self.drained = False
@@ -443,20 +548,25 @@ class SimulatedDevice:
     # ------------------------------------------------------------------
     # execution
     # ------------------------------------------------------------------
+    def _dispatch_is_static(self) -> bool:
+        """True when every dispatch on this device is a pure function
+        of its memo key: no duration noise, no fault injection, and a
+        governor whose ``reset()`` clears all per-run state (the
+        adaptive governors carry replan state across jobs)."""
+        return (self.config.noise_std == 0
+                and self.faults is None
+                and not isinstance(self._governor, AdaptivePresetGovernor))
+
     def execute(self, job: InferenceJob,
                 dispatch_seq: int) -> DispatchRecord:
-        """Run ``job`` through the full governor/simulator stack.
+        """Run ``job`` through the full governor/simulator stack, or
+        replay it from the dispatch memo on a static device.
 
         Virtual-time execution: the simulation happens synchronously
         here and the *scheduler* advances its clock by the returned
         duration.  Seeds are derived per dispatch so repeated runs of
         the same trace replay the same noise and faults.
         """
-        seed = derive_seed(self.fleet_seed, self.name, dispatch_seq)
-        faults = None
-        if self.faults is not None:
-            faults = replace(self.faults, seed=derive_seed(
-                self.fleet_seed, self.name, dispatch_seq, "faults"))
         plan = None
         sbucket = self.sparsity_bucket(job.sparsity)
         overlay_key = (job.graph.fingerprint(), int(job.batch_size),
@@ -469,6 +579,31 @@ class SimulatedDevice:
                                      sbucket)
             self._governor.add_plan(plan)
             executed_plan = plan
+        plan_fingerprint = (executed_plan.fingerprint()
+                            if executed_plan is not None else "")
+        memo = self._memo
+        if memo is not None:
+            # The graph name joins the key because the preset governor
+            # looks plans up by name, not fingerprint.
+            memo_key = (job.graph.name, overlay_key[0], overlay_key[1],
+                        job.n_batches, job.sparsity,
+                        job.cpu_work_per_image, plan_fingerprint)
+            entry = memo.get(memo_key)
+            if entry is not None:
+                self.memo_hits += 1
+                record, tape = entry
+                tape.replay()
+                return self._book(replace(record, job_name=job.label()))
+            self.memo_misses += 1
+        seed = derive_seed(self.fleet_seed, self.name, dispatch_seq)
+        faults = None
+        if self.faults is not None:
+            faults = replace(self.faults, seed=derive_seed(
+                self.fleet_seed, self.name, dispatch_seq, "faults"))
+        tape = sim_obs = None
+        if memo is not None:
+            tape = _MetricTape(self.obs.metrics)
+            sim_obs = Observability(tracer=NULL_TRACER, metrics=tape)
         sim = InferenceSimulator(
             self.platform,
             sample_period=self.config.sample_period,
@@ -477,13 +612,18 @@ class SimulatedDevice:
             keep_trace=True,
             keep_samples=False,
             faults=faults,
-            obs=self.obs,
+            obs=sim_obs or self.obs,
             anomaly=self.anomaly,
             op_row_cache=self._op_row_cache,
         )
-        anomalies_before = len(self.anomaly.anomalies)
+        # The simulator registered its metrics above, so the snapshot
+        # sees them and only the run's own effects differ afterwards.
+        metrics_before = (_metric_state(self.obs.metrics)
+                          if tape is not None else None)
+        anomalies_before = self.anomaly.emitted
         result = sim.run([job], self._governor)
-        new_anomalies = len(self.anomaly.anomalies) - anomalies_before
+        # Recorded + dropped: ``anomalies`` stops growing at max_records.
+        new_anomalies = self.anomaly.emitted - anomalies_before
         replan_action = ""
         if isinstance(self._governor, AdaptivePresetGovernor):
             # The adaptive loop needs misprediction flags, so this
@@ -515,15 +655,28 @@ class SimulatedDevice:
             switch_count=result.switch_count,
             new_anomalies=new_anomalies,
             replan_action=replan_action,
-            plan_fingerprint=(executed_plan.fingerprint()
-                              if executed_plan is not None else ""),
+            plan_fingerprint=plan_fingerprint,
             sparsity_bucket=sbucket,
         )
+        if (isinstance(self._governor, PresetGovernor)
+                and self._governor.validation_evictions):
+            # Evicted validation verdicts make a skipped run's lookups
+            # (re-validation, more evictions) observable: stop memoizing.
+            self._memo = None
+        elif tape is not None and new_anomalies == 0 and tape.explains(
+                metrics_before, _metric_state(self.obs.metrics)):
+            # An anomalous run moves device health, and an effect
+            # outside the tape (a governor counter) may not repeat.
+            memo[memo_key] = (record, tape)
+        return self._book(record)
+
+    def _book(self, record: DispatchRecord) -> DispatchRecord:
+        """Device bookkeeping shared by full runs and memo hits."""
         self.jobs_done += 1
         self.busy_time_s += record.duration_s
         self.energies_j.append(record.energy_j)
         self.ledger_energies_j.append(record.ledger_energy_j)
-        self.anomaly_count += new_anomalies
+        self.anomaly_count += record.new_anomalies
         self.records.append(record)
         return record
 
@@ -570,10 +723,6 @@ class Fleet:
         """Register a pre-built graph (tests use tiny synthetic CNNs
         instead of the Table-1 zoo)."""
         self.graphs[graph.name] = graph
-
-    def healthy_idle(self) -> List[SimulatedDevice]:
-        """Dispatch candidates in fixed device order (deterministic)."""
-        return [d for d in self.devices if d.healthy and d.idle]
 
     def prewarm(self, models: Sequence[str], batch_sizes: Sequence[int],
                 n_jobs: int = 1) -> None:

@@ -274,21 +274,22 @@ class FleetScheduler:
                  attempt=device.recovery_attempts, probe_at=t + delay)
 
         def purge_expired(t: float) -> None:
-            if not cfg.drop_expired:
+            # Runs before every dispatch attempt: scan without building
+            # a list when (as usual) nothing has expired.
+            if not cfg.drop_expired or all(r.deadline >= t
+                                           for r in queue):
                 return
             expired = [r for r in queue if r.deadline < t]
-            if not expired:
-                return
             queue[:] = [r for r in queue if r.deadline >= t]
             for request in sorted(expired,
                                   key=lambda r: r.request_id):
                 drop(t, request, DROP_EXPIRED)
 
-        def pick_device(requests: Sequence[Request]
-                        ) -> Optional[SimulatedDevice]:
-            candidates = fleet.healthy_idle()
-            if not candidates:
-                return None
+        def pick_device(requests: Sequence[Request],
+                        candidates: Sequence[Tuple[int, SimulatedDevice]]
+                        ) -> SimulatedDevice:
+            """Cheapest of the (fleet index, device) ``candidates``;
+            ties go to the lower fleet index."""
             graph = fleet.graph_for(requests[0].model)
             n_batches = len(requests)
 
@@ -301,8 +302,7 @@ class FleetScheduler:
                     else time_s
                 return (axis * n_batches, index)
 
-            pairs = [(fleet.devices.index(d), d) for d in candidates]
-            return min(pairs, key=cost)[1]
+            return min(candidates, key=cost)[1]
 
         def try_dispatch(t: float) -> None:
             nonlocal dispatch_seq, makespan, heap_seq
@@ -310,8 +310,9 @@ class FleetScheduler:
                 purge_expired(t)
                 if not queue:
                     return
-                device_probe = fleet.healthy_idle()
-                if not device_probe:
+                candidates = [(i, d) for i, d in enumerate(fleet.devices)
+                              if d.healthy and d.idle]
+                if not candidates:
                     return
                 indices = self.policy.select_batch(queue, t,
                                                    cfg.max_batch)
@@ -320,12 +321,7 @@ class FleetScheduler:
                 batch = [queue[i] for i in indices]
                 for i in sorted(indices, reverse=True):
                     del queue[i]
-                device = pick_device(batch)
-                if device is None:
-                    # Lost the race to a drain between probe and pick —
-                    # put the batch back (front, original order).
-                    queue[:0] = batch
-                    return
+                device = pick_device(batch, candidates)
                 graph = fleet.graph_for(batch[0].model)
                 job = make_request_job(
                     graph, n_requests=len(batch),

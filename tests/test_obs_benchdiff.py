@@ -46,7 +46,9 @@ class TestDiffSemantics:
         new["datagen_scaling"]["host_cpus"] = 64
         new["datagen_scaling"]["recorded_at"] = "2030-01-01T00:00:00"
         new["datagen_scaling"]["pool_speedup_note"] = "whatever"
-        assert diff_benchmarks(_BASE, new).ok
+        new["datagen_scaling"]["host"] = {"python": "3.12.1", "cpus": 64}
+        diff = diff_benchmarks(_BASE, new)
+        assert diff.ok and diff.warnings == []
 
     def test_numeric_drift_within_tolerance_passes(self):
         assert diff_benchmarks(_BASE, _variant(wall_time_s=9.0)).ok
