@@ -8,7 +8,8 @@ blocks).  Two levers attack it:
   worker processes with byte-identical output (PR 1);
 * the vectorized labeling fast path (ProfileTable + memoized scheme
   sweep) shrinks the per-network unit of work itself, measured here
-  against the retained ``label_network_reference`` loops.
+  against the ``label_network_reference`` loop oracle
+  (``tests/oracles.py``).
 
 Both benches append their measurements to ``BENCH_datagen.json`` at the
 repo root (machine-readable perf trajectory: per-stage wall-time
@@ -40,13 +41,14 @@ from repro.core.clustering import (
 )
 from repro.core.datasets import DatasetGenerator
 from repro.core.features import DepthwiseFeatureExtractor
-from repro.core.labeling import label_network, label_network_reference
+from repro.core.labeling import label_network
 from repro.core.schemes import default_scheme_grid
 from repro.hw import jetson_tx2
 from repro.hw.analytic import AnalyticEvaluator
 from repro.models.random_gen import RandomDNNConfig, RandomDNNGenerator
 
 from benchmarks._harness import record
+from tests.oracles import label_network_reference
 
 pytestmark = pytest.mark.perf
 

@@ -21,8 +21,6 @@ Scale knobs:
 
 * ``POWERLENS_BENCH_SERVE_RATE``     — arrival rate in rps (default 60).
 * ``POWERLENS_BENCH_SERVE_DURATION`` — trace horizon in s (default 2).
-* ``POWERLENS_BENCH_SIM_RUNS``       — static fast-path repetitions
-  (default 30).
 """
 
 import os
@@ -31,11 +29,6 @@ from pathlib import Path
 
 import pytest
 
-from repro.governors.static import StaticGovernor
-from repro.hw import jetson_tx2
-from repro.hw.simulator import InferenceJob, InferenceSimulator
-from repro.models.random_gen import RandomDNNGenerator
-from repro.obs.ledger import EnergyLedger
 from repro.serving import (
     DeviceConfig,
     Fleet,
@@ -51,7 +44,6 @@ pytestmark = pytest.mark.perf
 SERVE_RATE = float(os.environ.get("POWERLENS_BENCH_SERVE_RATE", "60"))
 SERVE_DURATION = float(
     os.environ.get("POWERLENS_BENCH_SERVE_DURATION", "2"))
-SIM_RUNS = int(os.environ.get("POWERLENS_BENCH_SIM_RUNS", "30"))
 
 BENCH_JSON = Path(__file__).resolve().parent.parent / "BENCH_serving.json"
 
@@ -213,71 +205,6 @@ def test_request_trace_overhead(benchmark):
     # Tracing every request should stay a modest fraction of the loop.
     assert overhead < 3.0, (
         f"request tracing overhead blew up: {overhead:.2f}x")
-
-
-class _GenericStatic(StaticGovernor):
-    """StaticGovernor without the fast-path marker: forces the retained
-    per-segment reference loop for the comparison baseline."""
-    supports_static_fast_path = False
-
-
-@pytest.mark.benchmark(group="serving")
-def test_static_sim_fastpath(benchmark):
-    """Static-run segment integration vs the per-segment reference
-    loop: byte-identical traces/samples/ledgers and >= 2x, measured
-    fleet-style (fresh simulator per run, shared op-row cache)."""
-    platform = jetson_tx2()
-    graphs = [RandomDNNGenerator(seed=s).generate() for s in range(4)]
-    jobs = [InferenceJob(graph=g, batch_size=16, n_batches=3)
-            for g in graphs]
-
-    def run_once(governor_cls, cache):
-        sim = InferenceSimulator(platform, sample_period=0.02,
-                                 op_row_cache=cache)
-        return sim.run(jobs, governor_cls())
-
-    # Correctness gate first: the fast path must be indistinguishable
-    # from the reference loop, including the energy ledger.
-    ref = run_once(_GenericStatic, None)
-    fast = run_once(StaticGovernor, {})
-    assert fast.trace.segments == ref.trace.segments
-    assert fast.samples == ref.samples
-    assert fast.report == ref.report
-    assert fast.per_job == ref.per_job
-    ref_ledger = EnergyLedger.from_result(ref)
-    fast_ledger = EnergyLedger.from_result(fast)
-    assert fast_ledger.reconciliation.energy_rel_err <= 1e-9
-    assert fast_ledger.to_dict() == ref_ledger.to_dict()
-
-    def time_runs(governor_cls, cache):
-        best = float("inf")
-        for _ in range(3):
-            t0 = time.perf_counter()
-            for _ in range(SIM_RUNS):
-                run_once(governor_cls, cache)
-            best = min(best, time.perf_counter() - t0)
-        return best
-
-    ref_s = time_runs(_GenericStatic, None)
-    shared_cache: dict = {}
-    fast_s = benchmark.pedantic(
-        lambda: time_runs(StaticGovernor, shared_cache),
-        rounds=1, iterations=1)
-
-    speedup = ref_s / fast_s
-    print()
-    print(f"  static sim, {len(jobs)} jobs x {SIM_RUNS} runs: "
-          f"reference {ref_s:.2f}s, fast {fast_s:.2f}s "
-          f"({speedup:.2f}x)")
-    record(BENCH_JSON, "static_sim_fastpath", {
-        "n_jobs": len(jobs),
-        "sim_runs": SIM_RUNS,
-        "reference_wall_s": round(ref_s, 3),
-        "fast_wall_s": round(fast_s, 3),
-        "speedup": round(speedup, 2),
-    })
-    assert speedup >= 2.0, (
-        f"static sim fast path regressed: {speedup:.2f}x < 2x")
 
 
 #: The clean fleet of the memo bench: two boards of each platform and

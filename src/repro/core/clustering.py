@@ -24,7 +24,7 @@ Performance note: this module sits on the dataset-generation hot path
 (every scheme of every random network runs through it), so the distance
 matrix, DBSCAN and the majority filter are vectorized.  Every fast path
 is **byte-identical** to its original loop implementation — the loops
-are retained as ``*_reference`` functions and the equivalence is
+live on as test oracles (``tests/oracles.py``) and the equivalence is
 enforced by the hypothesis suites in ``tests/test_labeling_fastpath.py``
 and ``tests/test_distance_fastpath.py``.
 
@@ -44,7 +44,7 @@ the reference path and the dataset-cache key is unchanged.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -123,7 +123,7 @@ def mahalanobis_matrix(x: np.ndarray) -> np.ndarray:
     independently with a fixed ``(k, l)`` summation order, and the IEEE
     sign-flip identities make ``diff . P . diff`` bit-equal for
     ``x_i - x_j`` and ``x_j - x_i``, so this halves the work of
-    :func:`mahalanobis_matrix_reference` while staying byte-identical.
+    the full ``(n, n, d)`` einsum while staying byte-identical.
     """
     x = np.asarray(x, dtype=float)
     n = x.shape[0]
@@ -146,25 +146,6 @@ def mahalanobis_matrix(x: np.ndarray) -> np.ndarray:
     zero_row = np.zeros((1, x.shape[1]))
     np.fill_diagonal(
         d2, np.einsum("pk,kl,pl->p", zero_row, p, zero_row)[0])
-    d2 = np.maximum(d2, 0.0)
-    d = np.sqrt(d2)
-    return _normalize_by_median(d, n)
-
-
-def mahalanobis_matrix_reference(x: np.ndarray) -> np.ndarray:
-    """Reference loop/full-einsum implementation of
-    :func:`mahalanobis_matrix` (retained for the equivalence suite)."""
-    x = np.asarray(x, dtype=float)
-    n = x.shape[0]
-    if n == 0:
-        return np.zeros((0, 0))
-    if n == 1:
-        return np.zeros((1, 1))
-    cov = np.cov(x, rowvar=False)
-    p = np.linalg.pinv(np.atleast_2d(cov))
-    diff = x[:, None, :] - x[None, :, :]
-    # d^2[i,j] = diff . P . diff
-    d2 = np.einsum("ijk,kl,ijl->ij", diff, p, diff)
     d2 = np.maximum(d2, 0.0)
     d = np.sqrt(d2)
     return _normalize_by_median(d, n)
@@ -238,8 +219,8 @@ def dbscan_precomputed(distance: np.ndarray, eps: float,
 
     Cluster expansion runs on boolean frontier vectors over a
     precomputed adjacency matrix rather than a per-point Python queue.
-    The final labels are identical to the queue-based
-    :func:`dbscan_precomputed_reference`: a cluster's membership is the
+    The final labels are identical to a per-point queue expansion
+    (the test oracle): a cluster's membership is the
     core-connected closure of its seed restricted to points unclaimed
     when the seed is visited, which is order-free — only the seed scan
     order (ascending ``i``, shared by both implementations) matters.
@@ -281,37 +262,6 @@ def _dbscan_from_adjacency(adjacent: np.ndarray,
     return labels
 
 
-def dbscan_precomputed_reference(distance: np.ndarray, eps: float,
-                                 min_pts: int) -> np.ndarray:
-    """Reference queue-based implementation of
-    :func:`dbscan_precomputed` (retained for the equivalence suite)."""
-    distance = np.asarray(distance)
-    _check_dbscan_args(distance, eps, min_pts)
-    n = distance.shape[0]
-    labels = np.full(n, _UNVISITED, dtype=int)
-    neighbors = [np.flatnonzero(distance[i] <= eps) for i in range(n)]
-    cluster = 0
-    for i in range(n):
-        if labels[i] != _UNVISITED:
-            continue
-        if len(neighbors[i]) < min_pts:
-            labels[i] = NOISE
-            continue
-        labels[i] = cluster
-        queue = list(neighbors[i])
-        while queue:
-            j = queue.pop()
-            if labels[j] == NOISE:
-                labels[j] = cluster  # border point
-            if labels[j] != _UNVISITED:
-                continue
-            labels[j] = cluster
-            if len(neighbors[j]) >= min_pts:
-                queue.extend(neighbors[j])
-        cluster += 1
-    return labels
-
-
 # ----------------------------------------------------------------------
 # post-processing into contiguous power blocks
 # ----------------------------------------------------------------------
@@ -339,8 +289,8 @@ def _mode_filter(labels: np.ndarray, window: int) -> np.ndarray:
 
     Window counts are prefix-sum differences of a one-hot label matrix
     (exact integer arithmetic), and the min-label tie-break falls out of
-    ``argmax`` over label-sorted columns — identical to the per-point
-    vote dictionaries of :func:`_mode_filter_reference`.
+    ``argmax`` over label-sorted columns — identical to per-point vote
+    dictionaries (the test oracle).
     """
     if window <= 0:
         return labels
@@ -364,34 +314,6 @@ def _mode_filter(labels: np.ndarray, window: int) -> np.ndarray:
         best_count = votes[positions, best]
         out = np.where(best_count > 0, uniq[best], NOISE)
         out = out.astype(current.dtype, copy=False)
-        if np.array_equal(out, current):
-            break
-        current = out
-    return current
-
-
-def _mode_filter_reference(labels: np.ndarray, window: int) -> np.ndarray:
-    """Reference loop implementation of :func:`_mode_filter` (retained
-    for the equivalence suite)."""
-    if window <= 0:
-        return labels
-    n = len(labels)
-    current = labels
-    for _pass in range(3):  # iterate to (near) fixpoint
-        out = current.copy()
-        for i in range(n):
-            lo = max(0, i - window)
-            hi = min(n, i + window + 1)
-            votes: dict = {}
-            for lab in current[lo:hi]:
-                votes[lab] = votes.get(lab, 0) + 1
-            best_lab, best_count = NOISE, 0
-            for lab in sorted(votes):  # min-label tie-break, stable
-                if lab == NOISE:
-                    continue
-                if votes[lab] > best_count:
-                    best_lab, best_count = lab, votes[lab]
-            out[i] = best_lab if best_count > 0 else NOISE
         if np.array_equal(out, current):
             break
         current = out
@@ -452,20 +374,6 @@ def _merge_runs(labels: np.ndarray,
     return result
 
 
-def _process_clusters_with(
-        labels: Sequence[int], min_block_size: int, mode_window: int,
-        mode_filter: Callable[[np.ndarray, int], np.ndarray]
-) -> List[List[int]]:
-    labels = np.asarray(list(labels), dtype=int)
-    n = len(labels)
-    if n == 0:
-        return []
-    if mode_window < 0:
-        mode_window = max(2, min_block_size)
-    labels = mode_filter(labels, mode_window)
-    return _merge_runs(labels, min_block_size)
-
-
 def process_clusters(labels: Sequence[int],
                      min_block_size: int = 1,
                      mode_window: int = -1) -> List[List[int]]:
@@ -482,8 +390,12 @@ def process_clusters(labels: Sequence[int],
     smaller than ``min_block_size`` are merged into their smaller
     neighbour.
     """
-    return _process_clusters_with(labels, min_block_size, mode_window,
-                                  _mode_filter)
+    labels = np.asarray(list(labels), dtype=int)
+    if len(labels) == 0:
+        return []
+    if mode_window < 0:
+        mode_window = max(2, min_block_size)
+    return _merge_runs(_mode_filter(labels, mode_window), min_block_size)
 
 
 def smooth_features(x: np.ndarray, window: int) -> np.ndarray:
@@ -835,8 +747,8 @@ def cluster_power_blocks(x: np.ndarray, eps: float, min_pts: int,
 
     ``smooth_window=-1`` derives the smoothing radius from ``min_pts``
     (coarser granularity smooths wider); pass 0 to disable.  Runs the
-    :class:`FactoredDistance` fast path; byte-identical to
-    :func:`cluster_power_blocks_reference`.
+    :class:`FactoredDistance` fast path; byte-identical to the
+    full-einsum, queue-DBSCAN loop chain (the test oracle).
     """
     if x.shape[0] == 0:
         return []
@@ -847,24 +759,3 @@ def cluster_power_blocks(x: np.ndarray, eps: float, min_pts: int,
     fd = FactoredDistance(x, smooth_window, alpha=alpha, lam=lam,
                           spacing_mode=spacing_mode)
     return fd.blocks(eps, min_pts)
-
-
-def cluster_power_blocks_reference(
-        x: np.ndarray, eps: float, min_pts: int, alpha: float = 0.6,
-        lam: float = 0.05, spacing_mode: str = "penalty",
-        smooth_window: int = -1) -> List[List[int]]:
-    """Pre-vectorization Algorithm 1 (full-einsum distance, queue
-    DBSCAN, loop majority filter), retained as the baseline for the
-    equivalence suites and the labeling benchmark."""
-    if x.shape[0] == 0:
-        return []
-    if x.shape[0] == 1:
-        return [[0]]
-    if smooth_window < 0:
-        smooth_window = max(2, min_pts)
-    xs = smooth_features(x, smooth_window)
-    distance = _blend_distances(mahalanobis_matrix_reference(xs),
-                                xs.shape[0], alpha, lam, spacing_mode)
-    labels = dbscan_precomputed_reference(distance, eps, min_pts)
-    return _process_clusters_with(labels, max(1, min_pts), -1,
-                                  _mode_filter_reference)

@@ -23,8 +23,8 @@ This module is the per-network unit of work of dataset generation, so
   schemes that collapse to the same view are evaluated once — and the
   winner's levels are reused directly instead of a second sweep.
 
-Output is byte-identical to the retained pre-optimization path
-(:func:`label_network_reference`); the equivalence is property-tested in
+Output is byte-identical to the pre-optimization path, kept as a test
+oracle (``tests/oracles.py``); the equivalence is property-tested in
 ``tests/test_labeling_fastpath.py``.  Per-stage wall time (distance /
 cluster / evaluate) is reported through ``NetworkLabels.stage_seconds``
 and aggregated into ``GenerationStats``.  Stage timing is span-derived:
@@ -42,10 +42,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.clustering import (
-    FactoredDistance,
-    cluster_power_blocks_reference,
-)
+from repro.core.clustering import FactoredDistance
 from repro.core.schemes import ClusteringScheme
 from repro.graph import Graph
 from repro.hw.analytic import AnalyticEvaluator, ProfileTable
@@ -277,80 +274,3 @@ def label_network(evaluator: AnalyticEvaluator, graph: Graph,
                          qualities=sweep.qualities,
                          levels=sweep.best_levels,
                          stage_seconds=sweep.stage_seconds)
-
-
-# ----------------------------------------------------------------------
-# reference (pre-optimization) path — baseline of the equivalence suites
-# ----------------------------------------------------------------------
-
-def plan_levels_for_blocks_reference(
-        evaluator: AnalyticEvaluator, graph: Graph,
-        blocks: Sequence[Sequence[int]], batch_size: int = 16,
-        latency_slack: float = 0.25) -> List[int]:
-    """Reference of :func:`plan_levels_for_blocks`: per-block per-op
-    profile loops, no table."""
-    return [
-        evaluator.best_level(
-            evaluator.block_profile_reference(graph, block, batch_size),
-            latency_slack)
-        for block in blocks
-    ]
-
-
-def scheme_quality_reference(evaluator: AnalyticEvaluator, graph: Graph,
-                             blocks: Sequence[Sequence[int]],
-                             batch_size: int = 16,
-                             latency_slack: float = 0.25) -> float:
-    """Reference of :func:`scheme_quality` (per-op loops throughout)."""
-    if not blocks:
-        return 0.0
-    levels = plan_levels_for_blocks_reference(evaluator, graph, blocks,
-                                              batch_size, latency_slack)
-    energy, _time = evaluator.plan_energy_time_reference(
-        graph, blocks, levels, batch_size)
-    if energy <= 0:
-        return 0.0
-    return 1.0 / energy
-
-
-def best_scheme_for_graph_reference(
-        evaluator: AnalyticEvaluator, graph: Graph, features: np.ndarray,
-        schemes: Sequence[ClusteringScheme], batch_size: int = 16,
-        latency_slack: float = 0.25, alpha: float = 0.6,
-        lam: float = 0.05, quality_tolerance: float = 0.01
-) -> Tuple[int, List[List[int]], List[float]]:
-    """Reference of :func:`best_scheme_for_graph`: every scheme runs
-    the full pipeline from scratch, no memoization."""
-    qualities: List[float] = []
-    views: List[List[List[int]]] = []
-    for scheme in schemes:
-        blocks = cluster_power_blocks_reference(
-            features, scheme.eps, scheme.min_pts, alpha=alpha, lam=lam)
-        views.append(blocks)
-        qualities.append(scheme_quality_reference(
-            evaluator, graph, blocks, batch_size, latency_slack))
-    top = max(qualities)
-    if top <= 0:
-        return 0, views[0], qualities
-    candidates = [i for i, q in enumerate(qualities)
-                  if q >= top * (1.0 - quality_tolerance)]
-    best = min(candidates, key=lambda i: (-len(views[i]), i))
-    return best, views[best], qualities
-
-
-def label_network_reference(
-        evaluator: AnalyticEvaluator, graph: Graph, features: np.ndarray,
-        schemes: Sequence[ClusteringScheme], *, batch_size: int = 16,
-        latency_slack: float = 0.25, alpha: float = 0.6,
-        lam: float = 0.05) -> NetworkLabels:
-    """Pre-optimization :func:`label_network` kept verbatim (including
-    its duplicate level sweep of the winning view) as the byte-identity
-    baseline for the equivalence suites and the labeling benchmark."""
-    best_idx, blocks, qualities = best_scheme_for_graph_reference(
-        evaluator, graph, features, schemes, batch_size=batch_size,
-        latency_slack=latency_slack, alpha=alpha, lam=lam)
-    levels = plan_levels_for_blocks_reference(
-        evaluator, graph, blocks, batch_size=batch_size,
-        latency_slack=latency_slack)
-    return NetworkLabels(best_scheme=best_idx, blocks=blocks,
-                         qualities=qualities, levels=levels)

@@ -55,15 +55,6 @@ class Governor:
     name: str = "base"
     #: Host cluster policy: 'ondemand' | 'efficient' | 'max'.
     cpu_policy: str = "ondemand"
-    #: Marker consumed by the simulator's static-run fast path
-    #: (:meth:`repro.hw.simulator.InferenceSimulator.run`).  Set True on
-    #: governors that pin a single GPU level for the whole run — i.e.
-    #: whose ``on_job_start``/``on_op_start``/``on_sample`` hooks return
-    #: ``None``.  The fast path still *calls* every hook and honours a
-    #: returned level exactly like the generic loop, so a conservative
-    #: governor that occasionally switches stays correct — the marker is
-    #: purely a performance claim, not a correctness contract.
-    supports_static_fast_path: bool = False
 
     def __init__(self) -> None:
         self.platform: Optional[PlatformSpec] = None

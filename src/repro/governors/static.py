@@ -16,7 +16,6 @@ class StaticGovernor(Governor):
     """
 
     name = "static"
-    supports_static_fast_path = True
 
     def __init__(self, level: Optional[int] = None,
                  cpu_policy: str = "ondemand") -> None:

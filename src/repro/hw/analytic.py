@@ -19,15 +19,15 @@ computed once per ``(graph, batch_size)`` and fully vectorized over
 ``(ops x levels)``; block profiles then reduce op rows instead of
 re-walking the operator list.  Every table query is **byte-identical**
 to the per-op loop of :meth:`AnalyticEvaluator.profile` (enforced by the
-hypothesis suites in ``tests/test_labeling_fastpath.py``); the loop
-implementations are retained as ``*_reference`` methods.
+hypothesis suites in ``tests/test_labeling_fastpath.py``, against the
+loop oracles in ``tests/oracles.py``).
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -153,31 +153,6 @@ class ProfileTable:
                 total_e += (idle_p + ev.overhead_power) * stall
             prev_level = level
         return total_e, total_t
-
-
-def simulator_op_rows(latency: LatencyModel, power: PowerModel,
-                      works: Sequence[OpWork], freq: float,
-                      batch_size: int) -> List[Tuple[float, float,
-                                                     float, float]]:
-    """ProfileTable-style op rows for the simulator's static fast path.
-
-    One ``(duration, busy_gpu_power, compute_util, memory_util)`` row per
-    operator at a fixed frequency, produced by the *same* scalar
-    ``LatencyModel.time_of`` / ``PowerModel.gpu_busy`` calls the
-    per-segment event loop makes — so a run that integrates whole op
-    sequences from these rows is bit-identical to one that re-derives
-    the numbers segment by segment (the models are pure).  The simulator
-    caches rows per ``(graph fingerprint, batch_size, level)`` and fleet
-    devices share one cache across dispatches.
-    """
-    rows = []
-    for work in works:
-        timing = latency.time_of(work, freq, batch_size)
-        rows.append((timing.duration,
-                     power.gpu_busy(freq, timing),
-                     timing.compute_utilization,
-                     timing.memory_utilization))
-    return rows
 
 
 class AnalyticEvaluator:
@@ -316,20 +291,6 @@ class AnalyticEvaluator:
         return self.profile_table(graph, batch_size,
                                   sparsity).block_profile(op_indices)
 
-    def block_profile_reference(self, graph: Graph,
-                                op_indices: Sequence[int],
-                                batch_size: int = 1,
-                                sparsity: float = 0.0) -> LevelProfile:
-        """Reference per-op-loop implementation of :meth:`block_profile`
-        (retained for the equivalence suite and benchmark baseline).
-
-        Sparsity is applied per op, so subsetting before or after the
-        rescale is the same arithmetic — the table path rescales the
-        whole graph first, this path rescales the subset."""
-        works = self.latency.graph_work(graph)
-        return self.profile([works[i] for i in op_indices], batch_size,
-                            sparsity)
-
     # ------------------------------------------------------------------
     def best_level(self, profile: LevelProfile,
                    latency_slack: float = 0.25,
@@ -383,29 +344,3 @@ class AnalyticEvaluator:
         including per-boundary switch stalls."""
         return self.profile_table(
             graph, batch_size, sparsity).plan_energy_time(blocks, levels)
-
-    def plan_energy_time_reference(
-            self, graph: Graph, blocks: Sequence[Sequence[int]],
-            levels: Sequence[int],
-            batch_size: int = 1,
-            sparsity: float = 0.0) -> Tuple[float, float]:
-        """Reference loop implementation of :meth:`plan_energy_time`
-        (retained for the equivalence suite and benchmark baseline)."""
-        if len(blocks) != len(levels):
-            raise ValueError("one level per block required")
-        total_e = 0.0
-        total_t = 0.0
-        prev_level: Optional[int] = None
-        for block, level in zip(blocks, levels):
-            profile = self.block_profile_reference(graph, block,
-                                                   batch_size, sparsity)
-            total_e += float(profile.energies[level])
-            total_t += float(profile.times[level])
-            if prev_level is not None and level != prev_level:
-                stall = self.platform.dvfs_stall_s
-                total_t += stall
-                idle_p = self.power.gpu_idle(
-                    self.platform.freq_of_level(level))
-                total_e += (idle_p + self.overhead_power) * stall
-            prev_level = level
-        return total_e, total_t

@@ -29,10 +29,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from repro.graph import Graph
-from repro.hw.analytic import simulator_op_rows
 from repro.hw.dvfs import DVFSController, SwitchResult
 from repro.hw.faults import (
     OUTCOME_DROPPED,
@@ -47,7 +46,6 @@ from repro.hw.thermal import ThermalConfig, ThermalState
 from repro.hw.telemetry import (
     KIND_CPU,
     KIND_GPU_OP,
-    KIND_IDLE,
     KIND_SWITCH,
     METRIC_SAMPLES,
     EnergyReport,
@@ -123,9 +121,6 @@ class _SampleWindow:
                  "total_e", "start")
 
     def __init__(self, start: float) -> None:
-        self.reset(start)
-
-    def reset(self, start: float) -> None:
         self.start = start
         self.busy_gpu = 0.0
         self.busy_cpu = 0.0
@@ -174,13 +169,6 @@ class InferenceSimulator:
         delivered telemetry window and every actuation result,
         strictly observe-only — nothing it computes flows back into the
         run (pinned by ``tests/test_obs_anomaly.py``).
-    op_row_cache:
-        Optional dict shared across simulator instances that memoizes
-        :func:`repro.hw.analytic.simulator_op_rows` per
-        ``(graph fingerprint, batch_size, level)`` for the static-run
-        fast path.  Fleet devices pass a per-device dict so repeated
-        dispatches of the same model skip the scalar timing/power calls
-        entirely; ``None`` gives each simulator a private cache.
     """
 
     def __init__(self, platform: PlatformSpec, sample_period: float = 0.02,
@@ -189,8 +177,7 @@ class InferenceSimulator:
                  thermal: Optional[ThermalConfig] = None,
                  faults: Optional[FaultProfile] = None,
                  obs: Optional[Observability] = None,
-                 anomaly: Optional[object] = None,
-                 op_row_cache: Optional[Dict] = None) -> None:
+                 anomaly: Optional[object] = None) -> None:
         if sample_period <= 0:
             raise ValueError("sample_period must be positive")
         self.platform = platform
@@ -216,14 +203,9 @@ class InferenceSimulator:
             "powerlens_dvfs_switches_total")
         self._m_dropped_cmds = self.obs.metrics.counter(
             "powerlens_dvfs_commands_dropped_total")
-        self._m_samples = self.obs.metrics.counter(METRIC_SAMPLES)
-        # Static-run fast-path caches (see _run_gpu_phase_static).  Both
-        # memoize values produced by the exact scalar model calls the
-        # generic loop makes, so cached and uncached runs are
-        # byte-identical.
-        self._op_row_cache: Dict = (op_row_cache if op_row_cache is not None
-                                    else {})
-        self._power_row_cache: Dict = {}
+        # Registered up front (like the handles above) so every run
+        # exposes the same metric set, whether or not it samples.
+        self.obs.metrics.counter(METRIC_SAMPLES)
 
     # ------------------------------------------------------------------
     def run(self, jobs: Sequence[InferenceJob], governor) -> SimulationResult:
@@ -252,54 +234,17 @@ class InferenceSimulator:
         samples: List[TelemetrySample] = []
         per_job: List[EnergyReport] = []
 
-        # Static-run fast path: when nothing can perturb a segment
-        # between telemetry samples — no duration noise, no thermal
-        # feedback, no fault injector, and a governor that declares it
-        # pins one level — whole op sequences integrate from cached
-        # ProfileTable-style rows instead of re-deriving timing/power
-        # per segment.  The lean loops still honour every governor hook
-        # and replay the exact generic arithmetic, so traces, samples
-        # and ledgers stay byte-identical (tests/test_simulator_fastpath).
-        static_fast = (
-            self.noise_std <= 0
-            and state.thermal is None
-            and state.injector is None
-            and getattr(governor, "supports_static_fast_path", False)
-            and getattr(governor, "on_switch_result", None) is None
-        )
-
         for job_idx, job in enumerate(jobs):
             e0, t0 = state.trace.total_energy, state.trace.total_time
             level = governor.on_job_start(job_idx, job)
             if level is not None:
                 self._apply_switch(state, level)
-            if static_fast:
-                fp = job.graph.fingerprint()
-                # Sparse jobs get their own cache identity: the rescaled
-                # works differ per sparsity, and zero-sparsity keys keep
-                # their original shape so warm fleet caches stay valid.
-                if job.sparsity > 0.0:
-                    fp = f"{fp}/s={job.sparsity!r}"
-                # The op walk is pure in the graph, so a shared row
-                # cache may also carry it across simulator instances
-                # (fleet builds a fresh simulator per dispatch).
-                works = self._op_row_cache.get(("works", fp))
-                if works is None:
-                    works = sparse_works(
-                        self.latency.graph_work(job.graph), job.sparsity)
-                    self._op_row_cache[("works", fp)] = works
-                for _batch in range(job.n_batches):
-                    self._run_cpu_phase_static(state, governor, job,
-                                               samples)
-                    self._run_gpu_phase_static(state, governor, job,
-                                               job_idx, fp, works, samples)
-            else:
-                works = sparse_works(self.latency.graph_work(job.graph),
-                                     job.sparsity)
-                for _batch in range(job.n_batches):
-                    self._run_cpu_phase(state, governor, job, samples)
-                    self._run_gpu_phase(state, governor, job, job_idx,
-                                        works, samples)
+            works = sparse_works(self.latency.graph_work(job.graph),
+                                 job.sparsity)
+            for _batch in range(job.n_batches):
+                self._run_cpu_phase(state, governor, job, samples)
+                self._run_gpu_phase(state, governor, job, job_idx,
+                                    works, samples)
             per_job.append(EnergyReport(
                 images=job.images,
                 total_time=state.trace.total_time - t0,
@@ -372,213 +317,9 @@ class InferenceSimulator:
                            timing.memory_utilization,
                            label=work.name, op_index=op_idx)
                 remaining -= dt / duration
-                changed = self._maybe_sample(state, governor, samples)
-                if changed:
-                    # Frequency changed mid-op: recompute with the work
-                    # fraction that remains.
-                    continue
-
-    # ------------------------------------------------------------------
-    # static-run fast path (see run()): same arithmetic as the generic
-    # phases, but model lookups come from memoized rows and the
-    # window/sample bookkeeping is inlined.  The generic loops are the
-    # retained reference; tests/test_simulator_fastpath.py pins
-    # byte-identity between the two.
-    # ------------------------------------------------------------------
-    def _run_cpu_phase_static(self, state: "_RunState", governor,
-                              job: InferenceJob,
-                              samples: List[TelemetrySample]) -> None:
-        remaining = job.cpu_work_per_image * job.batch_size
-        trace = state.trace
-        keep_segs = trace.keep_segments
-        segs = trace.segments
-        board_p = self.platform.board_power
-        label = f"{job.label()}:cpu"
-        glevel = state.dvfs.level
-        gpu_p = self._gpu_idle_power(glevel)
-        rate, cpu_p = self._cpu_phase_row(state.cpu_level)
-        while remaining > 1e-9:
-            t = state.t
-            t_rem = remaining / rate
-            dt = min(t_rem, state.next_sample - t)
-            dt = max(dt, 1e-12)
-            t_end = t + dt
-            # Trace.append/_SampleWindow.add inlined: ``dseg`` is
-            # ``seg.duration`` ((t_end - t_start), NOT dt — they differ
-            # when t_end rounds), accumulated in the reference order.
-            dseg = t_end - t
-            trace.total_time = t_end
-            trace.gpu_energy += gpu_p * dseg
-            trace.cpu_energy += cpu_p * dseg
-            trace.board_energy += board_p * dseg
-            if keep_segs:
-                segs.append(TraceSegment(
-                    t_start=t, t_end=t_end, kind=KIND_CPU,
-                    gpu_level=glevel, gpu_power=gpu_p, cpu_power=cpu_p,
-                    board_power=board_p, compute_util=0.0,
-                    memory_util=0.0, label=label))
-            w = state.window
-            w.busy_cpu += dseg
-            w.gpu_e += gpu_p * dseg
-            w.cpu_e += cpu_p * dseg
-            w.total_e += (gpu_p + cpu_p + board_p) * dseg
-            state.t = t_end
-            remaining -= rate * dt
-            if t_end >= state.next_sample - 1e-12:
-                if self._close_window_static(state, governor, samples):
-                    glevel = state.dvfs.level
-                    gpu_p = self._gpu_idle_power(glevel)
-                rate, cpu_p = self._cpu_phase_row(state.cpu_level)
-
-    def _run_gpu_phase_static(self, state: "_RunState", governor,
-                              job: InferenceJob, job_idx: int, fp: str,
-                              works: Sequence[OpWork],
-                              samples: List[TelemetrySample]) -> None:
-        batch = job.batch_size
-        trace = state.trace
-        keep_segs = trace.keep_segments
-        segs = trace.segments
-        board_p = self.platform.board_power
-        glevel = state.dvfs.level
-        rows = self._op_rows(fp, batch, glevel, works)
-        cpu_busy_p, cpu_idle_p = self._cpu_during_gpu_powers(
-            state.cpu_level)
-        for op_idx, work in enumerate(works):
-            level = governor.on_op_start(job_idx, op_idx, work)
-            if level is not None and self._apply_switch(state, level):
-                glevel = state.dvfs.level
-                rows = self._op_rows(fp, batch, glevel, works)
-            duration, gpu_p, cu, mu = rows[op_idx]
-            name = work.name
-            remaining = 1.0  # fraction of the op still to execute
-            while remaining > 1e-12:
-                t = state.t
-                t_rem = remaining * duration
-                dt = min(t_rem, state.next_sample - t)
-                dt = max(dt, 1e-12)
-                cpu_p = (cpu_busy_p if t < state.cpu_busy_until
-                         else cpu_idle_p)
-                t_end = t + dt
-                # Trace.append/_SampleWindow.add inlined: ``dseg`` is
-                # ``seg.duration`` ((t_end - t_start), NOT dt — they
-                # differ when t_end rounds), reference order preserved.
-                dseg = t_end - t
-                trace.total_time = t_end
-                trace.gpu_energy += gpu_p * dseg
-                trace.cpu_energy += cpu_p * dseg
-                trace.board_energy += board_p * dseg
-                trace.busy_gpu_time += dseg
-                if keep_segs:
-                    segs.append(TraceSegment(
-                        t_start=t, t_end=t_end, kind=KIND_GPU_OP,
-                        gpu_level=glevel, gpu_power=gpu_p, cpu_power=cpu_p,
-                        board_power=board_p, compute_util=cu,
-                        memory_util=mu, label=name, op_index=op_idx))
-                w = state.window
-                w.busy_gpu += dseg
-                w.cu += cu * dseg
-                w.mu += mu * dseg
-                w.gpu_e += gpu_p * dseg
-                w.cpu_e += cpu_p * dseg
-                w.total_e += (gpu_p + cpu_p + board_p) * dseg
-                state.t = t_end
-                remaining -= dt / duration
-                if t_end >= state.next_sample - 1e-12:
-                    if self._close_window_static(state, governor,
-                                                 samples):
-                        # Level changed at the boundary: the remaining
-                        # fraction re-times at the new frequency, like
-                        # the generic loop's mid-op recompute.
-                        glevel = state.dvfs.level
-                        rows = self._op_rows(fp, batch, glevel, works)
-                        duration, gpu_p, cu, mu = rows[op_idx]
-                    cpu_busy_p, cpu_idle_p = self._cpu_during_gpu_powers(
-                        state.cpu_level)
-
-    def _close_window_static(self, state: "_RunState", governor,
-                             samples: List[TelemetrySample]) -> bool:
-        """Inlined :meth:`_maybe_sample` body for static runs (no
-        injector, no thermal override); same call order, same sample."""
-        w = state.window
-        t = state.t
-        period = t - w.start
-        if period <= 0:
-            period = self.sample_period
-        sample = TelemetrySample(
-            t=t,
-            period=period,
-            gpu_level=state.dvfs.level,
-            gpu_busy=min(1.0, w.busy_gpu / period),
-            compute_util=min(1.0, w.cu / period),
-            memory_util=min(1.0, w.mu / period),
-            gpu_power=w.gpu_e / period,
-            cpu_power=w.cpu_e / period,
-            total_power=w.total_e / period,
-            cpu_busy=min(1.0, w.busy_cpu / period),
-            cpu_level=state.cpu_level,
-        )
-        # record_sample_metrics() collapsed to the cached handle: the
-        # window was delivered (no injector) and cannot be faulty.
-        self._m_samples.inc()
-        if self.anomaly is not None:
-            self.anomaly.on_sample(sample)
-        if self.keep_samples:
-            samples.append(sample)
-        if state.cpu_policy == "ondemand":
-            # _update_cpu_policy inlined for the common host policy.
-            if sample.cpu_busy > 0.6:
-                state.cpu_level = len(self.platform.cpu.freq_levels) - 1
-            elif sample.cpu_busy < 0.1:
-                state.cpu_level = max(0, state.cpu_level - 2)
-        else:
-            self._update_cpu_policy(state, sample)
-        level = governor.on_sample(sample)
-        # The closed window object is unreachable once the sample is
-        # built; recycle it instead of allocating a fresh one.
-        w.reset(t)
-        state.next_sample = t + self.sample_period
-        if level is not None:
-            return self._apply_switch(state, level)
-        return False
-
-    def _op_rows(self, fp: str, batch_size: int, level: int,
-                 works: Sequence[OpWork]):
-        key = (fp, batch_size, level)
-        rows = self._op_row_cache.get(key)
-        if rows is None:
-            freq = self.platform.freq_of_level(level)
-            rows = simulator_op_rows(self.latency, self.power, works,
-                                     freq, batch_size)
-            self._op_row_cache[key] = rows
-        return rows
-
-    def _cpu_phase_row(self, cpu_level: int):
-        key = ("cpu_phase", cpu_level)
-        row = self._power_row_cache.get(key)
-        if row is None:
-            cpu_freq = self.platform.cpu.freq_levels[cpu_level]
-            row = (self.platform.cpu.ops_per_cycle * cpu_freq,
-                   self.power.cpu_busy(cpu_freq))
-            self._power_row_cache[key] = row
-        return row
-
-    def _cpu_during_gpu_powers(self, cpu_level: int):
-        key = ("cpu_during_gpu", cpu_level)
-        row = self._power_row_cache.get(key)
-        if row is None:
-            cpu_freq = self.platform.cpu.freq_levels[cpu_level]
-            row = (self.power.cpu_busy(cpu_freq),
-                   self.power.cpu_idle(cpu_freq))
-            self._power_row_cache[key] = row
-        return row
-
-    def _gpu_idle_power(self, level: int) -> float:
-        key = ("gpu_idle", level)
-        p = self._power_row_cache.get(key)
-        if p is None:
-            p = self.power.gpu_idle(self.platform.freq_of_level(level))
-            self._power_row_cache[key] = p
-        return p
+                # A level change at the window boundary re-times the
+                # remaining fraction of the op on the next pass.
+                self._maybe_sample(state, governor, samples)
 
     # ------------------------------------------------------------------
     # bookkeeping
@@ -612,11 +353,11 @@ class InferenceSimulator:
         state.t += dt
 
     def _maybe_sample(self, state: "_RunState", governor,
-                      samples: List[TelemetrySample]) -> bool:
+                      samples: List[TelemetrySample]) -> None:
         """Close the telemetry window if we reached its boundary; let the
-        governor react.  Returns True when the GPU level changed."""
+        governor react."""
         if state.t < state.next_sample - 1e-12:
-            return False
+            return
         w = state.window
         period = state.t - w.start
         if period <= 0:
@@ -657,8 +398,8 @@ class InferenceSimulator:
                 state.thermal.config.throttle_level)
             target = min(level, cap) if level is not None else cap
             if target != state.dvfs.level or state.dvfs.level > cap:
-                return self._apply_switch(state, min(target, cap))
-            return False
+                self._apply_switch(state, min(target, cap))
+            return
         if state.injector is not None and level is None:
             # External cap enforcement: when a cap window is active and
             # the GPU sits above it, the outside agent forces the clock
@@ -670,30 +411,28 @@ class InferenceSimulator:
                     state.dvfs.level > self.platform.clamp_level(cap):
                 level = state.dvfs.level
         if level is not None:
-            return self._apply_switch(state, level)
-        return False
+            self._apply_switch(state, level)
 
-    def _apply_switch(self, state: "_RunState", level: int) -> bool:
+    def _apply_switch(self, state: "_RunState", level: int) -> None:
         """Actuate a GPU level change; let a verifying governor retry.
 
         The governor's ``on_switch_result`` (when defined) sees every
         outcome — including clean ones — and may answer a failed command
         with a new target, bounded by :data:`MAX_ACTUATIONS_PER_POINT`.
         """
-        changed = self._actuate_once(state, level)
+        self._actuate_once(state, level)
         notify = getattr(self._governor, "on_switch_result", None)
         if notify is None:
-            return changed
+            return
         attempts = 0
         while attempts < MAX_ACTUATIONS_PER_POINT:
             retry = notify(state.last_switch_result)
             if retry is None:
                 break
             attempts += 1
-            changed = self._actuate_once(state, retry) or changed
-        return changed
+            self._actuate_once(state, retry)
 
-    def _actuate_once(self, state: "_RunState", level: int) -> bool:
+    def _actuate_once(self, state: "_RunState", level: int) -> None:
         """One actuation attempt, charging stall + CPU command cost."""
         result = state.dvfs.actuate(state.t, level,
                                     injector=state.injector)
@@ -711,7 +450,7 @@ class InferenceSimulator:
                     state.cpu_busy_until,
                     state.t + self.platform.dvfs_cpu_busy_s,
                 )
-            return False
+            return
         stall = self.platform.dvfs_stall_s + result.extra_stall_s
         self._m_switches.inc()
         self._m_switch_stall.observe(stall)
@@ -725,7 +464,6 @@ class InferenceSimulator:
             state.cpu_busy_until,
             state.t + self.platform.dvfs_cpu_busy_s,
         )
-        return True
 
     def _cpu_power_during_gpu(self, state: "_RunState") -> float:
         freq = self._cpu_freq(state)
@@ -738,13 +476,11 @@ class InferenceSimulator:
 
     def _initial_cpu_level(self, policy: str) -> int:
         ladder = self.platform.cpu.freq_levels
-        if policy == "max":
-            return len(ladder) - 1
         if policy == "efficient":
             return max(0, int(round(0.7 * (len(ladder) - 1))))
-        if policy == "plan":
-            return len(ladder) - 1  # replaced at the first sample
-        return len(ladder) - 1  # ondemand starts high under load
+        # 'max' pins the top; ondemand starts high under load; 'plan' is
+        # replaced at the first sample.
+        return len(ladder) - 1
 
     def _update_cpu_policy(self, state: "_RunState",
                            sample: TelemetrySample) -> None:

@@ -381,12 +381,6 @@ class SimulatedDevice:
                                  metrics=MetricsRegistry())
         self.anomaly = AnomalyDetector(config=anomaly_config,
                                        obs=self.obs)
-        # Shared across dispatches: the simulator's static fast path
-        # memoizes per-(fingerprint, batch, level) op rows here, so a
-        # device serving the same models repeatedly never re-derives
-        # their timing/power tables (values are byte-identical either
-        # way; see repro.hw.analytic.simulator_op_rows).
-        self._op_row_cache: dict = {}
         if governor in ("powerlens", "powerlens-family"):
             # Family mode reuses the preset runtime: the per-dispatch
             # plan *selection* below (plan cache + overlay keyed by
@@ -614,7 +608,6 @@ class SimulatedDevice:
             faults=faults,
             obs=sim_obs or self.obs,
             anomaly=self.anomaly,
-            op_row_cache=self._op_row_cache,
         )
         # The simulator registered its metrics above, so the snapshot
         # sees them and only the run's own effects differ afterwards.

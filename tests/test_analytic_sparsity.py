@@ -16,7 +16,7 @@ The contract under test (see ``repro.hw.perf.sparse_works`` and the
 * **category discipline** — only conv/dwconv/linear/attention ops are
   rescaled; io, norm, pooling and elementwise work is untouched;
 * **simulator plumbing** — ``InferenceJob.sparsity`` validates its
-  range and the static fast path keys its row cache per sparsity.
+  range, and a simulator's cached dense work rows survive sparse runs.
 """
 
 import numpy as np
@@ -145,21 +145,21 @@ class TestSimulatorSparsity:
 
     def test_row_cache_isolated_per_sparsity(self, evaluator, graph):
         plan = analytic_plan(evaluator, graph, 16, block_size=4)
-        cache: dict = {}
+        # One simulator for every run: its latency model caches the
+        # graph's dense per-op work rows, and sparse runs rescale copies.
+        sim = InferenceSimulator(PLATFORM, seed=3, keep_trace=True,
+                                 keep_samples=False)
 
         def run(s):
             gov = PresetGovernor([plan], resilient=True)
             job = InferenceJob(graph=graph, batch_size=16, n_batches=1,
                                sparsity=s)
-            sim = InferenceSimulator(PLATFORM, seed=3, keep_trace=True,
-                                     keep_samples=False,
-                                     op_row_cache=cache)
             return sim.run([job], gov).trace.total_energy
 
         dense_a = run(0.0)
         sparse_a = run(0.5)
-        # Re-running against the warm shared cache reproduces both
-        # exactly: the sparse keys never collide with the dense ones.
+        # Re-running against the warm cache reproduces both exactly: a
+        # sparse run never rescales the cached dense rows in place.
         assert run(0.0) == dense_a
         assert run(0.5) == sparse_a
         assert sparse_a < dense_a

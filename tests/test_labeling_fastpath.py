@@ -2,9 +2,10 @@
 
 Every optimization in the labeling hot path (pairs-einsum Mahalanobis,
 frontier DBSCAN, one-hot-cumsum majority filter, ProfileTable block
-reductions, memoized scheme sweep) retains its original loop
-implementation as a ``*_reference``; these property tests pin the fast
-paths to the references **byte for byte** — ``tobytes()``, not
+reductions, memoized scheme sweep) has its original loop
+implementation kept as a ``*_reference`` oracle in ``tests/oracles.py``;
+these property tests pin the fast paths to the oracles **byte for
+byte** — ``tobytes()``, not
 ``allclose`` — so labeling output (and therefore every dataset cache
 key's payload) is provably unchanged by the optimization work.
 """
@@ -16,23 +17,25 @@ from hypothesis import strategies as st
 
 from repro.core.clustering import (
     _mode_filter,
-    _mode_filter_reference,
     cluster_power_blocks,
-    cluster_power_blocks_reference,
     dbscan_precomputed,
-    dbscan_precomputed_reference,
     mahalanobis_matrix,
-    mahalanobis_matrix_reference,
 )
-from repro.core.labeling import (
-    label_network,
-    label_network_reference,
-)
+from repro.core.labeling import label_network
 from repro.core.schemes import ClusteringScheme
 from repro.core.features import DepthwiseFeatureExtractor
 from repro.hw.analytic import AnalyticEvaluator
 from repro.hw.platform import jetson_tx2
 from repro.models.random_gen import RandomDNNConfig, RandomDNNGenerator
+from tests.oracles import (
+    block_profile_reference,
+    cluster_power_blocks_reference,
+    dbscan_precomputed_reference,
+    label_network_reference,
+    mahalanobis_matrix_reference,
+    mode_filter_reference,
+    plan_energy_time_reference,
+)
 
 #: Small population + coarse grid keeps the exhaustive sweeps CI-fast.
 _SMALL_DNNS = RandomDNNConfig(min_stages=2, max_stages=3,
@@ -97,7 +100,7 @@ class TestModeFilterEquivalence:
         rng = np.random.default_rng(seed)
         labels = rng.integers(-1, n_labels, size=n)  # -1 = noise
         _assert_bytes_equal(_mode_filter(labels.copy(), window),
-                            _mode_filter_reference(labels.copy(), window))
+                            mode_filter_reference(labels.copy(), window))
 
 
 class TestClusterPowerBlocksEquivalence:
@@ -137,8 +140,8 @@ class TestProfileTableEquivalence:
             replace=False).tolist())
         for block in ([], contiguous, scattered, list(range(n_ops))):
             fast = tx2_evaluator.block_profile(graph, block, batch)
-            ref = tx2_evaluator.block_profile_reference(graph, block,
-                                                        batch)
+            ref = block_profile_reference(tx2_evaluator, graph, block,
+                                          batch)
             _assert_bytes_equal(fast.times, ref.times)
             _assert_bytes_equal(fast.energies, ref.energies)
 
@@ -171,8 +174,8 @@ class TestProfileTableEquivalence:
                   for _ in blocks]
         fast = tx2_evaluator.plan_energy_time(graph, blocks, levels,
                                               batch)
-        ref = tx2_evaluator.plan_energy_time_reference(graph, blocks,
-                                                       levels, batch)
+        ref = plan_energy_time_reference(tx2_evaluator, graph, blocks,
+                                         levels, batch)
         assert np.float64(fast[0]).tobytes() == np.float64(ref[0]).tobytes()
         assert np.float64(fast[1]).tobytes() == np.float64(ref[1]).tobytes()
 
