@@ -9,10 +9,11 @@ for — how much of the zero-fault EE gain does each runtime retain?
 Four runtimes execute the *same* drifting job flow over the *same*
 deterministic fault sequence:
 
-* **family** — :class:`~repro.governors.family.PlanFamilyGovernor`: a
-  plan *family* spanning both the build and the drift batch, with the
-  right member selected at each job's dispatch — input-aware, zero
-  reactive lag;
+* **family** — a :class:`~repro.governors.preset.PresetGovernor` fed
+  from a :class:`~repro.governors.family.PlanCache`: the plan family
+  holds a member per batch size, and the right member is installed
+  before each job — input-aware, zero reactive lag (the same pattern
+  the serving fleet uses);
 * **adaptive** — :class:`~repro.governors.adaptive.AdaptivePresetGovernor`:
   after every job the ledger's misprediction flags drive a bounded,
   re-scored plan correction (see the governor's module docstring);
@@ -61,9 +62,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.governors import (
     AdaptivePresetGovernor,
     OndemandGovernor,
-    PlanFamilyGovernor,
+    PlanCache,
     PresetGovernor,
-    build_plan_family,
+    analytic_plan,
 )
 from repro.graph import Graph, GraphBuilder
 from repro.hw.analytic import AnalyticEvaluator
@@ -73,7 +74,7 @@ from repro.hw.simulator import InferenceJob, InferenceSimulator
 from repro.obs import Observability, NULL_TRACER
 from repro.obs.ledger import EnergyLedger
 from repro.obs.metrics import MetricsRegistry
-from repro.serving.fleet import analytic_plan, derive_seed
+from repro.serving.fleet import derive_seed
 
 #: Fault-profile multipliers swept by default (0 = drift only).
 DEFAULT_SCALES = (0.0, 0.5, 1.0, 2.0)
@@ -246,9 +247,11 @@ def _run_flow(platform, graph: Graph, batches: Sequence[int],
               governor, profile: Optional[FaultProfile], seed: int,
               evaluator: Optional[AnalyticEvaluator] = None,
               latency_slack: float = 0.25,
+              store: Optional[PlanCache] = None,
               ) -> Tuple[float, List[_JobSig], int]:
     """Run the flow one job per simulation, feeding the adaptive loop
-    between jobs when ``governor`` supports it.
+    between jobs when ``governor`` supports it.  With a plan ``store``
+    each job first installs the member selected for its batch.
 
     Returns ``(energy_efficiency, per-job signatures, fault total)``.
     """
@@ -263,6 +266,8 @@ def _run_flow(platform, graph: Graph, batches: Sequence[int],
                            name=f"{graph.name}_drift_{jidx}")
         faults = shifted_faults(profile, offset,
                                 derive_seed(seed, jidx, "faults"))
+        if store is not None:
+            governor.add_plan(store.select(graph, batch)[0])
         plan = None
         if isinstance(governor, PresetGovernor):
             plan = governor.plan_for(graph.name)
@@ -324,17 +329,14 @@ def run_adaptive_retention(platform_name: str = "tx2",
                               metrics=MetricsRegistry()),
             resilient=True)
 
-    # One family spanning both batches of the flow.  Its build-batch
+    # One plan family for every batch of the flow.  Its build-batch
     # member is computed by the same ``analytic_plan`` call as
     # ``build_plan``, which is what makes the anchor flow byte-identical
     # to the static runtime.
-    family = build_plan_family(
-        evaluator, graph,
-        batch_grid=sorted({drift_batch, build_batch}),
-        latency_slack=latency_slack, block_size=block_size)
+    family = PlanCache(evaluator, latency_slack, block_size)
 
-    def family_gov() -> PlanFamilyGovernor:
-        return PlanFamilyGovernor([family], resilient=True)
+    def family_gov() -> PresetGovernor:
+        return PresetGovernor([], name="powerlens-family", resilient=True)
 
     result = AdaptiveRetentionResult(platform=platform.name,
                                      graph_name=graph.name,
@@ -349,7 +351,8 @@ def run_adaptive_retention(platform_name: str = "tx2",
         platform, graph, anchor_flow, adaptive_gov(), None, seed,
         evaluator=evaluator, latency_slack=latency_slack)
     anchor_family_ee, family_sigs, _ = _run_flow(
-        platform, graph, anchor_flow, family_gov(), None, seed)
+        platform, graph, anchor_flow, family_gov(), None, seed,
+        store=family)
     anchor_bim_ee, _, _ = _run_flow(
         platform, graph, anchor_flow, OndemandGovernor(), None, seed)
     result.anchor_ee = {"family": anchor_family_ee,
@@ -381,7 +384,8 @@ def run_adaptive_retention(platform_name: str = "tx2",
             ee, _, faults = _run_flow(
                 platform, graph, drift_flow, gov, prof, seed,
                 evaluator=evaluator if is_ad else None,
-                latency_slack=latency_slack)
+                latency_slack=latency_slack,
+                store=family if label == "family" else None)
             result.ee.setdefault(label, []).append(ee)
             if is_ad:
                 fault_total = faults

@@ -133,25 +133,3 @@ def interpolate_choice(choices: Sequence[BatchChoice],
         batch_latency=latency * batch,
     )
 
-
-def family_batch_grid(platform: PlatformSpec, graph: Graph,
-                      candidates: Sequence[int] = (1, 2, 4, 8, 16, 32, 64),
-                      latency_slack: float = 0.25,
-                      sparsity: float = 0.0) -> List[int]:
-    """Batch grid for a plan family: candidate batch sizes whose
-    *whole-graph* optimal level differs from the previous candidate's.
-
-    Consecutive candidates that agree on the optimal level would yield
-    near-identical family members; collapsing them keeps the family —
-    and its per-member validation-cache footprint — small.  The first
-    candidate is always kept so the family covers the space."""
-    choices = batch_sweep(platform, graph, candidates, latency_slack,
-                          sparsity)
-    choices.sort(key=lambda c: c.batch_size)
-    grid: List[int] = []
-    prev_level: Optional[int] = None
-    for choice in choices:
-        if prev_level is None or choice.level != prev_level:
-            grid.append(choice.batch_size)
-        prev_level = choice.level
-    return grid

@@ -15,9 +15,9 @@
   feedback loop: ledger misprediction flags and anomaly signals drive
   bounded, re-scored plan corrections between jobs, with rollback to
   the last-good plan when a correction regresses.
-* :class:`PlanFamilyGovernor` / :class:`AdaptivePlanFamilyGovernor` —
-  input-aware plan *families*: one analytic plan per (batch, sparsity)
-  bucket, selected at dispatch time (:mod:`repro.governors.family`).
+* :class:`PlanCache` — the input-aware plan *family*: one analytic
+  plan per (batch, sparsity bucket), selected before each job and
+  holding adopted corrections per member (:mod:`repro.governors.family`).
 """
 
 from repro.governors.base import (
@@ -40,24 +40,13 @@ from repro.governors.adaptive import (
     AdaptivePresetGovernor,
     ReplanHealth,
 )
-from repro.governors.family import (
-    AdaptivePlanFamilyGovernor,
-    FeatureBuckets,
-    PlanFamily,
-    PlanFamilyGovernor,
-    analytic_plan,
-    build_plan_family,
-)
+from repro.governors.family import PlanCache, analytic_plan
 
 __all__ = [
     "AdaptivePresetGovernor",
     "ReplanHealth",
-    "AdaptivePlanFamilyGovernor",
-    "FeatureBuckets",
-    "PlanFamily",
-    "PlanFamilyGovernor",
+    "PlanCache",
     "analytic_plan",
-    "build_plan_family",
     "Governor",
     "GOVERNOR_REGISTRY",
     "make_governor",

@@ -203,15 +203,6 @@ class PresetGovernor(Governor):
     safe_level:
         Static level for abandoned-plan jobs; default is the plan's
         median level.
-    validation_cache_size:
-        Bound on the job-start validation-verdict cache (FIFO).  The
-        default (256) suits a handful of plans per graph; plan
-        *families* sharing one graph mint a fingerprint per member and
-        can thrash a small cache, so family runtimes size it to the
-        family.  Evictions are counted in ``validation_evictions``
-        (and mirrored into
-        :class:`~repro.governors.adaptive.ReplanHealth` by the
-        adaptive governor).
     """
 
     name = "powerlens"
@@ -223,18 +214,12 @@ class PresetGovernor(Governor):
                  max_retries: int = 2,
                  max_block_failures: int = 3,
                  safe_level: Optional[int] = None,
-                 metrics: Optional[MetricsRegistry] = None,
-                 validation_cache_size: Optional[int] = None) -> None:
+                 metrics: Optional[MetricsRegistry] = None) -> None:
         super().__init__()
         if max_retries < 0:
             raise ValueError("max_retries must be >= 0")
         if max_block_failures < 1:
             raise ValueError("max_block_failures must be >= 1")
-        if validation_cache_size is not None:
-            if validation_cache_size < 1:
-                raise ValueError("validation_cache_size must be >= 1")
-            # Instance attribute shadows the class-level default.
-            self._VALIDATION_CACHE_SIZE = int(validation_cache_size)
         self.name = name
         self.resilient = resilient
         self.max_retries = max_retries
@@ -331,7 +316,11 @@ class PresetGovernor(Governor):
     # ------------------------------------------------------------------
     # plan execution
     # ------------------------------------------------------------------
-    #: Bound on the validation-verdict cache (FIFO eviction).
+    #: Bound on the validation-verdict cache (FIFO eviction).  Each
+    #: plan-family member and each adopted correction is a distinct
+    #: fingerprint; evictions are counted in ``validation_evictions``
+    #: (and mirrored into :class:`~repro.governors.adaptive.ReplanHealth`
+    #: by the adaptive governor).
     _VALIDATION_CACHE_SIZE = 256
 
     def _validated_plan(self, job) -> Optional[FrequencyPlan]:

@@ -4,7 +4,7 @@
 request-driven serving system (the ROADMAP's "millions of users" north
 star): seedable arrival traces (:mod:`~repro.serving.arrivals`),
 batch-coalescing queueing policies (:mod:`~repro.serving.queueing`),
-a heterogeneous device fleet with per-device plan caches and
+a heterogeneous device fleet with per-device plan stores and
 anomaly-fed health (:mod:`~repro.serving.fleet`), a deterministic
 discrete-event scheduler (:mod:`~repro.serving.scheduler`) and the
 fleet SLO report (:mod:`~repro.serving.slo_report`).
@@ -35,18 +35,21 @@ from repro.serving.arrivals import (
     make_trace,
     poisson_trace,
 )
+from repro.governors.family import (
+    PLAN_CACHE_VERSION,
+    PlanCache,
+    analytic_plan,
+    plan_cache_key,
+)
 from repro.serving.fleet import (
     DeviceConfig,
     DispatchRecord,
     Fleet,
-    PlanCache,
     RecoveryConfig,
     FAMILY_GOVERNORS,
     SERVING_GOVERNORS,
     SimulatedDevice,
-    analytic_plan,
     derive_seed,
-    plan_cache_key,
 )
 from repro.serving.queueing import (
     DeadlinePolicy,
@@ -80,7 +83,8 @@ __all__ = [
     "DeviceConfig", "DispatchRecord", "Fleet", "PlanCache",
     "RecoveryConfig", "FAMILY_GOVERNORS", "SERVING_GOVERNORS",
     "SimulatedDevice",
-    "analytic_plan", "derive_seed", "plan_cache_key",
+    "PLAN_CACHE_VERSION", "analytic_plan", "derive_seed",
+    "plan_cache_key",
     "DeadlinePolicy", "EnergyAwarePolicy", "FifoPolicy",
     "POLICY_REGISTRY", "QueuePolicy", "make_policy",
     "FleetScheduler", "SchedulerConfig", "ServingResult",

@@ -4,12 +4,14 @@ Each :class:`SimulatedDevice` wraps one :class:`~repro.hw.platform.\
 PlatformSpec` (TX2, AGX, ...) plus everything the serving layer needs
 to treat it as an independent worker:
 
-* a **plan cache** — per-device frequency plans built analytically
-  (NeuralPower-style closed-form oracle, no fitted lens required) and
-  keyed by a content hash exactly like
-  :func:`repro.core.persistence.dataset_cache_key`: any change to the
-  platform's power model, the graph, the batch size or the planner
-  parameters yields a new key;
+* a **plan store** — the device's
+  :class:`~repro.governors.family.PlanCache`: frequency plans built
+  analytically (NeuralPower-style closed-form oracle, no fitted lens
+  required), keyed by a content hash exactly like
+  :func:`repro.core.persistence.dataset_cache_key` (any change to the
+  platform's power model, the graph, the batch size, the sparsity
+  bucket or the planner parameters yields a new key), plus the
+  corrections the adaptive governors adopt per member;
 * a **dispatch-time cost model** — predicted wall time and joules of a
   job on this device from the same
   :class:`~repro.hw.analytic.ProfileTable`, which is what lets the
@@ -42,10 +44,7 @@ never from wall clock or ``hash()``.
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
-import json
-import threading
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -53,14 +52,13 @@ from repro.graph import Graph
 from repro.governors import (
     GOVERNOR_REGISTRY,
     AdaptivePresetGovernor,
-    FrequencyPlan,
     PresetGovernor,
     make_governor,
 )
-from repro.governors.family import analytic_plan, floor_bucket
+from repro.governors.family import PlanCache
 from repro.hw.analytic import AnalyticEvaluator
 from repro.hw.faults import FaultProfile
-from repro.hw.platform import PlatformSpec, get_platform
+from repro.hw.platform import get_platform
 from repro.hw.simulator import InferenceJob, InferenceSimulator
 from repro.obs import Observability, NULL_TRACER
 from repro.obs.anomaly import AnomalyConfig, AnomalyDetector
@@ -72,15 +70,9 @@ from repro.obs.metrics import (
     MetricsRegistry,
 )
 
-__all__ = ["PLAN_CACHE_VERSION", "plan_cache_key", "analytic_plan",
-           "PlanCache", "DeviceConfig", "DispatchRecord",
+__all__ = ["DeviceConfig", "DispatchRecord",
            "RecoveryConfig", "SimulatedDevice", "Fleet", "derive_seed",
            "SERVING_GOVERNORS", "FAMILY_GOVERNORS"]
-
-#: Bump when the analytic planner's semantics change (invalidates keys).
-#: v2: plan keys carry the activation-sparsity bucket the plan was
-#: built for (0.0 plans are numerically unchanged from v1).
-PLAN_CACHE_VERSION = 2
 
 #: Governor names the serving layer accepts: every registry governor
 #: plus the preset PowerLens runtime fed by the analytic planner, its
@@ -100,83 +92,6 @@ def derive_seed(*parts: object) -> int:
     ``hash()`` — the latter is salted per process)."""
     blob = "/".join(str(p) for p in parts).encode()
     return int.from_bytes(hashlib.sha256(blob).digest()[:8], "big") >> 1
-
-
-def plan_cache_key(platform: PlatformSpec, graph: Graph,
-                   batch_size: int, latency_slack: float,
-                   block_size: int, sparsity: float = 0.0) -> str:
-    """Content hash of everything a device's frequency plan depends on
-    (same recipe as :func:`repro.core.persistence.dataset_cache_key`)."""
-    payload = {
-        "version": PLAN_CACHE_VERSION,
-        "platform": dataclasses.asdict(platform),
-        "graph_fingerprint": graph.fingerprint(),
-        "batch_size": int(batch_size),
-        "latency_slack": latency_slack,
-        "block_size": int(block_size),
-        "sparsity": float(sparsity),
-    }
-    blob = json.dumps(payload, sort_keys=True, default=list)
-    return hashlib.sha256(blob.encode()).hexdigest()[:32]
-
-
-# ``analytic_plan`` (the closed-form per-block planner) lives with the
-# plan-family machinery in :mod:`repro.governors.family` — it is the
-# family member builder — and is re-exported here (``__all__``) because
-# the serving layer is its historical home.
-
-
-class PlanCache:
-    """Per-device plan store, keyed by :func:`plan_cache_key`.
-
-    Thread-safe under one device-level lock so the scheduler can
-    pre-warm many devices' caches in parallel (``n_jobs``) while each
-    device's underlying :class:`AnalyticEvaluator` LRU stays
-    single-threaded.
-    """
-
-    def __init__(self, evaluator: AnalyticEvaluator,
-                 latency_slack: float = 0.25,
-                 block_size: int = 8) -> None:
-        self.evaluator = evaluator
-        self.latency_slack = latency_slack
-        self.block_size = block_size
-        self.hits = 0
-        self.misses = 0
-        self._plans: Dict[str, FrequencyPlan] = {}
-        # Content hashes per (graph fingerprint, batch, sparsity): the
-        # other key inputs are fixed per cache, so a lookup need not
-        # re-serialize the platform on every dispatch.
-        self._keys: Dict[Tuple[str, int, float], str] = {}
-        self._lock = threading.Lock()
-
-    def key_for(self, graph: Graph, batch_size: int,
-                sparsity: float = 0.0) -> str:
-        ident = (graph.fingerprint(), int(batch_size), float(sparsity))
-        key = self._keys.get(ident)
-        if key is None:
-            key = self._keys[ident] = plan_cache_key(
-                self.evaluator.platform, graph, batch_size,
-                self.latency_slack, self.block_size, sparsity)
-        return key
-
-    def get_or_build(self, graph: Graph, batch_size: int,
-                     sparsity: float = 0.0) -> FrequencyPlan:
-        key = self.key_for(graph, batch_size, sparsity)
-        with self._lock:
-            plan = self._plans.get(key)
-            if plan is not None:
-                self.hits += 1
-                return plan
-            self.misses += 1
-            plan = analytic_plan(self.evaluator, graph, batch_size,
-                                 self.latency_slack, self.block_size,
-                                 sparsity=sparsity)
-            self._plans[key] = plan
-            return plan
-
-    def __len__(self) -> int:
-        return len(self._plans)
 
 
 @dataclass(frozen=True)
@@ -355,26 +270,16 @@ class SimulatedDevice:
         self.faults = faults if faults is not None and not faults.is_zero \
             else None
         self.unhealthy_after = unhealthy_after
-        # Family mode: plans are additionally keyed by the activation
-        # sparsity *bucket* of each job.  ``sparsity_edges`` are the
-        # bucket lower edges (sorted, each edge doubling as the
-        # representative sparsity its plans are built at); non-family
-        # governors keep the single dense bucket so every key, plan and
-        # event they produce stays byte-identical to the pre-family
-        # serving layer.
-        self.family_enabled = governor in FAMILY_GOVERNORS
-        edges = tuple(sorted({float(s) for s in sparsity_edges}))
-        if not edges:
-            raise ValueError("at least one sparsity edge required")
-        if not all(0.0 <= s < 1.0 for s in edges):
-            raise ValueError("sparsity edges must be in [0, 1)")
-        if edges[0] != 0.0:
-            # Totality: jobs below the first edge must land somewhere.
-            edges = (0.0,) + edges
-        self.sparsity_edges = edges if self.family_enabled else (0.0,)
         self.evaluator = AnalyticEvaluator(self.platform)
+        # Family mode: plans are additionally keyed by the activation
+        # sparsity *bucket* of each job.  Non-family governors keep the
+        # single dense bucket (after the edges are validated) so every
+        # key, plan and event they produce stays byte-identical to the
+        # pre-family serving layer.
         self.plan_cache = PlanCache(self.evaluator, latency_slack,
-                                    block_size)
+                                    block_size, sparsity_edges)
+        if governor not in FAMILY_GOVERNORS:
+            self.plan_cache.sparsity_edges = (0.0,)
         # Per-device metrics, merged fleet-wide after the run; the
         # tracer stays off (span timing would not be deterministic).
         self.obs = Observability(tracer=NULL_TRACER,
@@ -383,9 +288,9 @@ class SimulatedDevice:
                                        obs=self.obs)
         if governor in ("powerlens", "powerlens-family"):
             # Family mode reuses the preset runtime: the per-dispatch
-            # plan *selection* below (plan cache + overlay keyed by
-            # sparsity bucket) is the family; the runtime only ever
-            # sees the selected member.
+            # plan *selection* below (the plan store, keyed by sparsity
+            # bucket) is the family; the runtime only ever sees the
+            # selected member.
             self._governor = PresetGovernor([], name=governor,
                                             metrics=self.obs.metrics)
         elif governor in ("powerlens-adaptive",
@@ -395,12 +300,6 @@ class SimulatedDevice:
                 obs=self.obs, name=governor)
         else:
             self._governor = make_governor(governor)
-        # Adopted corrections per (graph fingerprint, batch, sparsity
-        # bucket): the adaptive loop's plans survive across dispatches
-        # without polluting the content-hash plan cache, and nudges
-        # never leak across family members.
-        self._plan_overlay: Dict[Tuple[str, int, float],
-                                 FrequencyPlan] = {}
         # Dispatch memo: key -> (record of the full run, its metric
         # tape); None when a dispatch is not a pure function of its key.
         # Hit/miss counts are for tests and benches only.
@@ -433,26 +332,13 @@ class SimulatedDevice:
     # ------------------------------------------------------------------
     # planning / prediction
     # ------------------------------------------------------------------
-    def sparsity_bucket(self, sparsity: float) -> float:
-        """Representative sparsity the plans for ``sparsity`` are built
-        at: the largest configured edge not exceeding it (the
-        :class:`~repro.governors.family.FeatureBuckets` floor rule;
-        always 0.0 for non-family governors)."""
-        edges = self.sparsity_edges
-        return edges[floor_bucket(edges, float(sparsity))]
-
-    def plan_for(self, graph: Graph, batch_size: int,
-                 sparsity: float = 0.0) -> FrequencyPlan:
-        return self.plan_cache.get_or_build(
-            graph, batch_size, self.sparsity_bucket(sparsity))
-
     def prewarm(self, graphs: Sequence[Graph], batch_sizes:
                 Sequence[int]) -> None:
         """Build every plan this device could need (pure, idempotent —
         safe to run from a thread pool)."""
         for graph in graphs:
             for batch in batch_sizes:
-                for edge in self.sparsity_edges:
+                for edge in self.plan_cache.sparsity_edges:
                     self.plan_cache.get_or_build(graph, batch, edge)
                 self.predict(graph, batch)
 
@@ -561,26 +447,18 @@ class SimulatedDevice:
         duration.  Seeds are derived per dispatch so repeated runs of
         the same trace replay the same noise and faults.
         """
-        plan = None
-        sbucket = self.sparsity_bucket(job.sparsity)
-        overlay_key = (job.graph.fingerprint(), int(job.batch_size),
-                       sbucket)
-        executed_plan = None
+        plan, sbucket, plan_fingerprint = None, 0.0, ""
         if isinstance(self._governor, PresetGovernor):
-            plan = self._plan_overlay.get(overlay_key)
-            if plan is None:
-                plan = self.plan_for(job.graph, job.batch_size,
-                                     sbucket)
+            plan, sbucket = self.plan_cache.select(
+                job.graph, job.batch_size, job.sparsity)
             self._governor.add_plan(plan)
-            executed_plan = plan
-        plan_fingerprint = (executed_plan.fingerprint()
-                            if executed_plan is not None else "")
+            plan_fingerprint = plan.fingerprint()
         memo = self._memo
         if memo is not None:
             # The graph name joins the key because the preset governor
             # looks plans up by name, not fingerprint.
-            memo_key = (job.graph.name, overlay_key[0], overlay_key[1],
-                        job.n_batches, job.sparsity,
+            memo_key = (job.graph.name, job.graph.fingerprint(),
+                        int(job.batch_size), job.n_batches, job.sparsity,
                         job.cpu_work_per_image, plan_fingerprint)
             entry = memo.get(memo_key)
             if entry is not None:
@@ -634,7 +512,8 @@ class SimulatedDevice:
                 sparsity=job.sparsity)
             current = self._governor.plan_for(job.graph.name)
             if current is not None and current is not plan:
-                self._plan_overlay[overlay_key] = current
+                self.plan_cache.adopt(job.graph, job.batch_size, sbucket,
+                                      current)
         else:
             ledger = EnergyLedger.from_result(result, plan=plan,
                                               graph=job.graph)

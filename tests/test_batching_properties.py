@@ -25,7 +25,6 @@ from repro.extensions.batching import (
     BatchChoice,
     batch_sweep,
     best_batch_size,
-    family_batch_grid,
     interpolate_choice,
 )
 from repro.hw.platform import get_platform
@@ -146,24 +145,3 @@ class TestSweepSparsity:
                                  sparsity=0.5)
         assert sparse.energy_per_image < dense.energy_per_image
 
-    def test_family_batch_grid_collapses_stable_levels(self):
-        graph = build_small_cnn()
-        candidates = (1, 2, 4, 8, 16, 32)
-        grid = family_batch_grid(PLATFORM, graph, candidates=candidates)
-        assert grid
-        assert grid[0] == 1
-        assert grid == sorted(set(grid))
-        assert set(grid) <= set(candidates)
-        # Consecutive candidates sharing an optimal level collapse into
-        # one grid point: the grid is never larger than the sweep, and
-        # each kept point starts a new level segment.
-        choices = {c.batch_size: c.level
-                   for c in batch_sweep(PLATFORM, graph,
-                                        candidates=candidates)}
-        ordered = sorted(candidates)
-        for a, b in zip(ordered, ordered[1:]):
-            if choices[a] == choices[b]:
-                assert b not in grid or any(
-                    choices[c] != choices[a]
-                    for c in ordered[ordered.index(a) + 1:
-                                     ordered.index(b)])

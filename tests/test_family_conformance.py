@@ -16,6 +16,8 @@ Two layers of lock-down:
 
 from __future__ import annotations
 
+import hashlib
+import json
 import math
 
 import pytest
@@ -67,6 +69,13 @@ class TestRetentionOrdering:
         # No drift => the family always selects the build-batch member,
         # which is the same plan object the static governor runs.
         assert retention.anchor_identical
+
+    def test_default_sweep_digest_pinned(self, retention):
+        # Every float of the default sweep, all four runtimes: the
+        # sha256 of the exact JSON text of ``to_dict()``.
+        blob = json.dumps(retention.to_dict(), sort_keys=True).encode()
+        assert hashlib.sha256(blob).hexdigest() == (
+            "4384a262b396d0809167d3c4e7ee716de45f8d76ff72d26b254f8defc5b37e39")
 
     def test_to_dict_exports_family_series(self, retention):
         data = retention.to_dict()

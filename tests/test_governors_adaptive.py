@@ -24,7 +24,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.experiments.adaptive import build_drift_net
-from repro.governors import AdaptivePresetGovernor, PresetGovernor
+from repro.governors import (AdaptivePresetGovernor, PresetGovernor,
+                             analytic_plan)
 from repro.governors.adaptive import _Trial
 from repro.hw.analytic import AnalyticEvaluator
 from repro.hw.platform import get_platform
@@ -32,7 +33,6 @@ from repro.hw.simulator import InferenceJob, InferenceSimulator
 from repro.obs import Observability, NULL_TRACER
 from repro.obs.ledger import EnergyLedger
 from repro.obs.metrics import MetricsRegistry
-from repro.serving.fleet import analytic_plan
 from tests.conftest import build_small_cnn
 
 PLATFORM = get_platform("tx2")

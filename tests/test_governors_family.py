@@ -1,24 +1,25 @@
-"""Plan families: bucketing, dispatch-time selection, composition.
+"""Plan families: the plan store's bucketing, member selection and
+per-member corrections.
 
 The contract under test (see ``repro.governors.family``):
 
-* **bucket determinism + totality** — ``FeatureBuckets.bucket_for`` is
-  pure arithmetic: every ``(batch >= 1, sparsity in [0, 1))`` maps to
-  exactly one in-range bucket, the same one on every call, and a
-  serving device configured with the same sparsity edges selects the
-  same bucket (hypothesis-pinned);
-* **size-1 degeneration** — a family of one member issues byte-identical
-  DVFS commands to a :class:`PresetGovernor` carrying the same plan
-  (per-job energy/time/switch-count signatures over simulator runs);
-* **member selection** — jobs land on the member whose bucket covers
-  their ``(batch, sparsity)``, and the selection counters track swaps;
-* **adaptive composition** — ``AdaptivePlanFamilyGovernor`` writes
-  nudged plans back to the member that produced the evidence, leaving
-  sibling members untouched;
-* **validation-cache satellite** — the ``validation_cache_size`` knob
-  of the base :class:`PresetGovernor` bounds the verdict cache, counts
-  evictions, and the adaptive subclass mirrors the count into
-  :class:`ReplanHealth`.
+* **bucket determinism + totality** — :meth:`PlanCache.select` is pure
+  arithmetic: every ``(batch >= 1, sparsity in [0, 1))`` maps to exactly
+  one configured bucket, the floor of the sparsity, and the same member
+  on every call (hypothesis-pinned);
+* **size-1 degeneration** — a ``powerlens-family`` device with only the
+  dense bucket dispatches byte-identically to a ``powerlens`` device;
+* **member selection** — members built at a grid point equal
+  :func:`analytic_plan` for it, and each job runs the member of its
+  ``(batch, sparsity bucket)``;
+* **adaptive composition** — a correction adopted on a
+  ``powerlens-family-adaptive`` device is written back to the member
+  that produced the evidence, leaving sibling members untouched;
+* **validation-cache bound** — the preset governor's verdict cache
+  counts evictions, and the adaptive subclass mirrors the count into
+  :class:`ReplanHealth`;
+* **zero-op graphs** — selecting or predicting for a graph without
+  operators raises and caches nothing.
 """
 
 import pytest
@@ -26,20 +27,20 @@ from hypothesis import given, settings, strategies as st
 
 from repro.experiments.adaptive import build_drift_net
 from repro.governors import (
-    AdaptivePlanFamilyGovernor,
     AdaptivePresetGovernor,
-    FeatureBuckets,
-    PlanFamily,
-    PlanFamilyGovernor,
+    FrequencyPlan,
+    PlanCache,
+    PlanStep,
     PresetGovernor,
     analytic_plan,
-    build_plan_family,
 )
+from repro.graph import Graph
 from repro.hw.analytic import AnalyticEvaluator
 from repro.hw.platform import get_platform
 from repro.hw.simulator import InferenceJob, InferenceSimulator
-from repro.obs.ledger import EnergyLedger
+from repro.obs.metrics import MetricsRegistry
 from repro.serving import DeviceConfig, SimulatedDevice
+from tests.conftest import build_small_cnn
 
 PLATFORM = get_platform("tx2")
 EVALUATOR = AnalyticEvaluator(PLATFORM)
@@ -52,28 +53,36 @@ def _graph():
     return build_drift_net()
 
 
-def _family(graph, batches=(1, 16), sparsities=(0.0,)):
-    return build_plan_family(EVALUATOR, graph, batch_grid=batches,
-                             sparsity_grid=sparsities,
-                             block_size=BLOCK_SIZE)
+def _store(sparsities=(0.0,)):
+    return PlanCache(EVALUATOR, block_size=BLOCK_SIZE,
+                     sparsity_edges=sparsities)
 
 
-def _run_job(gov, graph, batch, seed=0, sparsity=0.0):
-    job = InferenceJob(graph=graph, batch_size=batch, n_batches=1,
-                       name=f"{graph.name}_j", sparsity=sparsity)
+def _device(governor, sparsities=(0.0,)):
+    return SimulatedDevice(DeviceConfig("d", "tx2"), governor=governor,
+                           block_size=BLOCK_SIZE,
+                           sparsity_edges=sparsities)
+
+
+def _job(graph, batch, sparsity=0.0):
+    return InferenceJob(graph=graph, batch_size=batch, n_batches=1,
+                        name=f"{graph.name}_j", sparsity=sparsity)
+
+
+def _run_job(gov, graph, batch, seed=0):
     sim = InferenceSimulator(PLATFORM, seed=seed, keep_trace=True,
                              keep_samples=False)
-    result = sim.run([job], gov)
+    result = sim.run([_job(graph, batch)], gov)
     return (result.trace.total_energy, result.report.total_time,
-            result.switch_count), result
+            result.switch_count)
 
 
 # ----------------------------------------------------------------------
 # bucket determinism + totality
 # ----------------------------------------------------------------------
 class TestFeatureBuckets:
-    @settings(max_examples=200, deadline=None)
-    @given(batch=st.integers(1, 10_000),
+    @settings(max_examples=100, deadline=None)
+    @given(batch=st.integers(1, 64),
            sparsity=st.floats(0.0, 1.0, exclude_max=True,
                               allow_nan=False),
            extra_edges=st.lists(st.floats(0.0, 1.0, exclude_max=True,
@@ -81,89 +90,102 @@ class TestFeatureBuckets:
                                 max_size=4))
     def test_total_and_deterministic(self, batch, sparsity,
                                      extra_edges):
-        edges = tuple(sorted({0.0, 0.25, 0.5, *extra_edges}))
-        fb = FeatureBuckets((1, 4, 16, 64), edges)
-        b = fb.bucket_for(batch, sparsity)
-        # The fleet device applies the same floor rule to the same
-        # edges: its plan bucket is this bucket's representative.
-        device = SimulatedDevice(DeviceConfig("d", "tx2"),
-                                 governor="powerlens-family",
-                                 sparsity_edges=edges)
-        assert device.sparsity_bucket(sparsity) == fb.representative(b)[1]
-        assert b == fb.bucket_for(batch, sparsity)
-        assert 0 <= b[0] < len(fb.batch_edges)
-        assert 0 <= b[1] < len(fb.sparsity_edges)
-        # The selected edges are the floor of the inputs on each axis.
-        lo_b, lo_s = fb.representative(b)
-        assert lo_b <= batch
-        assert lo_s <= sparsity
-        if b[0] + 1 < len(fb.batch_edges):
-            assert batch < fb.batch_edges[b[0] + 1]
-        if b[1] + 1 < len(fb.sparsity_edges):
-            assert sparsity < fb.sparsity_edges[b[1] + 1]
+        graph = build_small_cnn()
+        store = PlanCache(EVALUATOR,
+                          sparsity_edges=(0.25, 0.5, *extra_edges))
+        edges = store.sparsity_edges
+        plan, bucket = store.select(graph, batch, sparsity)
+        assert store.select(graph, batch, sparsity) == (plan, bucket)
+        assert plan is store.get_or_build(graph, batch, bucket)
+        # The selected bucket is the floor of the sparsity.
+        i = edges.index(bucket)
+        assert bucket <= sparsity
+        if i + 1 < len(edges):
+            assert sparsity < edges[i + 1]
 
     @settings(max_examples=50, deadline=None)
-    @given(edges=st.lists(st.integers(1, 512), min_size=1, max_size=6,
-                          unique=True))
+    @given(edges=st.lists(st.floats(0.0, 1.0, exclude_max=True,
+                                    allow_nan=False),
+                          min_size=1, max_size=6, unique=True))
     def test_exact_edges_select_their_own_bucket(self, edges):
-        fb = FeatureBuckets(tuple(sorted(edges)))
-        for i, edge in enumerate(fb.batch_edges):
-            assert fb.bucket_for(edge) == (i, 0)
+        store = _store(edges)
+        for edge in store.sparsity_edges:
+            assert store.bucket(edge) == edge
 
     def test_below_first_edge_clamps_to_bucket_zero(self):
-        fb = FeatureBuckets((4, 16))
-        assert fb.bucket_for(1) == (0, 0)
-        assert fb.bucket_for(10**9) == (1, 0)
+        graph = build_small_cnn()
+        store = _store((0.6, 0.3, 0.3))
+        # Sorted, de-duplicated, 0.0 prepended for totality.
+        assert store.sparsity_edges == (0.0, 0.3, 0.6)
+        assert store.select(graph, 4, 0.1)[1] == 0.0
+        assert store.select(graph, 4, 0.99)[1] == 0.6
 
-    @pytest.mark.parametrize("batch_edges,sparsity_edges", [
-        ((), (0.0,)),               # no batch edges
-        ((4, 1), (0.0,)),           # unsorted
-        ((1, 1), (0.0,)),           # duplicate
-        ((0,), (0.0,)),             # batch < 1
-        ((1,), ()),                 # no sparsity edges
-        ((1,), (1.0,)),             # sparsity out of range
-        ((1,), (-0.1,)),
-        ((1,), (0.5, 0.2)),         # unsorted sparsity
+    @pytest.mark.parametrize("sparsity_edges", [
+        (),                         # no edges
+        (1.0,),                     # out of range
+        (-0.1,),
+        (0.2, 1.5),
     ])
-    def test_invalid_edges_rejected(self, batch_edges, sparsity_edges):
-        with pytest.raises(ValueError):
-            FeatureBuckets(batch_edges, sparsity_edges)
+    def test_invalid_edges_rejected(self, sparsity_edges):
+        with pytest.raises(ValueError, match="sparsity edge"):
+            _store(sparsity_edges)
+        with pytest.raises(ValueError, match="sparsity edge"):
+            _device("powerlens", sparsity_edges)
 
 
 class TestPlanFamily:
     def test_family_must_be_total(self):
+        # Every (batch, bucket) of the grid has a member after prewarm,
+        # and dispatch only selects among them.
         graph = _graph()
-        fam = _family(graph)
-        missing = dict(fam.members)
-        missing.pop(next(iter(missing)))
-        with pytest.raises(ValueError, match="every bucket"):
-            PlanFamily(graph_name=graph.name, buckets=fam.buckets,
-                       members=missing)
+        device = _device("powerlens-family", (0.0, 0.3, 0.6))
+        device.prewarm([graph], [1, 16])
+        store = device.plan_cache
+        assert len(store) == 2 * 3
+        misses = store.misses
+        for batch in (1, 16):
+            for sparsity in (0.0, 0.2, 0.3, 0.59, 0.6, 0.99):
+                plan, bucket = store.select(graph, batch, sparsity)
+                assert bucket in store.sparsity_edges
+        assert store.misses == misses
 
     def test_member_graph_name_checked(self):
-        graph = _graph()
-        fam = _family(graph, batches=(1,))
-        with pytest.raises(ValueError, match="not"):
-            PlanFamily(graph_name="other", buckets=fam.buckets,
-                       members=dict(fam.members))
+        # Members carry their graph's name because the preset runtime
+        # looks plans up by name: two models with the same structure
+        # under different names each get their own member.
+        a, b = build_small_cnn("net_a"), build_small_cnn("net_b")
+        assert a.fingerprint() == b.fingerprint()
+        device = _device("powerlens-family")
+        assert device.plan_cache.select(a, 4)[0].graph_name == "net_a"
+        assert device.plan_cache.select(b, 4)[0].graph_name == "net_b"
+        device.execute(_job(a, 4), 0)
+        fresh = _device("powerlens-family")
+        assert device.execute(_job(b, 4), 1) \
+            == fresh.execute(_job(b, 4), 1)
 
     def test_grid_point_members_match_analytic_plan(self):
         graph = _graph()
-        fam = _family(graph, batches=(1, 16))
-        for (bi, sj), member in fam.members.items():
-            expected = analytic_plan(
-                EVALUATOR, graph, fam.buckets.batch_edges[bi],
-                block_size=BLOCK_SIZE,
-                sparsity=fam.buckets.sparsity_edges[sj])
-            assert member.steps == expected.steps
+        store = _store((0.0, 0.5))
+        for batch in (1, 16):
+            for edge in store.sparsity_edges:
+                member, bucket = store.select(graph, batch, edge)
+                assert bucket == edge
+                expected = analytic_plan(EVALUATOR, graph, batch,
+                                         block_size=BLOCK_SIZE,
+                                         sparsity=edge)
+                assert member.steps == expected.steps
 
     def test_member_for_uses_buckets(self):
         graph = _graph()
-        fam = _family(graph, batches=(1, 16))
-        assert fam.member_for(1) is fam.members[(0, 0)]
-        assert fam.member_for(8) is fam.members[(0, 0)]
-        assert fam.member_for(16) is fam.members[(1, 0)]
-        assert fam.member_for(999) is fam.members[(1, 0)]
+        store = _store((0.0, 0.5))
+        dense = store.select(graph, 16, 0.0)[0]
+        assert store.select(graph, 16, 0.49)[0] is dense
+        sparse = store.select(graph, 16, 0.5)[0]
+        assert store.select(graph, 16, 0.99)[0] is sparse
+        assert sparse is not dense
+        # The batch axis is exact: every batch size has its own member.
+        assert store.select(graph, 8, 0.0)[0] is not dense
+        assert (store.hits, store.misses) == (2, 3)
 
 
 # ----------------------------------------------------------------------
@@ -171,21 +193,17 @@ class TestPlanFamily:
 # ----------------------------------------------------------------------
 class TestSizeOneIdentity:
     @settings(max_examples=6, deadline=None)
-    @given(seed=st.integers(0, 2**31), batch=st.sampled_from([1, 4, 16]))
-    def test_family_of_one_matches_preset(self, seed, batch):
+    @given(seq=st.integers(0, 2**31), batch=st.sampled_from([1, 4, 16]),
+           sparsity=st.sampled_from([0.0, 0.3, 0.7]))
+    def test_family_of_one_matches_preset(self, seq, batch, sparsity):
         graph = _graph()
-        fam = _family(graph, batches=(batch,))
-        assert fam.size == 1
-        plan = fam.members[(0, 0)]
-        static = PresetGovernor([plan], resilient=True)
-        family = PlanFamilyGovernor([fam], resilient=True)
+        family = _device("powerlens-family")
+        static = _device("powerlens")
         for j in range(3):
-            sig_s, _ = _run_job(static, graph, batch, seed=seed + j)
-            sig_f, _ = _run_job(family, graph, batch, seed=seed + j)
-            assert sig_f == sig_s
-        # One lookup per job, and the single member never swaps out.
-        assert family.family_selections == 3
-        assert family.family_switches == 0
+            job = _job(graph, batch, sparsity)
+            assert family.execute(job, seq + j) \
+                == static.execute(job, seq + j)
+        assert len(family.plan_cache) == 1
 
 
 # ----------------------------------------------------------------------
@@ -194,116 +212,119 @@ class TestSizeOneIdentity:
 class TestMemberSelection:
     def test_selected_member_is_installed_plan(self):
         graph = _graph()
-        fam = _family(graph, batches=(1, 16))
-        gov = PlanFamilyGovernor([fam], resilient=True)
-        _run_job(gov, graph, 16)
-        assert gov.plan_for(graph.name) is fam.members[(1, 0)]
-        _run_job(gov, graph, 1)
-        assert gov.plan_for(graph.name) is fam.members[(0, 0)]
-        assert gov.family_selections == 2
-        assert gov.family_switches == 1
+        device = _device("powerlens-family")
+        for batch in (16, 1):
+            device.execute(_job(graph, batch), 0)
+            assert device._governor.plan_for(graph.name) \
+                is device.plan_cache.select(graph, batch)[0]
 
     def test_family_beats_single_stale_plan_on_drift(self):
         graph = _graph()
-        fam = _family(graph, batches=(1, 16))
-        stale = PresetGovernor([fam.members[(1, 0)]], resilient=True)
-        family = PlanFamilyGovernor([fam], resilient=True)
-        e_stale = sum(_run_job(stale, graph, 1, seed=s)[0][0]
+        store = _store()
+        stale = PresetGovernor([store.select(graph, 16)[0]],
+                               resilient=True)
+        member = PresetGovernor([store.select(graph, 1)[0]],
+                                resilient=True)
+        e_stale = sum(_run_job(stale, graph, 1, seed=s)[0]
                       for s in range(3))
-        e_family = sum(_run_job(family, graph, 1, seed=s)[0][0]
+        e_member = sum(_run_job(member, graph, 1, seed=s)[0]
                        for s in range(3))
-        assert e_family < e_stale
-
-    def test_graph_without_family_falls_back(self):
-        graph = _graph()
-        fam = _family(graph, batches=(1, 16))
-        gov = PlanFamilyGovernor([fam], resilient=True)
-        from tests.conftest import build_small_cnn
-        other = build_small_cnn("no_family_net")
-        sig, _ = _run_job(gov, other, 4)
-        # No plan, no selection — runs at the fallback level.
-        assert gov.family_selections == 0
-        assert gov.plan_for(other.name) is None
-        assert sig[0] > 0
+        assert e_member < e_stale
 
     def test_sparsity_axis_selects_sparse_member(self):
         graph = _graph()
-        fam = _family(graph, batches=(16,), sparsities=(0.0, 0.5))
-        gov = PlanFamilyGovernor([fam], resilient=True)
-        _run_job(gov, graph, 16, sparsity=0.7)
-        assert gov.plan_for(graph.name) is fam.members[(0, 1)]
-        _run_job(gov, graph, 16, sparsity=0.2)
-        assert gov.plan_for(graph.name) is fam.members[(0, 0)]
+        device = _device("powerlens-family", (0.0, 0.5))
+        store = device.plan_cache
+        record = device.execute(_job(graph, 16, sparsity=0.7), 0)
+        assert record.sparsity_bucket == 0.5
+        assert record.plan_fingerprint \
+            == store.select(graph, 16, 0.5)[0].fingerprint()
+        record = device.execute(_job(graph, 16, sparsity=0.2), 1)
+        assert record.sparsity_bucket == 0.0
+        assert record.plan_fingerprint \
+            == store.select(graph, 16, 0.0)[0].fingerprint()
 
-    def test_duplicate_family_names_rejected(self):
+
+    def test_non_family_device_plans_every_job_dense(self):
         graph = _graph()
-        fam = _family(graph, batches=(1,))
-        with pytest.raises(ValueError, match="one family"):
-            PlanFamilyGovernor([fam, fam])
+        device = _device("powerlens", (0.0, 0.5))
+        assert device.plan_cache.sparsity_edges == (0.0,)
+        record = device.execute(_job(graph, 16, sparsity=0.7), 0)
+        assert record.sparsity_bucket == 0.0
+        assert record.plan_fingerprint \
+            == device.plan_cache.select(graph, 16)[0].fingerprint()
+
+    def test_registry_governor_selects_no_plan(self):
+        device = _device("ondemand", (0.0, 0.5))
+        record = device.execute(_job(_graph(), 4, sparsity=0.7), 0)
+        assert record.plan_fingerprint == ""
+        assert record.sparsity_bucket == 0.0
+        assert len(device.plan_cache) == 0
 
 
 # ----------------------------------------------------------------------
-# adaptive composition: nudges stick per member
+# adaptive composition: corrections stick per member
 # ----------------------------------------------------------------------
 class TestAdaptiveComposition:
-    def _observe(self, gov, graph, batch, result, sparsity=0.0):
-        plan = gov.plan_for(graph.name)
-        ledger = EnergyLedger.from_result(
-            result, plan=plan, graph=graph, evaluator=EVALUATOR,
-            batch_size=batch, sparsity=sparsity)
-        return gov.observe_job(graph, batch, ledger, sparsity=sparsity)
-
     def test_nudge_written_back_to_member(self):
         graph = _graph()
-        fam = _family(graph, batches=(1, 16))
-        # Sabotage the batch-1 member with the stale batch-16 plan so
-        # the drift is visible to the ledger.
-        fam.members[(0, 0)] = fam.members[(1, 0)]
-        sibling_before = fam.members[(1, 0)]
-        gov = AdaptivePlanFamilyGovernor([fam], EVALUATOR,
-                                         resilient=True)
-        for seed in range(4):
-            sig, result = _run_job(gov, graph, 1, seed=seed)
-            action = self._observe(gov, graph, 1, result)
-            if action == "adopted":
-                break
-        assert gov.replan_health.adopted >= 1
-        # The corrected plan landed in the batch-1 bucket...
-        assert fam.members[(0, 0)] is not sibling_before
-        # ...and the batch-16 sibling is untouched.
-        assert fam.members[(1, 0)] is sibling_before
+        device = _device("powerlens-family-adaptive", (0.0, 0.5))
+        store = device.plan_cache
+        # Sabotage the dense batch-1 member with the stale batch-16
+        # plan so the drift is visible to the ledger.
+        stale = store.select(graph, 16)[0]
+        store.adopt(graph, 1, 0.0, stale)
+        sparse_sibling = store.select(graph, 1, 0.5)[0]
+        actions = [device.execute(_job(graph, 1), seq).replan_action
+                   for seq in range(4)]
+        assert "adopt" in actions
+        assert device._governor.replan_health.adopted >= 1
+        # The correction landed in the dense batch-1 bucket...
+        corrected = store.select(graph, 1, 0.0)[0]
+        assert corrected is not stale
+        assert corrected is device._governor.plan_for(graph.name)
+        # ...and neither the sparse nor the batch-16 sibling moved.
+        assert store.select(graph, 1, 0.5)[0] is sparse_sibling
+        assert store.select(graph, 16, 0.0)[0] is stale
+
+    def test_correction_wins_without_counting_a_cache_lookup(self):
+        graph = _graph()
+        store = _store((0.0, 0.5))
+        member = store.select(graph, 4, 0.5)[0]
+        correction = store.select(graph, 16, 0.5)[0]
+        store.adopt(graph, 4, 0.5, correction)
+        counts = (store.hits, store.misses)
+        assert store.select(graph, 4, 0.7) == (correction, 0.5)
+        assert (store.hits, store.misses) == counts
+        # The analytic member stays cached behind the correction.
+        assert store.get_or_build(graph, 4, 0.5) is member
 
     def test_zero_drift_family_adaptive_idle(self):
         graph = _graph()
-        fam = _family(graph, batches=(1, 16))
-        gov = AdaptivePlanFamilyGovernor([fam], EVALUATOR,
-                                         resilient=True)
-        for batch in (16, 1, 16, 1):
-            _, result = _run_job(gov, graph, batch, seed=batch)
-            action = self._observe(gov, graph, batch, result)
-            assert action in ("none", "frozen")
-        assert not gov.replan_health.active
+        device = _device("powerlens-family-adaptive")
+        for seq, batch in enumerate((16, 1, 16, 1)):
+            record = device.execute(_job(graph, batch), seq)
+            assert record.replan_action in ("none", "frozen")
+        assert not device._governor.replan_health.active
 
 
 # ----------------------------------------------------------------------
-# validation-cache satellite (configurable bound + eviction counters)
+# validation-cache bound (eviction counters)
 # ----------------------------------------------------------------------
 class TestValidationCacheKnob:
     @staticmethod
     def _distinct_plans(graph, n):
         """Plans with n distinct fingerprints (one flat level each)."""
-        from repro.governors import FrequencyPlan, PlanStep
         return [FrequencyPlan(graph_name=graph.name,
                               steps=[PlanStep(0, level)],
                               graph_fingerprint=graph.fingerprint())
                 for level in range(n)]
 
-    def test_ctor_bound_and_eviction_count(self):
+    def test_bound_and_eviction_count(self, monkeypatch):
+        monkeypatch.setattr(PresetGovernor, "_VALIDATION_CACHE_SIZE", 2)
         graph = _graph()
         plans = self._distinct_plans(graph, 6)
-        from repro.obs.metrics import MetricsRegistry
         gov = PresetGovernor([plans[0]], resilient=True,
-                             validation_cache_size=2,
                              metrics=MetricsRegistry())
         for plan in plans:
             gov.add_plan(plan)
@@ -314,15 +335,12 @@ class TestValidationCacheKnob:
             "powerlens_runtime_validation_evictions_total").value \
             == gov.validation_evictions
 
-    def test_invalid_bound_rejected(self):
-        with pytest.raises(ValueError, match="validation_cache_size"):
-            PresetGovernor([], validation_cache_size=0)
-
-    def test_adaptive_mirrors_evictions_into_replan_health(self):
+    def test_adaptive_mirrors_evictions_into_replan_health(
+            self, monkeypatch):
+        monkeypatch.setattr(PresetGovernor, "_VALIDATION_CACHE_SIZE", 1)
         graph = _graph()
         plans = self._distinct_plans(graph, 4)
-        gov = AdaptivePresetGovernor([], EVALUATOR, resilient=True,
-                                     validation_cache_size=1)
+        gov = AdaptivePresetGovernor([], EVALUATOR, resilient=True)
         for plan in plans:
             gov.add_plan(plan)
             _run_job(gov, graph, 4)
@@ -330,8 +348,29 @@ class TestValidationCacheKnob:
         assert gov.replan_health.validation_evictions \
             == gov.validation_evictions
 
-    def test_family_default_bound_fits_every_member(self):
-        graph = _graph()
-        fam = _family(graph, batches=(1, 2, 4, 8, 16))
-        gov = PlanFamilyGovernor([fam])
-        assert gov._VALIDATION_CACHE_SIZE >= 2 * fam.size
+
+# ----------------------------------------------------------------------
+# zero-op graphs at the store boundary
+# ----------------------------------------------------------------------
+class TestZeroOpGraph:
+    def test_select_rejects_empty_graph(self):
+        store = _store((0.0, 0.5))
+        with pytest.raises(ValueError, match="at least one step"):
+            store.select(Graph("empty"), 4, 0.7)
+        assert len(store) == 0
+
+    def test_predict_rejects_empty_graph(self):
+        device = _device("powerlens")
+        with pytest.raises(ValueError, match="at least one step"):
+            device.predict(Graph("empty"), 4)
+        assert len(device.plan_cache) == 0
+        assert device._predictions == {}
+
+
+def test_serving_reexports_the_store():
+    import repro.serving as serving
+    from repro.governors import family
+
+    assert serving.PlanCache is family.PlanCache
+    assert serving.plan_cache_key is family.plan_cache_key
+    assert serving.PLAN_CACHE_VERSION == family.PLAN_CACHE_VERSION == 2
