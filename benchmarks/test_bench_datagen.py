@@ -11,14 +11,14 @@ blocks).  Two levers attack it:
   against the ``label_network_reference`` loop oracle
   (``tests/oracles.py``).
 
-Both benches append their measurements to ``BENCH_datagen.json`` at the
-repo root (machine-readable perf trajectory: per-stage wall-time
-breakdown, nets/sec at n_jobs in {1, max}, fast-path speedup), so future
-PRs can regress against recorded numbers.
+The simulated output of the scaling corpus (its block count) is a
+golden, ``tests/goldens/datagen_scaling.json`` (``--update-goldens``
+rewrites it); the benches keep their wall-clock floors.  Powerbench's
+``fit.tx2`` workload measures the whole offline pipeline with its
+per-stage split (``benchmarks/powerbench``).
 
 Scale knobs:
 
-* ``POWERLENS_BENCH_DATAGEN_NETWORKS`` — corpus size (default 100).
 * ``POWERLENS_BENCH_DATAGEN_JOBS``     — pool width (default 4).
 * ``POWERLENS_BENCH_LABEL_NETWORKS``   — fast-path comparison corpus
   (default 24; the reference path re-walks every op per scheme, so keep
@@ -29,7 +29,6 @@ Scale knobs:
 
 import os
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -47,24 +46,22 @@ from repro.hw import jetson_tx2
 from repro.hw.analytic import AnalyticEvaluator
 from repro.models.random_gen import RandomDNNConfig, RandomDNNGenerator
 
-from benchmarks._harness import record
+from tests.conftest import check_golden
 from tests.oracles import label_network_reference
 
 pytestmark = pytest.mark.perf
 
-DATAGEN_NETWORKS = int(
-    os.environ.get("POWERLENS_BENCH_DATAGEN_NETWORKS", "100"))
+#: Corpus size of the scaling bench (its golden is defined at it).
+DATAGEN_NETWORKS = 100
 DATAGEN_JOBS = int(os.environ.get("POWERLENS_BENCH_DATAGEN_JOBS", "4"))
 LABEL_NETWORKS = int(
     os.environ.get("POWERLENS_BENCH_LABEL_NETWORKS", "24"))
 DISTANCE_NETWORKS = int(
     os.environ.get("POWERLENS_BENCH_DISTANCE_NETWORKS", "16"))
 
-BENCH_JSON = Path(__file__).resolve().parent.parent / "BENCH_datagen.json"
-
 
 @pytest.mark.benchmark(group="datagen")
-def test_datagen_scaling(benchmark):
+def test_datagen_scaling(benchmark, update_goldens):
     """1 vs N workers on one corpus: identical datasets, recorded
     throughput, and >= 1.5x speedup at 4 workers where the CPUs exist."""
     serial = DatasetGenerator(jetson_tx2())
@@ -89,45 +86,8 @@ def test_datagen_scaling(benchmark):
     print(f"  speedup: {speedup:.2f}x  "
           f"(host CPUs: {os.cpu_count()})")
 
-    payload = {
-        "n_networks": DATAGEN_NETWORKS,
-        "n_blocks": s1.n_blocks,
-        "serial": {
-            "n_jobs": 1,
-            "wall_time_s": round(s1.wall_time_s, 3),
-            "networks_per_s": round(s1.networks_per_s, 3),
-            "blocks_per_s": round(s1.blocks_per_s, 3),
-            # CPU-seconds summed over all workers (serial: one worker).
-            "stage_seconds": {k: round(v, 3)
-                              for k, v in s1.stage_seconds.items()},
-            # Same telemetry divided by n_jobs — comparable across pool
-            # widths (the pooled sum reads as a regression otherwise).
-            "stage_seconds_per_worker": {
-                k: round(v, 3)
-                for k, v in s1.stage_seconds_per_worker.items()},
-        },
-        "pooled": {
-            "n_jobs": s2.n_jobs,
-            "wall_time_s": round(s2.wall_time_s, 3),
-            "networks_per_s": round(s2.networks_per_s, 3),
-            "blocks_per_s": round(s2.blocks_per_s, 3),
-            "stage_seconds": {k: round(v, 3)
-                              for k, v in s2.stage_seconds.items()},
-            "stage_seconds_per_worker": {
-                k: round(v, 3)
-                for k, v in s2.stage_seconds_per_worker.items()},
-        },
-    }
-    # pool_speedup on a host with fewer CPUs than workers is pool
-    # overhead, not scaling — recording it would feed a meaningless
-    # baseline (e.g. 1.04x) to bench-diff comparisons on real hosts.
-    if (os.cpu_count() or 1) >= DATAGEN_JOBS:
-        payload["pool_speedup"] = round(speedup, 3)
-    else:
-        payload["pool_speedup_note"] = (
-            f"omitted: {os.cpu_count()} CPU(s) < {DATAGEN_JOBS} "
-            f"workers, measurement reflects pool overhead only")
-    record(BENCH_JSON, "datagen_scaling", payload)
+    check_golden("datagen_scaling", {"n_blocks": s1.n_blocks},
+                 update_goldens)
 
     # The parallel path must be provably equivalent at benchmark scale.
     assert a1.x_struct.tobytes() == a2.x_struct.tobytes()
@@ -198,17 +158,6 @@ def test_labeling_fastpath_speedup(benchmark):
         f"{k} {v:.2f}s" for k, v in sorted(stage_totals.items())))
     print(f"  speedup: {speedup:.1f}x")
 
-    record(BENCH_JSON, "labeling_fastpath", {
-        "n_networks": LABEL_NETWORKS,
-        "n_schemes": len(grid),
-        "reference_wall_time_s": round(ref_s, 3),
-        "fast_wall_time_s": round(fast_s, 3),
-        "reference_networks_per_s": round(LABEL_NETWORKS / ref_s, 3),
-        "fast_networks_per_s": round(LABEL_NETWORKS / fast_s, 3),
-        "stage_seconds": {k: round(v, 3)
-                          for k, v in stage_totals.items()},
-        "speedup": round(speedup, 2),
-    })
     assert speedup >= 5.0, (
         f"labeling fast path regressed: {speedup:.1f}x < 5x")
 
@@ -277,13 +226,5 @@ def test_distance_fastpath_speedup(benchmark):
     print(f"  fast:      {fast_s:6.2f}s")
     print(f"  speedup: {speedup:.2f}x")
 
-    record(BENCH_JSON, "distance_fastpath", {
-        "n_networks": DISTANCE_NETWORKS,
-        "n_schemes": len(grid),
-        "windows": windows,
-        "reference_wall_time_s": round(ref_s, 3),
-        "fast_wall_time_s": round(fast_s, 3),
-        "speedup": round(speedup, 2),
-    })
     assert speedup >= 3.0, (
         f"distance fast path regressed: {speedup:.2f}x < 3x")

@@ -12,7 +12,6 @@ figure of the paper can be regenerated from a shell::
     powerlens analyze --model vgg19 --platform tx2
     powerlens robustness --platform tx2 --fault-profile representative
     powerlens ledger --model resnet152 --batches 4
-    powerlens bench-diff BENCH_datagen.json BENCH_datagen.json
     powerlens models
 
 ``--fault-profile`` (robustness) takes ``none``, ``representative``
@@ -23,15 +22,11 @@ or an explicit ``key=value,...`` spec, e.g.
 
 Observability: every experiment command accepts ``--trace out.jsonl``
 (JSONL span trace of the whole run, metrics snapshot appended) and
-``--metrics out.prom`` (Prometheus-style text exposition).  Two live
-sinks ride the same bundle: ``--serve PORT`` (or env
-``POWERLENS_EXPORTER_PORT``) exposes ``/metrics``, ``/metrics.json``,
-``/healthz`` and an SSE ``/spans`` stream over loopback HTTP while the
-command runs, and ``--flight-recorder DIR`` (or env
-``POWERLENS_FLIGHT_RECORDER``) keeps a bounded ring of periodic
-snapshot files for post-mortems.  All sinks are observe-only —
-results are byte-identical with or without them.  A written trace is
-replayed with::
+``--metrics out.prom`` (Prometheus-style text exposition).  Both are
+observe-only — results are byte-identical with or without them — and
+both are written when the command ends, also when it raises, so a
+crashed run leaves its post-mortem.  A written trace is replayed
+with::
 
     powerlens trace out.jsonl
 """
@@ -56,15 +51,6 @@ def _add_obs(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--metrics", metavar="PATH", default=None,
                         help="write run metrics as Prometheus-style "
                              "text exposition")
-    parser.add_argument("--serve", metavar="PORT", type=int, default=None,
-                        help="serve live metrics on 127.0.0.1:PORT while "
-                             "the command runs (/metrics, /metrics.json, "
-                             "/healthz, SSE /spans; 0 = ephemeral port; "
-                             "env POWERLENS_EXPORTER_PORT)")
-    parser.add_argument("--flight-recorder", metavar="DIR", default=None,
-                        help="write periodic observability snapshots "
-                             "into DIR as a bounded ring of JSON files "
-                             "(env POWERLENS_FLIGHT_RECORDER)")
 
 
 def _add_networks(parser: argparse.ArgumentParser) -> None:
@@ -135,14 +121,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_networks(p)
     _add_obs(p)
     p.add_argument("--model", default="resnet152")
-
-    p = sub.add_parser("profile",
-                       help="per-stage labeling breakdown from recorded "
-                            "stage_seconds telemetry (reuses the "
-                            "dataset cache; no benchmark run)")
-    _add_platform(p)
-    _add_networks(p)
-    _add_obs(p)
 
     p = sub.add_parser("robustness",
                        help="EE-gain retention under injected faults "
@@ -315,41 +293,31 @@ def build_parser() -> argparse.ArgumentParser:
                    help="emit the breakdown as JSON instead of a "
                         "table")
 
-    p = sub.add_parser("bench-diff",
-                       help="compare two BENCH_*.json benchmark files "
-                            "with per-key tolerances")
-    p.add_argument("old", help="baseline benchmark JSON")
-    p.add_argument("new", help="candidate benchmark JSON")
-    p.add_argument("--rel-tol", type=float, default=0.5,
-                   help="default relative tolerance for numeric keys "
-                        "(default: 0.5)")
-    p.add_argument("--tolerance", action="append", default=[],
-                   metavar="KEY=REL",
-                   help="per-key tolerance override; KEY is a leaf "
-                        "name or dotted path (repeatable)")
-    p.add_argument("--strict", action="store_true",
-                   help="treat structural warnings (key only on one "
-                        "side) as failures")
-    p.add_argument("--verbose", action="store_true",
-                   help="print every compared leaf, not just "
-                        "warnings/failures")
-
     sub.add_parser("models", help="list available model names")
     return parser
 
 
-def _export_obs(obs, trace_path: Optional[str],
-                metrics_path: Optional[str]) -> None:
-    """Write the session trace / metrics files, if requested."""
+def _export_obs(obs, args, crash: Optional[BaseException]) -> None:
+    """Write the session ``--trace`` / ``--metrics`` files, if requested.
+
+    Runs once, as the command ends.  After a ``crash`` the files are the
+    post-mortem, and a failure to write them is reported on stderr
+    instead of replacing the crash."""
     if obs is None:
         return
-    if trace_path:
-        obs.tracer.export_jsonl(trace_path, metrics=obs.metrics)
-        print(f"trace written to {trace_path}", file=sys.stderr)
-    if metrics_path:
-        from pathlib import Path
-        Path(metrics_path).write_text(obs.metrics.to_prometheus_text())
-        print(f"metrics written to {metrics_path}", file=sys.stderr)
+    try:
+        if args.trace:
+            obs.tracer.export_jsonl(args.trace, metrics=obs.metrics)
+            print(f"trace written to {args.trace}", file=sys.stderr)
+        if args.metrics:
+            from pathlib import Path
+            Path(args.metrics).write_text(obs.metrics.to_prometheus_text())
+            print(f"metrics written to {args.metrics}", file=sys.stderr)
+    except Exception as exc:
+        if crash is None:
+            raise
+        print(f"powerlens: could not write observability output after "
+              f"{type(crash).__name__}: {exc}", file=sys.stderr)
 
 
 def _cmd_trace(args) -> int:
@@ -431,62 +399,6 @@ def _cmd_timeline(args) -> int:
     return 0
 
 
-def _cmd_bench_diff(args) -> int:
-    from repro.obs.benchdiff import (diff_benchmarks, format_diff,
-                                     load_bench, parse_tolerance_specs)
-    try:
-        old = load_bench(args.old)
-        new = load_bench(args.new)
-        tolerances = parse_tolerance_specs(args.tolerance)
-    except (OSError, ValueError) as exc:
-        print(f"powerlens bench-diff: {exc}", file=sys.stderr)
-        return 2
-    diff = diff_benchmarks(old, new, rel_tol=args.rel_tol,
-                           tolerances=tolerances, strict=args.strict)
-    print(format_diff(diff, verbose=args.verbose))
-    return 0 if diff.ok else 1
-
-
-def _sink_settings(args) -> tuple:
-    """Resolve live-sink settings: CLI flags first, env second."""
-    import os
-    from repro.obs.exporter import ENV_EXPORTER_PORT, ENV_FLIGHT_RECORDER
-    serve = getattr(args, "serve", None)
-    if serve is None:
-        raw = os.environ.get(ENV_EXPORTER_PORT, "").strip()
-        if raw:
-            try:
-                serve = int(raw)
-            except ValueError:
-                print(f"warning: ignoring non-integer "
-                      f"{ENV_EXPORTER_PORT}={raw!r}", file=sys.stderr)
-    flight = getattr(args, "flight_recorder", None)
-    if not flight:
-        flight = os.environ.get(ENV_FLIGHT_RECORDER, "").strip() or None
-    return serve, flight
-
-
-def _start_sinks(obs, serve_port: Optional[int],
-                 flight_dir: Optional[str]) -> list:
-    """Start the opt-in live sinks; returns them for try/finally stop."""
-    sinks = []
-    if serve_port is not None:
-        from repro.obs.exporter import MetricsExporter
-        exporter = MetricsExporter(obs, port=serve_port)
-        exporter.start()
-        print(f"metrics exporter listening on {exporter.url}",
-              file=sys.stderr)
-        sinks.append(exporter)
-    if flight_dir:
-        from repro.obs.exporter import FlightRecorder
-        recorder = FlightRecorder(obs, flight_dir)
-        recorder.start()
-        print(f"flight recorder writing to {flight_dir}",
-              file=sys.stderr)
-        sinks.append(recorder)
-    return sinks
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
 
@@ -501,33 +413,24 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.command == "timeline":
         return _cmd_timeline(args)
 
-    if args.command == "bench-diff":
-        return _cmd_bench_diff(args)
-
     # Observe-only session bundle, built only when asked for — the
     # default path carries the shared no-op bundle through every layer.
-    # A live sink (--serve / --flight-recorder, or their env-var
-    # equivalents) needs an enabled bundle even without file outputs.
-    trace_path: Optional[str] = getattr(args, "trace", None)
-    metrics_path: Optional[str] = getattr(args, "metrics", None)
-    serve_port, flight_dir = _sink_settings(args)
     obs = None
-    if trace_path or metrics_path or serve_port is not None or flight_dir:
+    if args.trace or args.metrics:
         from repro.obs import Observability
         obs = Observability.enabled_bundle()
 
-    sinks = _start_sinks(obs, serve_port, flight_dir) if obs else []
+    crash = None
     try:
-        return _dispatch(args, obs, trace_path, metrics_path,
-                         sinks=sinks)
+        return _dispatch(args, obs)
+    except BaseException as exc:
+        crash = exc
+        raise
     finally:
-        for sink in reversed(sinks):
-            sink.stop()
+        _export_obs(obs, args, crash)
 
 
-def _cmd_serve_sim(args, obs, trace_path: Optional[str],
-                   metrics_path: Optional[str],
-                   sinks: Optional[list] = None) -> int:
+def _cmd_serve_sim(args, obs) -> int:
     import json as _json
 
     from repro.hw import FaultProfile
@@ -576,12 +479,10 @@ def _cmd_serve_sim(args, obs, trace_path: Optional[str],
                              recovery=recovery)
 
     # Event-log projections riding the run as scheduler sinks: the
-    # request tracer (sampled span trees, the timeline and the
-    # /requests SSE feed) and the burn-rate monitor.
-    exporters = [s for s in (sinks or [])
-                 if hasattr(s, "request_log")]
+    # request tracer (sampled span trees and the timeline) and the
+    # burn-rate monitor.
     tracer = None
-    if args.request_trace or args.timeline or exporters:
+    if args.request_trace or args.timeline:
         from repro.serving import (RequestTracer, SamplingConfig,
                                    make_policy)
         try:
@@ -593,8 +494,6 @@ def _cmd_serve_sim(args, obs, trace_path: Optional[str],
         tracer = RequestTracer(sampling, requests=trace.requests,
                                healthy_devices=len(fleet),
                                policy=make_policy(args.policy).name)
-        for exporter in exporters:
-            exporter.request_log = tracer.completion_records
     burn = None
     if args.burn_slo is not None:
         from repro.obs.burnrate import BurnRateConfig, BurnRateMonitor
@@ -652,12 +551,10 @@ def _cmd_serve_sim(args, obs, trace_path: Optional[str],
                           sort_keys=True))
     else:
         print(result.report.format_table())
-    _export_obs(obs, trace_path, metrics_path)
     return 0
 
 
-def _cmd_adaptive_robustness(args, obs, trace_path: Optional[str],
-                             metrics_path: Optional[str]) -> int:
+def _cmd_adaptive_robustness(args) -> int:
     """``powerlens robustness --adaptive`` / ``--family``: the
     drift-retention sweep.
 
@@ -684,7 +581,6 @@ def _cmd_adaptive_robustness(args, obs, trace_path: Optional[str],
         print(_json.dumps(result.to_dict(), indent=1, sort_keys=True))
     else:
         print(result.format_table())
-    _export_obs(obs, trace_path, metrics_path)
     if args.family:
         violations = [
             s for i, s in enumerate(result.scales)
@@ -702,98 +598,11 @@ def _cmd_adaptive_robustness(args, obs, trace_path: Optional[str],
     return 0
 
 
-def _cmd_profile(args, obs, trace_path: Optional[str],
-                 metrics_path: Optional[str]) -> int:
-    """Per-stage labeling breakdown from ``stage_seconds`` telemetry.
-
-    Reuses the same dataset cache key as the table/figure commands, so
-    with a warm cache this prints instantly from the stored manifest —
-    no model training, no benchmark harness.  A cold cache generates
-    the corpus once (and stores it for the other commands).
-    """
-    from repro.core import PowerLensConfig
-    from repro.core.datasets import DatasetGenerator
-    from repro.core.persistence import (
-        DatasetCache,
-        dataset_cache_key,
-        default_cache_dir,
-        resolve_cache_dir,
-    )
-    from repro.hw import get_platform
-    from repro.obs import NULL_OBS
-
-    use_cache = not args.no_cache
-    cache_dir = args.cache_dir
-    if cache_dir is None and use_cache:
-        cache_dir = str(default_cache_dir())
-
-    platform = get_platform(args.platform)
-    cfg = PowerLensConfig(n_networks=args.networks)
-    the_obs = obs if obs is not None else NULL_OBS
-    generator = DatasetGenerator(
-        platform, schemes=list(cfg.schemes), batch_size=cfg.batch_size,
-        latency_slack=cfg.latency_slack, alpha=cfg.alpha, lam=cfg.lam,
-        dnn_config=cfg.dnn_config, obs=the_obs)
-    stats = None
-    cache = None
-    key = None
-    if use_cache:
-        resolved = resolve_cache_dir(cache_dir)
-        if resolved is not None:
-            cache = DatasetCache(resolved, obs=the_obs)
-            key = dataset_cache_key(
-                platform, generator.schemes, generator.dnn_config,
-                batch_size=cfg.batch_size,
-                latency_slack=cfg.latency_slack, alpha=cfg.alpha,
-                lam=cfg.lam, n_networks=args.networks, seed=cfg.seed)
-            cached = cache.load(key)
-            if cached is not None:
-                stats = cached[2]
-    if stats is None:
-        n_jobs = args.jobs if args.jobs >= 1 else None
-        a, b, stats = generator.generate(args.networks, seed=cfg.seed,
-                                         n_jobs=n_jobs)
-        if cache is not None and key is not None:
-            cache.store(key, a, b, stats)
-
-    source = "dataset cache" if stats.cache_hit else "fresh generation"
-    workers = max(1, stats.n_jobs)
-    print(f"labeling stage profile — {args.platform}, "
-          f"{stats.n_networks} networks, {stats.n_blocks} blocks "
-          f"({source}, {workers} worker(s))")
-    order = ("distance", "cluster", "evaluate")
-    named = [n for n in order if n in stats.stage_seconds]
-    named += sorted(set(stats.stage_seconds) - set(order))
-    total = sum(stats.stage_seconds.values())
-    norm = stats.stage_seconds_per_worker
-    print(f"{'stage':<10} {'CPU-s (summed)':>15} {'per-worker':>12} "
-          f"{'share':>7}")
-    for n in named:
-        v = stats.stage_seconds[n]
-        share = (100.0 * v / total) if total > 0 else 0.0
-        print(f"{n:<10} {v:>15.2f} {norm[n]:>12.2f} {share:>6.1f}%")
-    print(f"{'total':<10} {total:>15.2f} {total / workers:>12.2f} "
-          f"{'100.0%':>7}")
-    print(f"generation wall time {stats.wall_time_s:.2f}s "
-          f"({stats.networks_per_s:.1f} networks/s)")
-    if stats.n_quarantined:
-        print(f"quarantined: {stats.n_quarantined} "
-              f"(indices {stats.quarantined})")
-    _export_obs(obs, trace_path, metrics_path)
-    return 0
-
-
-def _dispatch(args, obs, trace_path: Optional[str],
-              metrics_path: Optional[str],
-              sinks: Optional[list] = None) -> int:
+def _dispatch(args, obs) -> int:
     if args.command == "serve-sim":
-        return _cmd_serve_sim(args, obs, trace_path, metrics_path,
-                              sinks=sinks)
-    if args.command == "profile":
-        return _cmd_profile(args, obs, trace_path, metrics_path)
+        return _cmd_serve_sim(args, obs)
     if args.command == "robustness" and (args.adaptive or args.family):
-        return _cmd_adaptive_robustness(args, obs, trace_path,
-                                        metrics_path)
+        return _cmd_adaptive_robustness(args)
 
     # Everything else needs a fitted context.  The CLI caches generated
     # datasets by default (the library default is off): repeated table /
@@ -813,7 +622,6 @@ def _dispatch(args, obs, trace_path: Optional[str],
                               n_jobs=n_jobs, use_cache=use_cache,
                               cache_dir=cache_dir, obs=obs)
         print(result.format_table())
-        _export_obs(obs, trace_path, metrics_path)
         return 0
 
     ctx = get_context(args.platform, n_networks=args.networks,
@@ -827,20 +635,9 @@ def _dispatch(args, obs, trace_path: Optional[str],
               f"retries: {gen.quarantined}", file=sys.stderr)
     if summary is not None and summary.generation.stage_seconds:
         gen = summary.generation
-        order = ("distance", "cluster", "evaluate")
-        named = [n for n in order if n in gen.stage_seconds]
-        named += sorted(set(gen.stage_seconds) - set(order))
-        parts = ", ".join(f"{n} {gen.stage_seconds[n]:.1f}s"
-                          for n in named)
-        print(f"labeling stages (CPU-s summed over {gen.n_jobs} "
-              f"worker(s)): {parts} "
-              f"(generation wall time {gen.wall_time_s:.1f}s)",
-              file=sys.stderr)
-        if gen.n_jobs > 1:
-            norm = gen.stage_seconds_per_worker
-            parts = ", ".join(f"{n} {norm[n]:.1f}s" for n in named)
-            print(f"labeling stages (per-worker average): {parts}",
-                  file=sys.stderr)
+        lines = gen.stage_lines()
+        lines[0] += f" (generation wall time {gen.wall_time_s:.1f}s)"
+        print("\n".join(lines), file=sys.stderr)
 
     if args.command == "table1":
         from repro.experiments import run_table1
@@ -877,7 +674,6 @@ def _dispatch(args, obs, trace_path: Optional[str],
     elif args.command == "analyze":
         plan = ctx.lens.analyze(ctx.graph(args.model))
         print(plan.summary())
-        _export_obs(obs, trace_path, metrics_path)
         return 0
     elif args.command == "ledger":
         from repro.experiments.common import run_model_ledger
@@ -895,12 +691,10 @@ def _dispatch(args, obs, trace_path: Optional[str],
             print(json.dumps(ledger.to_dict(), indent=2))
         else:
             print(ledger.format_table())
-        _export_obs(obs, trace_path, metrics_path)
         return 0
     else:  # pragma: no cover - argparse guards this
         return 2
     print(result.format_table())
-    _export_obs(obs, trace_path, metrics_path)
     return 0
 
 

@@ -414,6 +414,7 @@ def smooth_features(x: np.ndarray, window: int) -> np.ndarray:
         return x
     n = x.shape[0]
     m = 2 * window + 1
+    out = np.empty_like(x)
     if x.dtype != np.float64 or x.ndim != 2 or x.shape[1] <= 1 \
             or not x.flags.c_contiguous or n <= m:
         # The shifted-slice sum below relies on ``mean(axis=0)``
@@ -421,10 +422,11 @@ def smooth_features(x: np.ndarray, window: int) -> np.ndarray:
         # with a single column (or non-contiguous rows) the reduction
         # axis becomes the contiguous one and NumPy switches to pairwise
         # blocking, so those shapes — plus odd dtypes and windows
-        # spanning the whole sequence — keep the per-row loop.
-        return smooth_features_reference(x, window)
-    out = np.empty_like(x)
-    # Boundary rows (truncated windows) keep the reference formula.
+        # spanning the whole sequence — take the per-row mean.
+        for i in range(n):
+            out[i] = x[max(0, i - window):i + window + 1].mean(axis=0)
+        return out
+    # Boundary rows (truncated windows) keep the per-row mean.
     for i in range(window):
         out[i] = x[:i + window + 1].mean(axis=0)
     for i in range(n - window, n):
@@ -438,20 +440,6 @@ def smooth_features(x: np.ndarray, window: int) -> np.ndarray:
     for j in range(1, m):
         acc += x[j:j + n - m + 1]
     out[window:n - window] = acc / m
-    return out
-
-
-def smooth_features_reference(x: np.ndarray, window: int) -> np.ndarray:
-    """Reference per-row loop of :func:`smooth_features` (retained for
-    the equivalence suite)."""
-    if window <= 0:
-        return x
-    n = x.shape[0]
-    out = np.empty_like(x)
-    for i in range(n):
-        lo = max(0, i - window)
-        hi = min(n, i + window + 1)
-        out[i] = x[lo:hi].mean(axis=0)
     return out
 
 

@@ -167,6 +167,23 @@ class GenerationStats:
         return {name: seconds / workers
                 for name, seconds in self.stage_seconds.items()}
 
+    def stage_lines(self) -> List[str]:
+        """The labeling-stage report: the summed breakdown, plus the
+        per-worker average under a pool.  Stages print in pipeline order
+        (distance, cluster, evaluate), any others sorted after them."""
+        order = ("distance", "cluster", "evaluate")
+        named = [n for n in order if n in self.stage_seconds]
+        named += sorted(set(self.stage_seconds) - set(order))
+        parts = ", ".join(f"{n} {self.stage_seconds[n]:.1f}s"
+                          for n in named)
+        lines = [f"labeling stages (CPU-s summed over {self.n_jobs} "
+                 f"worker(s)): {parts}"]
+        if self.n_jobs > 1:
+            norm = self.stage_seconds_per_worker
+            parts = ", ".join(f"{n} {norm[n]:.1f}s" for n in named)
+            lines.append(f"labeling stages (per-worker average): {parts}")
+        return lines
+
 
 @dataclass(frozen=True)
 class GenerationProgress:

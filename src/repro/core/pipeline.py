@@ -123,18 +123,7 @@ class TrainingSummary:
                           f"{g.n_retries} retries]")
         stages = ""
         if g.stage_seconds:
-            order = ("distance", "cluster", "evaluate")
-            named = [n for n in order if n in g.stage_seconds]
-            named += sorted(set(g.stage_seconds) - set(order))
-            parts = ", ".join(
-                f"{n} {g.stage_seconds[n]:.1f}s" for n in named)
-            stages = (f"labeling stages (CPU-s summed over "
-                      f"{g.n_jobs} worker(s)): {parts}\n")
-            if g.n_jobs > 1:
-                norm = g.stage_seconds_per_worker
-                parts = ", ".join(
-                    f"{n} {norm[n]:.1f}s" for n in named)
-                stages += f"labeling stages (per-worker average): {parts}\n"
+            stages = "".join(line + "\n" for line in g.stage_lines())
         return (
             f"dataset: {g.n_networks} networks, "
             f"{g.n_blocks} blocks "

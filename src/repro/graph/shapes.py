@@ -84,6 +84,9 @@ def infer_output_shape(op: OpType, attrs: OpAttrs,
         assert isinstance(attrs, ConvAttrs)
         _require_rank(x, 3, op)
         cin, h, w = x
+        if attrs.groups < 1:
+            raise ShapeError(f"conv2d groups must be >= 1, got "
+                             f"{attrs.groups}")
         if cin % attrs.groups != 0:
             raise ShapeError(
                 f"conv2d input channels {cin} not divisible by groups "

@@ -30,7 +30,9 @@ def _regnet_block(b: GraphBuilder, x: str, width_out: int, stride: int,
                   group_width: int, se_ratio: float) -> str:
     """1x1 -> 3x3 grouped (stride) -> [SE] -> 1x1, residual + ReLU."""
     width_in = b.shape(x)[0]
-    groups = width_out // group_width
+    # A stage narrower than the group width is one group (torchvision
+    # clamps the same way), e.g. RegNetX-8GF's width-80 first stage.
+    groups = width_out // min(group_width, width_out)
     identity = x
     out = b.conv_bn_act(x, width_out, kernel=1)
     out = b.conv_bn_act(out, width_out, kernel=3, stride=stride, padding=1,

@@ -1,6 +1,6 @@
 """Observability: span tracing and metrics for pipeline and runtime.
 
-The subsystem has three parts:
+The subsystem's modules:
 
 ``tracing``
     :class:`Tracer` — nested wall-clock spans with per-span attributes,
@@ -17,13 +17,17 @@ The subsystem has three parts:
     simulated run to power blocks and operators, with an exact
     reconciliation invariant and misprediction flagging
     (``powerlens ledger``).
-``exporter``
-    :class:`MetricsExporter` / :class:`FlightRecorder` — opt-in live
-    HTTP endpoint (Prometheus text, JSON, SSE span stream) and a
-    bounded ring of periodic snapshot files.
 ``anomaly``
     :class:`AnomalyDetector` — online power-spike / ping-pong /
     stall-budget detection over telemetry windows and switch results.
+``burnrate`` / ``timeline``
+    Projections of the serving event log: SLO burn-rate alerts and the
+    per-request critical path with its Chrome trace export
+    (``powerlens timeline``).
+
+Runs export through files only: the CLI's ``--trace`` (JSONL spans
+plus a metrics snapshot) and ``--metrics`` (Prometheus text), written
+once as the command ends, also when it raises.
 
 :class:`Observability` bundles one tracer and one registry so a single
 handle threads through the stack (``PowerLens``, ``DatasetGenerator``,
@@ -72,7 +76,7 @@ __all__ = [
     "Observability", "NULL_OBS", "observability",
     "SpanNode", "TraceFile", "read_trace", "span_tree",
     "summarize_trace",
-    "EnergyLedger", "MetricsExporter", "FlightRecorder",
+    "EnergyLedger",
     "Anomaly", "AnomalyConfig", "AnomalyDetector",
     "BurnRateConfig", "BurnRateMonitor", "BurnAlert",
     "ServingTimeline", "validate_chrome_trace", "nearest_rank_index",
@@ -89,8 +93,6 @@ _LAZY_SUBMODULE = {
     "BlockLedgerRow": "ledger",
     "OpLedgerRow": "ledger",
     "Reconciliation": "ledger",
-    "MetricsExporter": "exporter",
-    "FlightRecorder": "exporter",
     "Anomaly": "anomaly",
     "AnomalyConfig": "anomaly",
     "AnomalyDetector": "anomaly",

@@ -31,7 +31,7 @@ windows (non-finite or negative power, utilizations outside [0, 1]).
 Every anomaly increments ``powerlens_anomaly_total`` plus a per-kind
 ``powerlens_anomaly_<kind>_total`` counter and is recorded as a
 zero-duration ``anomaly`` span on the tracer, so it lands in trace
-files, Prometheus scrapes and flight-recorder snapshots alike.
+files and Prometheus text alike.
 
 The detector is strictly observe-only: it never touches governor or
 simulator state, and with the default :data:`~repro.obs.NULL_OBS`

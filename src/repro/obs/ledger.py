@@ -332,7 +332,7 @@ class EnergyLedger:
         return [b for b in self.blocks if b.mispredicted]
 
     def to_dict(self) -> Dict[str, object]:
-        """JSON-serializable snapshot (flight recorder / ``--json``)."""
+        """JSON-serializable snapshot (``--json``)."""
         return {
             "images": self.images,
             "reconciliation": {

@@ -88,35 +88,6 @@ class SamplingConfig:
             raise ValueError("head_rate must be in [0, 1]")
 
 
-def request_record(row: RequestRow) -> Dict[str, Any]:
-    """Flat completion/drop record (the ``/requests`` SSE feed)."""
-    record: Dict[str, Any] = {
-        "type": "request",
-        "request_id": row.request_id,
-        "model": row.model,
-        "images": row.images,
-        "outcome": row.outcome,
-        "t_arrival": row.t_arrival,
-        "t_end": row.t_end,
-        "latency_s": row.latency_s,
-        "queue_s": row.queue_s,
-        "batch_s": row.batch_s,
-        "service_s": row.service_s,
-        "slo_ok": row.slo_ok,
-    }
-    if row.device:
-        record["device"] = row.device
-        record["energy_j"] = row.energy_j
-        record["ledger_energy_j"] = row.ledger_energy_j
-    if row.cause:
-        record["cause"] = row.cause
-    if row.sparsity > 0.0:
-        record["sparsity"] = row.sparsity
-    if row.recovery_stall_s > 0.0:
-        record["recovery_stall_s"] = row.recovery_stall_s
-    return record
-
-
 def request_spans(row: RequestRow, policy: str,
                   next_id: int) -> List[Dict[str, Any]]:
     """One request's span tree as JSONL records (ids from ``next_id``
@@ -190,8 +161,7 @@ class RequestTracer(ServingTimeline):
     run comes from the constructor: the queueing ``policy`` name, the
     ``requests`` table (per-request SLO and sparsity — pass the
     ``ArrivalTrace``'s requests) and the initial ``healthy_devices``
-    count.  ``completion_records`` is the append-only list the
-    ``/requests`` SSE endpoint tails.
+    count.
     """
 
     def __init__(self, sampling: Optional[SamplingConfig] = None,
@@ -203,7 +173,6 @@ class RequestTracer(ServingTimeline):
         self.policy = policy
         self.sampled_head_count = 0
         self.sampled_tail_count = 0
-        self.completion_records: List[Dict[str, Any]] = []
         self._traces: List[RequestRow] = []
 
     def _finish(self, row: RequestRow) -> None:
@@ -217,7 +186,6 @@ class RequestTracer(ServingTimeline):
         else:
             return
         self._traces.append(row)
-        self.completion_records.append(request_record(row))
 
     # ------------------------------------------------------------------
     # outputs

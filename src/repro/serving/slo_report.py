@@ -193,7 +193,7 @@ class SLOReport:
 
     # ------------------------------------------------------------------
     def to_dict(self) -> Dict[str, object]:
-        """JSON-serializable snapshot (``--json`` / flight recorder)."""
+        """JSON-serializable snapshot (``--json``)."""
         return {
             "policy": self.policy,
             "governor": self.governor,

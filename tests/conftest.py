@@ -13,9 +13,12 @@ fallback here uses ``SIGALRM`` and is a no-op on platforms without it.
 
 from __future__ import annotations
 
+import hashlib
+import json
 import os
 import signal
 import threading
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, settings as hyp_settings
@@ -38,16 +41,41 @@ if os.environ.get("CI") or os.environ.get("GITHUB_ACTIONS"):
     hyp_settings.load_profile("ci")
 
 
-def pytest_addoption(parser):
-    parser.addoption(
-        "--update-goldens", action="store_true", default=False,
-        help="rewrite tests/goldens/*.json from the current outputs "
-             "instead of comparing against them")
+GOLDEN_DIR = Path(__file__).parent / "goldens"
 
 
-@pytest.fixture(scope="session")
-def update_goldens(request) -> bool:
-    return bool(request.config.getoption("--update-goldens"))
+def _canonical(value):
+    """Floats at 10 significant digits, containers rebuilt as dict/list."""
+    if isinstance(value, float):
+        return float(f"{value:.10g}")
+    if isinstance(value, dict):
+        return {k: _canonical(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_canonical(v) for v in value]
+    return value
+
+
+def check_golden(name: str, data: dict, update: bool) -> None:
+    """Compare ``data`` against ``tests/goldens/<name>.json``: its
+    canonical form plus the sha256 of its exact JSON text, so a drift
+    below the canonical rounding still shows.  ``update`` (the
+    ``--update-goldens`` flag) rewrites the fixture instead."""
+    path = GOLDEN_DIR / f"{name}.json"
+    golden = {
+        "sha256": hashlib.sha256(
+            json.dumps(data, sort_keys=True).encode()).hexdigest(),
+        "result": _canonical(data),
+    }
+    text = json.dumps(golden, indent=1, sort_keys=True) + "\n"
+    if update:
+        path.write_text(text)
+        return
+    assert path.exists(), (
+        f"golden fixture {path} missing — generate it with "
+        f"pytest --update-goldens")
+    assert text == path.read_text(), (
+        f"{name} drifted from its golden fixture; if the change is "
+        f"intended, rerun with --update-goldens and commit the diff")
 
 
 @pytest.fixture(autouse=True)

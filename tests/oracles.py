@@ -77,6 +77,19 @@ def plan_energy_time_reference(
 # Algorithm 1 (core/clustering.py)
 # ----------------------------------------------------------------------
 
+def smooth_features_reference(x: np.ndarray, window: int) -> np.ndarray:
+    """Per-row loop of :func:`~repro.core.clustering.smooth_features`."""
+    if window <= 0:
+        return x
+    n = x.shape[0]
+    out = np.empty_like(x)
+    for i in range(n):
+        lo = max(0, i - window)
+        hi = min(n, i + window + 1)
+        out[i] = x[lo:hi].mean(axis=0)
+    return out
+
+
 def mahalanobis_matrix_reference(x: np.ndarray) -> np.ndarray:
     """Full-einsum :func:`~repro.core.clustering.mahalanobis_matrix`."""
     x = np.asarray(x, dtype=float)

@@ -85,3 +85,54 @@ def test_cli_output_byte_identical_with_and_without_trace(tmp_path,
                          "--metrics", str(tmp_path / "t.prom")]) == 0
     traced = capsys.readouterr().out
     assert traced == plain
+
+
+class TestExportOnCrash:
+    """``--trace``/``--metrics`` are written as the command ends, also
+    when it raises: the files are the crashed run's post-mortem."""
+
+    _SERVE = ["serve-sim", "--devices", "tx2", "--rate", "10",
+              "--duration", "0.2", "--seed", "3", "--models", "alexnet"]
+
+    @pytest.fixture()
+    def crashing_run(self, monkeypatch):
+        from repro.serving.scheduler import FleetScheduler
+
+        def boom(self, trace, n_jobs=1):
+            raise RuntimeError("mid-run crash")
+
+        monkeypatch.setattr(FleetScheduler, "run", boom)
+
+    def test_serve_sim_crash_still_writes_trace_and_metrics(
+            self, crashing_run, tmp_path, capsys):
+        trace_path = tmp_path / "run.jsonl"
+        prom_path = tmp_path / "run.prom"
+        with pytest.raises(RuntimeError, match="mid-run crash"):
+            main(self._SERVE + ["--trace", str(trace_path),
+                                "--metrics", str(prom_path)])
+        err = capsys.readouterr().err
+        assert f"trace written to {trace_path}" in err
+        assert f"metrics written to {prom_path}" in err
+        trace = read_trace(trace_path)
+        assert trace.malformed_lines == 0
+        assert trace.metrics is not None
+        parse_prometheus_text(prom_path.read_text())
+
+    def test_unwritable_export_never_masks_the_crash(
+            self, crashing_run, tmp_path, capsys):
+        missing = tmp_path / "no" / "such" / "dir"
+        with pytest.raises(RuntimeError, match="mid-run crash"):
+            main(self._SERVE + ["--trace", str(missing / "run.jsonl"),
+                                "--metrics", str(missing / "run.prom")])
+        err = capsys.readouterr().err
+        assert "could not write observability output after " \
+               "RuntimeError" in err
+        assert not missing.exists()
+
+    def test_unwritable_export_of_a_clean_run_raises(self, tmp_path,
+                                                     capsys):
+        """Without a crash to preserve, a failed export is the error."""
+        with pytest.raises(OSError):
+            main(self._SERVE + ["--metrics",
+                                str(tmp_path / "no" / "run.prom")])
+        capsys.readouterr()

@@ -3,7 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.core.datasets import DatasetA, DatasetB, DatasetGenerator
+from repro.core.datasets import (
+    DatasetA,
+    DatasetB,
+    DatasetGenerator,
+    GenerationStats,
+)
 from repro.core.predictors import DecisionModel, HyperparamPredictor
 from repro.core.schemes import default_scheme_grid
 from repro.models.random_gen import RandomDNNConfig
@@ -60,6 +65,29 @@ class TestGenerator:
         assert np.array_equal(a.qualities, a2.qualities)
         assert np.array_equal(b.x, b2.x)
         assert b2.n_levels == b.n_levels
+
+
+class TestStageLines:
+    """The one labeling-stage formatter (``TrainingSummary.format`` and
+    the CLI's stderr line both print it)."""
+
+    def test_pipeline_order_then_sorted_rest(self):
+        stats = GenerationStats(n_jobs=1, stage_seconds={
+            "zeta": 0.8, "evaluate": 1.0, "alpha": 0.6, "cluster": 3.0,
+            "distance": 2.0})
+        assert stats.stage_lines() == [
+            "labeling stages (CPU-s summed over 1 worker(s)): "
+            "distance 2.0s, cluster 3.0s, evaluate 1.0s, alpha 0.6s, "
+            "zeta 0.8s"]
+
+    def test_pool_adds_the_per_worker_line(self):
+        stats = GenerationStats(n_jobs=2, stage_seconds={
+            "cluster": 3.0, "distance": 2.0, "alpha": 0.6})
+        assert stats.stage_lines() == [
+            "labeling stages (CPU-s summed over 2 worker(s)): "
+            "distance 2.0s, cluster 3.0s, alpha 0.6s",
+            "labeling stages (per-worker average): "
+            "distance 1.0s, cluster 1.5s, alpha 0.3s"]
 
 
 class TestPredictors:

@@ -19,6 +19,7 @@ from repro.core.persistence import (
     resolve_cache_dir,
 )
 from repro.core.schemes import ClusteringScheme, default_scheme_grid
+from repro.experiments import common
 from repro.hw import jetson_tx2
 from repro.models.random_gen import RandomDNNConfig
 
@@ -299,3 +300,72 @@ class TestFitLevelCache:
         lens = PowerLens(tx2, config)
         summary = lens.fit(use_cache=False)
         assert summary.generation.cache_hit is False
+
+
+class TestContextCache:
+    """The cache behind every fitted CLI command: ``get_context`` with a
+    ``cache_dir``, each call fitting afresh (the in-process context memo
+    is cleared), so only the on-disk entry carries over."""
+
+    @pytest.fixture()
+    def generation(self, monkeypatch):
+        """``generation(cache_dir, use_cache=True)`` fits a fresh
+        2-network TX2 context and returns its generation stats."""
+        def fit(cache_dir, use_cache=True):
+            monkeypatch.setattr(common, "_CONTEXT_CACHE", {})
+            ctx = common.get_context("tx2", n_networks=2,
+                                     use_cache=use_cache,
+                                     cache_dir=str(cache_dir))
+            return ctx.lens.training_summary.generation
+        return fit
+
+    @staticmethod
+    def _entry_files(cache_dir):
+        return sorted(p.name for p in cache_dir.iterdir()
+                      if p.suffix in (".json", ".npz"))
+
+    def test_miss_then_hit(self, generation, tmp_path):
+        cache = tmp_path / "cache"
+        cold = generation(cache)
+        assert cold.cache_hit is False
+        entries = self._entry_files(cache)
+        # One entry: manifest + two npz payloads.
+        assert len(entries) == 3
+        warm = generation(cache)
+        assert warm.cache_hit is True
+        # The warm read must not rewrite or grow the entry set, and it
+        # carries the stored stage telemetry.
+        assert self._entry_files(cache) == entries
+        assert warm.stage_seconds == cold.stage_seconds
+        assert warm.stage_lines() == cold.stage_lines()
+
+    def test_missing_cache_dir_is_created(self, generation, tmp_path):
+        cache = tmp_path / "does" / "not" / "exist" / "yet"
+        assert generation(cache).cache_hit is False
+        assert cache.is_dir()
+        assert len(self._entry_files(cache)) == 3
+
+    def test_corrupt_payload_recovers(self, generation, tmp_path):
+        cache = tmp_path / "cache"
+        generation(cache)
+        payload = next(p for p in cache.iterdir()
+                       if p.name.endswith(".a.npz"))
+        payload.write_bytes(b"not an npz payload")
+        # Checksum mismatch => miss; the damaged entry is evicted and
+        # the fit regenerates without raising, then hits again.
+        assert generation(cache).cache_hit is False
+        assert len(self._entry_files(cache)) == 3
+        assert generation(cache).cache_hit is True
+
+    def test_truncated_manifest_recovers(self, generation, tmp_path):
+        cache = tmp_path / "cache"
+        generation(cache)
+        manifest = next(p for p in cache.iterdir() if p.suffix == ".json")
+        manifest.write_text(manifest.read_text()[:10])
+        assert generation(cache).cache_hit is False
+        assert generation(cache).cache_hit is True
+
+    def test_use_cache_false_never_writes(self, generation, tmp_path):
+        cache = tmp_path / "untouched"
+        assert generation(cache, use_cache=False).cache_hit is False
+        assert not cache.exists()

@@ -23,10 +23,12 @@ from repro.core.clustering import (
     blocks_from_distance,
     cluster_power_blocks,
     smooth_features,
-    smooth_features_reference,
     smoothed_power_distance,
 )
-from tests.oracles import cluster_power_blocks_reference
+from tests.oracles import (
+    cluster_power_blocks_reference,
+    smooth_features_reference,
+)
 
 _EPS_GRID = (0.0, 0.05, 0.3, 1.0)
 _MIN_PTS_GRID = (1, 2, 4)

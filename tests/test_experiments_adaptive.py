@@ -18,9 +18,7 @@ The claims pinned here:
 
 from __future__ import annotations
 
-import hashlib
 import json
-from pathlib import Path
 
 import pytest
 
@@ -31,8 +29,7 @@ from repro.experiments.adaptive import (
     shifted_faults,
 )
 from repro.hw.faults import CapWindow, FaultProfile
-
-GOLDEN = Path(__file__).parent / "goldens" / "adaptive_retention.json"
+from tests.conftest import check_golden
 
 
 @pytest.fixture(scope="module")
@@ -84,39 +81,12 @@ class TestRetentionSweep:
         assert payload["profile"] is not None
 
 
-def _canonical(value):
-    """``to_dict()`` with every float rounded to 10 significant digits
-    (the rounding the other golden fixtures are stored in)."""
-    if isinstance(value, float):
-        return float(f"{value:.10g}")
-    if isinstance(value, dict):
-        return {k: _canonical(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_canonical(v) for v in value]
-    return value
-
-
 def test_adaptive_retention_golden(update_goldens):
     """All four runtimes at fault scales 0 and 1, pinned: the canonical
     form of ``to_dict()`` plus the sha256 of its exact JSON text, so any
     change to plan selection, the replanner or the simulator shows."""
     data = run_adaptive_retention(scales=(0, 1)).to_dict()
-    golden = {
-        "sha256": hashlib.sha256(
-            json.dumps(data, sort_keys=True).encode()).hexdigest(),
-        "result": _canonical(data),
-    }
-    text = json.dumps(golden, indent=1, sort_keys=True) + "\n"
-    if update_goldens:
-        GOLDEN.write_text(text)
-        return
-    assert GOLDEN.exists(), (
-        f"golden fixture {GOLDEN} missing — generate it with "
-        f"pytest tests/test_experiments_adaptive.py --update-goldens")
-    assert text == GOLDEN.read_text(), (
-        "adaptive-retention result drifted from its golden fixture; if "
-        "the change is intended, rerun with --update-goldens and commit "
-        "the diff")
+    check_golden("adaptive_retention", data, update_goldens)
 
 
 class TestShiftedFaults:

@@ -78,6 +78,7 @@ class TestPublishedTotals:
         ("resnext101_32x8d", 88.8, 0.02),
         ("vit_b_16", 86.6, 0.02),
         ("regnet_y_128gf", 644.8, 0.02),
+        ("regnet_x_8gf", 39.6, 0.02),
     ])
     def test_param_counts(self, model, params_m, tol):
         g = build_model(model)

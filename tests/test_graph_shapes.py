@@ -42,6 +42,14 @@ class TestConv:
         with pytest.raises(ShapeError):
             infer_output_shape(OpType.CONV2D, attrs, [(4, 8, 8)])
 
+    @pytest.mark.parametrize("groups", [0, -2])
+    def test_groups_below_one_raise(self, groups):
+        """A zero group count is a shape error, not a ZeroDivisionError
+        (RegNetX-8GF computed one before its stage-width clamp)."""
+        attrs = ConvAttrs(out_channels=8, groups=groups)
+        with pytest.raises(ShapeError, match="groups must be >= 1"):
+            infer_output_shape(OpType.CONV2D, attrs, [(4, 8, 8)])
+
     def test_groups_must_divide_out_channels(self):
         attrs = ConvAttrs(out_channels=9, groups=2)
         with pytest.raises(ShapeError):

@@ -5,18 +5,19 @@ import pytest
 from repro.graph import graph_metrics, validate_graph
 from repro.graph.ops import OpCategory, OpType
 from repro.models import PAPER_MODELS, build_model, list_models
-from repro.models.zoo import register_model
+from repro.models.zoo import _ALIASES, register_model
+
+_PAPER_CANONICAL = {_ALIASES.get(m, m) for m in PAPER_MODELS}
 
 
 class TestRegistry:
     def test_paper_models_complete(self):
         assert len(PAPER_MODELS) == 12
 
+    #: The paper's names (aliases included), then every other
+    #: registered model: all of ``list_models()`` builds.
     @pytest.mark.parametrize("name", PAPER_MODELS + [
-        "efficientnet_b0", "efficientnet_b4", "squeezenet1_1",
-        "inception_v3", "wide_resnet50_2", "vit_l_16",
-        "densenet121", "regnet_x_400mf", "mobilenet_v3_small",
-    ])
+        m for m in list_models() if m not in _PAPER_CANONICAL])
     def test_paper_model_builds_and_validates(self, name):
         g = build_model(name)
         errors = [i for i in validate_graph(g) if i.severity == "error"]

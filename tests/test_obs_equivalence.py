@@ -196,21 +196,15 @@ class TestRuntimeEquivalence:
                     exercised.add(event)
         assert exercised == set(fields)  # each counter actually fired
 
-    def test_run_identical_with_live_exporter_scraping(self):
-        """A live /metrics scrape mid-session must not perturb the
-        instrumented run."""
-        import urllib.request
-        from repro.obs.exporter import MetricsExporter
+    def test_run_identical_with_prometheus_text_read(self):
+        """Rendering the session registry as Prometheus text must not
+        perturb the instrumented run."""
         platform = jetson_tx2()
         base = _run(platform, OndemandGovernor(), obs=None)
         obs = _obs()
-        with MetricsExporter(obs) as exporter:
-            observed = _run(platform, OndemandGovernor(), obs=obs)
-            with urllib.request.urlopen(exporter.url + "metrics",
-                                        timeout=5.0) as resp:
-                assert resp.status == 200
-                assert b"powerlens_telemetry_samples_total" in \
-                    resp.read()
+        observed = _run(platform, OndemandGovernor(), obs=obs)
+        assert "powerlens_telemetry_samples_total" in \
+            obs.metrics.to_prometheus_text()
         _assert_runs_identical(base, observed)
 
 

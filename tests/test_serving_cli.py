@@ -3,19 +3,15 @@
 Covers the acceptance scenario — a seeded 2-device (TX2 + AGX) Poisson
 run is deterministic from the command line (byte-identical event logs
 and stdout across invocations) — plus the JSON output mode, the
-``--metrics`` file sink, and the fleet ``/metrics`` endpoint served
-from an ephemeral (port-0) listener so parallel test runs never
-collide.
+``--metrics`` file sink, and the fleet registry's Prometheus text.
 """
 
 import json
-import urllib.request
 
 import pytest
 
 import repro.cli as cli
 from repro.obs import Observability
-from repro.obs.exporter import MetricsExporter
 from repro.obs.metrics import parse_prometheus_text
 
 pytestmark = pytest.mark.serving
@@ -65,10 +61,9 @@ def test_serve_sim_cli_rejects_bad_flags(capsys):
     assert "unknown serving governor" in capsys.readouterr().err
 
 
-def test_fleet_metrics_served_on_ephemeral_port():
-    """The fleet run's merged registry is scrapeable over HTTP; binding
-    port 0 and reading the bound port back keeps parallel suites from
-    colliding on a fixed port."""
+def test_fleet_metrics_prometheus_text_matches_report():
+    """The fleet run's merged registry, rendered as Prometheus text,
+    counts the report's requests and the run's jobs."""
     from repro.serving import (DeviceConfig, Fleet, FleetScheduler,
                                SchedulerConfig, make_trace)
     from tests.conftest import build_small_cnn
@@ -81,12 +76,7 @@ def test_fleet_metrics_served_on_ephemeral_port():
                        models=["small_cnn"], seed=2)
     result = FleetScheduler(fleet, SchedulerConfig(), obs=obs).run(trace)
 
-    with MetricsExporter(obs, port=0) as exporter:
-        assert exporter.port != 0  # ephemeral port read back
-        with urllib.request.urlopen(exporter.url + "metrics",
-                                    timeout=5.0) as resp:
-            body = resp.read().decode("utf-8")
-    parsed = parse_prometheus_text(body)
+    parsed = parse_prometheus_text(obs.metrics.to_prometheus_text())
     assert parsed.counter("powerlens_serving_requests_total").value \
         == result.report.arrived
     assert parsed.counter("powerlens_serving_jobs_total").value \
