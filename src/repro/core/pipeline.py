@@ -129,14 +129,19 @@ class TrainingSummary:
             f"{g.n_blocks} blocks "
             f"({g.wall_time_s:.1f}s){quarantine}\n"
             f"{stages}"
-            f"hyperparameter model: test acc {h.test_accuracy:.1%}, "
-            f"scheme-equivalent {h.equivalent_accuracy:.1%} "
+            f"hyperparameter model: test acc {_acc(h, h.test_accuracy)}, "
+            f"scheme-equivalent {_acc(h, h.equivalent_accuracy)} "
             f"({h.epochs} epochs, {h.wall_time_s:.1f}s)\n"
-            f"decision model: test acc {d.test_accuracy:.1%}, "
-            f"within-1 {d.within_1_accuracy:.1%}, "
-            f"within-2 {d.within_2_accuracy:.1%} "
+            f"decision model: test acc {_acc(d, d.test_accuracy)}, "
+            f"within-1 {_acc(d, d.within_1_accuracy)}, "
+            f"within-2 {_acc(d, d.within_2_accuracy)} "
             f"({d.epochs} epochs, {d.wall_time_s:.1f}s)"
         )
+
+
+def _acc(report: FitReport, value: float) -> str:
+    """An accuracy of ``report``; an empty test split has none, not 0 %."""
+    return f"{value:.1%}" if report.n_test else "n/a (0 test samples)"
 
 
 def _fuse_near_level_blocks(graph: Graph, view: PowerView,

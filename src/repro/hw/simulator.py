@@ -23,13 +23,17 @@ preset runtime) are told each command's achieved level and may answer
 with a bounded number of immediate retry targets.  With no profile (or
 an all-zero one) the fault layer is bypassed entirely, keeping traces,
 telemetry and energy byte-identical to the pre-fault simulator.
+
+Per-segment costs are table lookups, each filled once by the scalar
+power and latency models, so every value is the float they return.
 """
 
 from __future__ import annotations
 
 import random
+from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 from repro.graph import Graph
 from repro.hw.dvfs import DVFSController, SwitchResult
@@ -62,6 +66,12 @@ from repro.obs.metrics import SWITCH_LATENCY_BUCKETS
 #: governor retry loop can never hang the simulator even at 100 % fault
 #: rates (governors bound their own retries well below this).
 MAX_ACTUATIONS_PER_POINT = 8
+
+#: Bounded size of the per-(graph, batch, sparsity) operator-cost LRU.
+OP_TABLE_CACHE_SIZE = 64
+
+#: (nominal duration, GPU busy power, compute util, memory util).
+OpCost = Tuple[float, float, float, float]
 
 
 @dataclass(frozen=True)
@@ -115,7 +125,7 @@ class SimulationResult:
 
 
 class _SampleWindow:
-    """Accumulates window statistics between sampling boundaries."""
+    """Window statistics between sampling boundaries (fed by ``_emit``)."""
 
     __slots__ = ("busy_gpu", "busy_cpu", "cu", "mu", "gpu_e", "cpu_e",
                  "total_e", "start")
@@ -129,18 +139,6 @@ class _SampleWindow:
         self.gpu_e = 0.0
         self.cpu_e = 0.0
         self.total_e = 0.0
-
-    def add(self, seg: TraceSegment) -> None:
-        dt = seg.duration
-        if seg.kind == KIND_GPU_OP:
-            self.busy_gpu += dt
-        if seg.kind == KIND_CPU:
-            self.busy_cpu += dt
-        self.cu += seg.compute_util * dt
-        self.mu += seg.memory_util * dt
-        self.gpu_e += seg.gpu_power * dt
-        self.cpu_e += seg.cpu_power * dt
-        self.total_e += seg.total_power * dt
 
 
 class InferenceSimulator:
@@ -189,6 +187,17 @@ class InferenceSimulator:
         self.faults = faults
         self.latency = LatencyModel(platform)
         self.power = PowerModel(platform)
+        # Per-level constants, indexed by GPU / CPU ladder level.
+        gpu_freqs = platform.gpu_freq_levels
+        cpu = platform.cpu
+        self._gpu_idle = [self.power.gpu_idle(f) for f in gpu_freqs]
+        self._gpu_static = [self.power.gpu_static(f) for f in gpu_freqs]
+        self._cpu_busy = [self.power.cpu_busy(f) for f in cpu.freq_levels]
+        self._cpu_idle = [self.power.cpu_idle(f) for f in cpu.freq_levels]
+        self._cpu_rate = [cpu.ops_per_cycle * f for f in cpu.freq_levels]
+        # (fingerprint, batch, sparsity) -> per-op rows of per-level
+        # costs, each slot filled the first time the loop needs it.
+        self._op_tables: "OrderedDict[tuple, list]" = OrderedDict()
         self._rng = random.Random(seed)
         self.anomaly = anomaly
         # Observe-only.  Metric handles are resolved once here (not per
@@ -241,10 +250,13 @@ class InferenceSimulator:
                 self._apply_switch(state, level)
             works = sparse_works(self.latency.graph_work(job.graph),
                                  job.sparsity)
+            rows = self._op_rows(job, len(works))
+            cpu_label = f"{job.label()}:cpu"
             for _batch in range(job.n_batches):
-                self._run_cpu_phase(state, governor, job, samples)
+                self._run_cpu_phase(state, governor, job, cpu_label,
+                                    samples)
                 self._run_gpu_phase(state, governor, job, job_idx,
-                                    works, samples)
+                                    works, rows, samples)
             per_job.append(EnergyReport(
                 images=job.images,
                 total_time=state.trace.total_time - t0,
@@ -274,27 +286,27 @@ class InferenceSimulator:
     # phases
     # ------------------------------------------------------------------
     def _run_cpu_phase(self, state: "_RunState", governor,
-                       job: InferenceJob,
+                       job: InferenceJob, label: str,
                        samples: List[TelemetrySample]) -> None:
         """CPU preprocessing for one batch; GPU idles."""
         cpu_ops = job.cpu_work_per_image * job.batch_size
         remaining = cpu_ops
         while remaining > 1e-9:
-            cpu_freq = self._cpu_freq(state)
-            rate = self.platform.cpu.ops_per_cycle * cpu_freq
+            rate = self._cpu_rate[state.cpu_level]
             t_rem = remaining / rate
             dt = min(t_rem, state.next_sample - state.t)
             dt = max(dt, 1e-12)
-            gpu_p = self.power.gpu_idle(state.dvfs.freq)
-            cpu_p = self.power.cpu_busy(cpu_freq)
-            self._emit(state, dt, KIND_CPU, gpu_p, cpu_p, 0.0, 0.0,
-                       label=f"{job.label()}:cpu")
+            self._emit(state, dt, KIND_CPU,
+                       self._gpu_idle[state.dvfs.level],
+                       self._cpu_busy[state.cpu_level], 0.0, 0.0, label)
             remaining -= rate * dt
-            self._maybe_sample(state, governor, samples)
+            if state.t >= state.next_sample - 1e-12:
+                self._close_window(state, governor, samples)
 
     def _run_gpu_phase(self, state: "_RunState", governor,
                        job: InferenceJob, job_idx: int,
                        works: Sequence[OpWork],
+                       rows: List[List[Optional[OpCost]]],
                        samples: List[TelemetrySample]) -> None:
         """GPU operator sequence for one batch."""
         for op_idx, work in enumerate(works):
@@ -302,24 +314,53 @@ class InferenceSimulator:
             if level is not None:
                 self._apply_switch(state, level)
             noise = self._noise_factor()
+            row = rows[op_idx]
             remaining = 1.0  # fraction of the op still to execute
             while remaining > 1e-12:
-                freq = state.dvfs.freq
-                timing = self.latency.time_of(work, freq, job.batch_size)
-                duration = timing.duration * noise
+                gpu_level = state.dvfs.level
+                cost = row[gpu_level]
+                if cost is None:
+                    cost = row[gpu_level] = self._op_cost(
+                        work, gpu_level, job.batch_size)
+                nominal, gpu_p, cu, mu = cost
+                duration = nominal * noise
                 t_rem = remaining * duration
                 dt = min(t_rem, state.next_sample - state.t)
                 dt = max(dt, 1e-12)
-                gpu_p = self.power.gpu_busy(freq, timing)
-                cpu_p = self._cpu_power_during_gpu(state)
-                self._emit(state, dt, KIND_GPU_OP, gpu_p, cpu_p,
-                           timing.compute_utilization,
-                           timing.memory_utilization,
-                           label=work.name, op_index=op_idx)
+                cpu_p = (self._cpu_busy if state.t < state.cpu_busy_until
+                         else self._cpu_idle)[state.cpu_level]
+                self._emit(state, dt, KIND_GPU_OP, gpu_p, cpu_p, cu, mu,
+                           work.name, op_idx)
                 remaining -= dt / duration
                 # A level change at the window boundary re-times the
                 # remaining fraction of the op on the next pass.
-                self._maybe_sample(state, governor, samples)
+                if state.t >= state.next_sample - 1e-12:
+                    self._close_window(state, governor, samples)
+
+    # ------------------------------------------------------------------
+    # cost tables
+    # ------------------------------------------------------------------
+    def _op_rows(self, job: InferenceJob,
+                 n_ops: int) -> List[List[Optional[OpCost]]]:
+        """The job's per-op rows of per-level costs, from a bounded LRU
+        keyed like :class:`~repro.hw.analytic.ProfileTable`."""
+        key = (job.graph.fingerprint(), job.batch_size, job.sparsity)
+        rows = self._op_tables.get(key)
+        if rows is not None:
+            self._op_tables.move_to_end(key)
+            return rows
+        rows = [[None] * self.platform.n_levels for _ in range(n_ops)]
+        self._op_tables[key] = rows
+        while len(self._op_tables) > OP_TABLE_CACHE_SIZE:
+            self._op_tables.popitem(last=False)
+        return rows
+
+    def _op_cost(self, work: OpWork, level: int,
+                 batch_size: int) -> OpCost:
+        freq = self.platform.gpu_freq_levels[level]
+        timing = self.latency.time_of(work, freq, batch_size)
+        return (timing.duration, self.power.gpu_busy(freq, timing),
+                timing.compute_utilization, timing.memory_utilization)
 
     # ------------------------------------------------------------------
     # bookkeeping
@@ -331,33 +372,34 @@ class InferenceSimulator:
             # Temperature-dependent leakage rides on top of the nominal
             # static power; integrate the die forward over this segment.
             mult = state.thermal.leakage_multiplier()
-            extra = self.power.gpu_static(state.dvfs.freq) * (mult - 1.0)
+            extra = self._gpu_static[state.dvfs.level] * (mult - 1.0)
             gpu_p += extra
             state.thermal.advance(
                 gpu_p + cpu_p + self.platform.board_power, dt)
-        seg = TraceSegment(
-            t_start=state.t,
-            t_end=state.t + dt,
-            kind=kind,
-            gpu_level=state.dvfs.level,
-            gpu_power=gpu_p,
-            cpu_power=cpu_p,
-            board_power=self.platform.board_power,
-            compute_util=cu,
-            memory_util=mu,
-            label=label,
-            op_index=op_index,
-        )
-        state.trace.append(seg)
-        state.window.add(seg)
-        state.t += dt
+        t = state.t
+        t_end = t + dt
+        board_p = self.platform.board_power
+        state.trace.append(TraceSegment(
+            t, t_end, kind, state.dvfs.level, gpu_p, cpu_p, board_p,
+            cu, mu, label, op_index))
+        # The segment's own duration, not ``dt``: (t + dt) - t rounds.
+        d = t_end - t
+        w = state.window
+        if kind == KIND_GPU_OP:
+            w.busy_gpu += d
+        elif kind == KIND_CPU:
+            w.busy_cpu += d
+        w.cu += cu * d
+        w.mu += mu * d
+        w.gpu_e += gpu_p * d
+        w.cpu_e += cpu_p * d
+        w.total_e += (gpu_p + cpu_p + board_p) * d
+        state.t = t_end
 
-    def _maybe_sample(self, state: "_RunState", governor,
+    def _close_window(self, state: "_RunState", governor,
                       samples: List[TelemetrySample]) -> None:
-        """Close the telemetry window if we reached its boundary; let the
-        governor react."""
-        if state.t < state.next_sample - 1e-12:
-            return
+        """Close the telemetry window at its boundary (the caller checks
+        ``state.t`` reached it); let the governor react."""
         w = state.window
         period = state.t - w.start
         if period <= 0:
@@ -455,24 +497,15 @@ class InferenceSimulator:
         self._m_switches.inc()
         self._m_switch_stall.observe(stall)
         if stall > 0:
-            gpu_p = self.power.gpu_idle(state.dvfs.freq)
-            cpu_p = self.power.cpu_busy(self._cpu_freq(state))
-            self._emit(state, stall, KIND_SWITCH, gpu_p, cpu_p, 0.0, 0.0,
-                       label=f"dvfs:{switch.from_level}->{switch.to_level}")
+            self._emit(state, stall, KIND_SWITCH,
+                       self._gpu_idle[state.dvfs.level],
+                       self._cpu_busy[state.cpu_level], 0.0, 0.0,
+                       f"dvfs:{switch.from_level}->{switch.to_level}")
         # Host stays busy issuing the command for dvfs_cpu_busy_s.
         state.cpu_busy_until = max(
             state.cpu_busy_until,
             state.t + self.platform.dvfs_cpu_busy_s,
         )
-
-    def _cpu_power_during_gpu(self, state: "_RunState") -> float:
-        freq = self._cpu_freq(state)
-        if state.t < state.cpu_busy_until:
-            return self.power.cpu_busy(freq)
-        return self.power.cpu_idle(freq)
-
-    def _cpu_freq(self, state: "_RunState") -> float:
-        return self.platform.cpu.freq_levels[state.cpu_level]
 
     def _initial_cpu_level(self, policy: str) -> int:
         ladder = self.platform.cpu.freq_levels

@@ -226,7 +226,6 @@ def format_tegrastats(samples: Iterable[TelemetrySample],
     lines = []
     for s in samples:
         gpu_pct = int(round(s.gpu_busy * 100))
-        freq_mhz = 0
         lines.append(
             f"[{platform_name} t={s.t:8.3f}s] "
             f"GR3D_FREQ {gpu_pct:3d}%@L{s.gpu_level:02d} "
@@ -235,5 +234,4 @@ def format_tegrastats(samples: Iterable[TelemetrySample],
             f"TOTAL {int(s.total_power * 1000):6d}mW"
             + (" [faulty]" if s.faulty else "")
         )
-    _ = freq_mhz
     return "\n".join(lines)

@@ -24,6 +24,20 @@ class TestFitting:
         text = s.format()
         assert "decision model" in text
 
+    def test_one_network_summary_reports_no_test_accuracy(self, tx2):
+        # One network splits 1/0/0: there is nothing to test the
+        # hyper-parameter model on, which is not the same as 0 %.
+        s = PowerLens(tx2, PowerLensConfig(
+            n_networks=1, seed=0, n_jobs=1, use_cache=False)).fit()
+        h = s.hyperparam_report
+        assert h.n_test == 0
+        assert h.test_accuracy == 0.0  # FitReport fields are unchanged
+        line = s.format().splitlines()[-2]
+        assert line.startswith("hyperparameter model: test acc n/a "
+                               "(0 test samples), scheme-equivalent n/a "
+                               "(0 test samples) (")
+        assert "0.0%" not in line
+
 
 class TestAnalyze:
     def test_plan_covers_graph(self, fitted_lens, small_cnn):
