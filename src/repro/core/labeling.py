@@ -80,21 +80,27 @@ def scheme_quality(evaluator: AnalyticEvaluator, graph: Graph,
     """Energy efficiency (1/J, relative) of running each block of the
     candidate view at its swept-optimal level, switch costs included."""
     table = evaluator.profile_table(graph, batch_size)
-    quality, _levels = _evaluate_view(table, blocks, latency_slack)
+    quality, _levels = _evaluate_view(table, blocks, latency_slack,
+                                      graph.name)
     return quality
 
 
 def _evaluate_view(table: ProfileTable, blocks: Sequence[Sequence[int]],
-                   latency_slack: float) -> Tuple[float, List[int]]:
+                   latency_slack: float,
+                   graph_name: str) -> Tuple[float, List[int]]:
     """Quality and optimal level plan of one view against a prepared
-    profile table (the memoized unit of the scheme sweep)."""
+    profile table (the memoized unit of the scheme sweep).  The empty
+    view of a zero-op graph rates 0.0 with no levels (every scheme ties;
+    the sweep keeps scheme 0); a non-empty view with non-positive energy
+    means a broken power model and raises ``ValueError``."""
     if not blocks:
         return 0.0, []
     levels = [table.best_level_for_block(block, latency_slack)
               for block in blocks]
     energy, _time = table.plan_energy_time(blocks, levels)
     if energy <= 0:
-        return 0.0, levels
+        raise ValueError(f"graph {graph_name!r}: view of {len(blocks)} "
+                         f"blocks has non-positive energy {energy!r}")
     return 1.0 / energy, levels
 
 
@@ -174,7 +180,8 @@ def _sweep_schemes(evaluator: AnalyticEvaluator, graph: Graph,
             key = _partition_key(blocks)
             hit = evaluations.get(key)
             if hit is None:
-                hit = _evaluate_view(table, blocks, latency_slack)
+                hit = _evaluate_view(table, blocks, latency_slack,
+                                     graph.name)
                 evaluations[key] = hit
         quality, levels = hit
         qualities.append(quality)

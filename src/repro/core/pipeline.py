@@ -434,7 +434,8 @@ class PowerLens:
                               metrics=self.obs.metrics)
 
     def ledger(self, result, graph: Graph,
-               plan: Optional[FrequencyPlan] = None):
+               plan: Optional[FrequencyPlan] = None,
+               batch_size: Optional[int] = None):
         """Attribute ``result`` (a kept-trace
         :class:`~repro.hw.simulator.SimulationResult`) to power blocks.
 
@@ -443,13 +444,16 @@ class PowerLens:
         this framework's evaluator and config so mispredicted blocks
         (where the exhaustive sweep beats the preset level) are flagged.
         ``plan=None`` attributes against a single whole-graph block.
+        ``batch_size`` is the simulated jobs' batch size (default: the
+        config's), so the sweep runs against the simulated workload.
         """
         # Local import: repro.obs must stay importable without core.
         from repro.obs.ledger import EnergyLedger
 
         return EnergyLedger.from_result(
             result, plan=plan, graph=graph, evaluator=self.evaluator,
-            batch_size=self.config.batch_size,
+            batch_size=(self.config.batch_size if batch_size is None
+                        else batch_size),
             latency_slack=self.config.latency_slack)
 
     # ------------------------------------------------------------------

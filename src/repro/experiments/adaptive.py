@@ -70,7 +70,7 @@ from repro.graph import Graph, GraphBuilder
 from repro.hw.analytic import AnalyticEvaluator
 from repro.hw.faults import CapWindow, FaultProfile
 from repro.hw.platform import get_platform
-from repro.hw.simulator import InferenceJob, InferenceSimulator
+from repro.hw.simulator import InferenceJob, InferenceSimulator, SimCosts
 from repro.obs import Observability, NULL_TRACER
 from repro.obs.ledger import EnergyLedger
 from repro.obs.metrics import MetricsRegistry
@@ -261,6 +261,7 @@ def _run_flow(platform, graph: Graph, batches: Sequence[int],
     offset = 0.0
     signatures: List[_JobSig] = []
     fault_total = 0
+    costs = SimCosts(platform)
     for jidx, batch in enumerate(batches):
         job = InferenceJob(graph=graph, batch_size=batch, n_batches=1,
                            name=f"{graph.name}_drift_{jidx}")
@@ -273,7 +274,7 @@ def _run_flow(platform, graph: Graph, batches: Sequence[int],
             plan = governor.plan_for(graph.name)
         sim = InferenceSimulator(platform, seed=derive_seed(seed, jidx),
                                  keep_trace=True, keep_samples=False,
-                                 faults=faults)
+                                 faults=faults, costs=costs)
         result = sim.run([job], governor)
         if result.fault_stats is not None:
             fault_total += result.fault_stats.total

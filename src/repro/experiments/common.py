@@ -130,7 +130,8 @@ def run_model_ledger(ctx: ExperimentContext, model_name: str,
         [InferenceJob(graph=graph, batch_size=bs, n_batches=n_batches)],
         governor)
     ledger = ctx.lens.ledger(result, graph,
-                             plan=governor.plan_for(graph.name))
+                             plan=governor.plan_for(graph.name),
+                             batch_size=bs)
     return result, ledger
 
 

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -37,8 +37,8 @@ from repro.hw.platform import PlatformSpec
 from repro.hw.power import PowerModel
 
 #: Bounded size of the per-(fingerprint, batch, sparsity) profile-table
-#: LRU.
-PROFILE_TABLE_CACHE_SIZE = 8
+#: LRU (a serving device cycles through models x sparsities).
+PROFILE_TABLE_CACHE_SIZE = 16
 
 
 @dataclass(frozen=True)
@@ -84,6 +84,8 @@ class ProfileTable:
         self.prefix_energies = np.zeros((n_ops + 1, n_levels))
         np.cumsum(op_times, axis=0, out=self.prefix_times[1:])
         np.cumsum(op_energies, axis=0, out=self.prefix_energies[1:])
+        self._sweeps: Dict[Tuple[int, int, float],
+                           Tuple[LevelProfile, int]] = {}
 
     @property
     def n_ops(self) -> int:
@@ -130,6 +132,19 @@ class ProfileTable:
         """Exhaustive-sweep optimal level for one block."""
         return self._evaluator.best_level(self.block_profile(op_indices),
                                           latency_slack)
+
+    def block_sweep(self, op_start: int, op_stop: int,
+                    latency_slack: float) -> Tuple[LevelProfile, int]:
+        """Profile and exhaustive-sweep optimal level of ops
+        ``op_start .. op_stop - 1``, memoized on (and evicted with) this
+        table.  Callers must not mutate the returned profile."""
+        key = (op_start, op_stop, latency_slack)
+        sweep = self._sweeps.get(key)
+        if sweep is None:
+            profile = self.block_profile(range(op_start, op_stop))
+            sweep = self._sweeps[key] = (
+                profile, self._evaluator.best_level(profile, latency_slack))
+        return sweep
 
     def plan_energy_time(self, blocks: Sequence[Sequence[int]],
                          levels: Sequence[int]) -> Tuple[float, float]:

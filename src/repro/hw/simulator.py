@@ -124,6 +124,58 @@ class SimulationResult:
         return self.report.energy_efficiency
 
 
+class SimCosts:
+    """A platform's per-level constants (indexed by GPU / CPU ladder
+    level) and a bounded LRU of per-op rows keyed like
+    :class:`~repro.hw.analytic.ProfileTable`.
+
+    Nothing here depends on a run's seed, noise, faults or governor, so
+    one instance may serve every run on its board; it is not
+    thread-safe.  ``latency`` (a model of the same platform) shares an
+    existing graph-work cache.
+    """
+
+    def __init__(self, platform: PlatformSpec,
+                 latency: Optional[LatencyModel] = None) -> None:
+        self.platform = platform
+        self.latency = latency or LatencyModel(platform)
+        self.power = power = PowerModel(platform)
+        gpu_freqs = platform.gpu_freq_levels
+        cpu = platform.cpu
+        self.gpu_idle = [power.gpu_idle(f) for f in gpu_freqs]
+        self.gpu_static = [power.gpu_static(f) for f in gpu_freqs]
+        self.cpu_busy = [power.cpu_busy(f) for f in cpu.freq_levels]
+        self.cpu_idle = [power.cpu_idle(f) for f in cpu.freq_levels]
+        self.cpu_rate = [cpu.ops_per_cycle * f for f in cpu.freq_levels]
+        # (fingerprint, batch, sparsity) -> (sparse works, per-op rows of
+        # per-level costs, each slot filled the first time it is read).
+        self._op_tables: "OrderedDict[tuple, tuple]" = OrderedDict()
+
+    def op_table(self, job: InferenceJob) -> Tuple[
+            Sequence[OpWork], List[List[Optional[OpCost]]]]:
+        """The job's op works and per-op rows of per-level costs."""
+        key = (job.graph.fingerprint(), job.batch_size, job.sparsity)
+        table = self._op_tables.get(key)
+        if table is not None:
+            self._op_tables.move_to_end(key)
+            return table
+        works = sparse_works(self.latency.graph_work(job.graph),
+                             job.sparsity)
+        n_levels = self.platform.n_levels
+        table = works, [[None] * n_levels for _ in works]
+        self._op_tables[key] = table
+        while len(self._op_tables) > OP_TABLE_CACHE_SIZE:
+            self._op_tables.popitem(last=False)
+        return table
+
+    def op_cost(self, work: OpWork, level: int,
+                batch_size: int) -> OpCost:
+        freq = self.platform.gpu_freq_levels[level]
+        timing = self.latency.time_of(work, freq, batch_size)
+        return (timing.duration, self.power.gpu_busy(freq, timing),
+                timing.compute_utilization, timing.memory_utilization)
+
+
 class _SampleWindow:
     """Window statistics between sampling boundaries (fed by ``_emit``)."""
 
@@ -167,6 +219,10 @@ class InferenceSimulator:
         delivered telemetry window and every actuation result,
         strictly observe-only — nothing it computes flows back into the
         run (pinned by ``tests/test_obs_anomaly.py``).
+    costs:
+        Optional :class:`SimCosts` of ``platform``, shared by the
+        simulators of one board (a serving device); ``None`` builds a
+        private one.
     """
 
     def __init__(self, platform: PlatformSpec, sample_period: float = 0.02,
@@ -175,7 +231,8 @@ class InferenceSimulator:
                  thermal: Optional[ThermalConfig] = None,
                  faults: Optional[FaultProfile] = None,
                  obs: Optional[Observability] = None,
-                 anomaly: Optional[object] = None) -> None:
+                 anomaly: Optional[object] = None,
+                 costs: Optional[SimCosts] = None) -> None:
         if sample_period <= 0:
             raise ValueError("sample_period must be positive")
         self.platform = platform
@@ -185,19 +242,11 @@ class InferenceSimulator:
         self.keep_samples = keep_samples
         self.thermal_config = thermal
         self.faults = faults
-        self.latency = LatencyModel(platform)
-        self.power = PowerModel(platform)
-        # Per-level constants, indexed by GPU / CPU ladder level.
-        gpu_freqs = platform.gpu_freq_levels
-        cpu = platform.cpu
-        self._gpu_idle = [self.power.gpu_idle(f) for f in gpu_freqs]
-        self._gpu_static = [self.power.gpu_static(f) for f in gpu_freqs]
-        self._cpu_busy = [self.power.cpu_busy(f) for f in cpu.freq_levels]
-        self._cpu_idle = [self.power.cpu_idle(f) for f in cpu.freq_levels]
-        self._cpu_rate = [cpu.ops_per_cycle * f for f in cpu.freq_levels]
-        # (fingerprint, batch, sparsity) -> per-op rows of per-level
-        # costs, each slot filled the first time the loop needs it.
-        self._op_tables: "OrderedDict[tuple, list]" = OrderedDict()
+        if costs is None:
+            costs = SimCosts(platform)
+        elif costs.platform is not platform:
+            raise ValueError("costs were built for another platform")
+        self.costs = costs
         self._rng = random.Random(seed)
         self.anomaly = anomaly
         # Observe-only.  Metric handles are resolved once here (not per
@@ -248,9 +297,7 @@ class InferenceSimulator:
             level = governor.on_job_start(job_idx, job)
             if level is not None:
                 self._apply_switch(state, level)
-            works = sparse_works(self.latency.graph_work(job.graph),
-                                 job.sparsity)
-            rows = self._op_rows(job, len(works))
+            works, rows = self.costs.op_table(job)
             cpu_label = f"{job.label()}:cpu"
             for _batch in range(job.n_batches):
                 self._run_cpu_phase(state, governor, job, cpu_label,
@@ -289,16 +336,16 @@ class InferenceSimulator:
                        job: InferenceJob, label: str,
                        samples: List[TelemetrySample]) -> None:
         """CPU preprocessing for one batch; GPU idles."""
+        costs = self.costs
         cpu_ops = job.cpu_work_per_image * job.batch_size
         remaining = cpu_ops
         while remaining > 1e-9:
-            rate = self._cpu_rate[state.cpu_level]
+            rate = costs.cpu_rate[state.cpu_level]
             t_rem = remaining / rate
             dt = min(t_rem, state.next_sample - state.t)
             dt = max(dt, 1e-12)
-            self._emit(state, dt, KIND_CPU,
-                       self._gpu_idle[state.dvfs.level],
-                       self._cpu_busy[state.cpu_level], 0.0, 0.0, label)
+            self._emit(state, dt, KIND_CPU, costs.gpu_idle[state.dvfs.level],
+                       costs.cpu_busy[state.cpu_level], 0.0, 0.0, label)
             remaining -= rate * dt
             if state.t >= state.next_sample - 1e-12:
                 self._close_window(state, governor, samples)
@@ -309,6 +356,7 @@ class InferenceSimulator:
                        rows: List[List[Optional[OpCost]]],
                        samples: List[TelemetrySample]) -> None:
         """GPU operator sequence for one batch."""
+        costs = self.costs
         for op_idx, work in enumerate(works):
             level = governor.on_op_start(job_idx, op_idx, work)
             if level is not None:
@@ -320,15 +368,15 @@ class InferenceSimulator:
                 gpu_level = state.dvfs.level
                 cost = row[gpu_level]
                 if cost is None:
-                    cost = row[gpu_level] = self._op_cost(
+                    cost = row[gpu_level] = costs.op_cost(
                         work, gpu_level, job.batch_size)
                 nominal, gpu_p, cu, mu = cost
                 duration = nominal * noise
                 t_rem = remaining * duration
                 dt = min(t_rem, state.next_sample - state.t)
                 dt = max(dt, 1e-12)
-                cpu_p = (self._cpu_busy if state.t < state.cpu_busy_until
-                         else self._cpu_idle)[state.cpu_level]
+                cpu_p = (costs.cpu_busy if state.t < state.cpu_busy_until
+                         else costs.cpu_idle)[state.cpu_level]
                 self._emit(state, dt, KIND_GPU_OP, gpu_p, cpu_p, cu, mu,
                            work.name, op_idx)
                 remaining -= dt / duration
@@ -336,31 +384,6 @@ class InferenceSimulator:
                 # remaining fraction of the op on the next pass.
                 if state.t >= state.next_sample - 1e-12:
                     self._close_window(state, governor, samples)
-
-    # ------------------------------------------------------------------
-    # cost tables
-    # ------------------------------------------------------------------
-    def _op_rows(self, job: InferenceJob,
-                 n_ops: int) -> List[List[Optional[OpCost]]]:
-        """The job's per-op rows of per-level costs, from a bounded LRU
-        keyed like :class:`~repro.hw.analytic.ProfileTable`."""
-        key = (job.graph.fingerprint(), job.batch_size, job.sparsity)
-        rows = self._op_tables.get(key)
-        if rows is not None:
-            self._op_tables.move_to_end(key)
-            return rows
-        rows = [[None] * self.platform.n_levels for _ in range(n_ops)]
-        self._op_tables[key] = rows
-        while len(self._op_tables) > OP_TABLE_CACHE_SIZE:
-            self._op_tables.popitem(last=False)
-        return rows
-
-    def _op_cost(self, work: OpWork, level: int,
-                 batch_size: int) -> OpCost:
-        freq = self.platform.gpu_freq_levels[level]
-        timing = self.latency.time_of(work, freq, batch_size)
-        return (timing.duration, self.power.gpu_busy(freq, timing),
-                timing.compute_utilization, timing.memory_utilization)
 
     # ------------------------------------------------------------------
     # bookkeeping
@@ -372,7 +395,7 @@ class InferenceSimulator:
             # Temperature-dependent leakage rides on top of the nominal
             # static power; integrate the die forward over this segment.
             mult = state.thermal.leakage_multiplier()
-            extra = self._gpu_static[state.dvfs.level] * (mult - 1.0)
+            extra = self.costs.gpu_static[state.dvfs.level] * (mult - 1.0)
             gpu_p += extra
             state.thermal.advance(
                 gpu_p + cpu_p + self.platform.board_power, dt)
@@ -498,8 +521,8 @@ class InferenceSimulator:
         self._m_switch_stall.observe(stall)
         if stall > 0:
             self._emit(state, stall, KIND_SWITCH,
-                       self._gpu_idle[state.dvfs.level],
-                       self._cpu_busy[state.cpu_level], 0.0, 0.0,
+                       self.costs.gpu_idle[state.dvfs.level],
+                       self.costs.cpu_busy[state.cpu_level], 0.0, 0.0,
                        f"dvfs:{switch.from_level}->{switch.to_level}")
         # Host stays busy issuing the command for dvfs_cpu_busy_s.
         state.cpu_busy_until = max(

@@ -200,9 +200,11 @@ class AnomalyDetector:
     # feed points (called by the simulator)
     # ------------------------------------------------------------------
     def reset(self, platform) -> None:
-        """Start of a run: clear all sliding state."""
-        self._platform = platform
-        self._power_bound = _max_platform_power(platform)
+        """Start of a run: clear all sliding state.  The power bound is
+        recomputed only for a different platform object."""
+        if platform is not self._platform:
+            self._platform = platform
+            self._power_bound = _max_platform_power(platform)
         self._regimes.clear()
         self._reversals.reset()
         self._stalls.clear()

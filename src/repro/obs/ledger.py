@@ -294,11 +294,11 @@ class EnergyLedger:
                                 sparsity: float = 0.0) -> None:
         table = evaluator.profile_table(graph, batch_size, sparsity)
         for row in self.blocks:
-            ops = list(range(row.op_start, min(row.op_stop, table.n_ops)))
-            if not ops:
+            stop = min(row.op_stop, table.n_ops)
+            if row.op_start >= stop:
                 continue
-            profile = table.block_profile(ops)
-            best = evaluator.best_level(profile, latency_slack)
+            profile, best = table.block_sweep(row.op_start, stop,
+                                              latency_slack)
             row.best_level = best
             row.best_energy_j = float(profile.energies[best])
             if row.planned_level is not None:

@@ -59,7 +59,7 @@ from repro.governors.family import PlanCache
 from repro.hw.analytic import AnalyticEvaluator
 from repro.hw.faults import FaultProfile
 from repro.hw.platform import get_platform
-from repro.hw.simulator import InferenceJob, InferenceSimulator
+from repro.hw.simulator import InferenceJob, InferenceSimulator, SimCosts
 from repro.obs import Observability, NULL_TRACER
 from repro.obs.anomaly import AnomalyConfig, AnomalyDetector
 from repro.obs.ledger import EnergyLedger
@@ -271,6 +271,10 @@ class SimulatedDevice:
             else None
         self.unhealthy_after = unhealthy_after
         self.evaluator = AnalyticEvaluator(self.platform)
+        # One set of simulator cost tables for every dispatch on this
+        # board; graph work is shared with the evaluator.
+        self.sim_costs = SimCosts(self.platform,
+                                  latency=self.evaluator.latency)
         # Family mode: plans are additionally keyed by the activation
         # sparsity *bucket* of each job.  Non-family governors keep the
         # single dense bucket (after the edges are validated) so every
@@ -486,6 +490,7 @@ class SimulatedDevice:
             faults=faults,
             obs=sim_obs or self.obs,
             anomaly=self.anomaly,
+            costs=self.sim_costs,
         )
         # The simulator registered its metrics above, so the snapshot
         # sees them and only the run's own effects differ afterwards.

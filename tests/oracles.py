@@ -218,7 +218,7 @@ def scheme_quality_reference(evaluator: AnalyticEvaluator, graph: Graph,
     energy, _time = plan_energy_time_reference(
         evaluator, graph, blocks, levels, batch_size)
     if energy <= 0:
-        return 0.0
+        raise ValueError(f"graph {graph.name!r}: non-positive energy")
     return 1.0 / energy
 
 

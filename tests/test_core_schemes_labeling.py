@@ -15,7 +15,8 @@ from repro.core.schemes import (
     default_scheme_grid,
     scheme_index,
 )
-from repro.hw.analytic import AnalyticEvaluator
+from repro.graph import Graph
+from repro.hw.analytic import AnalyticEvaluator, ProfileTable
 
 
 @pytest.fixture()
@@ -79,6 +80,22 @@ class TestSchemeQuality:
 
     def test_empty_blocks_zero(self, evaluator, small_cnn):
         assert scheme_quality(evaluator, small_cnn, []) == 0.0
+
+    def test_zero_op_graph_rates_every_scheme_zero(self, evaluator):
+        graph = Graph("empty")
+        grid = default_scheme_grid()
+        best, blocks, qualities = best_scheme_for_graph(
+            evaluator, graph, np.zeros((0, 4)), grid, batch_size=8)
+        assert (best, blocks) == (0, [])
+        assert qualities == [0.0] * len(grid)
+
+    def test_non_positive_energy_names_the_graph(self, evaluator,
+                                                 small_cnn, monkeypatch):
+        monkeypatch.setattr(ProfileTable, "plan_energy_time",
+                            lambda self, blocks, levels: (0.0, 1.0))
+        n = len(small_cnn.compute_nodes())
+        with pytest.raises(ValueError, match=repr(small_cnn.name)):
+            scheme_quality(evaluator, small_cnn, [list(range(n))])
 
     def test_quality_is_reciprocal_energy(self, evaluator, small_cnn):
         n = len(small_cnn.compute_nodes())

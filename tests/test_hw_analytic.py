@@ -82,6 +82,19 @@ class TestBestLevel:
                                              batch_size=8)
         assert 0 <= lvl <= tx2.max_level
 
+    @pytest.mark.parametrize("start,stop,slack", [
+        (0, 3, 0.25), (2, 5, 0.25), (2, 5, 0.0), (4, 5, 0.5)])
+    def test_block_sweep_memoizes_the_unmemoized_sweep(
+            self, evaluator, small_cnn, start, stop, slack):
+        table = evaluator.profile_table(small_cnn, 8, 0.3)
+        profile, best = table.block_sweep(start, stop, slack)
+        ops = list(range(start, stop))
+        expected = table.block_profile(ops)
+        assert profile.times.tobytes() == expected.times.tobytes()
+        assert profile.energies.tobytes() == expected.energies.tobytes()
+        assert best == evaluator.best_level(expected, slack)
+        assert table.block_sweep(start, stop, slack)[0] is profile
+
 
 class TestPlanEnergy:
     def test_uniform_plan_matches_graph_profile(self, evaluator,

@@ -79,6 +79,29 @@ class TestUnits:
         assert result.samples
         assert max(s.total_power for s in result.samples) <= bound
 
+    def test_power_bound_recomputed_only_for_a_new_platform(
+            self, monkeypatch):
+        import repro.obs.anomaly as anomaly
+        from repro.hw.platform import jetson_agx_xavier
+
+        calls = []
+
+        def counted(platform):
+            calls.append(platform)
+            return _max_platform_power(platform)
+
+        monkeypatch.setattr(anomaly, "_max_platform_power", counted)
+        tx2, agx = jetson_tx2(), jetson_agx_xavier()
+        detector = AnomalyDetector()
+        detector.reset(tx2)
+        detector.reset(tx2)
+        assert calls == [tx2]
+        detector.reset(agx)
+        assert calls == [tx2, agx]
+        assert detector._power_bound == _max_platform_power(agx)
+        detector.on_sample(_sample(power=_max_platform_power(tx2) * 1.3))
+        assert detector.anomalies == []  # under AGX's higher bound
+
     def test_bound_breach_fires_without_warmup(self):
         detector = AnomalyDetector()
         detector.reset(jetson_tx2())

@@ -134,6 +134,26 @@ class TestMisprediction:
         ledger = fitted_lens.ledger(result, graph, plan=plan)
         assert ledger.mispredicted_blocks() == []
 
+    def test_model_ledger_sweeps_at_the_simulated_batch_size(
+            self, fitted_lens):
+        """``powerlens ledger --batch-size 4`` sweeps the batch-4
+        workload it simulated, not the config's batch size."""
+        from repro.experiments.common import (ExperimentContext,
+                                              run_model_ledger)
+
+        assert fitted_lens.config.batch_size != 4
+        ctx = ExperimentContext(platform=fitted_lens.platform,
+                                lens=fitted_lens)
+        result, ledger = run_model_ledger(ctx, "alexnet", n_batches=1,
+                                          batch_size=4)
+        graph = ctx.graph("alexnet")
+        plan = ctx.powerlens_governor(["alexnet"]).plan_for(graph.name)
+        expected = EnergyLedger.from_result(
+            result, plan=plan, graph=graph,
+            evaluator=fitted_lens.evaluator, batch_size=4,
+            latency_slack=fitted_lens.config.latency_slack)
+        assert ledger.to_dict() == expected.to_dict()
+
 
 class TestLedgerInterface:
     def test_requires_kept_trace(self):

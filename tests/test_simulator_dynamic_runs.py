@@ -186,7 +186,8 @@ def test_op_costs_computed_once_per_key_op_level(monkeypatch):
     share = Counter()
     for graph, batch, sparsity in {(j.graph, j.batch_size, j.sparsity)
                                    for j in jobs}:
-        works = sparse_works(sim.latency.graph_work(graph), sparsity)
+        works = sparse_works(sim.costs.latency.graph_work(graph),
+                             sparsity)
         share.update((work, batch) for work in works)
     assert timed
     for (work, freq, batch), n in timed.items():
@@ -209,7 +210,7 @@ def test_evicted_op_tables_refill_identically(monkeypatch):
         sim = InferenceSimulator(jetson_tx2(), sample_period=0.005,
                                  noise_std=0.02, seed=7)
         result = sim.run(jobs, OndemandGovernor())
-        return len(sim._op_tables), _sha(result.trace.segments)
+        return len(sim.costs._op_tables), _sha(result.trace.segments)
 
     n_kept, kept = segments()
     monkeypatch.setattr(simulator, "OP_TABLE_CACHE_SIZE", 1)
