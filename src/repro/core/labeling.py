@@ -17,7 +17,7 @@ This module is the per-network unit of work of dataset generation, so
   operator list per scheme/block/level;
 * one :class:`~repro.core.clustering.FactoredDistance` per distinct
   smoothing window (``max(2, min_pts)``): the blended Mahalanobis work
-  is eigen-factored into a whitened matmul (exact-decision-guarded, see
+  is expanded into Gram-matrix matmuls (exact-decision-guarded, see
   DESIGN.md §5i) and shared by every scheme in the grid that uses it;
 * ``(quality, levels)`` is memoized by block-partition key, so the many
   schemes that collapse to the same view are evaluated once — and the
@@ -28,21 +28,21 @@ oracle (``tests/oracles.py``); the equivalence is property-tested in
 ``tests/test_labeling_fastpath.py``.  Per-stage wall time (distance /
 cluster / evaluate) is reported through ``NetworkLabels.stage_seconds``
 and aggregated into ``GenerationStats``.  Stage timing is span-derived:
-each stage chunk runs inside a span on a private aggregate-only
-:class:`~repro.obs.tracing.Tracer` (mirrored into an optional session
-tracer for trace export), and ``stage_seconds`` is read back from the
-span aggregates — there is no second, hand-timed clock.
+each stage chunk is a :class:`~repro.core.overhead.StageTimer` stage
+(mirrored into an optional session tracer for trace export), and
+``stage_seconds`` is read back from its span aggregates — there is no
+second, hand-timed clock.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.clustering import FactoredDistance
+from repro.core.overhead import StageTimer
 from repro.core.schemes import ClusteringScheme
 from repro.graph import Graph
 from repro.hw.analytic import AnalyticEvaluator, ProfileTable
@@ -50,6 +50,10 @@ from repro.obs.tracing import NULL_TRACER, Tracer
 
 #: The labeling pipeline's stage names, in pipeline order.
 STAGE_NAMES = ("distance", "cluster", "evaluate")
+
+#: Schemes whose quality lands within this relative gap of the best are
+#: treated as equivalent (see :func:`best_scheme_for_graph`).
+QUALITY_TOLERANCE = 0.01
 
 
 def block_optimal_level(evaluator: AnalyticEvaluator, graph: Graph,
@@ -126,33 +130,23 @@ class _SchemeSweep:
     stage_seconds: Dict[str, float]
 
 
-@contextmanager
-def _stage_span(session: Tracer, local: Tracer,
-                name: str) -> Iterator[None]:
-    """One stage chunk: a span on the private aggregate tracer (the
-    source of ``stage_seconds``) mirrored into the session tracer."""
-    with session.span(name), local.span(name):
-        yield
-
-
 def _sweep_schemes(evaluator: AnalyticEvaluator, graph: Graph,
                    features: np.ndarray,
                    schemes: Sequence[ClusteringScheme],
                    batch_size: int, latency_slack: float, alpha: float,
-                   lam: float, quality_tolerance: float,
+                   lam: float,
                    tracer: Optional[Tracer] = None) -> _SchemeSweep:
     """Single memoized pass over the scheme grid.
 
     The distance matrix depends on the scheme only through its smoothing
     window, and the quality/levels only through the resulting partition,
     so both are computed once per distinct key.  Wall time is split into
-    the three pipeline stages via spans (see :func:`_stage_span`) and
-    read back from the span aggregates for ``GenerationStats``.
+    the three pipeline stages via a :class:`StageTimer` and read back
+    from its span aggregates for ``GenerationStats``.
     """
-    session = tracer if tracer is not None else NULL_TRACER
-    local = Tracer(keep_spans=False)
+    timer = StageTimer(tracer=tracer)
     n = features.shape[0]
-    with _stage_span(session, local, "evaluate"):
+    with timer.stage("evaluate"):
         table = evaluator.profile_table(graph, batch_size)
 
     distances: Dict[int, FactoredDistance] = {}
@@ -169,14 +163,14 @@ def _sweep_schemes(evaluator: AnalyticEvaluator, graph: Graph,
             window = max(2, scheme.min_pts)
             distance = distances.get(window)
             if distance is None:
-                with _stage_span(session, local, "distance"):
+                with timer.stage("distance"):
                     distance = FactoredDistance(
                         features, window, alpha=alpha, lam=lam)
                 distances[window] = distance
-            with _stage_span(session, local, "cluster"):
+            with timer.stage("cluster"):
                 blocks = distance.blocks(scheme.eps, scheme.min_pts)
         views.append(blocks)
-        with _stage_span(session, local, "evaluate"):
+        with timer.stage("evaluate"):
             key = _partition_key(blocks)
             hit = evaluations.get(key)
             if hit is None:
@@ -186,14 +180,14 @@ def _sweep_schemes(evaluator: AnalyticEvaluator, graph: Graph,
         quality, levels = hit
         qualities.append(quality)
         levels_by_view.append(levels)
-    stage = {name: local.total(name) for name in STAGE_NAMES}
+    stage = {name: timer.total(name) for name in STAGE_NAMES}
 
     top = max(qualities)
     if top <= 0:
         best = 0
     else:
         candidates = [i for i, q in enumerate(qualities)
-                      if q >= top * (1.0 - quality_tolerance)]
+                      if q >= top * (1.0 - QUALITY_TOLERANCE)]
         best = min(candidates, key=lambda i: (-len(views[i]), i))
     return _SchemeSweep(best=best, views=views, qualities=qualities,
                         best_levels=list(levels_by_view[best]),
@@ -204,13 +198,12 @@ def best_scheme_for_graph(
         evaluator: AnalyticEvaluator, graph: Graph, features: np.ndarray,
         schemes: Sequence[ClusteringScheme], batch_size: int = 16,
         latency_slack: float = 0.25, alpha: float = 0.6,
-        lam: float = 0.05, quality_tolerance: float = 0.01
-) -> Tuple[int, List[List[int]], List[float]]:
+        lam: float = 0.05) -> Tuple[int, List[List[int]], List[float]]:
     """Try every scheme on ``graph``; return the winner.
 
     Returns ``(best_index, best_blocks, qualities)``.
 
-    Schemes whose quality lands within ``quality_tolerance`` (relative)
+    Schemes whose quality lands within :data:`QUALITY_TOLERANCE` (relative)
     of the best are treated as equivalent — on hardware they would be
     within measurement noise — and the tie breaks deterministically
     toward the *finest* view (most blocks) and then toward the lowest
@@ -221,8 +214,7 @@ def best_scheme_for_graph(
     flips between near-identical schemes.
     """
     sweep = _sweep_schemes(evaluator, graph, features, schemes,
-                           batch_size, latency_slack, alpha, lam,
-                           quality_tolerance)
+                           batch_size, latency_slack, alpha, lam)
     return sweep.best, sweep.views[sweep.best], sweep.qualities
 
 
@@ -273,7 +265,7 @@ def label_network(evaluator: AnalyticEvaluator, graph: Graph,
                       n_ops=int(features.shape[0])) as sp:
         sweep = _sweep_schemes(evaluator, graph, features, schemes,
                                batch_size, latency_slack, alpha, lam,
-                               quality_tolerance=0.01, tracer=session)
+                               tracer=session)
         sp.set(best_scheme=sweep.best,
                n_blocks=len(sweep.views[sweep.best]))
     return NetworkLabels(best_scheme=sweep.best,

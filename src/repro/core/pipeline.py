@@ -146,15 +146,22 @@ def _acc(report: FitReport, value: float) -> str:
 
 def _fuse_near_level_blocks(graph: Graph, view: PowerView,
                             levels: List[int], extractor,
-                            repredict, threshold: int = 1) -> tuple:
+                            threshold: int,
+                            repredict=None) -> tuple:
     """Fuse chains of adjacent blocks whose target levels differ by at
-    most ``threshold``, then re-decide each fused block's level.
+    most ``threshold``; ``repredict`` then re-decides each fused block's
+    level (without it a chain keeps its last block's level).
 
-    This is the paper's cluster post-processing ("adjusting size, shape,
-    or membership of clusters"): near-equal decisions on neighbouring
-    blocks are within the decision model's known +-1-level error band,
-    so the fragmentation is noise, not signal — fusing removes spurious
-    instrumentation points at negligible energy cost.
+    With ``threshold=1`` and a ``repredict`` this is the paper's cluster
+    post-processing ("adjusting size, shape, or membership of
+    clusters"): near-equal decisions on neighbouring blocks are within
+    the decision model's known +-1-level error band, so the
+    fragmentation is noise, not signal — fusing removes spurious
+    instrumentation points at negligible energy cost.  With
+    ``threshold=0`` it merges blocks that received the same level: an
+    instrumentation point between two blocks at the same frequency is a
+    no-op, so the *effective* power view — and the block counts the
+    paper reports — is the fused one.
     """
     if len(levels) <= 1:
         return view, levels
@@ -173,37 +180,12 @@ def _fuse_near_level_blocks(graph: Graph, view: PowerView,
     fused = PowerView.from_blocks(graph, groups, eps=view.eps,
                                   min_pts=view.min_pts,
                                   extractor=extractor)
+    if repredict is None:
+        return fused, group_levels
     new_levels = list(repredict(fused))
     if len(new_levels) != fused.n_blocks:
         raise RuntimeError("repredict returned wrong number of levels")
     return fused, new_levels
-
-
-def _merge_equal_level_blocks(graph: Graph, view: PowerView,
-                              levels: List[int],
-                              extractor) -> tuple:
-    """Fuse adjacent power blocks that received the same target level.
-
-    An instrumentation point between two blocks at the same frequency is
-    a no-op, so the *effective* power view — and the block counts the
-    paper reports — is the fused one.
-    """
-    if len(levels) <= 1:
-        return view, levels
-    merged_groups: List[List[int]] = []
-    merged_levels: List[int] = []
-    for block, level in zip(view.blocks, levels):
-        if merged_levels and merged_levels[-1] == level:
-            merged_groups[-1].extend(block.op_indices)
-        else:
-            merged_groups.append(list(block.op_indices))
-            merged_levels.append(level)
-    if len(merged_groups) == len(view.blocks):
-        return view, levels
-    fused = PowerView.from_blocks(graph, merged_groups, eps=view.eps,
-                                  min_pts=view.min_pts,
-                                  extractor=extractor)
-    return fused, merged_levels
 
 
 class PowerLens:
@@ -346,11 +328,11 @@ class PowerLens:
             levels = self.decision_model.predict_levels(
                 view.feature_matrix())
             view, levels = _fuse_near_level_blocks(
-                graph, view, levels, self.global_,
+                graph, view, levels, self.global_, threshold=1,
                 repredict=lambda v: self.decision_model.predict_levels(
                     v.feature_matrix()))
-        view, levels = _merge_equal_level_blocks(graph, view, levels,
-                                                 self.global_)
+        view, levels = _fuse_near_level_blocks(graph, view, levels,
+                                               self.global_, threshold=0)
         view, levels = self._guard_against_collapse(graph, view, levels)
         plan = FrequencyPlan(
             graph_name=graph.name,
@@ -403,14 +385,14 @@ class PowerLens:
             self.evaluator, graph, blocks, batch_size=cfg.batch_size,
             latency_slack=cfg.latency_slack)
         view, levels = _fuse_near_level_blocks(
-            graph, view, levels, self.global_,
+            graph, view, levels, self.global_, threshold=1,
             repredict=lambda v: plan_levels_for_blocks(
                 self.evaluator, graph,
                 [list(b.op_indices) for b in v.blocks],
                 batch_size=cfg.batch_size,
                 latency_slack=cfg.latency_slack))
-        view, levels = _merge_equal_level_blocks(graph, view, levels,
-                                                 self.global_)
+        view, levels = _fuse_near_level_blocks(graph, view, levels,
+                                               self.global_, threshold=0)
         plan = FrequencyPlan(
             graph_name=graph.name,
             steps=[PlanStep(op_index=b.start, level=lvl)

@@ -15,9 +15,10 @@ as the GPU-side sweep.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 from repro.governors.preset import FrequencyPlan, PresetGovernor
+from repro.hw import analytic
 from repro.hw.platform import PlatformSpec
 from repro.hw.power import PowerModel
 
@@ -44,13 +45,13 @@ def cpu_phase_energy(platform: PlatformSpec, cpu_ops: float,
 
 
 def optimal_cpu_level(platform: PlatformSpec, cpu_ops: float,
-                      latency_slack: float = 0.25,
-                      ee_tolerance: float = 0.005) -> int:
+                      latency_slack: float = 0.25) -> int:
     """Exhaustive sweep of the CPU ladder for one preprocessing phase.
 
     Mirrors the GPU-side rule: minimize energy subject to the phase not
     exceeding ``(1 + latency_slack)`` times its fastest duration; among
-    near-ties pick the fastest level.
+    near-ties (within :data:`repro.hw.analytic.EE_TOLERANCE`) pick the
+    fastest level.
     """
     ladder = platform.cpu.freq_levels
     energies = []
@@ -63,7 +64,7 @@ def optimal_cpu_level(platform: PlatformSpec, cpu_ops: float,
     feasible = [i for i in range(len(ladder)) if times[i] <= budget + 1e-15]
     best_e = min(energies[i] for i in feasible)
     near = [i for i in feasible
-            if energies[i] <= best_e * (1.0 + ee_tolerance)]
+            if energies[i] <= best_e * (1.0 + analytic.EE_TOLERANCE)]
     return max(near)
 
 
@@ -81,10 +82,8 @@ class PowerLensCGGovernor(PresetGovernor):
     cpu_policy = "plan"
 
     def __init__(self, plans: Sequence[FrequencyPlan],
-                 planned_cpu_level: int,
-                 fallback_level: Optional[int] = None) -> None:
-        super().__init__(plans, fallback_level=fallback_level,
-                         name="powerlens_cg")
+                 planned_cpu_level: int) -> None:
+        super().__init__(plans, name="powerlens_cg")
         self.cpu_policy = "plan"
         self.planned_cpu_level = planned_cpu_level
 

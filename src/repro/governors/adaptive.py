@@ -11,19 +11,19 @@ closes that loop **between inference jobs**:
    job's ledger (built with an evaluator so misprediction flags are
    populated) plus the count of new anomalies;
 2. **synthesize** — every mispredicted block's level is nudged toward
-   the ledger's exhaustive-sweep winner, *bounded* to ``±max_nudge``
-   levels per correction so one noisy observation can never teleport
-   the plan;
+   the ledger's exhaustive-sweep winner, *bounded* to
+   :data:`MAX_NUDGE` levels either way per correction so one noisy
+   observation can never teleport the plan;
 3. **re-score** — the candidate is evaluated against the current plan
    with :meth:`~repro.hw.analytic.ProfileTable.plan_energy_time` at the
    observed batch size; it is adopted only when the predicted energy
-   improves by at least ``min_improvement_frac`` without exceeding the
-   ``max_slowdown_frac`` latency guard;
+   improves by at least :data:`MIN_IMPROVEMENT_FRAC` without exceeding
+   the :data:`MAX_SLOWDOWN_FRAC` latency guard;
 4. **hot-swap + verify** — an adopted correction replaces the plan for
    the *next* job (verify-after-swap): if that job's measured EE
-   regresses by more than ``regression_tolerance`` relative to the
+   regresses by more than :data:`REGRESSION_TOLERANCE` relative to the
    pre-swap job, the governor rolls back to the last-good plan and
-   freezes replanning for ``cooldown_jobs`` jobs.  Anything worse —
+   freezes replanning for :data:`COOLDOWN_JOBS` jobs.  Anything worse —
    failing actuators mid-job — is still handled by the inherited
    retry→pin→safe-level degradation ladder.
 
@@ -47,6 +47,19 @@ from repro.hw.analytic import AnalyticEvaluator
 from repro.obs import Observability, NULL_OBS
 
 __all__ = ["ReplanHealth", "AdaptivePresetGovernor"]
+
+#: Per-block correction bound (levels per adopted correction).
+MAX_NUDGE = 2
+#: Minimum predicted relative energy improvement for adoption.  Measured
+#: over the *whole plan*, so a per-block saving is diluted by the
+#: untouched blocks — hence deliberately small.
+MIN_IMPROVEMENT_FRAC = 0.001
+#: Maximum predicted relative time increase a correction may cost.
+MAX_SLOWDOWN_FRAC = 0.25
+#: Measured-EE slack of the verify job before rolling back.
+REGRESSION_TOLERANCE = 0.02
+#: Jobs replanning stays frozen after a rollback or rejection.
+COOLDOWN_JOBS = 2
 
 
 @dataclass
@@ -113,18 +126,6 @@ class AdaptivePresetGovernor(PresetGovernor):
     evaluator:
         Analytic oracle used to re-score candidate corrections.  Must
         model the same platform the governor runs on.
-    max_nudge:
-        Per-block correction bound (levels per adopted correction).
-    min_improvement_frac:
-        Minimum predicted relative energy improvement for adoption.
-        Measured over the *whole plan*, so a per-block saving is diluted
-        by the untouched blocks — the default is deliberately small.
-    max_slowdown_frac:
-        Maximum predicted relative time increase a correction may cost.
-    regression_tolerance:
-        Measured-EE slack of the verify job before rolling back.
-    cooldown_jobs:
-        Jobs replanning stays frozen after a rollback or rejection.
     obs:
         Observability bundle; counters land in ``obs.metrics`` (also
         wired into the inherited runtime counters) and decisions are
@@ -135,11 +136,6 @@ class AdaptivePresetGovernor(PresetGovernor):
 
     def __init__(self, plans: Sequence[FrequencyPlan],
                  evaluator: AnalyticEvaluator,
-                 max_nudge: int = 2,
-                 min_improvement_frac: float = 0.001,
-                 max_slowdown_frac: float = 0.25,
-                 regression_tolerance: float = 0.02,
-                 cooldown_jobs: int = 2,
                  latency_slack: float = 0.25,
                  obs: Optional[Observability] = None,
                  name: str = "powerlens-adaptive",
@@ -147,22 +143,7 @@ class AdaptivePresetGovernor(PresetGovernor):
         obs = obs if obs is not None else NULL_OBS
         super().__init__(plans, name=name, metrics=obs.metrics,
                          **preset_kwargs)  # type: ignore[arg-type]
-        if max_nudge < 1:
-            raise ValueError("max_nudge must be >= 1")
-        if not 0.0 <= min_improvement_frac < 1.0:
-            raise ValueError("min_improvement_frac must be in [0, 1)")
-        if max_slowdown_frac < 0:
-            raise ValueError("max_slowdown_frac must be >= 0")
-        if regression_tolerance < 0:
-            raise ValueError("regression_tolerance must be >= 0")
-        if cooldown_jobs < 0:
-            raise ValueError("cooldown_jobs must be >= 0")
         self.evaluator = evaluator
-        self.max_nudge = max_nudge
-        self.min_improvement_frac = min_improvement_frac
-        self.max_slowdown_frac = max_slowdown_frac
-        self.regression_tolerance = regression_tolerance
-        self.cooldown_jobs = cooldown_jobs
         self.latency_slack = latency_slack
         self.obs = obs
         self.replan_health = ReplanHealth()
@@ -217,10 +198,10 @@ class AdaptivePresetGovernor(PresetGovernor):
         if trial is not None and measured_ee is not None \
                 and trial.batch_size == int(batch_size) \
                 and trial.sparsity == float(sparsity):
-            floor = trial.baseline_ee * (1.0 - self.regression_tolerance)
+            floor = trial.baseline_ee * (1.0 - REGRESSION_TOLERANCE)
             if measured_ee < floor:
                 self.add_plan(trial.previous)
-                self._freeze[name] = self.cooldown_jobs
+                self._freeze[name] = COOLDOWN_JOBS
                 self.replan_health.rollbacks += 1
                 self._replan_count("rollbacks")
                 self._replan_span("rollback", name,
@@ -252,7 +233,7 @@ class AdaptivePresetGovernor(PresetGovernor):
         verdict = self._rescore(graph, batch_size, plan, candidate,
                                 sparsity)
         if not verdict:
-            self._freeze[name] = self.cooldown_jobs
+            self._freeze[name] = COOLDOWN_JOBS
             self.replan_health.rejected += 1
             self._replan_count("rejected")
             self._replan_span("reject", name)
@@ -278,7 +259,7 @@ class AdaptivePresetGovernor(PresetGovernor):
     def _synthesize(self, plan: FrequencyPlan,
                     ledger) -> Optional[FrequencyPlan]:
         """Bounded correction: nudge each mispredicted block's level at
-        most ``max_nudge`` steps toward the ledger's sweep winner."""
+        most :data:`MAX_NUDGE` steps toward the ledger's sweep winner."""
         targets: Dict[int, int] = {
             row.op_start: row.best_level
             for row in ledger.mispredicted_blocks()
@@ -293,8 +274,7 @@ class AdaptivePresetGovernor(PresetGovernor):
             if target is None or target == step.level:
                 steps.append(step)
                 continue
-            delta = max(-self.max_nudge,
-                        min(self.max_nudge, target - step.level))
+            delta = max(-MAX_NUDGE, min(MAX_NUDGE, target - step.level))
             steps.append(PlanStep(step.op_index, step.level + delta))
             changed = True
         if not changed:
@@ -319,6 +299,6 @@ class AdaptivePresetGovernor(PresetGovernor):
         e_new, t_new = table.plan_energy_time(blocks, new)
         if e_cur <= 0:
             return False
-        improves = e_new <= e_cur * (1.0 - self.min_improvement_frac)
-        fits = t_new <= t_cur * (1.0 + self.max_slowdown_frac)
+        improves = e_new <= e_cur * (1.0 - MIN_IMPROVEMENT_FRAC)
+        fits = t_new <= t_cur * (1.0 + MAX_SLOWDOWN_FRAC)
         return improves and fits

@@ -11,13 +11,13 @@ Resilience (this module's second half): real actuators fail.  In
 ``resilient`` mode (the default) the governor verifies every switch
 result the simulator reports back and walks a degradation ladder:
 
-1. **retry** — a failed command is re-issued up to ``max_retries``
-   times at the same decision point;
+1. **retry** — a failed command is re-issued up to
+   :data:`MAX_RETRIES` times at the same decision point;
 2. **pin** — when retries are exhausted, the block is pinned at the
    nearest achieved level and not fought over again this job;
-3. **fall back** — after ``max_block_failures`` pinned blocks in one
-   job, the plan is abandoned and the job finishes at a safe static
-   level (the plan's median level unless ``safe_level`` is given).
+3. **fall back** — after :data:`MAX_BLOCK_FAILURES` pinned blocks in
+   one job, the plan is abandoned and the job finishes at a safe static
+   level (the plan's median level unless :data:`SAFE_LEVEL` is set).
 
 Plans are validated when installed (levels clamped to the platform
 ladder) and again at job start (operator indices must fit the graph,
@@ -41,6 +41,15 @@ from repro.hw.faults import OUTCOME_CAPPED
 from repro.hw.perf import OpWork
 from repro.hw.platform import PlatformSpec
 from repro.obs.metrics import MetricsRegistry, NULL_METRICS
+
+#: Level for jobs whose graph has no plan (None: the platform maximum).
+FALLBACK_LEVEL: Optional[int] = None
+#: Re-issues per failed decision point before pinning the block.
+MAX_RETRIES = 2
+#: Pinned blocks per job before abandoning the plan entirely.
+MAX_BLOCK_FAILURES = 3
+#: Static level for abandoned-plan jobs (None: the plan's median level).
+SAFE_LEVEL: Optional[int] = None
 
 
 @dataclass(frozen=True)
@@ -183,8 +192,8 @@ class PresetGovernor(Governor):
     """Applies :class:`FrequencyPlan` objects at instrumentation points.
 
     Plans are keyed by graph name; jobs whose graph has no plan run at
-    ``fallback_level`` (maximum by default).  The CPU keeps the stock
-    ondemand policy — the paper's PowerLens configures *only* the GPU.
+    :data:`FALLBACK_LEVEL`.  The CPU keeps the stock ondemand policy —
+    the paper's PowerLens configures *only* the GPU.
 
     Parameters
     ----------
@@ -196,39 +205,20 @@ class PresetGovernor(Governor):
         never checks reality — a silently dropped or capped command
         poisons that belief for the rest of the job.  Fault-free, both
         modes issue identical commands and produce identical traces.
-    max_retries:
-        Re-issues per failed decision point before pinning the block.
-    max_block_failures:
-        Pinned blocks per job before abandoning the plan entirely.
-    safe_level:
-        Static level for abandoned-plan jobs; default is the plan's
-        median level.
     """
 
     name = "powerlens"
 
     def __init__(self, plans: Sequence[FrequencyPlan],
-                 fallback_level: Optional[int] = None,
                  name: str = "powerlens",
                  resilient: bool = True,
-                 max_retries: int = 2,
-                 max_block_failures: int = 3,
-                 safe_level: Optional[int] = None,
                  metrics: Optional[MetricsRegistry] = None) -> None:
         super().__init__()
-        if max_retries < 0:
-            raise ValueError("max_retries must be >= 0")
-        if max_block_failures < 1:
-            raise ValueError("max_block_failures must be >= 1")
         self.name = name
         self.resilient = resilient
-        self.max_retries = max_retries
-        self.max_block_failures = max_block_failures
-        self._safe_override = safe_level
         self._plans: Dict[str, FrequencyPlan] = {
             p.graph_name: p for p in plans
         }
-        self._fallback = fallback_level
         # Observe-only mirror of RuntimeHealth: counters survive reset()
         # (metrics are cumulative across jobs; health is per-run).
         self.metrics = metrics if metrics is not None else NULL_METRICS
@@ -306,8 +296,8 @@ class PresetGovernor(Governor):
 
     def initial_gpu_level(self) -> int:
         assert self.platform is not None
-        if self._fallback is not None:
-            level = self.platform.clamp_level(self._fallback)
+        if FALLBACK_LEVEL is not None:
+            level = self.platform.clamp_level(FALLBACK_LEVEL)
         else:
             level = self.platform.max_level
         self._believed = level
@@ -402,8 +392,7 @@ class PresetGovernor(Governor):
     def _request(self, level: int, retries: Optional[int] = None) -> int:
         """Arm the verify-after-switch machinery for one decision."""
         self._expect_level = level
-        self._retries_left = (self.max_retries if retries is None
-                              else retries)
+        self._retries_left = MAX_RETRIES if retries is None else retries
         return level
 
     # ------------------------------------------------------------------
@@ -458,7 +447,7 @@ class PresetGovernor(Governor):
         self.health.blocks_pinned += 1
         self._count("blocks_pinned")
         self._block_failures += 1
-        if self._block_failures >= self.max_block_failures:
+        if self._block_failures >= MAX_BLOCK_FAILURES:
             # Plan-level failure: abandon the plan, finish the job at a
             # safe static level (one final bounded attempt).
             self._fallen_back = True
@@ -466,14 +455,7 @@ class PresetGovernor(Governor):
             self._pinned = {}
             self.health.plan_fallbacks += 1
             self._count("plan_fallbacks")
-            safe = (self._safe_override
-                    if self._safe_override is not None
+            safe = (SAFE_LEVEL if SAFE_LEVEL is not None
                     else self._active.safe_level())
             return self._request(safe, retries=0)
         return None
-
-    # ------------------------------------------------------------------
-    def pin_block(self, op_idx: int, level: int) -> None:
-        """Record that ``op_idx``'s block runs at ``level`` from now on
-        (exposed for tests)."""
-        self._pinned[op_idx] = level

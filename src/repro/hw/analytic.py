@@ -40,6 +40,12 @@ from repro.hw.power import PowerModel
 #: LRU (a serving device cycles through models x sparsities).
 PROFILE_TABLE_CACHE_SIZE = 16
 
+#: Level whose time sets the latency budget (None: the maximum level).
+REFERENCE_LEVEL: Optional[int] = None
+#: Relative EE gap within which levels count as tied; the highest of
+#: the tied levels wins.
+EE_TOLERANCE = 0.005
+
 
 @dataclass(frozen=True)
 class LevelProfile:
@@ -308,27 +314,26 @@ class AnalyticEvaluator:
 
     # ------------------------------------------------------------------
     def best_level(self, profile: LevelProfile,
-                   latency_slack: float = 0.25,
-                   reference_level: Optional[int] = None,
-                   ee_tolerance: float = 0.005) -> int:
+                   latency_slack: float = 0.25) -> int:
         """EE-optimal level under a latency constraint.
 
         Chooses the level maximizing energy efficiency among levels whose
         time does not exceed ``(1 + latency_slack)`` times the time at
-        ``reference_level`` (maximum level by default).  This mirrors the
-        paper's "maintain performance while optimizing energy" framing
-        (section 2.1.1) and produces the modest task-flow time increases
-        of Figure 5 rather than a throughput collapse.
+        :data:`REFERENCE_LEVEL`.  This mirrors the paper's "maintain
+        performance while optimizing energy" framing (section 2.1.1) and
+        produces the modest task-flow time increases of Figure 5 rather
+        than a throughput collapse.
 
         The EE curve is typically flat near its peak, so among levels
-        within ``ee_tolerance`` (relative) of the best we deterministically
-        pick the *highest* — on real hardware those levels are within
-        measurement noise of each other, the faster choice minimizes the
-        latency cost of an equal-energy decision, and a stable rule keeps
-        the Dataset-B labels learnable instead of coin flips.
+        within :data:`EE_TOLERANCE` (relative) of the best we
+        deterministically pick the *highest* — on real hardware those
+        levels are within measurement noise of each other, the faster
+        choice minimizes the latency cost of an equal-energy decision,
+        and a stable rule keeps the Dataset-B labels learnable instead
+        of coin flips.
         """
-        ref = self.platform.max_level if reference_level is None \
-            else reference_level
+        ref = self.platform.max_level if REFERENCE_LEVEL is None \
+            else REFERENCE_LEVEL
         budget = (1.0 + latency_slack) * profile.times[ref]
         feasible = profile.times <= budget + 1e-15
         ee = profile.ee.copy()
@@ -336,7 +341,7 @@ class AnalyticEvaluator:
         best = float(np.max(ee))
         if not np.isfinite(best):
             return ref
-        near = np.flatnonzero(ee >= best * (1.0 - ee_tolerance))
+        near = np.flatnonzero(ee >= best * (1.0 - EE_TOLERANCE))
         return int(near[-1])
 
     def best_level_for_block(self, graph: Graph,

@@ -77,7 +77,7 @@ __all__ = [
     "SpanNode", "TraceFile", "read_trace", "span_tree",
     "summarize_trace",
     "EnergyLedger",
-    "Anomaly", "AnomalyConfig", "AnomalyDetector",
+    "Anomaly", "AnomalyDetector",
     "BurnRateConfig", "BurnRateMonitor", "BurnAlert",
     "ServingTimeline", "validate_chrome_trace", "nearest_rank_index",
 ]
@@ -94,7 +94,6 @@ _LAZY_SUBMODULE = {
     "OpLedgerRow": "ledger",
     "Reconciliation": "ledger",
     "Anomaly": "anomaly",
-    "AnomalyConfig": "anomaly",
     "AnomalyDetector": "anomaly",
     "BurnRateConfig": "burnrate",
     "BurnRateMonitor": "burnrate",

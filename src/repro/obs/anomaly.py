@@ -17,13 +17,13 @@ the ones :mod:`repro.hw.faults` can inject — are flagged as structured
     otherwise steady regime does.
 ``pingpong``
     The governor reverses frequency direction more than
-    ``reversal_threshold`` times inside a sliding window (the online
+    :data:`REVERSAL_THRESHOLD` times inside a sliding window (the online
     twin of :func:`repro.analysis.pingpong.analyze_trace`, via
     :class:`~repro.analysis.pingpong.ReversalTracker`).
 ``stall_budget``
     Actuation stalls (switch latency plus fault-injected delay)
-    consume more than ``stall_budget_frac`` of wall time over a sliding
-    window — the "DVFS overhead ate the savings" failure mode.
+    consume more than :data:`STALL_BUDGET_FRAC` of wall time over a
+    sliding window — the "DVFS overhead ate the savings" failure mode.
 
 A fourth kind, ``telemetry_invalid``, covers objectively broken
 windows (non-finite or negative power, utilizations outside [0, 1]).
@@ -45,14 +45,14 @@ faults.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Deque, Dict, List, Optional, Tuple
 
 from collections import deque
 
 from repro.obs import NULL_OBS, Observability
 
-__all__ = ["Anomaly", "AnomalyConfig", "AnomalyDetector",
+__all__ = ["Anomaly", "AnomalyDetector",
            "METRIC_ANOMALIES", "ANOMALY_KINDS"]
 
 #: Total-anomaly counter name (per-kind counters append ``_<kind>``).
@@ -78,47 +78,42 @@ class Anomaly:
     detail: str = ""
 
 
-@dataclass(frozen=True)
-class AnomalyConfig:
-    """Detector thresholds.
+# Detector thresholds, tuned against the simulator's clean-run behavior
+# (``tests/test_obs_anomaly.py`` sweeps every governor on zero-fault runs
+# and asserts silence): Z_THRESHOLD/STD_FLOOR_FRAC sit above
+# sampling-window quantization jitter inside one power regime,
+# REVERSAL_THRESHOLD above the ondemand governor's natural reversal
+# rate, and STALL_BUDGET_FRAC above the preset governor's per-block
+# actuation overhead.
 
-    The defaults are tuned against the simulator's clean-run behavior
-    (``tests/test_obs_anomaly.py`` sweeps every governor on zero-fault
-    runs and asserts silence): ``z_threshold``/``std_floor_frac`` sit
-    above sampling-window quantization jitter inside one power regime,
-    ``reversal_threshold`` above the ondemand governor's natural
-    reversal rate, and ``stall_budget_frac`` above the preset
-    governor's per-block actuation overhead.
-    """
-
-    # power_spike --------------------------------------------------------
-    ewma_alpha: float = 0.25
-    #: Windows a regime must accumulate before z-testing starts.
-    warmup_samples: int = 8
-    z_threshold: float = 8.0
-    #: Std floor as a fraction of the regime's EWMA mean — keeps the
-    #: z-score finite in perfectly steady (zero-variance) regimes.
-    std_floor_frac: float = 0.05
-    #: A spike must also exceed the regime mean by this ratio.
-    spike_min_ratio: float = 1.6
-    #: gpu_busy above this counts as the "busy" regime.
-    busy_threshold: float = 0.5
-    #: Headroom over the platform's physically-achievable maximum draw
-    #: before a window is declared a spike outright (no warmup needed —
-    #: the simulator cannot legitimately exceed the bound, so this path
-    #: is false-positive-free by construction).
-    bound_margin: float = 1.15
-    # pingpong -----------------------------------------------------------
-    reversal_window_s: float = 0.5
-    reversal_threshold: int = 10
-    # stall_budget -------------------------------------------------------
-    stall_window_s: float = 1.0
-    stall_budget_frac: float = 0.10
-    # bookkeeping --------------------------------------------------------
-    #: Minimum spacing between emissions of the same kind (anti-flood).
-    cooldown_s: float = 0.25
-    #: Bound on the retained ``anomalies`` list.
-    max_records: int = 1000
+# power_spike ------------------------------------------------------------
+EWMA_ALPHA = 0.25
+#: Windows a regime must accumulate before z-testing starts.
+WARMUP_SAMPLES = 8
+Z_THRESHOLD = 8.0
+#: Std floor as a fraction of the regime's EWMA mean — keeps the z-score
+#: finite in perfectly steady (zero-variance) regimes.
+STD_FLOOR_FRAC = 0.05
+#: A spike must also exceed the regime mean by this ratio.
+SPIKE_MIN_RATIO = 1.6
+#: gpu_busy above this counts as the "busy" regime.
+BUSY_THRESHOLD = 0.5
+#: Headroom over the platform's physically-achievable maximum draw before
+#: a window is declared a spike outright (no warmup needed — the
+#: simulator cannot legitimately exceed the bound, so this path is
+#: false-positive-free by construction).
+BOUND_MARGIN = 1.15
+# pingpong ---------------------------------------------------------------
+REVERSAL_WINDOW_S = 0.5
+REVERSAL_THRESHOLD = 10
+# stall_budget -----------------------------------------------------------
+STALL_WINDOW_S = 1.0
+STALL_BUDGET_FRAC = 0.10
+# bookkeeping ------------------------------------------------------------
+#: Minimum spacing between emissions of the same kind (anti-flood).
+COOLDOWN_S = 0.25
+#: Bound on the retained ``anomalies`` list.
+MAX_RECORDS = 1000
 
 
 def _max_platform_power(platform) -> float:
@@ -172,24 +167,22 @@ class AnomalyDetector:
     Pass one to :class:`~repro.hw.simulator.InferenceSimulator`
     (``anomaly=``); the simulator calls :meth:`reset` at the start of
     each run and feeds it afterwards.  Detected anomalies accumulate in
-    :attr:`anomalies` (bounded by ``config.max_records``) and flow into
+    :attr:`anomalies` (bounded by :data:`MAX_RECORDS`) and flow into
     the ``obs`` bundle's tracer and metrics.
     """
 
-    def __init__(self, config: Optional[AnomalyConfig] = None,
-                 obs: Optional[Observability] = None) -> None:
+    def __init__(self, obs: Optional[Observability] = None) -> None:
         # Local import: repro.analysis pulls in the repro.hw package,
         # whose __init__ imports the simulator, which imports repro.obs
         # — importing it lazily keeps repro.obs.anomaly safe to load
         # from any direction.
         from repro.analysis.pingpong import ReversalTracker
 
-        self.config = config or AnomalyConfig()
         self.obs = obs if obs is not None else NULL_OBS
         self.anomalies: List[Anomaly] = []
         self.dropped = 0
         self._regimes: Dict[Tuple[bool, int], _RegimeStats] = {}
-        self._reversals = ReversalTracker(self.config.reversal_window_s)
+        self._reversals = ReversalTracker(REVERSAL_WINDOW_S)
         self._stalls: Deque[Tuple[float, float]] = deque()
         self._stall_sum = 0.0
         self._last_emit: Dict[str, float] = {}
@@ -213,67 +206,63 @@ class AnomalyDetector:
 
     def on_sample(self, sample) -> None:
         """One delivered :class:`~repro.hw.telemetry.TelemetrySample`."""
-        cfg = self.config
         power = sample.total_power
         if not self._sample_valid(sample):
             self._emit(sample.t, KIND_TELEMETRY_INVALID, power, 0.0,
                        detail="non-finite or out-of-range window")
             return
         if self._power_bound > 0 and \
-                power > self._power_bound * cfg.bound_margin:
+                power > self._power_bound * BOUND_MARGIN:
             self._emit(sample.t, KIND_POWER_SPIKE,
-                       power / self._power_bound, cfg.bound_margin,
+                       power / self._power_bound, BOUND_MARGIN,
                        detail=f"{power:.2f} W exceeds platform maximum "
                               f"{self._power_bound:.2f} W")
             return
-        busy = sample.gpu_busy >= cfg.busy_threshold
+        busy = sample.gpu_busy >= BUSY_THRESHOLD
         key = (busy, sample.gpu_level)
         stats = self._regimes.get(key)
         if stats is None:
             stats = self._regimes[key] = _RegimeStats()
-        if stats.n >= cfg.warmup_samples:
+        if stats.n >= WARMUP_SAMPLES:
             mean = stats.mean
             std = math.sqrt(stats.var)
-            floor = cfg.std_floor_frac * max(abs(mean), 1e-9)
+            floor = STD_FLOOR_FRAC * max(abs(mean), 1e-9)
             std = max(std, floor)
             z = abs(power - mean) / std
-            if z > cfg.z_threshold and \
-                    power > mean * cfg.spike_min_ratio:
-                self._emit(sample.t, KIND_POWER_SPIKE, z,
-                           cfg.z_threshold,
+            if z > Z_THRESHOLD and power > mean * SPIKE_MIN_RATIO:
+                self._emit(sample.t, KIND_POWER_SPIKE, z, Z_THRESHOLD,
                            detail=f"{power:.2f} W vs regime mean "
                                   f"{mean:.2f} W "
                                   f"(busy={busy}, L{sample.gpu_level})")
                 # Outliers do not poison the regime estimate.
                 return
-        stats.update(power, cfg.ewma_alpha)
+        stats.update(power, EWMA_ALPHA)
 
     def on_switch_result(self, result, stall_s: float) -> None:
         """One actuation outcome (:class:`~repro.hw.dvfs.SwitchResult`)
         plus the wall-clock stall it cost."""
-        cfg = self.config
         t = result.t
         switch = result.switch
         if switch is not None and switch.from_level != switch.to_level:
             count = self._reversals.push(t, switch.from_level,
                                          switch.to_level)
-            if count >= cfg.reversal_threshold:
+            if count >= REVERSAL_THRESHOLD:
                 self._emit(t, KIND_PINGPONG, float(count),
-                           float(cfg.reversal_threshold),
+                           float(REVERSAL_THRESHOLD),
                            detail=f"{count} reversals in "
-                                  f"{cfg.reversal_window_s:g}s")
+                                  f"{REVERSAL_WINDOW_S:g}s")
         if stall_s > 0:
             self._stalls.append((t, stall_s))
             self._stall_sum += stall_s
-            horizon = t - cfg.stall_window_s
+            horizon = t - STALL_WINDOW_S
             while self._stalls and self._stalls[0][0] <= horizon:
                 self._stall_sum -= self._stalls[0][1]
                 self._stalls.popleft()
-            budget = cfg.stall_budget_frac * cfg.stall_window_s
+            budget = STALL_BUDGET_FRAC * STALL_WINDOW_S
             if self._stall_sum > budget:
                 self._emit(t, KIND_STALL_BUDGET, self._stall_sum, budget,
                            detail=f"{self._stall_sum * 1000:.1f} ms "
-                                  f"stalled in {cfg.stall_window_s:g}s")
+                                  f"stalled in {STALL_WINDOW_S:g}s")
 
     # ------------------------------------------------------------------
     # inspection
@@ -281,7 +270,7 @@ class AnomalyDetector:
     @property
     def emitted(self) -> int:
         """Anomalies emitted so far, retained or dropped past
-        ``max_records`` (the count health decisions must use)."""
+        :data:`MAX_RECORDS` (the count health decisions must use)."""
         return len(self.anomalies) + self.dropped
 
     def counts(self) -> Dict[str, int]:
@@ -317,10 +306,10 @@ class AnomalyDetector:
     def _emit(self, t: float, kind: str, value: float,
               threshold: float, detail: str = "") -> None:
         last = self._last_emit.get(kind)
-        if last is not None and t - last < self.config.cooldown_s:
+        if last is not None and t - last < COOLDOWN_S:
             return
         self._last_emit[kind] = t
-        if len(self.anomalies) < self.config.max_records:
+        if len(self.anomalies) < MAX_RECORDS:
             self.anomalies.append(Anomaly(
                 t=t, kind=kind, value=value, threshold=threshold,
                 detail=detail))

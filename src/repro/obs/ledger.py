@@ -29,7 +29,7 @@ the preset frequency actually win?": with an
 planned level is compared against the exhaustive
 :class:`~repro.hw.analytic.ProfileTable` sweep, and blocks where a
 different level would have beaten the preset by more than
-``misprediction_margin`` are flagged *mispredicted* — exactly the
+:data:`MISPREDICTION_MARGIN` are flagged *mispredicted* — exactly the
 fine-grained per-layer verdict Rodrigues et al. profile for on real
 hardware.  ``powerlens ledger`` renders the result as a table.
 """
@@ -54,6 +54,10 @@ __all__ = ["BlockLedgerRow", "OpLedgerRow", "Reconciliation",
 
 #: Acceptance bound on the attribution closure (relative error).
 RECONCILIATION_TOLERANCE = 1e-9
+
+#: Relative analytic saving another level must offer over the planned
+#: one before a block counts as mispredicted.
+MISPREDICTION_MARGIN = 0.005
 
 #: Overhead bucket names (segment kinds that belong to no power block).
 OVERHEAD_KINDS = (KIND_CPU, KIND_SWITCH, KIND_IDLE)
@@ -111,14 +115,6 @@ class BlockLedgerRow:
         return max(0.0, (self.planned_energy_j - self.best_energy_j)
                    / self.planned_energy_j)
 
-    @property
-    def dominant_level(self) -> Optional[int]:
-        """Level the block actually spent the most time at (can differ
-        from the planned one under faults/caps)."""
-        if not self.level_time:
-            return None
-        return max(self.level_time, key=lambda k: self.level_time[k])
-
 
 @dataclass(frozen=True)
 class Reconciliation:
@@ -175,7 +171,6 @@ class EnergyLedger:
                     evaluator: Optional["AnalyticEvaluator"] = None,
                     batch_size: int = 16,
                     latency_slack: float = 0.25,
-                    misprediction_margin: float = 0.005,
                     sparsity: float = 0.0) -> "EnergyLedger":
         """Attribute ``result``'s trace.
 
@@ -184,7 +179,7 @@ class EnergyLedger:
         additionally enable the planned-vs-optimal sweep; a block is
         flagged mispredicted when some other level's analytic energy
         beats the planned level's by more than
-        ``misprediction_margin`` (relative).  ``sparsity`` must match
+        :data:`MISPREDICTION_MARGIN` (relative).  ``sparsity`` must match
         the job's activation sparsity so the sweep runs against the
         workload the trace actually executed.
         """
@@ -267,8 +262,7 @@ class EnergyLedger:
         )
         if graph is not None and evaluator is not None:
             ledger._analyze_mispredictions(
-                graph, evaluator, batch_size, latency_slack,
-                misprediction_margin, sparsity)
+                graph, evaluator, batch_size, latency_slack, sparsity)
         return ledger
 
     @staticmethod
@@ -290,7 +284,7 @@ class EnergyLedger:
         return starts, levels, max(n_ops, starts[-1] + 1)
 
     def _analyze_mispredictions(self, graph, evaluator, batch_size,
-                                latency_slack, margin,
+                                latency_slack,
                                 sparsity: float = 0.0) -> None:
         table = evaluator.profile_table(graph, batch_size, sparsity)
         for row in self.blocks:
@@ -307,7 +301,7 @@ class EnergyLedger:
                 row.planned_energy_j = float(profile.energies[planned])
                 row.mispredicted = (
                     best != planned
-                    and row.predicted_savings_frac > margin)
+                    and row.predicted_savings_frac > MISPREDICTION_MARGIN)
 
     # ------------------------------------------------------------------
     # inspection

@@ -21,6 +21,9 @@ __all__ = ["TraceFile", "SpanNode", "read_trace", "span_tree",
 
 _REQUIRED_SPAN_KEYS = ("span_id", "name", "t_start", "t_end")
 
+#: Children shown per span in the summary tree (the rest are elided).
+MAX_CHILDREN = 8
+
 
 @dataclass
 class SpanNode:
@@ -154,7 +157,7 @@ def _aggregate(spans: List[Dict[str, Any]]) -> List[tuple]:
 
 
 def _render_node(node: SpanNode, lines: List[str], depth: int,
-                 max_depth: int, max_children: int) -> None:
+                 max_depth: int) -> None:
     attrs = node.record.get("attrs") or {}
     attr_text = ""
     if attrs:
@@ -167,15 +170,14 @@ def _render_node(node: SpanNode, lines: List[str], depth: int,
             lines.append(f"{'  ' * (depth + 1)}... "
                          f"({len(node.children)} child span(s) elided)")
         return
-    for child in node.children[:max_children]:
-        _render_node(child, lines, depth + 1, max_depth, max_children)
-    if len(node.children) > max_children:
+    for child in node.children[:MAX_CHILDREN]:
+        _render_node(child, lines, depth + 1, max_depth)
+    if len(node.children) > MAX_CHILDREN:
         lines.append(f"{'  ' * (depth + 1)}... "
-                     f"({len(node.children) - max_children} more)")
+                     f"({len(node.children) - MAX_CHILDREN} more)")
 
 
-def summarize_trace(trace: TraceFile, max_depth: int = 4,
-                    max_children: int = 8) -> str:
+def summarize_trace(trace: TraceFile, max_depth: int = 4) -> str:
     """Human summary: per-name aggregates, the (depth/width-limited)
     span tree, and the metrics snapshot when present."""
     lines: List[str] = []
@@ -200,7 +202,7 @@ def summarize_trace(trace: TraceFile, max_depth: int = 4,
     lines.append("")
     lines.append("span tree:")
     for root in span_tree(trace.spans):
-        _render_node(root, lines, 1, max_depth + 1, max_children)
+        _render_node(root, lines, 1, max_depth + 1)
 
     if trace.metrics is not None and len(trace.metrics):
         lines.append("")

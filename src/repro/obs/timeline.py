@@ -50,6 +50,9 @@ __all__ = ["RequestRow", "DeviceTrack", "ServingTimeline",
 
 #: Virtual seconds → Chrome ``ts`` microseconds.
 _US = 1e6
+#: Request rows a Chrome trace shows at most (slowest first), so huge
+#: runs stay loadable.
+MAX_REQUEST_TRACKS = 250
 
 #: Event kinds rendered as instant markers on their device's track.
 _DEVICE_MARKERS = ("drain", "redrain", "cooldown", "probe_fail",
@@ -393,16 +396,15 @@ class ServingTimeline:
     # ------------------------------------------------------------------
     # Chrome trace_event export
     # ------------------------------------------------------------------
-    def to_chrome_trace(self, sampled_ids: Optional[Set[int]] = None,
-                        max_request_tracks: int = 250
+    def to_chrome_trace(self, sampled_ids: Optional[Set[int]] = None
                         ) -> Dict[str, Any]:
         """Render the run as Chrome ``trace_event`` JSON.
 
         ``sampled_ids`` restricts the per-request tracks (e.g. to the
         request tracer's sampled set); device and scheduler tracks
-        always cover the full log.  At most ``max_request_tracks``
-        request rows are emitted (slowest first) so huge runs stay
-        loadable; the cap is recorded in ``metadata.request_tracks``.
+        always cover the full log.  At most :data:`MAX_REQUEST_TRACKS`
+        request rows are emitted (slowest first); the cap is recorded in
+        ``metadata.request_tracks``.
         """
         out: List[Dict[str, Any]] = []
         device_names = sorted(self.devices)
@@ -464,7 +466,7 @@ class ServingTimeline:
                 if sampled_ids is None
                 or row.request_id in sampled_ids]
         rows.sort(key=lambda r: (-r.latency_s, r.request_id))
-        shown = rows[:max_request_tracks]
+        shown = rows[:MAX_REQUEST_TRACKS]
         for row in shown:
             tid = row.request_id
             base = {"pid": requests_pid, "tid": tid, "cat": "request"}

@@ -15,8 +15,9 @@ Two generators model the ROADMAP's "millions of users" load shapes:
     baseline.
 :func:`bursty_trace`
     A two-state Markov-modulated Poisson process: the trace alternates
-    between exponentially-distributed *calm* and *burst* intervals,
-    with the burst state arriving ``burst_factor`` times faster — the
+    between exponentially-distributed *calm* and *burst* intervals
+    (means :data:`MEAN_CALM_S` and :data:`MEAN_BURST_S`), with the
+    burst state arriving :data:`BURST_FACTOR` times faster — the
     tail-latency stressor.
 
 Both draw from dedicated :class:`random.Random` streams (seeded by
@@ -28,13 +29,19 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 __all__ = ["Request", "ArrivalTrace", "poisson_trace", "bursty_trace",
            "make_trace", "TRACE_KINDS"]
 
 TRACE_KINDS = ("poisson", "bursty")
+
+#: Arrival-rate multiplier of the bursty trace's burst state.
+BURST_FACTOR = 8.0
+#: Mean holding times (s) of the bursty trace's calm and burst states.
+MEAN_CALM_S = 1.0
+MEAN_BURST_S = 0.25
 
 
 @dataclass(frozen=True)
@@ -122,20 +129,9 @@ class ArrivalTrace:
             return 0.0
         return len(self.requests) / horizon
 
-    def with_slo(self, slo_latency_s: float) -> "ArrivalTrace":
-        """Copy of this trace with every request's SLO replaced."""
-        return ArrivalTrace(
-            kind=self.kind, seed=self.seed, duration_s=self.duration_s,
-            requests=tuple(replace(r, slo_latency_s=slo_latency_s)
-                           for r in self.requests))
-
 
 def _draw_models(rng: random.Random, models: Sequence[str],
-                 weights: Optional[Sequence[float]], n: int) -> List[str]:
-    if weights is not None:
-        if len(weights) != len(models):
-            raise ValueError("one weight per model required")
-        return rng.choices(list(models), weights=list(weights), k=n)
+                 n: int) -> List[str]:
     return [rng.choice(list(models)) for _ in range(n)]
 
 
@@ -162,7 +158,6 @@ def poisson_trace(rate_rps: float, duration_s: float,
                   models: Sequence[str], seed: int = 0,
                   images_per_request: int = 8,
                   slo_latency_s: float = math.inf,
-                  model_weights: Optional[Sequence[float]] = None,
                   sparsity_choices: Optional[Sequence[float]] = None
                   ) -> ArrivalTrace:
     """Homogeneous Poisson arrivals at ``rate_rps`` over ``duration_s``."""
@@ -177,7 +172,7 @@ def poisson_trace(rate_rps: float, duration_s: float,
     while t < duration_s:
         times.append(t)
         t += rng_t.expovariate(rate_rps)
-    names = _draw_models(rng_m, models, model_weights, len(times))
+    names = _draw_models(rng_m, models, len(times))
     sparsities = _draw_sparsities("poisson", seed, sparsity_choices,
                                   len(times))
     requests = tuple(
@@ -193,20 +188,13 @@ def bursty_trace(rate_rps: float, duration_s: float,
                  models: Sequence[str], seed: int = 0,
                  images_per_request: int = 8,
                  slo_latency_s: float = math.inf,
-                 burst_factor: float = 8.0,
-                 mean_calm_s: float = 1.0,
-                 mean_burst_s: float = 0.25,
-                 model_weights: Optional[Sequence[float]] = None,
                  sparsity_choices: Optional[Sequence[float]] = None
                  ) -> ArrivalTrace:
-    """Two-state MMPP: calm at ``rate_rps``, bursts at ``burst_factor``
-    times that, with exponentially-distributed state holding times."""
+    """Two-state MMPP: calm at ``rate_rps``, bursts at
+    :data:`BURST_FACTOR` times that, with exponentially-distributed
+    state holding times."""
     if rate_rps <= 0 or duration_s <= 0:
         raise ValueError("rate and duration must be positive")
-    if burst_factor < 1.0:
-        raise ValueError("burst_factor must be >= 1")
-    if mean_calm_s <= 0 or mean_burst_s <= 0:
-        raise ValueError("state holding times must be positive")
     if not models:
         raise ValueError("at least one model name required")
     rng_t = random.Random(f"{seed}/bursty/arrivals")
@@ -215,22 +203,22 @@ def bursty_trace(rate_rps: float, duration_s: float,
     times: List[float] = []
     t = 0.0
     bursting = False
-    state_end = rng_s.expovariate(1.0 / mean_calm_s)
+    state_end = rng_s.expovariate(1.0 / MEAN_CALM_S)
     while t < duration_s:
-        rate = rate_rps * (burst_factor if bursting else 1.0)
+        rate = rate_rps * (BURST_FACTOR if bursting else 1.0)
         t_next = t + rng_t.expovariate(rate)
         if t_next >= state_end:
             # State flip before the next arrival: restart the draw from
             # the boundary under the new state's rate.
             t = state_end
             bursting = not bursting
-            mean = mean_burst_s if bursting else mean_calm_s
+            mean = MEAN_BURST_S if bursting else MEAN_CALM_S
             state_end = t + rng_s.expovariate(1.0 / mean)
             continue
         t = t_next
         if t < duration_s:
             times.append(t)
-    names = _draw_models(rng_m, models, model_weights, len(times))
+    names = _draw_models(rng_m, models, len(times))
     sparsities = _draw_sparsities("bursty", seed, sparsity_choices,
                                   len(times))
     requests = tuple(

@@ -20,7 +20,7 @@ to treat it as an independent worker:
   admission: predictions are per ``(graph, batch_size)``);
 * a **health ledger** — an :class:`~repro.obs.anomaly.AnomalyDetector`
   rides along on every run; once a device has accumulated
-  ``unhealthy_after`` anomalies it is *drained* and the scheduler stops
+  :data:`UNHEALTHY_AFTER` anomalies it is *drained* and the scheduler stops
   routing to it.  With a :class:`RecoveryConfig` the drain is no longer
   terminal: the device walks a deterministic recovery state machine
   (drained → cooldown with exponential backoff → probe dispatch →
@@ -61,7 +61,7 @@ from repro.hw.faults import FaultProfile
 from repro.hw.platform import get_platform
 from repro.hw.simulator import InferenceJob, InferenceSimulator, SimCosts
 from repro.obs import Observability, NULL_TRACER
-from repro.obs.anomaly import AnomalyConfig, AnomalyDetector
+from repro.obs.anomaly import AnomalyDetector
 from repro.obs.ledger import EnergyLedger
 from repro.obs.metrics import (
     DEFAULT_BUCKETS,
@@ -85,6 +85,9 @@ SERVING_GOVERNORS = tuple(sorted(GOVERNOR_REGISTRY)) \
 
 #: Serving governors that bucket jobs by activation sparsity.
 FAMILY_GOVERNORS = ("powerlens-family", "powerlens-family-adaptive")
+
+#: Anomalies since the last re-admission that drain a device.
+UNHEALTHY_AFTER = 1
 
 
 def derive_seed(*parts: object) -> int:
@@ -121,7 +124,7 @@ class RecoveryConfig:
     ``max_cooldown_s``), then runs one canonical *probe* job.  A clean
     probe re-admits the device on **probation**: it serves real traffic
     again, but any anomaly within its next ``probation_jobs`` jobs
-    re-drains it immediately (the regular ``unhealthy_after`` budget
+    re-drains it immediately (the regular :data:`UNHEALTHY_AFTER` budget
     only applies after probation).  ``max_attempts`` failed probes /
     probation re-drains in a row make the drain permanent, which also
     bounds the event loop.
@@ -252,16 +255,12 @@ class SimulatedDevice:
     def __init__(self, config: DeviceConfig, governor: str = "powerlens",
                  fleet_seed: int = 0,
                  faults: Optional[FaultProfile] = None,
-                 anomaly_config: Optional[AnomalyConfig] = None,
                  latency_slack: float = 0.25, block_size: int = 8,
-                 unhealthy_after: int = 1,
                  sparsity_edges: Sequence[float] = (0.0,)) -> None:
         if governor not in SERVING_GOVERNORS:
             raise KeyError(
                 f"unknown serving governor {governor!r}; choose from "
                 f"{', '.join(SERVING_GOVERNORS)}")
-        if unhealthy_after < 1:
-            raise ValueError("unhealthy_after must be >= 1")
         self.config = config
         self.name = config.name
         self.platform = get_platform(config.platform)
@@ -269,7 +268,6 @@ class SimulatedDevice:
         self.fleet_seed = fleet_seed
         self.faults = faults if faults is not None and not faults.is_zero \
             else None
-        self.unhealthy_after = unhealthy_after
         self.evaluator = AnalyticEvaluator(self.platform)
         # One set of simulator cost tables for every dispatch on this
         # board; graph work is shared with the evaluator.
@@ -288,8 +286,7 @@ class SimulatedDevice:
         # tracer stays off (span timing would not be deterministic).
         self.obs = Observability(tracer=NULL_TRACER,
                                  metrics=MetricsRegistry())
-        self.anomaly = AnomalyDetector(config=anomaly_config,
-                                       obs=self.obs)
+        self.anomaly = AnomalyDetector(obs=self.obs)
         if governor in ("powerlens", "powerlens-family"):
             # Family mode reuses the preset runtime: the per-dispatch
             # plan *selection* below (the plan store, keyed by sparsity
@@ -381,10 +378,10 @@ class SimulatedDevice:
         return not self.busy
 
     @property
-    def fresh_anomalies(self) -> int:
-        """Anomalies accumulated since the last re-admission — the
-        count the ``unhealthy_after`` drain budget applies to."""
-        return self.anomaly_count - self.anomaly_floor
+    def over_anomaly_budget(self) -> bool:
+        """True once the anomalies accumulated since the last
+        re-admission reach :data:`UNHEALTHY_AFTER`."""
+        return self.anomaly_count - self.anomaly_floor >= UNHEALTHY_AFTER
 
     # ------------------------------------------------------------------
     # recovery state machine (transitions invoked by the scheduler;
@@ -574,14 +571,11 @@ class Fleet:
     def build(cls, configs: Sequence[DeviceConfig], governor: str,
               fleet_seed: int = 0,
               faults: Optional[FaultProfile] = None,
-              anomaly_config: Optional[AnomalyConfig] = None,
               latency_slack: float = 0.25, block_size: int = 8,
-              unhealthy_after: int = 1,
               sparsity_edges: Sequence[float] = (0.0,)) -> "Fleet":
         return cls([
             SimulatedDevice(cfg, governor, fleet_seed, faults,
-                            anomaly_config, latency_slack, block_size,
-                            unhealthy_after, sparsity_edges)
+                            latency_slack, block_size, sparsity_edges)
             for cfg in configs
         ])
 

@@ -14,8 +14,8 @@
   through the full governor/simulator stack;
 * **completion** — the job's simulated duration advances the clock via
   a completion event; per-request latency and an even energy share are
-  recorded, and the device's anomaly count is re-checked: crossing
-  ``unhealthy_after`` drains the device;
+  recorded, and the device's anomaly count is re-checked: reaching
+  :data:`~repro.serving.fleet.UNHEALTHY_AFTER` drains the device;
 * **recovery** — with :class:`~repro.serving.fleet.RecoveryConfig` a
   drain is not terminal: after an exponentially backed-off cooldown the
   scheduler dispatches a canonical *probe* job (sharing the dispatch
@@ -108,9 +108,6 @@ class SchedulerConfig:
     max_batch: int = 4
     queue_capacity: int = 64
     cpu_work_per_image: float = 1.2e8
-    #: Drop queued requests whose deadline already passed at dispatch
-    #: time (completions past deadline still count, as violations).
-    drop_expired: bool = True
     #: Re-admit drained devices (None keeps drains permanent).
     recovery: Optional[RecoveryConfig] = None
 
@@ -276,8 +273,7 @@ class FleetScheduler:
         def purge_expired(t: float) -> None:
             # Runs before every dispatch attempt: scan without building
             # a list when (as usual) nothing has expired.
-            if not cfg.drop_expired or all(r.deadline >= t
-                                           for r in queue):
+            if all(r.deadline >= t for r in queue):
                 return
             expired = [r for r in queue if r.deadline < t]
             queue[:] = [r for r in queue if r.deadline >= t]
@@ -459,8 +455,7 @@ class FleetScheduler:
                         if device.probation_left <= 0:
                             device.complete_probation()
                             emit(t, "recover", device=device.name)
-                elif not device.drained and \
-                        device.fresh_anomalies >= device.unhealthy_after:
+                elif not device.drained and device.over_anomaly_budget:
                     device.begin_drain(t)
                     m_drains.inc()
                     emit(t, "drain", device=device.name,

@@ -22,6 +22,7 @@ from repro.core.clustering import (
     _normalize_by_median,
     smooth_features,
 )
+from repro.core import labeling
 from repro.core.labeling import NetworkLabels
 from repro.core.schemes import ClusteringScheme
 from repro.graph import Graph
@@ -226,8 +227,7 @@ def best_scheme_for_graph_reference(
         evaluator: AnalyticEvaluator, graph: Graph, features: np.ndarray,
         schemes: Sequence[ClusteringScheme], batch_size: int = 16,
         latency_slack: float = 0.25, alpha: float = 0.6,
-        lam: float = 0.05, quality_tolerance: float = 0.01
-) -> Tuple[int, List[List[int]], List[float]]:
+        lam: float = 0.05) -> Tuple[int, List[List[int]], List[float]]:
     """Every scheme runs the full pipeline from scratch, no
     memoization."""
     qualities: List[float] = []
@@ -242,7 +242,7 @@ def best_scheme_for_graph_reference(
     if top <= 0:
         return 0, views[0], qualities
     candidates = [i for i, q in enumerate(qualities)
-                  if q >= top * (1.0 - quality_tolerance)]
+                  if q >= top * (1.0 - labeling.QUALITY_TOLERANCE)]
     best = min(candidates, key=lambda i: (-len(views[i]), i))
     return best, views[best], qualities
 

@@ -5,6 +5,7 @@ import pytest
 
 from repro.core.features import DepthwiseFeatureExtractor
 from repro.core.labeling import (
+    QUALITY_TOLERANCE,
     best_scheme_for_graph,
     block_optimal_level,
     plan_levels_for_blocks,
@@ -124,20 +125,19 @@ class TestBestScheme:
         feats = DepthwiseFeatureExtractor().extract_scaled(small_cnn)
         grid = default_scheme_grid()
         best, _blocks, qualities = best_scheme_for_graph(
-            evaluator, small_cnn, feats, grid, batch_size=8,
-            quality_tolerance=0.01)
-        assert qualities[best] >= max(qualities) * (1 - 0.01) - 1e-12
+            evaluator, small_cnn, feats, grid, batch_size=8)
+        assert qualities[best] >= \
+            max(qualities) * (1 - QUALITY_TOLERANCE) - 1e-12
 
     def test_tie_break_prefers_finer_view(self, evaluator, small_cnn):
         """Among quality-equivalent schemes the finest view wins."""
         feats = DepthwiseFeatureExtractor().extract_scaled(small_cnn)
         grid = default_scheme_grid()
         best, blocks, qualities = best_scheme_for_graph(
-            evaluator, small_cnn, feats, grid, batch_size=8,
-            quality_tolerance=0.01)
+            evaluator, small_cnn, feats, grid, batch_size=8)
         from repro.core.clustering import cluster_power_blocks
         top = max(qualities)
         for i, s in enumerate(grid):
-            if qualities[i] >= top * 0.99:
+            if qualities[i] >= top * (1 - QUALITY_TOLERANCE):
                 other = cluster_power_blocks(feats, s.eps, s.min_pts)
                 assert len(other) <= len(blocks)

@@ -198,6 +198,23 @@ class TestDegenerateShapes:
             assert np.array_equal(fd.adjacency(eps), ref <= eps)
         assert fd.exact_evaluations > 0
 
+    def test_fallback_fires_on_a_real_corpus_network(self):
+        # random_dnn_31 of the 60-network seed=1 corpus (the fit.tx2
+        # shape) has a decision inside the error band at window 2: the
+        # fallback runs without being forced, and the blocks still equal
+        # the reference chain's.
+        from repro.core.features import DepthwiseFeatureExtractor
+        from repro.models.random_gen import RandomDNNGenerator, spawn_seeds
+
+        graph = RandomDNNGenerator(seed=spawn_seeds(1, 60)[30],
+                                   start_index=30).generate()
+        assert graph.name == "random_dnn_31"
+        x = DepthwiseFeatureExtractor().extract_scaled(graph)
+        fd = FactoredDistance(x, 2)
+        blocks = fd.blocks(0.3, 2)
+        assert fd.exact_evaluations > 0
+        assert blocks == cluster_power_blocks_reference(x, 0.3, 2)
+
     def test_validation_matches_reference(self):
         with pytest.raises(ValueError):
             FactoredDistance(np.ones((3, 2)), 2, alpha=1.5)

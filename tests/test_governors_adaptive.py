@@ -7,12 +7,12 @@ The contract under test (see ``repro.governors.adaptive``):
   issues exactly the commands the static :class:`PresetGovernor`
   would (property-tested over seeds and batch sizes);
 * **bounded corrections** — a synthesized correction never moves any
-  block more than ``max_nudge`` levels, and untouched blocks keep
+  block more than ``MAX_NUDGE`` levels, and untouched blocks keep
   their levels bit-for-bit;
 * **adopt / converge** — a stale plan under batch drift is corrected
   within one observation and the next job's ledger stops flagging;
 * **rollback + freeze** — a verify job measuring a regression restores
-  the last-good plan and freezes replanning for ``cooldown_jobs``;
+  the last-good plan and freezes replanning for ``COOLDOWN_JOBS``;
 * **counters** — ``ReplanHealth`` and the ``powerlens_replan_*_total``
   metrics mirror each other exactly.
 
@@ -23,6 +23,7 @@ Also here: the plan-validation verdict cache of the base
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro.governors.adaptive as adaptive_mod
 from repro.experiments.adaptive import build_drift_net
 from repro.governors import (AdaptivePresetGovernor, PresetGovernor,
                              analytic_plan)
@@ -99,9 +100,10 @@ class TestZeroDriftIdentity:
 # ----------------------------------------------------------------------
 class TestBoundedCorrections:
     @pytest.mark.parametrize("max_nudge", [1, 2])
-    def test_nudges_bounded_and_targeted(self, max_nudge):
+    def test_nudges_bounded_and_targeted(self, max_nudge, monkeypatch):
+        monkeypatch.setattr(adaptive_mod, "MAX_NUDGE", max_nudge)
         graph = _drift_graph()
-        gov = _adaptive(graph, max_nudge=max_nudge)
+        gov = _adaptive(graph)
         stale = gov.plan_for(graph.name)
         _, ledger = _run_job(gov, graph, DRIFT_BATCH)
         assert ledger.mispredicted_blocks()
@@ -157,10 +159,11 @@ class TestAdoption:
                                        seed=1)
         assert e_adaptive < e_static
 
-    def test_reject_freezes_replanning(self):
+    def test_reject_freezes_replanning(self, monkeypatch):
+        monkeypatch.setattr(adaptive_mod, "MIN_IMPROVEMENT_FRAC", 0.9)
+        monkeypatch.setattr(adaptive_mod, "COOLDOWN_JOBS", 2)
         graph = _drift_graph()
-        gov = _adaptive(graph, min_improvement_frac=0.9,
-                        cooldown_jobs=2)
+        gov = _adaptive(graph)
         _, ledger = _run_job(gov, graph, DRIFT_BATCH)
         assert gov.observe_job(graph, DRIFT_BATCH, ledger) == "reject"
         assert gov.replan_health.rejected == 1
@@ -175,9 +178,10 @@ class TestAdoption:
 # rollback
 # ----------------------------------------------------------------------
 class TestRollback:
-    def test_regressing_trial_rolls_back_and_freezes(self):
+    def test_regressing_trial_rolls_back_and_freezes(self, monkeypatch):
+        monkeypatch.setattr(adaptive_mod, "COOLDOWN_JOBS", 1)
         graph = _drift_graph()
-        gov = _adaptive(graph, cooldown_jobs=1)
+        gov = _adaptive(graph)
         last_good = gov.plan_for(graph.name)
         _, ledger = _run_job(gov, graph, DRIFT_BATCH)
         # pretend the pre-swap job measured an absurdly good EE, so the
@@ -226,17 +230,6 @@ class TestReplanCounters:
             metric = obs.metrics.counter(
                 f"powerlens_replan_{event}_total")
             assert metric.value == count
-
-    def test_invalid_params_rejected(self):
-        graph = _drift_graph()
-        plans = [_plan(graph, BUILD_BATCH)]
-        with pytest.raises(ValueError):
-            AdaptivePresetGovernor(plans, EVALUATOR, max_nudge=0)
-        with pytest.raises(ValueError):
-            AdaptivePresetGovernor(plans, EVALUATOR,
-                                   min_improvement_frac=1.0)
-        with pytest.raises(ValueError):
-            AdaptivePresetGovernor(plans, EVALUATOR, cooldown_jobs=-1)
 
 
 # ----------------------------------------------------------------------

@@ -70,11 +70,16 @@ class TestBestLevel:
         # within 0.5%, so compare with that allowance.
         assert ee_large >= ee_small * 0.995
 
-    def test_tolerance_prefers_higher_level(self, evaluator, small_cnn):
+    def test_tolerance_prefers_higher_level(self, evaluator, small_cnn,
+                                           monkeypatch):
         """Among EE-near-ties the faster (higher) level is chosen."""
+        import repro.hw.analytic as analytic
+
         p = evaluator.graph_profile(small_cnn, 8)
-        strict = evaluator.best_level(p, 0.25, ee_tolerance=0.0)
-        loose = evaluator.best_level(p, 0.25, ee_tolerance=0.05)
+        monkeypatch.setattr(analytic, "EE_TOLERANCE", 0.0)
+        strict = evaluator.best_level(p, 0.25)
+        monkeypatch.setattr(analytic, "EE_TOLERANCE", 0.05)
+        loose = evaluator.best_level(p, 0.25)
         assert loose >= strict
 
     def test_best_level_for_block(self, evaluator, small_cnn, tx2):

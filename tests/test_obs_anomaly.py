@@ -12,9 +12,9 @@ from repro.governors import FrequencyPlan, OndemandGovernor, PlanStep, \
     PresetGovernor, StaticGovernor, fpg_g
 from repro.hw import FaultProfile, InferenceJob, InferenceSimulator, \
     TelemetrySample, jetson_tx2
+import repro.obs.anomaly as anomaly
 from repro.obs import Observability
 from repro.obs.anomaly import (
-    AnomalyConfig,
     AnomalyDetector,
     METRIC_ANOMALIES,
     _RegimeStats,
@@ -81,7 +81,6 @@ class TestUnits:
 
     def test_power_bound_recomputed_only_for_a_new_platform(
             self, monkeypatch):
-        import repro.obs.anomaly as anomaly
         from repro.hw.platform import jetson_agx_xavier
 
         calls = []
@@ -116,9 +115,10 @@ class TestUnits:
         assert [a.kind for a in detector.anomalies] == \
             ["telemetry_invalid"] * 2
 
-    def test_regime_zscore_spike_after_warmup(self):
-        cfg = AnomalyConfig(warmup_samples=4, cooldown_s=0.0)
-        detector = AnomalyDetector(cfg)
+    def test_regime_zscore_spike_after_warmup(self, monkeypatch):
+        monkeypatch.setattr(anomaly, "WARMUP_SAMPLES", 4)
+        monkeypatch.setattr(anomaly, "COOLDOWN_S", 0.0)
+        detector = AnomalyDetector()
         detector.reset(jetson_tx2())
         for i in range(10):
             detector.on_sample(_sample(t=i * 0.02, power=5.0))
@@ -129,9 +129,9 @@ class TestUnits:
         key = (True, 4)
         assert math.isclose(detector._regimes[key].mean, 5.0)
 
-    def test_cooldown_suppresses_floods(self):
-        cfg = AnomalyConfig(cooldown_s=1.0)
-        detector = AnomalyDetector(cfg)
+    def test_cooldown_suppresses_floods(self, monkeypatch):
+        monkeypatch.setattr(anomaly, "COOLDOWN_S", 1.0)
+        detector = AnomalyDetector()
         detector.reset(jetson_tx2())
         for i in range(5):
             detector.on_sample(_sample(t=0.01 * i, power=1e6))
@@ -139,9 +139,10 @@ class TestUnits:
         detector.on_sample(_sample(t=5.0, power=1e6))
         assert len(detector.anomalies) == 2
 
-    def test_max_records_bounds_memory(self):
-        cfg = AnomalyConfig(cooldown_s=0.0, max_records=3)
-        detector = AnomalyDetector(cfg, obs=Observability.enabled_bundle())
+    def test_max_records_bounds_memory(self, monkeypatch):
+        monkeypatch.setattr(anomaly, "COOLDOWN_S", 0.0)
+        monkeypatch.setattr(anomaly, "MAX_RECORDS", 3)
+        detector = AnomalyDetector(obs=Observability.enabled_bundle())
         detector.reset(jetson_tx2())
         for i in range(10):
             detector.on_sample(_sample(t=float(i), power=1e6))

@@ -170,7 +170,7 @@ class TestRuntimeEquivalence:
             return governor.health, obs.metrics
 
         # Four blocks so three of them can exhaust their failure
-        # budgets (max_block_failures) and force the plan fallback.
+        # budgets (MAX_BLOCK_FAILURES) and force the plan fallback.
         plan = FrequencyPlan(graph_name="small_cnn",
                              steps=[PlanStep(0, 2), PlanStep(2, 9),
                                     PlanStep(4, 2), PlanStep(6, 9)])

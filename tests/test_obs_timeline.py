@@ -132,8 +132,11 @@ class TestChromeExport:
         assert request_tids(slim) == some
         assert request_tids(full) == all_ids
 
-    def test_request_track_cap_recorded(self, timeline):
-        payload = timeline.to_chrome_trace(max_request_tracks=1)
+    def test_request_track_cap_recorded(self, timeline, monkeypatch):
+        import repro.obs.timeline as timeline_mod
+
+        monkeypatch.setattr(timeline_mod, "MAX_REQUEST_TRACKS", 1)
+        payload = timeline.to_chrome_trace()
         validate_chrome_trace(payload)
         tids = {e["tid"] for e in payload["traceEvents"]
                 if e.get("cat") == "request"}

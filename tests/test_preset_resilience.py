@@ -5,6 +5,7 @@ external-cap handling and the naive fire-and-forget baseline."""
 
 import pytest
 
+import repro.governors.preset as preset
 from repro.governors import (
     FrequencyPlan,
     PlanStep,
@@ -107,9 +108,9 @@ class TestPlanValidation:
 
 
 class TestDegradationLadder:
-    def test_retry_then_pin(self, tiny_platform, small_cnn):
-        gov = _governor_on(tiny_platform, small_cnn, level=3,
-                           max_retries=2)
+    def test_retry_then_pin(self, tiny_platform, small_cnn, monkeypatch):
+        monkeypatch.setattr(preset, "MAX_RETRIES", 2)
+        gov = _governor_on(tiny_platform, small_cnn, level=3)
         assert gov.on_op_start(0, 0, None) == 3
         # Two dropped commands are retried at the same decision point.
         assert gov.on_switch_result(_result(1, 3)) == 3
@@ -122,12 +123,14 @@ class TestDegradationLadder:
         # Later batches hold the pinned level instead of re-fighting.
         assert gov.on_op_start(0, 0, None) == 1
 
-    def test_fallback_to_safe_level(self, tiny_platform, small_cnn):
+    def test_fallback_to_safe_level(self, tiny_platform, small_cnn,
+                                    monkeypatch):
+        monkeypatch.setattr(preset, "MAX_RETRIES", 0)
+        monkeypatch.setattr(preset, "MAX_BLOCK_FAILURES", 2)
         plan = FrequencyPlan(graph_name=small_cnn.name,
                              steps=[PlanStep(0, 1), PlanStep(1, 4),
                                     PlanStep(2, 2)])
-        gov = PresetGovernor([plan], max_retries=0,
-                             max_block_failures=2)
+        gov = PresetGovernor([plan])
         gov.reset(tiny_platform)
         gov.on_job_start(0, InferenceJob(graph=small_cnn))
         gov.on_op_start(0, 0, None)
@@ -144,10 +147,12 @@ class TestDegradationLadder:
         gov.on_job_start(1, InferenceJob(graph=small_cnn))
         assert gov.on_op_start(1, 0, None) == 1
 
-    def test_safe_level_override(self, tiny_platform, small_cnn):
-        gov = _governor_on(tiny_platform, small_cnn, level=3,
-                           max_retries=0, max_block_failures=1,
-                           safe_level=2)
+    def test_safe_level_override(self, tiny_platform, small_cnn,
+                                 monkeypatch):
+        monkeypatch.setattr(preset, "MAX_RETRIES", 0)
+        monkeypatch.setattr(preset, "MAX_BLOCK_FAILURES", 1)
+        monkeypatch.setattr(preset, "SAFE_LEVEL", 2)
+        gov = _governor_on(tiny_platform, small_cnn, level=3)
         gov.on_op_start(0, 0, None)
         assert gov.on_switch_result(_result(0, 3)) == 2
 
@@ -179,13 +184,6 @@ class TestDegradationLadder:
         # No request armed (e.g. thermal enforcement): nothing to verify.
         assert gov.on_switch_result(_result(1, 1, OUTCOME_CAPPED)) is None
         assert gov.health.caps_honored == 0
-
-    def test_parameter_validation(self):
-        plan = FrequencyPlan("g", [PlanStep(0, 1)])
-        with pytest.raises(ValueError):
-            PresetGovernor([plan], max_retries=-1)
-        with pytest.raises(ValueError):
-            PresetGovernor([plan], max_block_failures=0)
 
 
 class TestNaiveRuntime:

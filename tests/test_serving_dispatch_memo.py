@@ -9,8 +9,8 @@ off by patching the device's static-dispatch predicate, and *forcing*
 it on where it does not apply must show up in the outputs, which is
 what proves the equivalence check can catch a wrong predicate.
 
-Also here: anomalies emitted past ``AnomalyConfig.max_records`` still
-count towards device health.
+Also here: anomalies emitted past ``repro.obs.anomaly.MAX_RECORDS``
+still count towards device health.
 """
 
 from __future__ import annotations
@@ -22,10 +22,11 @@ from typing import Optional
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro.obs.anomaly as anomaly
+import repro.serving.fleet as fleet_mod
 from repro.governors.preset import PresetGovernor
 from repro.hw.faults import FaultProfile
 from repro.hw.simulator import InferenceJob
-from repro.obs.anomaly import AnomalyConfig
 from repro.serving import (
     DeviceConfig,
     Fleet,
@@ -44,10 +45,14 @@ ADAPTIVE = ("powerlens-adaptive", "powerlens-family-adaptive")
 STATIC_GOVERNORS = [g for g in SERVING_GOVERNORS if g not in ADAPTIVE]
 SPARSITIES = (0.0, 0.3, 0.6)
 
-#: Every successful switch overruns this stall budget, so every run of
-#: the preset governor emits a ``stall_budget`` anomaly — on a device
-#: that is otherwise static.
-ALWAYS_ANOMALOUS = dict(stall_budget_frac=1e-9)
+
+@pytest.fixture
+def always_anomalous(monkeypatch):
+    """Shrink the stall budget until every successful switch overruns
+    it, so every run of the preset governor emits a ``stall_budget``
+    anomaly — on a device that is otherwise static."""
+    monkeypatch.setattr(anomaly, "STALL_BUDGET_FRAC", 1e-9)
+    return monkeypatch
 
 
 @contextmanager
@@ -172,18 +177,16 @@ def test_forcing_the_memo_on_a_noisy_adaptive_fleet_diverges():
     assert forced.event_log() != honest.event_log()
 
 
-def _anomalous_device(max_records: int = 1000) -> SimulatedDevice:
-    """A static device whose every dispatch is anomalous (and which the
-    drain budget never trips, so execute() can be called directly)."""
-    return SimulatedDevice(
-        DeviceConfig("tx2-0", "tx2"), "powerlens",
-        anomaly_config=AnomalyConfig(max_records=max_records,
-                                     **ALWAYS_ANOMALOUS),
-        unhealthy_after=10**6)
+def _anomalous_device(monkeypatch) -> SimulatedDevice:
+    """A static device whose every dispatch is anomalous (with
+    ``always_anomalous``) and which the drain budget never trips, so
+    execute() can be called directly."""
+    monkeypatch.setattr(fleet_mod, "UNHEALTHY_AFTER", 10**6)
+    return SimulatedDevice(DeviceConfig("tx2-0", "tx2"), "powerlens")
 
 
-def test_anomalous_runs_are_never_memoized():
-    device = _anomalous_device()
+def test_anomalous_runs_are_never_memoized(always_anomalous):
+    device = _anomalous_device(always_anomalous)
     job = InferenceJob(graph=build_small_cnn(MODEL), batch_size=4)
     records = [device.execute(job, seq) for seq in range(4)]
     assert all(r.new_anomalies > 0 for r in records)
@@ -191,10 +194,11 @@ def test_anomalous_runs_are_never_memoized():
     assert not device._memo
 
 
-def test_anomalies_past_max_records_still_count():
+def test_anomalies_past_max_records_still_count(always_anomalous):
     """Regression: with the retained list full, new anomalies only bump
     ``dropped`` — they must still reach the device's health count."""
-    device = _anomalous_device(max_records=1)
+    always_anomalous.setattr(anomaly, "MAX_RECORDS", 1)
+    device = _anomalous_device(always_anomalous)
     job = InferenceJob(graph=build_small_cnn(MODEL), batch_size=4)
     first = device.execute(job, 0)
     second = device.execute(job, 1)
@@ -203,13 +207,12 @@ def test_anomalies_past_max_records_still_count():
     assert device.anomaly_count == device.anomaly.emitted
 
 
-def test_anomaly_past_max_records_re_drains():
+def test_anomaly_past_max_records_re_drains(always_anomalous):
     """Scheduler view of the same regression: the probe after a drain
     is the device's second anomalous dispatch, so it must fail and the
     device must never be re-admitted."""
-    fleet = Fleet.build([DeviceConfig("tx2-0", "tx2")], "powerlens",
-                        anomaly_config=AnomalyConfig(max_records=1,
-                                                     **ALWAYS_ANOMALOUS))
+    always_anomalous.setattr(anomaly, "MAX_RECORDS", 1)
+    fleet = Fleet.build([DeviceConfig("tx2-0", "tx2")], "powerlens")
     fleet.add_graph(build_small_cnn(MODEL))
     trace = make_trace("poisson", rate_rps=20.0, duration_s=2.0,
                        models=[MODEL], seed=4, slo_latency_s=math.inf)
