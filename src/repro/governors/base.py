@@ -38,7 +38,7 @@ def sample_is_valid(sample: TelemetrySample) -> bool:
     numbers = (sample.period, sample.gpu_busy, sample.compute_util,
                sample.memory_util, sample.gpu_power, sample.cpu_power,
                sample.total_power, sample.cpu_busy)
-    if any(not math.isfinite(x) for x in numbers):
+    if not all(map(math.isfinite, numbers)):
         return False
     if sample.period <= 0:
         return False

@@ -347,16 +347,15 @@ class FaultInjector:
                 and self._last_sample is not None):
             self.stats.telemetry_stuck += 1
             stale = self._last_sample
-            delivered = replace(stale, t=sample.t, period=sample.period,
-                                faulty=True)
+            delivered = stale._replace(t=sample.t, period=sample.period,
+                                       faulty=True)
             self._last_sample = delivered
             return delivered
         if p.telemetry_noise_std:
             factor = max(0.0, self._telemetry_rng.gauss(
                 1.0, p.telemetry_noise_std))
             self.stats.telemetry_noisy += 1
-            sample = replace(
-                sample,
+            sample = sample._replace(
                 gpu_busy=min(1.0, max(0.0, sample.gpu_busy * factor)),
                 compute_util=min(1.0, max(0.0,
                                           sample.compute_util * factor)),

@@ -30,6 +30,7 @@ power and latency models, so every value is the float they return.
 
 from __future__ import annotations
 
+import math
 import random
 from collections import OrderedDict
 from dataclasses import dataclass, field
@@ -52,11 +53,12 @@ from repro.hw.telemetry import (
     KIND_GPU_OP,
     KIND_SWITCH,
     METRIC_SAMPLES,
+    METRIC_SAMPLES_DROPPED,
+    METRIC_SAMPLES_FAULTY,
     EnergyReport,
     TelemetrySample,
     Trace,
     TraceSegment,
-    record_sample_metrics,
     report_from_trace,
 )
 from repro.obs import NULL_OBS, Observability
@@ -95,6 +97,14 @@ class InferenceJob:
     def __post_init__(self) -> None:
         if not 0.0 <= self.sparsity < 1.0:
             raise ValueError("sparsity must be in [0, 1)")
+        if self.batch_size < 1:
+            raise ValueError("batch_size must be at least 1")
+        if self.n_batches < 0:
+            raise ValueError("n_batches must be non-negative")
+        if not (math.isfinite(self.cpu_work_per_image)
+                and self.cpu_work_per_image >= 0):
+            raise ValueError("cpu_work_per_image must be finite and "
+                             "non-negative")
 
     @property
     def images(self) -> int:
@@ -235,7 +245,10 @@ class InferenceSimulator:
                  costs: Optional[SimCosts] = None) -> None:
         if sample_period <= 0:
             raise ValueError("sample_period must be positive")
+        if not (math.isfinite(noise_std) and noise_std >= 0):
+            raise ValueError("noise_std must be finite and non-negative")
         self.platform = platform
+        self._board_power = platform.board_power
         self.sample_period = sample_period
         self.noise_std = noise_std
         self.keep_trace = keep_trace
@@ -262,8 +275,10 @@ class InferenceSimulator:
         self._m_dropped_cmds = self.obs.metrics.counter(
             "powerlens_dvfs_commands_dropped_total")
         # Registered up front (like the handles above) so every run
-        # exposes the same metric set, whether or not it samples.
-        self.obs.metrics.counter(METRIC_SAMPLES)
+        # exposes the same metric set, whether or not it samples.  The
+        # dropped / faulty counters register on first use, so they only
+        # appear in the exposition of runs that drop or perturb windows.
+        self._m_samples = self.obs.metrics.counter(METRIC_SAMPLES)
 
     # ------------------------------------------------------------------
     def run(self, jobs: Sequence[InferenceJob], governor) -> SimulationResult:
@@ -355,30 +370,48 @@ class InferenceSimulator:
                        works: Sequence[OpWork],
                        rows: List[List[Optional[OpCost]]],
                        samples: List[TelemetrySample]) -> None:
-        """GPU operator sequence for one batch."""
+        """GPU operator sequence for one batch.
+
+        The per-segment lookups are bound once per batch (``state.dvfs``
+        is fixed for the run).
+        """
         costs = self.costs
+        cpu_busy, cpu_idle = costs.cpu_busy, costs.cpu_idle
+        dvfs = state.dvfs
+        emit = self._emit
+        on_op_start = governor.on_op_start
+        gauss = self._rng.gauss
+        noise_std = self.noise_std
+        batch_size = job.batch_size
         for op_idx, work in enumerate(works):
-            level = governor.on_op_start(job_idx, op_idx, work)
+            level = on_op_start(job_idx, op_idx, work)
             if level is not None:
                 self._apply_switch(state, level)
-            noise = self._noise_factor()
+            # Run-to-run duration noise; a noiseless run draws nothing.
+            noise = max(0.5, gauss(1.0, noise_std)) if noise_std else 1.0
             row = rows[op_idx]
+            name = work.name
             remaining = 1.0  # fraction of the op still to execute
             while remaining > 1e-12:
-                gpu_level = state.dvfs.level
+                gpu_level = dvfs.level
                 cost = row[gpu_level]
                 if cost is None:
                     cost = row[gpu_level] = costs.op_cost(
-                        work, gpu_level, job.batch_size)
+                        work, gpu_level, batch_size)
                 nominal, gpu_p, cu, mu = cost
                 duration = nominal * noise
                 t_rem = remaining * duration
-                dt = min(t_rem, state.next_sample - state.t)
-                dt = max(dt, 1e-12)
-                cpu_p = (costs.cpu_busy if state.t < state.cpu_busy_until
-                         else costs.cpu_idle)[state.cpu_level]
-                self._emit(state, dt, KIND_GPU_OP, gpu_p, cpu_p, cu, mu,
-                           work.name, op_idx)
+                t = state.t
+                # min(t_rem, to_boundary) then max(dt, 1e-12), as
+                # comparisons: the same floats without two builtin calls.
+                to_boundary = state.next_sample - t
+                dt = to_boundary if to_boundary < t_rem else t_rem
+                if dt < 1e-12:
+                    dt = 1e-12
+                cpu_p = (cpu_busy if t < state.cpu_busy_until
+                         else cpu_idle)[state.cpu_level]
+                emit(state, dt, KIND_GPU_OP, gpu_p, cpu_p, cu, mu, name,
+                     op_idx)
                 remaining -= dt / duration
                 # A level change at the window boundary re-times the
                 # remaining fraction of the op on the next pass.
@@ -391,19 +424,20 @@ class InferenceSimulator:
     def _emit(self, state: "_RunState", dt: float, kind: str,
               gpu_p: float, cpu_p: float, cu: float, mu: float,
               label: str = "", op_index: int = -1) -> None:
-        if state.thermal is not None:
+        board_p = self._board_power
+        level = state.dvfs.level
+        thermal = state.thermal
+        if thermal is not None:
             # Temperature-dependent leakage rides on top of the nominal
             # static power; integrate the die forward over this segment.
-            mult = state.thermal.leakage_multiplier()
-            extra = self.costs.gpu_static[state.dvfs.level] * (mult - 1.0)
+            mult = thermal.leakage_multiplier()
+            extra = self.costs.gpu_static[level] * (mult - 1.0)
             gpu_p += extra
-            state.thermal.advance(
-                gpu_p + cpu_p + self.platform.board_power, dt)
+            thermal.advance(gpu_p + cpu_p + board_p, dt)
         t = state.t
         t_end = t + dt
-        board_p = self.platform.board_power
         state.trace.append(TraceSegment(
-            t, t_end, kind, state.dvfs.level, gpu_p, cpu_p, board_p,
+            t, t_end, kind, level, gpu_p, cpu_p, board_p,
             cu, mu, label, op_index))
         # The segment's own duration, not ``dt``: (t + dt) - t rounds.
         d = t_end - t
@@ -443,7 +477,12 @@ class InferenceSimulator:
         delivered: Optional[TelemetrySample] = sample
         if state.injector is not None:
             delivered = state.injector.deliver_sample(sample)
-        record_sample_metrics(self.obs.metrics, delivered)
+        if delivered is None:
+            self.obs.metrics.counter(METRIC_SAMPLES_DROPPED).inc()
+        else:
+            self._m_samples.inc()
+            if delivered.faulty:
+                self.obs.metrics.counter(METRIC_SAMPLES_FAULTY).inc()
         if self.anomaly is not None and delivered is not None:
             self.anomaly.on_sample(delivered)
         if delivered is not None:
@@ -557,11 +596,6 @@ class InferenceSimulator:
             state.cpu_level = max(0, int(round(0.7 * (n - 1))))
         elif state.cpu_policy == "max":
             state.cpu_level = n - 1
-
-    def _noise_factor(self) -> float:
-        if self.noise_std <= 0:
-            return 1.0
-        return max(0.5, self._rng.gauss(1.0, self.noise_std))
 
 
 @dataclass

@@ -12,7 +12,7 @@ The simulator produces two related views of a run:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, List, Optional
+from typing import Iterable, List, NamedTuple
 
 #: Segment kinds recorded by the simulator.
 KIND_GPU_OP = "gpu_op"
@@ -20,30 +20,21 @@ KIND_CPU = "cpu"
 KIND_IDLE = "idle"
 KIND_SWITCH = "switch"
 
-#: Metric names for telemetry-window accounting (simulator hot path).
+#: Metric names for telemetry-window accounting (simulator hot path):
+#: every delivered window counts once, plus once more when flagged
+#: ``faulty``; a dropped window counts only as dropped.
 METRIC_SAMPLES = "powerlens_telemetry_samples_total"
 METRIC_SAMPLES_DROPPED = "powerlens_telemetry_samples_dropped_total"
 METRIC_SAMPLES_FAULTY = "powerlens_telemetry_samples_faulty_total"
 
 
-def record_sample_metrics(metrics,
-                          delivered: Optional["TelemetrySample"]) -> None:
-    """Count one telemetry window against ``metrics`` (a
-    :class:`repro.obs.metrics.MetricsRegistry`): ``None`` means the
-    window was dropped before the governor saw it; delivered windows
-    count once, plus once more when flagged ``faulty``.  No-op on the
-    disabled registry."""
-    if delivered is None:
-        metrics.counter(METRIC_SAMPLES_DROPPED).inc()
-        return
-    metrics.counter(METRIC_SAMPLES).inc()
-    if delivered.faulty:
-        metrics.counter(METRIC_SAMPLES_FAULTY).inc()
+class TraceSegment(NamedTuple):
+    """One piecewise-constant interval of the execution timeline.
 
-
-@dataclass(frozen=True)
-class TraceSegment:
-    """One piecewise-constant interval of the execution timeline."""
+    A ``NamedTuple`` rather than a frozen dataclass: the simulator builds
+    one per segment, and a tuple is immutable, hashable and has the same
+    ``repr`` at a fraction of the construction cost.
+    """
 
     t_start: float
     t_end: float
@@ -74,12 +65,13 @@ class TraceSegment:
         return self.total_power * self.duration
 
 
-@dataclass(frozen=True)
-class TelemetrySample:
+class TelemetrySample(NamedTuple):
     """Windowed telemetry a governor observes (one sampling period).
 
     All utilizations are window averages in [0, 1]; ``gpu_level`` is the
-    level in force at the end of the window.
+    level in force at the end of the window.  A ``NamedTuple`` for the
+    same reason as :class:`TraceSegment`; derive a copy with
+    ``sample._replace(...)``.
     """
 
     t: float
@@ -115,16 +107,18 @@ class Trace:
     switch_count: int = 0
 
     def append(self, seg: TraceSegment) -> None:
-        dt = seg.duration
+        t_end = seg.t_end
+        dt = t_end - seg.t_start
         if dt < 0:
             raise ValueError(f"negative-duration segment: {seg}")
-        self.total_time = seg.t_end
+        self.total_time = t_end
         self.gpu_energy += seg.gpu_power * dt
         self.cpu_energy += seg.cpu_power * dt
         self.board_energy += seg.board_power * dt
-        if seg.kind == KIND_GPU_OP:
+        kind = seg.kind
+        if kind == KIND_GPU_OP:
             self.busy_gpu_time += dt
-        if seg.kind == KIND_SWITCH:
+        elif kind == KIND_SWITCH:
             self.switch_count += 1
         if self.keep_segments:
             self.segments.append(seg)

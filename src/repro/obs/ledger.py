@@ -207,13 +207,13 @@ class EnergyLedger:
         over_e = {k: 0.0 for k in OVERHEAD_KINDS}
         block_of_op = _op_to_block(starts, n_ops)
 
-        for seg in trace.segments:
-            dt = seg.duration
-            energy = (seg.gpu_power + seg.cpu_power
-                      + seg.board_power) * dt
-            if seg.kind == KIND_GPU_OP and seg.op_index >= 0:
-                row = blocks[block_of_op[seg.op_index]] \
-                    if seg.op_index < n_ops else None
+        for (t_start, t_end, kind, gpu_level, gpu_p, cpu_p, board_p,
+             _cu, _mu, label, op_index) in trace.segments:
+            dt = t_end - t_start
+            energy = (gpu_p + cpu_p + board_p) * dt
+            if kind == KIND_GPU_OP and op_index >= 0:
+                row = blocks[block_of_op[op_index]] \
+                    if op_index < n_ops else None
                 if row is None:
                     over_t.setdefault("unattributed", 0.0)
                     over_e.setdefault("unattributed", 0.0)
@@ -222,16 +222,16 @@ class EnergyLedger:
                     continue
                 row.time_s += dt
                 row.energy_j += energy
-                row.level_time[seg.gpu_level] = \
-                    row.level_time.get(seg.gpu_level, 0.0) + dt
-                op = op_rows.get(seg.op_index)
+                row.level_time[gpu_level] = \
+                    row.level_time.get(gpu_level, 0.0) + dt
+                op = op_rows.get(op_index)
                 if op is None:
-                    op = op_rows[seg.op_index] = OpLedgerRow(
-                        op_index=seg.op_index, label=seg.label)
+                    op = op_rows[op_index] = OpLedgerRow(
+                        op_index=op_index, label=label)
                 op.time_s += dt
                 op.energy_j += energy
             else:
-                kind = seg.kind if seg.kind in over_t else "unattributed"
+                kind = kind if kind in over_t else "unattributed"
                 over_t.setdefault(kind, 0.0)
                 over_e.setdefault(kind, 0.0)
                 over_t[kind] += dt

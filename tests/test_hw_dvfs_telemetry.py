@@ -3,6 +3,7 @@
 import pytest
 
 from repro.hw.dvfs import DVFSController, DVFSSwitch
+from repro.hw.faults import FaultInjector, FaultProfile
 from repro.hw.telemetry import (
     KIND_CPU,
     KIND_GPU_OP,
@@ -153,3 +154,73 @@ def test_tegrastats_format():
     assert "GR3D_FREQ  87%@L07" in text
     assert "VDD_GPU   6540mW" in text
     assert "TOTAL   9000mW" in text
+
+
+def _sample(t=1.5, power=6.0):
+    return TelemetrySample(t=t, period=0.02, gpu_level=7, gpu_busy=0.5,
+                           compute_util=0.5, memory_util=0.3,
+                           gpu_power=power, cpu_power=0.8,
+                           total_power=power + 2.8)
+
+
+class TestRecordContract:
+    """Segments and samples are tuples: immutable, hashable, with the
+    field order, defaults and ``repr`` the goldens were recorded with."""
+
+    def test_fields_and_defaults(self):
+        assert TraceSegment._fields == (
+            "t_start", "t_end", "kind", "gpu_level", "gpu_power",
+            "cpu_power", "board_power", "compute_util", "memory_util",
+            "label", "op_index")
+        assert TraceSegment._field_defaults == {
+            "compute_util": 0.0, "memory_util": 0.0, "label": "",
+            "op_index": -1}
+        assert TelemetrySample._fields == (
+            "t", "period", "gpu_level", "gpu_busy", "compute_util",
+            "memory_util", "gpu_power", "cpu_power", "total_power",
+            "cpu_busy", "cpu_level", "faulty")
+        assert TelemetrySample._field_defaults == {
+            "cpu_busy": 0.0, "cpu_level": 0, "faulty": False}
+
+    @pytest.mark.parametrize("record, name", [
+        (_seg(0.0, 1.0), "gpu_power"),
+        (_seg(0.0, 1.0), "op_index"),
+        (_sample(), "gpu_busy"),
+        (_sample(), "faulty"),
+    ])
+    def test_fields_are_read_only(self, record, name):
+        with pytest.raises(AttributeError):
+            setattr(record, name, 0)
+
+    def test_hashable_with_dataclass_repr(self):
+        seg = _seg(0.0, 0.5)
+        assert hash(seg) == hash(_seg(0.0, 0.5))
+        assert repr(seg) == (
+            "TraceSegment(t_start=0.0, t_end=0.5, kind='gpu_op', "
+            "gpu_level=3, gpu_power=5.0, cpu_power=1.0, board_power=2.0, "
+            "compute_util=0.0, memory_util=0.0, label='', op_index=-1)")
+        assert seg.duration == 0.5
+        assert seg.total_power == 8.0
+        assert seg.energy == 4.0
+        assert repr(_sample()).startswith(
+            "TelemetrySample(t=1.5, period=0.02, gpu_level=7, ")
+
+    def test_fault_copies_are_flagged_records(self):
+        # Stuck and noisy windows are ``_replace`` copies: still
+        # samples, flagged, with every field the fault leaves alone.
+        stuck_inj = FaultInjector(FaultProfile(telemetry_stuck_rate=1.0))
+        stuck_inj.deliver_sample(_sample(t=1.0, power=4.0))
+        stuck = stuck_inj.deliver_sample(_sample(t=1.02, power=9.0))
+        assert type(stuck) is TelemetrySample
+        assert stuck == _sample(t=1.02, power=4.0)._replace(faulty=True)
+
+        clean = _sample()
+        noisy = FaultInjector(FaultProfile(telemetry_noise_std=0.2)
+                              ).deliver_sample(clean)
+        assert type(noisy) is TelemetrySample
+        assert noisy.faulty is True and clean.faulty is False
+        perturbed = ("gpu_busy", "compute_util", "memory_util",
+                     "gpu_power", "cpu_power", "total_power")
+        restored = noisy._replace(
+            faulty=False, **{f: getattr(clean, f) for f in perturbed})
+        assert restored == clean

@@ -30,6 +30,14 @@ class TestBasics:
         with pytest.raises(ValueError):
             InferenceSimulator(tx2, sample_period=0.0)
 
+    @pytest.mark.parametrize("noise_std", [float("nan"), float("inf"),
+                                           -0.05])
+    def test_invalid_noise_std(self, tx2, noise_std):
+        # NaN used to run every op at half duration (max(0.5, nan) is
+        # 0.5); a negative value was accepted silently.
+        with pytest.raises(ValueError, match="noise_std"):
+            InferenceSimulator(tx2, noise_std=noise_std)
+
     def test_result_accounting(self, sim, job):
         r = sim.run([job], StaticGovernor())
         assert r.report.images == job.images
@@ -175,3 +183,27 @@ class TestJobDataclass:
     def test_label_defaults_to_graph_name(self, small_cnn):
         assert InferenceJob(graph=small_cnn).label() == small_cnn.name
         assert InferenceJob(graph=small_cnn, name="x").label() == "x"
+
+    @pytest.mark.parametrize("kwargs, field", [
+        # A negative batch or infinite CPU work looped forever; NaN or
+        # negative work skipped preprocessing; batch 0 booked energy for
+        # no images.
+        ({"batch_size": -2}, "batch_size"),
+        ({"batch_size": 0}, "batch_size"),
+        ({"n_batches": -1}, "n_batches"),
+        ({"cpu_work_per_image": float("inf")}, "cpu_work_per_image"),
+        ({"cpu_work_per_image": float("nan")}, "cpu_work_per_image"),
+        ({"cpu_work_per_image": -1e7}, "cpu_work_per_image"),
+    ])
+    def test_degenerate_job_rejected(self, small_cnn, kwargs, field):
+        with pytest.raises(ValueError, match=field):
+            InferenceJob(graph=small_cnn, **kwargs)
+
+    def test_zero_cpu_work_and_no_batches_allowed(self, tx2, small_cnn):
+        job = InferenceJob(graph=small_cnn, batch_size=4,
+                           cpu_work_per_image=0.0)
+        r = InferenceSimulator(tx2).run([job], StaticGovernor())
+        assert r.report.images == 4
+        assert all(seg.kind == KIND_GPU_OP for seg in r.trace.segments)
+        empty = InferenceJob(graph=small_cnn, n_batches=0)
+        assert empty.images == 0

@@ -82,7 +82,8 @@ def _canon(value):
 
 
 def _digest(items) -> str:
-    rows = [_canon(dataclasses.astuple(item)) for item in items]
+    # Trace segments and telemetry samples are NamedTuples.
+    rows = [_canon(tuple(item)) for item in items]
     blob = json.dumps(rows, separators=(",", ":")).encode()
     return hashlib.sha256(blob).hexdigest()[:24]
 
