@@ -434,8 +434,11 @@ def _cmd_serve_sim(args, obs) -> int:
     import json as _json
 
     from repro.hw import FaultProfile
+    from repro.obs.burnrate import BurnRateConfig, BurnRateMonitor
     from repro.serving import (DeviceConfig, Fleet, FleetScheduler,
-                               SchedulerConfig, make_trace)
+                               RecoveryConfig, RequestTracer,
+                               SamplingConfig, SchedulerConfig,
+                               make_policy, make_trace)
 
     presets = [p.strip() for p in args.devices.split(",") if p.strip()]
     if not presets:
@@ -445,16 +448,16 @@ def _cmd_serve_sim(args, obs) -> int:
     configs = [DeviceConfig(name=f"{preset}-{i}", platform=preset)
                for i, preset in enumerate(presets)]
 
-    spec = args.fault_profile.strip().lower()
-    faults = None if spec in ("", "none") else FaultProfile.parse(
-        args.fault_profile)
-
     sparsities = getattr(args, "sparsities", None)
     sparsity_edges = (0.0,)
     if sparsities:
         sparsity_edges = tuple(sorted({0.0} | {float(s)
                                               for s in sparsities}))
+    # Every config error takes the one-line exit-2 path.
     try:
+        spec = args.fault_profile.strip().lower()
+        faults = None if spec in ("", "none") else FaultProfile.parse(
+            args.fault_profile)
         fleet = Fleet.build(configs, governor=args.governor,
                             fleet_seed=args.seed, faults=faults,
                             sparsity_edges=sparsity_edges)
@@ -465,49 +468,40 @@ def _cmd_serve_sim(args, obs) -> int:
                                           else float("inf")),
                            images_per_request=args.images,
                            sparsity_choices=sparsities or None)
+        recovery = None
+        if args.recovery:
+            recovery = RecoveryConfig(cooldown_s=args.recovery_cooldown,
+                                      probation_jobs=args.probation)
+        config = SchedulerConfig(policy=args.policy,
+                                 max_batch=args.max_batch,
+                                 queue_capacity=args.queue_capacity,
+                                 recovery=recovery)
+        sampling = None
+        if args.request_trace or args.timeline:
+            sampling = SamplingConfig(head_rate=args.trace_sample,
+                                      seed=args.seed)
+        burn_config = None
+        if args.burn_slo is not None:
+            fast = (args.burn_fast if args.burn_fast is not None
+                    else max(args.duration / 4.0, 1e-3))
+            slow = (args.burn_slow if args.burn_slow is not None
+                    else max(args.duration, fast))
+            burn_config = BurnRateConfig(
+                objective=args.burn_slo, fast_window_s=fast,
+                slow_window_s=slow, threshold=args.burn_threshold)
     except (KeyError, ValueError) as exc:
         print(f"powerlens serve-sim: {exc}", file=sys.stderr)
         return 2
-    recovery = None
-    if args.recovery:
-        from repro.serving import RecoveryConfig
-        recovery = RecoveryConfig(cooldown_s=args.recovery_cooldown,
-                                  probation_jobs=args.probation)
-    config = SchedulerConfig(policy=args.policy,
-                             max_batch=args.max_batch,
-                             queue_capacity=args.queue_capacity,
-                             recovery=recovery)
 
     # Event-log projections riding the run as scheduler sinks: the
     # request tracer (sampled span trees and the timeline) and the
     # burn-rate monitor.
     tracer = None
-    if args.request_trace or args.timeline:
-        from repro.serving import (RequestTracer, SamplingConfig,
-                                   make_policy)
-        try:
-            sampling = SamplingConfig(head_rate=args.trace_sample,
-                                      seed=args.seed)
-        except ValueError as exc:
-            print(f"powerlens serve-sim: {exc}", file=sys.stderr)
-            return 2
+    if sampling is not None:
         tracer = RequestTracer(sampling, requests=trace.requests,
                                healthy_devices=len(fleet),
                                policy=make_policy(args.policy).name)
-    burn = None
-    if args.burn_slo is not None:
-        from repro.obs.burnrate import BurnRateConfig, BurnRateMonitor
-        fast = (args.burn_fast if args.burn_fast is not None
-                else max(args.duration / 4.0, 1e-3))
-        slow = (args.burn_slow if args.burn_slow is not None
-                else max(args.duration, fast))
-        try:
-            burn = BurnRateMonitor(BurnRateConfig(
-                objective=args.burn_slo, fast_window_s=fast,
-                slow_window_s=slow, threshold=args.burn_threshold))
-        except ValueError as exc:
-            print(f"powerlens serve-sim: {exc}", file=sys.stderr)
-            return 2
+    burn = None if burn_config is None else BurnRateMonitor(burn_config)
 
     projections = [p for p in (tracer, burn) if p is not None]
     scheduler = FleetScheduler(fleet, config, obs=obs,

@@ -44,56 +44,13 @@ the reference path and the dataset-cache key is unchanged.
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 #: Unit roundoff of float64 — the per-operation bound the error bands of
 #: :class:`FactoredDistance` are built from.
 _EPS64 = float(np.finfo(np.float64).eps)
-
-#: Bounded caches for the scheme-grid-invariant structure work: the
-#: upper-triangle pair indices (per ``n``) and the spacing regularizer
-#: (per ``(n, lam, mode)``) are identical across every smoothing window
-#: of a sweep, so they are shared instead of rebuilt per window.
-_TRIU_CACHE: "OrderedDict[int, Tuple[np.ndarray, np.ndarray]]" = \
-    OrderedDict()
-_SPACING_CACHE: "OrderedDict[Tuple[int, float, str], np.ndarray]" = \
-    OrderedDict()
-_STRUCT_CACHE_SIZE = 32
-
-
-def _triu_pairs(n: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Cached ``np.triu_indices(n, k=1)`` (read-only)."""
-    hit = _TRIU_CACHE.get(n)
-    if hit is None:
-        hit = np.triu_indices(n, k=1)
-        for arr in hit:
-            arr.setflags(write=False)
-        _TRIU_CACHE[n] = hit
-        while len(_TRIU_CACHE) > _STRUCT_CACHE_SIZE:
-            _TRIU_CACHE.popitem(last=False)
-    else:
-        _TRIU_CACHE.move_to_end(n)
-    return hit
-
-
-def _spacing_cached(n: int, lam: float, mode: str) -> np.ndarray:
-    """Cached :func:`spacing_matrix` (read-only; the computation is
-    deterministic, so the cached array is bit-equal to a fresh one)."""
-    key = (n, float(lam), mode)
-    hit = _SPACING_CACHE.get(key)
-    if hit is None:
-        hit = spacing_matrix(n, lam, mode)
-        hit.setflags(write=False)
-        _SPACING_CACHE[key] = hit
-        while len(_SPACING_CACHE) > _STRUCT_CACHE_SIZE:
-            _SPACING_CACHE.popitem(last=False)
-    else:
-        _SPACING_CACHE.move_to_end(key)
-    return hit
-
 
 def _normalize_by_median(d: np.ndarray, n: int) -> np.ndarray:
     """Shared tail of the Mahalanobis computation.
@@ -152,18 +109,10 @@ def mahalanobis_matrix(x: np.ndarray) -> np.ndarray:
     return _normalize_by_median(d, n)
 
 
-def spacing_matrix(n: int, lam: float,
-                   mode: str = "penalty") -> np.ndarray:
-    """Operator-spacing regularization matrix.
-
-    ``mode='penalty'`` (default): ``R = 1 - exp(-lam * |i - j|)`` —
-    grows with topological distance, penalizing non-adjacent pairs.
-    ``mode='paper'``: the literal formula ``R = exp(-lam * |i - j|)``.
-    """
+def _spacing_of(gaps: np.ndarray, lam: float, mode: str) -> np.ndarray:
+    """The regularizer as an elementwise function of operator gaps."""
     if lam < 0:
         raise ValueError("lambda must be non-negative")
-    idx = np.arange(n)
-    gaps = np.abs(idx[:, None] - idx[None, :])
     decay = np.exp(-lam * gaps)
     if mode == "penalty":
         return 1.0 - decay
@@ -172,14 +121,37 @@ def spacing_matrix(n: int, lam: float,
     raise ValueError(f"unknown spacing mode {mode!r}")
 
 
+def spacing_matrix(n: int, lam: float,
+                   mode: str = "penalty") -> np.ndarray:
+    """Operator-spacing regularization matrix.
+
+    ``mode='penalty'`` (default): ``R = 1 - exp(-lam * |i - j|)`` —
+    grows with topological distance, penalizing non-adjacent pairs.
+    ``mode='paper'``: the literal formula ``R = exp(-lam * |i - j|)``.
+    """
+    idx = np.arange(n)
+    return _spacing_of(np.abs(idx[:, None] - idx[None, :]), lam, mode)
+
+
+def spacing_by_gap(n: int, lam: float,
+                   mode: str = "penalty") -> np.ndarray:
+    """Row 0 of :func:`spacing_matrix`: the regularizer per gap
+    ``g = |i - j|`` for ``g = 0..n-1``.
+
+    ``spacing_by_gap(n, lam, mode)[j - i]`` is bit-equal to
+    ``spacing_matrix(n, lam, mode)[i, j]`` (the same elementwise ops on
+    the same gap values) in O(n) memory instead of O(n²).
+    """
+    return _spacing_of(np.arange(n), lam, mode)
+
+
 def _blend_distances(d: np.ndarray, n: int, alpha: float, lam: float,
                      spacing_mode: str) -> np.ndarray:
     """Blend a Mahalanobis matrix with the spacing regularizer
     (Algorithm 1 line 12)."""
     if not 0.0 <= alpha <= 1.0:
         raise ValueError("alpha must be in [0, 1]")
-    r = _spacing_cached(n, lam, spacing_mode)
-    out = alpha * d + (1.0 - alpha) * r
+    out = alpha * d + (1.0 - alpha) * spacing_matrix(n, lam, spacing_mode)
     np.fill_diagonal(out, 0.0)
     return out
 
@@ -468,6 +440,24 @@ def blocks_from_distance(distance: np.ndarray, eps: float,
     return process_clusters(labels, min_block_size=max(1, min_pts))
 
 
+def _gram_pairs(q: np.ndarray, g: np.ndarray, iu: np.ndarray,
+                ju: np.ndarray, op: np.ufunc) -> np.ndarray:
+    """``op(op(q[iu] + q[ju], g[iu, ju]), g[ju, iu])`` over the pairs,
+    accumulated in place so only one pair-length temporary is live."""
+    out = q[iu]
+    out += q[ju]
+    op(out, g[iu, ju], out=out)
+    op(out, g[ju, iu], out=out)
+    return out
+
+
+def _middle_mean(values: np.ndarray, r1: int, r2: int) -> float:
+    """Mean of order statistics ``r1`` and ``r2`` of ``values``,
+    partitioned in place (the same algorithm as ``np.partition``)."""
+    values.partition([r1, r2])
+    return float(np.mean(values[[r1, r2]]))
+
+
 class FactoredDistance:
     """Factorized blended-distance oracle for one ``(features, window,
     alpha, lam, spacing_mode)`` key.
@@ -516,6 +506,11 @@ class FactoredDistance:
     ``exact_evaluations`` counts reference-evaluated pairs (0, or all
     pairs when the fallback fires; telemetry for the equivalence
     suite).
+
+    ``pairs`` takes a precomputed ``np.triu_indices(n, 1)`` so the
+    windows of one network can share it.  Nothing is cached across
+    networks: every O(n²) array lives exactly as long as the instance
+    (the spacing term comes from the O(n) :func:`spacing_by_gap`).
     """
 
     __slots__ = ("n", "alpha", "lam", "spacing_mode", "exact_evaluations",
@@ -523,7 +518,9 @@ class FactoredDistance:
                  "_blended", "_band", "_omr", "_exact", "_force_exact")
 
     def __init__(self, x: np.ndarray, window: int, alpha: float = 0.6,
-                 lam: float = 0.05, spacing_mode: str = "penalty") -> None:
+                 lam: float = 0.05, spacing_mode: str = "penalty",
+                 pairs: Optional[Tuple[np.ndarray, np.ndarray]] = None
+                 ) -> None:
         if not 0.0 <= alpha <= 1.0:
             raise ValueError("alpha must be in [0, 1]")
         x = np.asarray(x, dtype=float)
@@ -536,6 +533,8 @@ class FactoredDistance:
         self.exact_evaluations = 0
         self._exact = None
         self._force_exact = False
+        # Validates lam and the mode eagerly, like the dense path.
+        omr_by_gap = (1.0 - alpha) * spacing_by_gap(n, lam, spacing_mode)
         if n <= 1:
             self._iu = self._ju = np.zeros(0, dtype=int)
             self._xs = xs
@@ -545,12 +544,19 @@ class FactoredDistance:
             self._blended = np.zeros(0)
             self._band = np.zeros(0)
             self._omr = np.zeros(0)
-            # Validate lam eagerly like the dense path would.
-            spacing_matrix(n, lam, spacing_mode)
             return
+        iu, ju = np.triu_indices(n, k=1) if pairs is None else pairs
+        self._iu, self._ju = iu, ju
+        self._omr = omr_by_gap[ju - iu]
         cov = np.cov(xs, rowvar=False)
         p = np.linalg.pinv(np.atleast_2d(cov))
-        iu, ju = _triu_pairs(n)
+        self._xs = xs
+        self._p = p
+        # Pair arrays are built in place and each n×n Gram matrix is
+        # dropped once gathered; in-place ufuncs keep every operation's
+        # operands and association, so values are bit-equal to the plain
+        # expressions in the comments.
+        #
         # Gram-form evaluation in the original basis:
         #   d²_ij = Δxᵀ P Δx = q_i + q_j − G_ij − G_ji
         # with B = X P, q = diag(B Xᵀ), G = B Xᵀ — three BLAS matmuls
@@ -564,9 +570,8 @@ class FactoredDistance:
         # evaluates the same asymmetric P the einsum sees, so the gap
         # is pure summation rounding.)
         b = xs @ p
-        q = np.einsum("nk,nk->n", b, xs)
-        g = b @ xs.T
-        d2 = q[iu] + q[ju] - g[iu, ju] - g[ju, iu]
+        d = _gram_pairs(np.einsum("nk,nk->n", b, xs), b @ xs.T, iu, ju,
+                        np.subtract)
         # Conservative per-pair bound on |d²_fast − d²_einsum|: both
         # sides are floating-point sums of the same k²+2k products (in
         # different association orders, plus the Gram expansion's
@@ -583,23 +588,19 @@ class FactoredDistance:
         # chain, so coverage only needs to hold *outside* it).
         habs = np.abs(xs)
         babs = habs @ np.abs(p)
-        qbar = np.einsum("nk,nk->n", babs, habs)
-        gbar = babs @ habs.T
-        m_bar = qbar[iu] + qbar[ju] + gbar[iu, ju] + gbar[ju, iu]
-        b2 = 64.0 * _EPS64 * m_bar
-        d2 = np.maximum(d2, 0.0)
-        d = np.sqrt(d2)
-        # In the d domain: |√a − √b| ≤ min(√|a−b|, |a−b| / √a).
+        # b2 = 64·u·m̄ with m̄ = q̄_i + q̄_j + Ḡ_ij + Ḡ_ji; d = √max(d², 0)
+        band = _gram_pairs(np.einsum("nk,nk->n", babs, habs),
+                           babs @ habs.T, iu, ju, np.add)
+        band *= 64.0 * _EPS64
+        np.sqrt(np.maximum(d, 0.0, out=d), out=d)
+        # In the d domain: |√a − √b| ≤ min(√|a−b|, |a−b| / √a), so
+        # band = min(√b2, b2 / max(d, 1e-300)) · 1.01.
         with np.errstate(divide="ignore", invalid="ignore",
                          over="ignore"):
-            band = np.minimum(np.sqrt(b2),
-                              b2 / np.maximum(d, 1e-300)) * 1.01
+            ratio = np.divide(band, np.maximum(d, 1e-300))
+            np.minimum(np.sqrt(band, out=band), ratio, out=band)
+            band *= 1.01
         n_pairs = d.shape[0]
-        self._xs = xs
-        self._p = p
-        self._iu, self._ju = iu, ju
-        self._omr = (1.0 - alpha) * _spacing_cached(n, lam,
-                                                    spacing_mode)[iu, ju]
         if not (np.isfinite(d).all() and np.isfinite(band).all()):
             # Pathological features (inf/NaN): no finite error bound, so
             # every decision runs on the lazily-evaluated reference
@@ -620,38 +621,42 @@ class FactoredDistance:
         # a much tighter interval than ±max(band), because only the
         # bands *near the median* matter.
         r1, r2 = (n_pairs - 1) // 2, n_pairs // 2
-        part = np.partition(d, [r1, r2])
-        scale = float(np.mean(part[[r1, r2]]))
-        lo = np.partition(d - band, [r1, r2])
-        hi = np.partition(d + band, [r1, r2])
-        scale_lo = float(np.mean(lo[[r1, r2]]))
-        scale_hi = float(np.mean(hi[[r1, r2]]))
+        scale = _middle_mean(d.copy(), r1, r2)
+        scale_lo = _middle_mean(d - band, r1, r2)
+        scale_hi = _middle_mean(d + band, r1, r2)
         b_scale = (max(scale - scale_lo, scale_hi - scale) * 1.01
                    + 4.0 * _EPS64 * abs(scale))
         self._scale = scale
         self._scale_band = b_scale
         if scale - b_scale > 0.0:
             # The reference provably takes the `scale > 0` branch.
-            dn = d / scale
-            # |d_e/s_e − d_f/s_f| ≤ band/s_lo + d_f·b_scale/(s_f·s_lo)
+            # |d_e/s_e − d_f/s_f| ≤ band/s_lo + d_f·b_scale/(s_f·s_lo):
+            #   bn = (band / s_lo + d · (b_scale / scale) / s_lo) · 1.01
+            #   dn = d / scale
             s_lo = scale - b_scale
-            bn = (band / s_lo + d * (b_scale / scale) / s_lo) * 1.01
-        elif scale == 0.0 and b_scale == 0.0:
-            # Degenerate window: every distance is exactly 0, no
-            # normalization on either path.
-            dn = d
-            bn = band
-        else:
+            band /= s_lo
+            band += d * (b_scale / scale) / s_lo
+            band *= 1.01
+            d /= scale
+        elif not (scale == 0.0 and b_scale == 0.0):
             # Cannot prove which side of the `scale > 0` branch the
-            # reference takes: resolve everything exactly.
+            # reference takes: resolve everything exactly.  (When both
+            # are exactly 0 the window is degenerate — every distance
+            # is 0 — and neither path normalizes: dn = d, bn = band.)
             self._force_exact = True
             self._blended = np.zeros(n_pairs)
             self._band = np.full(n_pairs, np.inf)
             return
-        blended = alpha * dn + self._omr
-        self._blended = blended
-        self._band = (alpha * bn * 1.01
-                      + 4.0 * _EPS64 * np.abs(blended) + 1e-30)
+        # blended = alpha · dn + omr
+        # band    = alpha · bn · 1.01 + 4u · |blended| + 1e-30
+        d *= alpha
+        d += self._omr
+        band *= alpha
+        band *= 1.01
+        band += 4.0 * _EPS64 * np.abs(d)
+        band += 1e-30
+        self._blended = d
+        self._band = band
 
     # ------------------------------------------------------------------
     def _ensure_exact(self) -> np.ndarray:

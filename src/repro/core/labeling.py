@@ -150,6 +150,8 @@ def _sweep_schemes(evaluator: AnalyticEvaluator, graph: Graph,
         table = evaluator.profile_table(graph, batch_size)
 
     distances: Dict[int, FactoredDistance] = {}
+    # One upper-triangle pair set per network, shared by its windows.
+    pairs = None
     evaluations: Dict[tuple, Tuple[float, List[int]]] = {}
     views: List[List[List[int]]] = []
     qualities: List[float] = []
@@ -164,8 +166,11 @@ def _sweep_schemes(evaluator: AnalyticEvaluator, graph: Graph,
             distance = distances.get(window)
             if distance is None:
                 with timer.stage("distance"):
+                    if pairs is None:
+                        pairs = np.triu_indices(n, k=1)
                     distance = FactoredDistance(
-                        features, window, alpha=alpha, lam=lam)
+                        features, window, alpha=alpha, lam=lam,
+                        pairs=pairs)
                 distances[window] = distance
             with timer.stage("cluster"):
                 blocks = distance.blocks(scheme.eps, scheme.min_pts)

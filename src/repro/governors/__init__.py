@@ -9,8 +9,6 @@
 * :class:`PresetGovernor` — executes a per-block frequency plan at
   operator-boundary instrumentation points; this is the runtime half of
   PowerLens (the plan itself comes from :mod:`repro.core`).
-* :class:`OracleGovernor` — exhaustive per-block optimum, the upper
-  bound used to sanity-check the decision model.
 * :class:`AdaptivePresetGovernor` — the preset runtime plus a closed
   feedback loop: ledger misprediction flags and anomaly signals drive
   bounded, re-scored plan corrections between jobs, with rollback to
@@ -35,7 +33,6 @@ from repro.governors.preset import (
     PlanStep,
     RuntimeHealth,
 )
-from repro.governors.oracle import OracleGovernor
 from repro.governors.adaptive import (
     AdaptivePresetGovernor,
     ReplanHealth,
@@ -60,5 +57,4 @@ __all__ = [
     "FrequencyPlan",
     "PlanStep",
     "RuntimeHealth",
-    "OracleGovernor",
 ]

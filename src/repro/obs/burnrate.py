@@ -30,6 +30,7 @@ window.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 from typing import Any, Deque, Dict, List, Optional, Tuple
@@ -60,6 +61,10 @@ class BurnRateConfig:
     def __post_init__(self) -> None:
         if not 0.0 < self.objective < 1.0:
             raise ValueError("objective must be in (0, 1)")
+        if not all(map(math.isfinite, (self.fast_window_s,
+                                       self.slow_window_s,
+                                       self.threshold))):
+            raise ValueError("windows and threshold must be finite")
         if self.fast_window_s <= 0 or self.slow_window_s <= 0:
             raise ValueError("windows must be positive")
         if self.fast_window_s > self.slow_window_s:

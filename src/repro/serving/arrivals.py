@@ -42,6 +42,10 @@ BURST_FACTOR = 8.0
 #: Mean holding times (s) of the bursty trace's calm and burst states.
 MEAN_CALM_S = 1.0
 MEAN_BURST_S = 0.25
+#: Most arrivals a trace may expect (peak rate × duration).  A trace is
+#: materialized up front, so a larger one would exhaust memory, and a
+#: rate too large to advance the float clock would never end.
+MAX_EXPECTED_ARRIVALS = 1e6
 
 
 @dataclass(frozen=True)
@@ -66,11 +70,15 @@ class Request:
     sparsity: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.t_arrival < 0:
-            raise ValueError("arrival time cannot be negative")
+        if not (math.isfinite(self.t_arrival) and self.t_arrival >= 0):
+            raise ValueError("arrival time must be finite and "
+                             "non-negative")
         if self.images < 1:
             raise ValueError("a request needs at least one image")
-        if self.slo_latency_s <= 0:
+        # NaN would make the deadline NaN, and a NaN-deadline request
+        # leaves the queue without being served or booked as expired;
+        # inf is the best-effort default.
+        if math.isnan(self.slo_latency_s) or self.slo_latency_s <= 0:
             raise ValueError("slo_latency_s must be positive")
         if not 0.0 <= self.sparsity < 1.0:
             raise ValueError("sparsity must be in [0, 1)")
@@ -154,6 +162,20 @@ def _draw_sparsities(kind: str, seed: int,
     return [rng.choice(values) for _ in range(n)]
 
 
+def _check_horizon(rate_rps: float, duration_s: float,
+                   peak_rate_rps: float, models: Sequence[str]) -> None:
+    if not (rate_rps > 0 and duration_s > 0):  # NaN fails too
+        raise ValueError("rate and duration must be positive")
+    # A finite product of positive factors bounds both of them.
+    if not peak_rate_rps * duration_s <= MAX_EXPECTED_ARRIVALS:
+        raise ValueError(
+            f"rate and duration must be finite, with at most "
+            f"{MAX_EXPECTED_ARRIVALS:g} expected arrivals (got rate "
+            f"{rate_rps:g}/s over {duration_s:g} s)")
+    if not models:
+        raise ValueError("at least one model name required")
+
+
 def poisson_trace(rate_rps: float, duration_s: float,
                   models: Sequence[str], seed: int = 0,
                   images_per_request: int = 8,
@@ -161,10 +183,7 @@ def poisson_trace(rate_rps: float, duration_s: float,
                   sparsity_choices: Optional[Sequence[float]] = None
                   ) -> ArrivalTrace:
     """Homogeneous Poisson arrivals at ``rate_rps`` over ``duration_s``."""
-    if rate_rps <= 0 or duration_s <= 0:
-        raise ValueError("rate and duration must be positive")
-    if not models:
-        raise ValueError("at least one model name required")
+    _check_horizon(rate_rps, duration_s, rate_rps, models)
     rng_t = random.Random(f"{seed}/poisson/arrivals")
     rng_m = random.Random(f"{seed}/poisson/models")
     times: List[float] = []
@@ -193,10 +212,7 @@ def bursty_trace(rate_rps: float, duration_s: float,
     """Two-state MMPP: calm at ``rate_rps``, bursts at
     :data:`BURST_FACTOR` times that, with exponentially-distributed
     state holding times."""
-    if rate_rps <= 0 or duration_s <= 0:
-        raise ValueError("rate and duration must be positive")
-    if not models:
-        raise ValueError("at least one model name required")
+    _check_horizon(rate_rps, duration_s, rate_rps * BURST_FACTOR, models)
     rng_t = random.Random(f"{seed}/bursty/arrivals")
     rng_s = random.Random(f"{seed}/bursty/states")
     rng_m = random.Random(f"{seed}/bursty/models")

@@ -45,6 +45,7 @@ never from wall clock or ``hash()``.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -137,6 +138,9 @@ class RecoveryConfig:
     max_attempts: int = 8
 
     def __post_init__(self) -> None:
+        if not all(map(math.isfinite, (self.cooldown_s, self.backoff_factor,
+                                       self.max_cooldown_s))):
+            raise ValueError("recovery timings must be finite")
         if self.cooldown_s <= 0:
             raise ValueError("cooldown_s must be positive")
         if self.backoff_factor < 1.0:

@@ -116,8 +116,9 @@ class SchedulerConfig:
             raise ValueError("max_batch must be >= 1")
         if self.queue_capacity < 1:
             raise ValueError("queue_capacity must be >= 1")
-        if self.cpu_work_per_image < 0:
-            raise ValueError("cpu_work_per_image must be >= 0")
+        if not (math.isfinite(self.cpu_work_per_image)
+                and self.cpu_work_per_image >= 0):
+            raise ValueError("cpu_work_per_image must be finite and >= 0")
 
 
 @dataclass

@@ -1,10 +1,22 @@
-"""FrequencyPlan / PresetGovernor / oracle tests."""
+"""FrequencyPlan / PresetGovernor / exhaustive-sweep plan tests."""
 
 import pytest
 
+from repro.core.labeling import plan_levels_for_blocks
 from repro.governors import FrequencyPlan, PlanStep, PresetGovernor
-from repro.governors.oracle import OracleGovernor, oracle_plan
 from repro.hw import InferenceJob, InferenceSimulator
+from repro.hw.analytic import AnalyticEvaluator
+
+
+def sweep_plan(platform, graph, blocks, batch_size):
+    """Each block at the level an exhaustive frequency sweep selects
+    (the Dataset-B labeling rule)."""
+    levels = plan_levels_for_blocks(AnalyticEvaluator(platform), graph,
+                                    blocks, batch_size=batch_size)
+    return FrequencyPlan(
+        graph_name=graph.name,
+        steps=[PlanStep(op_index=min(block), level=level)
+               for block, level in zip(blocks, levels)])
 
 
 class TestFrequencyPlan:
@@ -69,7 +81,7 @@ class TestOracle:
     def test_oracle_plan_structure(self, tx2, small_cnn):
         n = len(small_cnn.compute_nodes())
         blocks = [list(range(n // 2)), list(range(n // 2, n))]
-        plan = oracle_plan(tx2, small_cnn, blocks, batch_size=8)
+        plan = sweep_plan(tx2, small_cnn, blocks, batch_size=8)
         assert plan.graph_name == small_cnn.name
         assert plan.n_blocks == 2
         assert plan.steps[0].op_index == 0
@@ -82,7 +94,7 @@ class TestOracle:
         from repro.governors import StaticGovernor
         n = len(small_cnn.compute_nodes())
         blocks = [list(range(n))]
-        gov = OracleGovernor(tx2, [(small_cnn, blocks)], batch_size=8)
+        gov = PresetGovernor([sweep_plan(tx2, small_cnn, blocks, 8)])
         job = InferenceJob(graph=small_cnn, batch_size=8, n_batches=3,
                            cpu_work_per_image=1e7)
         sim = InferenceSimulator(tx2)

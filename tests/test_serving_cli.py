@@ -3,16 +3,20 @@
 Covers the acceptance scenario — a seeded 2-device (TX2 + AGX) Poisson
 run is deterministic from the command line (byte-identical event logs
 and stdout across invocations) — plus the JSON output mode, the
-``--metrics`` file sink, and the fleet registry's Prometheus text.
+``--metrics`` file sink, the fleet registry's Prometheus text, and the
+input contract: a degenerate numeric flag runs conserved or exits 2.
 """
 
 import json
+import math
 
 import pytest
 
 import repro.cli as cli
 from repro.obs import Observability
 from repro.obs.metrics import parse_prometheus_text
+from repro.serving import (RecoveryConfig, Request, SchedulerConfig,
+                           make_trace)
 
 pytestmark = pytest.mark.serving
 
@@ -125,3 +129,70 @@ def test_serve_sim_cli_adaptive_governor(capsys):
     assert "governor powerlens-adaptive" in adaptive_out
     assert (static_out.replace("governor powerlens", "G")
             == adaptive_out.replace("governor powerlens-adaptive", "G"))
+
+
+#: Every numeric ``serve-sim`` flag, with the flags it needs to matter.
+_NUMERIC_FLAGS = {
+    "--rate": [], "--duration": [], "--seed": [], "--images": [],
+    "--sparsities": [], "--slo": [], "--max-batch": [],
+    "--queue-capacity": [], "--jobs": [],
+    "--recovery-cooldown": ["--recovery"],
+    "--probation": ["--recovery"],
+    "--trace-sample": ["--request-trace"],
+    "--burn-slo": [],
+    "--burn-fast": ["--burn-slo", "0.99"],
+    "--burn-slow": ["--burn-slo", "0.99"],
+    "--burn-threshold": ["--burn-slo", "0.99"],
+}
+
+
+@pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
+@pytest.mark.parametrize("flag", sorted(_NUMERIC_FLAGS))
+def test_serve_sim_numeric_flag_contract(flag, value, tmp_path, capsys):
+    """A degenerate numeric flag either runs with every request
+    accounted for or exits 2 with a one-line message: never a hang, a
+    traceback or a silently lost request."""
+    extra = list(_NUMERIC_FLAGS[flag])
+    if extra == ["--request-trace"]:
+        extra.append(str(tmp_path / "trace.jsonl"))
+    argv = (["serve-sim", "--devices", "tx2", "--models", "alexnet",
+             "--rate", "8", "--duration", "0.5", "--json"]
+            + extra + [flag, value])
+    try:
+        rc = cli.main(argv)
+    except SystemExit as exc:  # argparse rejects non-integers
+        rc = exc.code
+    captured = capsys.readouterr()
+    if rc == 0:
+        assert json.loads(captured.out)["conserved"] is True
+    else:
+        assert rc == 2
+        assert "Traceback" not in captured.err
+        assert "serve-sim" in captured.err.strip().splitlines()[-1]
+
+
+@pytest.mark.parametrize("kind", ["poisson", "bursty"])
+@pytest.mark.parametrize("rate, duration", [
+    (math.inf, 4.0), (1e308, 4.0), (math.nan, 4.0), (4.0, math.nan),
+    (4.0, math.inf), (1e7, 1.0)])
+def test_trace_generators_reject_unbounded_horizons(kind, rate, duration):
+    """A rate or horizon with no finite arrival count used to spin the
+    generator forever (``expovariate(inf)`` is 0.0)."""
+    with pytest.raises(ValueError):
+        make_trace(kind, rate_rps=rate, duration_s=duration,
+                   models=["alexnet"])
+
+
+def test_serving_configs_reject_nan():
+    with pytest.raises(ValueError):
+        Request(request_id=0, t_arrival=0.0, model="alexnet",
+                slo_latency_s=math.nan)
+    with pytest.raises(ValueError):
+        Request(request_id=0, t_arrival=math.nan, model="alexnet")
+    with pytest.raises(ValueError):
+        SchedulerConfig(cpu_work_per_image=math.nan)
+    with pytest.raises(ValueError):
+        RecoveryConfig(cooldown_s=math.nan)
+    # inf stays the best-effort SLO
+    assert Request(request_id=0, t_arrival=0.0,
+                   model="alexnet").deadline == math.inf
