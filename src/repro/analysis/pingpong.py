@@ -12,7 +12,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Deque, List
 
-from repro.hw.telemetry import KIND_GPU_OP, Trace
+from repro.hw.telemetry import KIND_GPU_OP, KIND_SWITCH, Trace
 
 
 class ReversalTracker:
@@ -114,37 +114,32 @@ def analyze_trace(trace: Trace, n_levels: int,
     )
     # Split into bursts of consecutive GPU activity.  Switch stalls are
     # part of the burst (they happen *because* the governor reacts
-    # mid-burst); only CPU/idle phases end one.
-    bursts: List[List] = []
-    current: List = []
-    for seg in trace.segments:
-        if seg.kind == KIND_GPU_OP:
-            current.append(seg)
-        elif seg.kind == "switch" and current:
-            continue
-        else:
-            if current:
-                bursts.append(current)
-                current = []
-    if current:
-        bursts.append(current)
+    # mid-burst); only CPU/idle phases end one.  A burst is a list of
+    # (t_start, gpu_level, duration) per GPU-op segment.
+    gpu_op, switch = trace.code(KIND_GPU_OP), trace.code(KIND_SWITCH)
+    bursts: List[List[tuple]] = [[]]
+    for kind, level, t_start, t_end in zip(*map(
+            trace.column, ("kind", "gpu_level", "t_start", "t_end"))):
+        if kind == gpu_op:
+            bursts[-1].append((t_start, level, t_end - t_start))
+        elif kind != switch and bursts[-1]:
+            bursts.append([])
 
-    for burst in bursts:
+    for burst in filter(None, bursts):
         residency: dict = {}
-        for seg in burst:
-            residency[seg.gpu_level] = residency.get(seg.gpu_level, 0.0) \
-                + seg.duration
+        for _t, level, duration in burst:
+            residency[level] = residency.get(level, 0.0) + duration
         settled = max(residency, key=residency.get)
         lag = 0.0
-        for seg in burst:
-            if seg.gpu_level >= settled:
+        for _t, level, duration in burst:
+            if level >= settled:
                 break
-            lag += seg.duration
+            lag += duration
         if lag > 0:
             report.lag_events.append(LagEvent(
-                t_start=burst[0].t_start,
+                t_start=burst[0][0],
                 lag_s=lag,
-                start_level=burst[0].gpu_level,
+                start_level=burst[0][1],
                 settled_level=settled,
             ))
     return report

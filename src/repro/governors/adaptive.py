@@ -39,7 +39,7 @@ to the static :class:`PresetGovernor` (property-tested).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Dict, List, Optional, Sequence
 
 from repro.governors.preset import FrequencyPlan, PlanStep, PresetGovernor
@@ -93,16 +93,7 @@ class ReplanHealth:
             or self.rollbacks > 0
 
     def to_dict(self) -> Dict[str, int]:
-        return {
-            "proposed": self.proposed,
-            "adopted": self.adopted,
-            "rejected": self.rejected,
-            "confirmed": self.confirmed,
-            "rollbacks": self.rollbacks,
-            "frozen_skips": self.frozen_skips,
-            "nudged_blocks": self.nudged_blocks,
-            "validation_evictions": self.validation_evictions,
-        }
+        return asdict(self)
 
     def report(self) -> str:
         return ", ".join(f"{k}={v}" for k, v in self.to_dict().items())

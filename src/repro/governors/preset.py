@@ -32,7 +32,7 @@ from __future__ import annotations
 import hashlib
 import statistics
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.governors.base import Governor
@@ -91,6 +91,7 @@ class FrequencyPlan:
         self._indices = indices
         self._levels = [s.level for s in self.steps]
         self._fingerprint: Optional[str] = None
+        self._clamped: Dict[int, Tuple["FrequencyPlan", int]] = {}
 
     @property
     def n_blocks(self) -> int:
@@ -115,18 +116,23 @@ class FrequencyPlan:
             prev = step.level
         return result
 
-    def clamped(self, platform: PlatformSpec) -> "FrequencyPlan":
-        """Copy of this plan with every level clamped to ``platform``'s
-        ladder; returns ``self`` when nothing needs clamping."""
-        if all(platform.clamp_level(s.level) == s.level
-               for s in self.steps):
-            return self
-        return FrequencyPlan(
-            graph_name=self.graph_name,
-            steps=[PlanStep(s.op_index, platform.clamp_level(s.level))
-                   for s in self.steps],
-            graph_fingerprint=self.graph_fingerprint,
-        )
+    def clamped(self, platform: PlatformSpec
+                ) -> Tuple["FrequencyPlan", int]:
+        """(copy of this plan with every level clamped to ``platform``'s
+        ladder, number of levels that changed); the copy is ``self``
+        when nothing needs clamping.  Memoized per ladder top, the only
+        platform value clamping reads."""
+        top = platform.max_level
+        memo = self._clamped.get(top)
+        if memo is None:
+            levels = [platform.clamp_level(level) for level in self._levels]
+            n_clamped = sum(a != b for a, b in zip(self._levels, levels))
+            plan = self if not n_clamped else FrequencyPlan(
+                self.graph_name, [PlanStep(s.op_index, level) for s, level
+                                  in zip(self.steps, levels)],
+                self.graph_fingerprint)
+            memo = self._clamped[top] = (plan, n_clamped)
+        return memo
 
     def safe_level(self) -> int:
         """Static level used when the plan itself must be abandoned:
@@ -177,15 +183,7 @@ class RuntimeHealth:
                 or self.plans_rejected > 0 or self.plan_fallbacks > 0)
 
     def to_dict(self) -> Dict[str, int]:
-        return {
-            "switch_retries": self.switch_retries,
-            "switch_failures": self.switch_failures,
-            "blocks_pinned": self.blocks_pinned,
-            "plans_rejected": self.plans_rejected,
-            "plan_fallbacks": self.plan_fallbacks,
-            "levels_clamped": self.levels_clamped,
-            "caps_honored": self.caps_honored,
-        }
+        return asdict(self)
 
 
 class PresetGovernor(Governor):
@@ -267,12 +265,8 @@ class PresetGovernor(Governor):
     def _install(self, plan: FrequencyPlan) -> None:
         """Clamp a plan onto the bound platform's ladder."""
         assert self.platform is not None
-        clamped = plan.clamped(self.platform)
-        if clamped is not plan:
-            n_clamped = sum(
-                1 for a, b in zip(plan.steps, clamped.steps)
-                if a.level != b.level
-            )
+        clamped, n_clamped = plan.clamped(self.platform)
+        if n_clamped:
             self.health.levels_clamped += n_clamped
             self._count("levels_clamped", n_clamped)
         self._installed[plan.graph_name] = clamped

@@ -44,7 +44,6 @@ from repro.hw.telemetry import (
     format_tegrastats,
 )
 from repro.hw.simulator import InferenceSimulator, SimulationResult, InferenceJob
-from repro.hw.nvml_shim import SimulatedNVML
 
 __all__ = [
     "PlatformSpec",
@@ -73,5 +72,4 @@ __all__ = [
     "InferenceSimulator",
     "SimulationResult",
     "InferenceJob",
-    "SimulatedNVML",
 ]

@@ -58,7 +58,6 @@ from repro.hw.telemetry import (
     EnergyReport,
     TelemetrySample,
     Trace,
-    TraceSegment,
     report_from_trace,
 )
 from repro.obs import NULL_OBS, Observability
@@ -436,9 +435,8 @@ class InferenceSimulator:
             thermal.advance(gpu_p + cpu_p + board_p, dt)
         t = state.t
         t_end = t + dt
-        state.trace.append(TraceSegment(
-            t, t_end, kind, level, gpu_p, cpu_p, board_p,
-            cu, mu, label, op_index))
+        state.trace.add(t, t_end, kind, level, gpu_p, cpu_p, board_p,
+                        cu, mu, label, op_index)
         # The segment's own duration, not ``dt``: (t + dt) - t rounds.
         d = t_end - t
         w = state.window

@@ -11,8 +11,13 @@ The simulator produces two related views of a run:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, List, NamedTuple
+import struct
+from array import array
+from collections.abc import Sequence
+from dataclasses import dataclass
+from typing import Dict, Iterable, Iterator, List, NamedTuple, Tuple
+
+import numpy as np
 
 #: Segment kinds recorded by the simulator.
 KIND_GPU_OP = "gpu_op"
@@ -65,6 +70,16 @@ class TraceSegment(NamedTuple):
         return self.total_power * self.duration
 
 
+#: A kept segment's fields as :class:`Trace` stores them: these as
+#: doubles, then the :data:`INT_FIELDS` as C ints.
+FLOAT_FIELDS = ("t_start", "t_end", "gpu_power", "cpu_power",
+                "board_power", "compute_util", "memory_util")
+#: ``kind`` and ``label`` are codes into :attr:`Trace.strings`.
+INT_FIELDS = ("kind", "gpu_level", "op_index", "label")
+_FLOATS = struct.Struct(f"{len(FLOAT_FIELDS)}d")
+_INTS = struct.Struct(f"{len(INT_FIELDS)}i")
+
+
 class TelemetrySample(NamedTuple):
     """Windowed telemetry a governor observes (one sampling period).
 
@@ -91,37 +106,127 @@ class TelemetrySample(NamedTuple):
     faulty: bool = False
 
 
-@dataclass
+class SegmentView(Sequence):
+    """Read-only, live sequence of a :class:`Trace`'s kept segments (an
+    iteration covers those kept when it starts); it builds each
+    :class:`TraceSegment` on access."""
+
+    __slots__ = ("_trace",)
+
+    def __init__(self, trace: "Trace") -> None:
+        self._trace = trace
+
+    def __len__(self) -> int:
+        return len(self._trace._ints) // len(INT_FIELDS)
+
+    def __getitem__(self, index):
+        indices = range(len(self))[index]
+        if isinstance(index, slice):
+            return [self[i] for i in indices]
+        trace, n_f, n_i = self._trace, len(FLOAT_FIELDS), len(INT_FIELDS)
+        t0, t1, gpu_p, cpu_p, board_p, cu, mu = \
+            trace._floats[indices * n_f:(indices + 1) * n_f]
+        kind, level, op_index, label = \
+            trace._ints[indices * n_i:(indices + 1) * n_i]
+        strings = trace.strings
+        return TraceSegment(t0, t1, strings[kind], level, gpu_p, cpu_p,
+                            board_p, cu, mu, strings[label], op_index)
+
+    def __iter__(self) -> Iterator[TraceSegment]:
+        strings = self._trace.strings
+        for (t0, t1, kind, level, gpu_p, cpu_p, board_p, cu, mu, label,
+             op_index) in zip(*map(self._trace.column,
+                                   TraceSegment._fields)):
+            yield TraceSegment(t0, t1, strings[kind], level, gpu_p, cpu_p,
+                               board_p, cu, mu, strings[label], op_index)
+
+    def __eq__(self, other: object) -> bool:
+        return list(self) == (list(other) if isinstance(other, SegmentView)
+                              else other)
+
+
 class Trace:
-    """Full execution record: exact segments plus derived accounting."""
+    """Full execution record: exact segments plus derived accounting.
 
-    segments: List[TraceSegment] = field(default_factory=list)
-    keep_segments: bool = True
-    # Scalar accumulators (always maintained, even when segments are
-    # dropped to bound memory on long task flows).
-    total_time: float = 0.0
-    gpu_energy: float = 0.0
-    cpu_energy: float = 0.0
-    board_energy: float = 0.0
-    busy_gpu_time: float = 0.0
-    switch_count: int = 0
+    Kept segments are columns, 72 B a segment: :data:`FLOAT_FIELDS` as
+    doubles, :data:`INT_FIELDS` as C ints, kind and label as codes into
+    :attr:`strings`.  ``segments`` is a read-only, live view that builds
+    a tuple per segment on access, so whole-trace readers use
+    :meth:`column` and :meth:`durations_energies` instead.
+    """
 
-    def append(self, seg: TraceSegment) -> None:
-        t_end = seg.t_end
-        dt = t_end - seg.t_start
+    def __init__(self, keep_segments: bool = True) -> None:
+        self.keep_segments = keep_segments
+        # Scalar accumulators (always maintained, even when segments are
+        # dropped to bound memory on long task flows).
+        self.total_time = 0.0
+        self.gpu_energy = 0.0
+        self.cpu_energy = 0.0
+        self.board_energy = 0.0
+        self.busy_gpu_time = 0.0
+        self.switch_count = 0
+        self._codes: Dict[str, int] = {}
+        self._floats = array("d")
+        self._ints = array("i")
+
+    @property
+    def segments(self) -> SegmentView:
+        return SegmentView(self)
+
+    def add(self, t_start: float, t_end: float, kind: str, gpu_level: int,
+            gpu_power: float, cpu_power: float, board_power: float,
+            compute_util: float = 0.0, memory_util: float = 0.0,
+            label: str = "", op_index: int = -1) -> None:
+        """Account one segment (the :class:`TraceSegment` fields) and keep
+        it if ``keep_segments``; a segment that raises changes nothing."""
+        dt = t_end - t_start
         if dt < 0:
-            raise ValueError(f"negative-duration segment: {seg}")
+            raise ValueError(f"negative-duration {kind} segment {label!r}: "
+                             f"{t_start!r} -> {t_end!r}")
+        if self.keep_segments:
+            # Packed before either column grows, so a value that does
+            # not fit raises with both columns untouched.
+            codes = self._codes
+            ints = _INTS.pack(codes.setdefault(kind, len(codes)), gpu_level,
+                              op_index, codes.setdefault(label, len(codes)))
+            floats = _FLOATS.pack(t_start, t_end, gpu_power, cpu_power,
+                                  board_power, compute_util, memory_util)
+            self._ints.frombytes(ints)
+            self._floats.frombytes(floats)
         self.total_time = t_end
-        self.gpu_energy += seg.gpu_power * dt
-        self.cpu_energy += seg.cpu_power * dt
-        self.board_energy += seg.board_power * dt
-        kind = seg.kind
+        self.gpu_energy += gpu_power * dt
+        self.cpu_energy += cpu_power * dt
+        self.board_energy += board_power * dt
         if kind == KIND_GPU_OP:
             self.busy_gpu_time += dt
         elif kind == KIND_SWITCH:
             self.switch_count += 1
-        if self.keep_segments:
-            self.segments.append(seg)
+
+    def append(self, seg: TraceSegment) -> None:
+        self.add(*seg)
+
+    @property
+    def strings(self) -> List[str]:
+        """Kind and label strings of the kept segments, by code."""
+        return list(self._codes)
+
+    def code(self, string: str) -> int:
+        """Code of ``string`` in :attr:`strings`, or -1."""
+        return self._codes.get(string, -1)
+
+    def column(self, name: str) -> array:
+        """Field ``name`` of every kept segment, as a new typed array
+        (``kind`` and ``label`` as codes into :attr:`strings`)."""
+        if name in FLOAT_FIELDS:
+            return self._floats[FLOAT_FIELDS.index(name)::len(FLOAT_FIELDS)]
+        return self._ints[INT_FIELDS.index(name)::len(INT_FIELDS)]
+
+    def durations_energies(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Every kept segment's :attr:`TraceSegment.duration` and
+        ``energy``, elementwise with the properties' exact arithmetic."""
+        rows = np.frombuffer(self._floats).reshape(-1, len(FLOAT_FIELDS))
+        durations = rows[:, 1] - rows[:, 0]
+        return durations, (rows[:, 2] + rows[:, 3] + rows[:, 4]) * durations
 
     @property
     def total_energy(self) -> float:
@@ -136,19 +241,21 @@ class Trace:
     def frequency_timeline(self) -> List[tuple]:
         """(t_start, t_end, gpu_level) runs — for Figure 1-style plots."""
         runs: List[tuple] = []
-        for seg in self.segments:
-            if runs and runs[-1][2] == seg.gpu_level and \
-                    abs(runs[-1][1] - seg.t_start) < 1e-12:
-                runs[-1] = (runs[-1][0], seg.t_end, seg.gpu_level)
+        for t_start, t_end, level in zip(*map(
+                self.column, ("t_start", "t_end", "gpu_level"))):
+            if runs and runs[-1][2] == level and \
+                    abs(runs[-1][1] - t_start) < 1e-12:
+                runs[-1] = (runs[-1][0], t_end, level)
             else:
-                runs.append((seg.t_start, seg.t_end, seg.gpu_level))
+                runs.append((t_start, t_end, level))
         return runs
 
     def level_residency(self, n_levels: int) -> List[float]:
         """Fraction of wall-clock time spent at each DVFS level."""
         residency = [0.0] * n_levels
-        for seg in self.segments:
-            residency[seg.gpu_level] += seg.duration
+        for t_start, t_end, level in zip(*map(
+                self.column, ("t_start", "t_end", "gpu_level"))):
+            residency[level] += t_end - t_start
         total = sum(residency)
         if total > 0:
             residency = [r / total for r in residency]

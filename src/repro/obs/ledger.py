@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
 
 from repro.hw.telemetry import KIND_CPU, KIND_GPU_OP, KIND_IDLE, \
-    KIND_SWITCH, Trace
+    KIND_SWITCH
 
 if TYPE_CHECKING:  # pragma: no cover - type-only imports
     from repro.graph import Graph
@@ -189,8 +189,19 @@ class EnergyLedger:
             raise ValueError(
                 "EnergyLedger needs a full trace: run the simulator "
                 "with keep_trace=True")
-        starts, planned_levels, n_ops = cls._block_partition(
-            trace, plan, graph)
+        kinds, op_indices = trace.column("kind"), trace.column("op_index")
+        gpu_op = trace.code(KIND_GPU_OP)
+        # Blocks partition the ops of ``graph``, else of the trace.
+        if graph is not None:
+            n_ops = max(len(graph.compute_nodes()), 1)
+        else:
+            n_ops = 1 + max((op for kind, op in zip(kinds, op_indices)
+                             if kind == gpu_op and op >= 0), default=0)
+        starts, planned_levels = [0], None
+        if plan is not None:
+            starts = [s.op_index for s in plan.steps]
+            planned_levels = [s.level for s in plan.steps]
+            n_ops = max(n_ops, starts[-1] + 1)
         blocks = [
             BlockLedgerRow(
                 index=i,
@@ -207,11 +218,15 @@ class EnergyLedger:
         over_e = {k: 0.0 for k in OVERHEAD_KINDS}
         block_of_op = _op_to_block(starts, n_ops)
 
-        for (t_start, t_end, kind, gpu_level, gpu_p, cpu_p, board_p,
-             _cu, _mu, label, op_index) in trace.segments:
-            dt = t_end - t_start
-            energy = (gpu_p + cpu_p + board_p) * dt
-            if kind == KIND_GPU_OP and op_index >= 0:
+        # Duration and energy elementwise; the attribution below stays a
+        # sequential loop, so every sum has the order it always had.
+        dts, energies = trace.durations_energies()
+        strings = trace.strings
+        for dt, energy, kind, gpu_level, op_index, label in zip(
+                memoryview(dts), memoryview(energies), kinds,
+                trace.column("gpu_level"), op_indices,
+                trace.column("label")):
+            if kind == gpu_op and op_index >= 0:
                 row = blocks[block_of_op[op_index]] \
                     if op_index < n_ops else None
                 if row is None:
@@ -227,10 +242,11 @@ class EnergyLedger:
                 op = op_rows.get(op_index)
                 if op is None:
                     op = op_rows[op_index] = OpLedgerRow(
-                        op_index=op_index, label=label)
+                        op_index=op_index, label=strings[label])
                 op.time_s += dt
                 op.energy_j += energy
             else:
+                kind = strings[kind]
                 kind = kind if kind in over_t else "unattributed"
                 over_t.setdefault(kind, 0.0)
                 over_e.setdefault(kind, 0.0)
@@ -251,7 +267,7 @@ class EnergyLedger:
             attributed_energy_j=attributed_e,
             trace_energy_j=trace.total_energy,
             attributed_time_s=attributed_t,
-            trace_time_s=_segments_time(trace),
+            trace_time_s=trace.total_time,
         )
         ledger = cls(
             blocks=blocks,
@@ -264,24 +280,6 @@ class EnergyLedger:
             ledger._analyze_mispredictions(
                 graph, evaluator, batch_size, latency_slack, sparsity)
         return ledger
-
-    @staticmethod
-    def _block_partition(trace: Trace, plan, graph
-                         ) -> Tuple[List[int], Optional[List[int]], int]:
-        """(block start indices, planned levels, n_ops) for the run."""
-        if graph is not None:
-            n_ops = len(graph.compute_nodes())
-        else:
-            n_ops = 1 + max(
-                (seg.op_index for seg in trace.segments
-                 if seg.kind == KIND_GPU_OP and seg.op_index >= 0),
-                default=-1)
-        n_ops = max(n_ops, 1)
-        if plan is None:
-            return [0], None, n_ops
-        starts = [s.op_index for s in plan.steps]
-        levels = [s.level for s in plan.steps]
-        return starts, levels, max(n_ops, starts[-1] + 1)
 
     def _analyze_mispredictions(self, graph, evaluator, batch_size,
                                 latency_slack,
@@ -423,9 +421,3 @@ def _op_to_block(starts: Sequence[int], n_ops: int) -> List[int]:
             block += 1
         mapping[op] = block
     return mapping
-
-
-def _segments_time(trace: Trace) -> float:
-    """Wall time accounted by the kept segments (equals
-    ``trace.total_time`` for a contiguous trace starting at t=0)."""
-    return trace.total_time

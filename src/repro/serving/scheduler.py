@@ -476,6 +476,11 @@ class FleetScheduler:
             device.finalize_drain_accounting(t_end)
 
         report = self._build_report(trace, outcomes, drops, makespan)
+        if not report.conserved:
+            raise RuntimeError("serving run lost requests: " + ", ".join(
+                f"{name}={getattr(report, name)}" for name in (
+                    "arrived", "admitted", "completed", "dropped_queue_full",
+                    "dropped_expired", "dropped_unserviceable")))
         fleet_metrics = self.fleet.merged_metrics()
         fleet_metrics.merge(metrics)
         self._record_summary_metrics(fleet_metrics, report)

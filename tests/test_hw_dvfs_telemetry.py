@@ -1,12 +1,17 @@
 """DVFS controller and telemetry/trace accounting tests."""
 
+import math
+import struct
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.hw.dvfs import DVFSController, DVFSSwitch
 from repro.hw.faults import FaultInjector, FaultProfile
 from repro.hw.telemetry import (
     KIND_CPU,
     KIND_GPU_OP,
+    KIND_IDLE,
     KIND_SWITCH,
     EnergyReport,
     TelemetrySample,
@@ -116,6 +121,118 @@ class TestTrace:
         res = tr.level_residency(4)
         assert sum(res) == pytest.approx(1.0)
         assert res[2] == pytest.approx(0.75)
+
+
+_FLOATS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324,
+                     -2.5e-310, 1.0]))
+_NAMES = st.one_of(st.sampled_from([KIND_GPU_OP, KIND_CPU, KIND_IDLE,
+                                    KIND_SWITCH, ""]),
+                   st.text(max_size=6))
+_SEGMENTS = st.lists(st.builds(
+    TraceSegment, _FLOATS, _FLOATS, _NAMES,
+    st.integers(-2 ** 31, 2 ** 31 - 1), _FLOATS, _FLOATS, _FLOATS,
+    _FLOATS, _FLOATS, _NAMES,
+    st.one_of(st.just(-1), st.integers(0, 2 ** 31 - 1))), max_size=40)
+
+
+def _accumulators(trace):
+    return repr((trace.total_time, trace.gpu_energy, trace.cpu_energy,
+                 trace.board_energy, trace.busy_gpu_time,
+                 trace.switch_count))
+
+
+class TestColumnStore:
+    """The kept segments round-trip through the columns exactly, and the
+    accumulators are the plain sequential sums."""
+
+    @settings(max_examples=150)
+    @given(_SEGMENTS)
+    def test_round_trip(self, segments):
+        kept, dropped = Trace(), Trace(keep_segments=False)
+        accepted = []
+        total_time, gpu_e, cpu_e, board_e, busy, switches = \
+            0.0, 0.0, 0.0, 0.0, 0.0, 0
+        for seg in segments:
+            dt = seg.t_end - seg.t_start
+            if dt < 0:
+                for trace in (kept, dropped):
+                    before = _accumulators(trace)
+                    with pytest.raises(ValueError, match="negative"):
+                        trace.append(seg)
+                    assert _accumulators(trace) == before
+                assert len(kept.segments) == len(accepted)
+                continue
+            kept.append(seg)
+            dropped.append(seg)
+            accepted.append(seg)
+            total_time = seg.t_end
+            gpu_e += seg.gpu_power * dt
+            cpu_e += seg.cpu_power * dt
+            board_e += seg.board_power * dt
+            if seg.kind == KIND_GPU_OP:
+                busy += dt
+            elif seg.kind == KIND_SWITCH:
+                switches += 1
+        ref = repr((total_time, gpu_e, cpu_e, board_e, busy, switches))
+
+        view, n = kept.segments, len(accepted)
+        assert len(view) == n
+        assert repr(list(view)) == repr(accepted)
+        assert all(type(seg) is TraceSegment for seg in view)
+        assert [repr(view[i]) for i in range(-n, n)] == \
+            [repr(accepted[i]) for i in range(-n, n)]
+        for cut in (slice(None), slice(None, None, 2), slice(1, -1),
+                    slice(None, None, -1), slice(-3, None),
+                    slice(n + 5, None)):
+            assert repr(view[cut]) == repr(accepted[cut])
+        for bad in (n, -n - 1):
+            with pytest.raises(IndexError):
+                view[bad]
+        if not any(math.isnan(x) for seg in accepted for x in seg
+                   if isinstance(x, float)):
+            assert view == accepted
+            assert view == kept.segments
+        assert _accumulators(kept) == ref
+        assert _accumulators(dropped) == ref
+        assert dropped.segments == []
+
+    def test_view_is_live_and_read_only(self):
+        tr = Trace()
+        view = tr.segments
+        tr.append(_seg(0.0, 1.0))
+        assert len(view) == 1 and view[0] == _seg(0.0, 1.0)
+        with pytest.raises(AttributeError):
+            tr.segments = []
+        with pytest.raises(TypeError):
+            view[0] = _seg(0.0, 2.0)
+
+    def test_failed_store_keeps_nothing(self):
+        tr = Trace()
+        tr.append(_seg(0.0, 1.0))
+        before = _accumulators(tr)
+        with pytest.raises(struct.error):
+            tr.add(1.0, 2.0, KIND_GPU_OP, 3, 5.0, 1.0, 2.0, 0.0, 0.0,
+                   "op", 2 ** 31)
+        assert _accumulators(tr) == before
+        assert list(tr.segments) == [_seg(0.0, 1.0)]
+        tr.append(_seg(1.0, 2.0))
+        assert list(tr.segments) == [_seg(0.0, 1.0), _seg(1.0, 2.0)]
+
+    def test_columns(self):
+        tr = Trace()
+        tr.add(0.0, 1.0, KIND_CPU, 2, 0.5, 1.5, 2.0, label="pre")
+        tr.add(1.0, 3.0, KIND_GPU_OP, 4, 5.0, 1.0, 2.0, 0.7, 0.2, "conv",
+               0)
+        assert list(tr.column("t_end")) == [1.0, 3.0]
+        assert list(tr.column("op_index")) == [-1, 0]
+        assert [tr.strings[c] for c in tr.column("label")] == \
+            ["pre", "conv"]
+        assert [tr.strings[c] for c in tr.column("kind")] == \
+            [KIND_CPU, KIND_GPU_OP]
+        assert tr.code(KIND_GPU_OP) == tr.column("kind")[1]
+        assert tr.code(KIND_SWITCH) == -1
 
 
 class TestEnergyReport:

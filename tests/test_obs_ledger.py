@@ -5,6 +5,7 @@ governor family, plus the misprediction sweep and rendering."""
 
 import json
 import math
+from bisect import bisect_right
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,7 +15,9 @@ from repro.governors import FrequencyPlan, OndemandGovernor, PlanStep, \
 from repro.hw import FaultProfile, InferenceJob, InferenceSimulator, \
     jetson_tx2
 from repro.models.random_gen import RandomDNNConfig, RandomDNNGenerator
-from repro.obs.ledger import EnergyLedger, RECONCILIATION_TOLERANCE
+from repro.hw.telemetry import KIND_GPU_OP
+from repro.obs.ledger import EnergyLedger, OVERHEAD_KINDS, \
+    RECONCILIATION_TOLERANCE
 
 from tests.conftest import build_small_cnn
 
@@ -52,6 +55,35 @@ def _governor_and_plan(name, graph):
     return fpg_g(), None
 
 
+def _assert_matches_tuple_loop(ledger, trace):
+    """The ledger's column loop attributes every segment exactly as a
+    loop over ``TraceSegment`` tuples and their ``duration`` and
+    ``energy`` properties does, bit for bit."""
+    starts = [b.op_start for b in ledger.blocks]
+    n_ops = ledger.blocks[-1].op_stop
+    blocks = [(0.0, 0.0, {}) for _ in starts]
+    ops, over = {}, {}
+    for seg in trace.segments:
+        dt, energy = seg.duration, seg.energy
+        if seg.kind == KIND_GPU_OP and 0 <= seg.op_index < n_ops:
+            i = bisect_right(starts, seg.op_index) - 1
+            t, e, levels = blocks[i]
+            levels[seg.gpu_level] = levels.get(seg.gpu_level, 0.0) + dt
+            blocks[i] = (t + dt, e + energy, levels)
+            label, t, e = ops.get(seg.op_index, (seg.label, 0.0, 0.0))
+            ops[seg.op_index] = (label, t + dt, e + energy)
+        else:
+            kind = seg.kind if seg.kind in OVERHEAD_KINDS \
+                else "unattributed"
+            t, e = over.get(kind, (0.0, 0.0))
+            over[kind] = (t + dt, e + energy)
+    assert [(b.time_s, b.energy_j, b.level_time)
+            for b in ledger.blocks] == blocks
+    assert [(o.op_index, o.label, o.time_s, o.energy_j)
+            for o in ledger.ops] == [(i, *ops[i]) for i in sorted(ops)]
+    assert ledger.overheads == {k: v for k, v in over.items() if any(v)}
+
+
 class TestReconciliationProperty:
     @settings(max_examples=16, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=2**16),
@@ -68,6 +100,7 @@ class TestReconciliationProperty:
         result = sim.run(
             [InferenceJob(graph=graph, batch_size=4, n_batches=2)], gov)
         ledger = EnergyLedger.from_result(result, plan=plan, graph=graph)
+        _assert_matches_tuple_loop(ledger, result.trace)
 
         rec = ledger.reconciliation
         assert rec.ok
@@ -89,6 +122,7 @@ class TestReconciliationProperty:
         result = sim.run([InferenceJob(graph=graph, n_batches=2)],
                          OndemandGovernor())
         ledger = EnergyLedger.from_result(result, graph=graph)
+        _assert_matches_tuple_loop(ledger, result.trace)
         assert len(ledger.blocks) == 1
         block = ledger.blocks[0]
         assert (block.op_start, block.op_stop) == \

@@ -1,12 +1,10 @@
-"""Stage timer / overhead report and NVML shim tests."""
+"""Stage timer and overhead report tests."""
 
 import time
 
 import pytest
 
 from repro.core.overhead import OverheadReport, StageTimer, _fmt_duration
-from repro.hw.nvml_shim import NVMLError, SimulatedNVML
-from repro.hw.telemetry import TelemetrySample
 
 
 class TestStageTimer:
@@ -63,44 +61,3 @@ class TestOverheadReport:
         assert "60.0s" in text
         assert "320ms" in text
         assert "50ms" in text
-
-
-class TestNVMLShim:
-    def test_requires_init(self, tx2):
-        shim = SimulatedNVML(tx2)
-        with pytest.raises(NVMLError):
-            shim.nvmlDeviceGetName()
-        shim.nvmlInit()
-        assert shim.nvmlDeviceGetName() == "jetson_tx2"
-        shim.nvmlShutdown()
-        with pytest.raises(NVMLError):
-            shim.nvmlDeviceGetClockInfo()
-
-    def test_supported_clocks_descending_mhz(self, tx2):
-        shim = SimulatedNVML(tx2)
-        shim.nvmlInit()
-        clocks = shim.nvmlDeviceGetSupportedGraphicsClocks()
-        assert len(clocks) == tx2.n_levels
-        assert clocks[0] == 1300  # 1300.5 MHz, banker's rounding
-        assert clocks == sorted(clocks, reverse=True)
-
-    def test_sample_driven_queries(self, tx2):
-        shim = SimulatedNVML(tx2)
-        shim.nvmlInit()
-        sample = TelemetrySample(
-            t=0.1, period=0.02, gpu_level=5, gpu_busy=0.8,
-            compute_util=0.6, memory_util=0.4, gpu_power=5.5,
-            cpu_power=1.5, total_power=9.0)
-        shim.feed_sample(sample)
-        assert shim.nvmlDeviceGetClockInfo() == \
-            int(round(tx2.freq_of_level(5) / 1e6))
-        assert shim.nvmlDeviceGetPowerUsage() == 9000
-        util = shim.nvmlDeviceGetUtilizationRates()
-        assert util == {"gpu": 80, "memory": 40}
-
-    def test_defaults_without_sample(self, tx2):
-        shim = SimulatedNVML(tx2)
-        shim.nvmlInit()
-        assert shim.nvmlDeviceGetPowerUsage() == 0
-        assert shim.nvmlDeviceGetUtilizationRates() == {"gpu": 0,
-                                                        "memory": 0}

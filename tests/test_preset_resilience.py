@@ -22,6 +22,7 @@ from repro.hw.faults import (
     FaultProfile,
 )
 from repro.hw.telemetry import KIND_GPU_OP
+from repro.obs.metrics import MetricsRegistry
 
 pytestmark = pytest.mark.faults
 
@@ -69,6 +70,33 @@ class TestPlanValidation:
         gov.reset(tiny_platform)
         gov.add_plan(FrequencyPlan("b", [PlanStep(0, 42)]))
         assert gov.health.levels_clamped == 1
+
+    def test_clamps_counted_every_run_from_one_memo(self, tiny_platform,
+                                                    tx2, monkeypatch):
+        """Each reset counts the plan's clamped levels again, in health
+        and in the metric, while the plan is clamped once per ladder."""
+        plan = FrequencyPlan("a", [PlanStep(0, 1), PlanStep(3, 7),
+                                   PlanStep(5, 99)])
+        metrics = MetricsRegistry()
+        gov = PresetGovernor([plan], metrics=metrics)
+        calls = []
+        clamp_level = type(tiny_platform).clamp_level
+        monkeypatch.setattr(type(tiny_platform), "clamp_level",
+                            lambda p, level: calls.append(level)
+                            or clamp_level(p, level))
+        installed = []
+        for _run in range(3):
+            gov.reset(tiny_platform)
+            assert gov.health.levels_clamped == 2
+            installed.append(gov._installed["a"])
+        assert installed[0] is installed[1] is installed[2]
+        assert [s.level for s in installed[0].steps] == [1, 4, 4]
+        assert len(calls) == 3
+        gov.reset(tx2)
+        assert gov.health.levels_clamped == 1
+        assert gov._installed["a"].steps[1].level == 7
+        assert metrics.counter(
+            "powerlens_runtime_levels_clamped_total").value == 7
 
     def test_rejects_plan_past_graph_end(self, tiny_platform, small_cnn):
         n_ops = len(small_cnn.compute_nodes())

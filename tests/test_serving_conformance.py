@@ -24,6 +24,7 @@ from repro.serving import (
     Fleet,
     FleetScheduler,
     SERVING_GOVERNORS,
+    SLOReport,
     SchedulerConfig,
     make_policy,
     make_trace,
@@ -138,6 +139,16 @@ def test_expired_requests_drop_before_dispatch():
     drop_events = [e for e in result.events if e["event"] == "drop"]
     assert all(e["reason"] in ("expired", "queue_full", "unserviceable")
                for e in drop_events)
+
+
+def test_unconserved_run_raises(monkeypatch):
+    """A run whose report does not account for every request raises
+    with the report's counts instead of returning."""
+    monkeypatch.setattr(SLOReport, "conserved", property(lambda self: False))
+    with pytest.raises(RuntimeError, match=r"lost requests: arrived=\d+, "
+                       r"admitted=\d+, completed=\d+, dropped_queue_full=0, "
+                       r"dropped_expired=0, dropped_unserviceable=0$"):
+        _serve("powerlens", "fifo")
 
 
 # ---------------------------------------------------------------------------
