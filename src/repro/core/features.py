@@ -23,18 +23,18 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from repro.graph import Graph, node_metrics
+from repro.graph import Graph, NodeTable, node_table
 from repro.graph.graph import Node
 from repro.graph.ops import (
     CATEGORY_ORDER,
     AttentionAttrs,
     ConvAttrs,
     OpCategory,
-    OpType,
 )
 
 _N_CATEGORIES = len(CATEGORY_ORDER)
-_CAT_INDEX = {c: i for i, c in enumerate(CATEGORY_ORDER)}
+_ATTENTION = CATEGORY_ORDER.index(OpCategory.ATTENTION)
+_DWCONV = CATEGORY_ORDER.index(OpCategory.DWCONV)
 
 #: Ordered names of the depthwise feature vector columns.
 DEPTHWISE_FEATURE_NAMES: List[str] = [
@@ -70,9 +70,15 @@ class DepthwiseFeatureExtractor:
 
     def extract_node(self, graph: Graph, node: Node) -> np.ndarray:
         """Feature vector of a single compute node."""
-        m = node_metrics(graph, node)
+        table = node_table(graph)
+        return self._row(graph, node, table, table.position[node.name])
+
+    @staticmethod
+    def _row(graph: Graph, node: Node, table: NodeTable,
+             i: int) -> np.ndarray:
+        m = table.metrics(i)
         cat_onehot = np.zeros(_N_CATEGORIES)
-        cat_onehot[_CAT_INDEX[node.category]] = 1.0
+        cat_onehot[table.category[i]] = 1.0
 
         in_shape = graph[node.inputs[0]].output_shape if node.inputs else ()
         out_shape = node.output_shape
@@ -91,9 +97,8 @@ class DepthwiseFeatureExtractor:
         heads = 0.0
         if isinstance(node.attrs, AttentionAttrs):
             heads = float(node.attrs.num_heads)
-        is_merge = 1.0 if (node.op is OpType.ADD
-                           and len(node.inputs) > 1) else 0.0
-        fan_out = float(len(graph.consumers(node.name)))
+        is_merge = 1.0 if table.residual[i] else 0.0
+        fan_out = float(table.fan_out[i])
 
         return np.array([
             _log1p(m.flops),
@@ -117,7 +122,9 @@ class DepthwiseFeatureExtractor:
     def extract(self, graph: Graph) -> np.ndarray:
         """(n_ops, n_features) matrix over compute nodes in canonical
         order — the ``X`` of Algorithm 1."""
-        rows = [self.extract_node(graph, n) for n in graph.compute_nodes()]
+        table = node_table(graph)
+        rows = [self._row(graph, n, table, i)
+                for i, n in enumerate(graph.compute_nodes())]
         if not rows:
             return np.zeros((0, self.n_features))
         return np.vstack(rows)
@@ -184,9 +191,6 @@ STATISTICS_FEATURE_NAMES: List[str] = [
 class GlobalFeatureExtractor:
     """Structural + statistics features for graphs and blocks."""
 
-    def __init__(self) -> None:
-        self._depthwise = DepthwiseFeatureExtractor()
-
     @property
     def structural_dim(self) -> int:
         return len(STRUCTURAL_FEATURE_NAMES)
@@ -205,57 +209,38 @@ class GlobalFeatureExtractor:
         (``position_frac``, ``length_frac``) that whole-graph extraction
         sets to 0 and 1 respectively.
         """
-        compute = graph.compute_nodes()
-        n_total = len(compute)
+        table = node_table(graph)
+        n_total = len(table)
         if n_total == 0:
             raise ValueError(f"graph {graph.name!r} has no compute nodes")
         if op_indices is None:
-            nodes = compute
+            rows = slice(None)
             position_frac, length_frac = 0.0, 1.0
         else:
-            indices = sorted(op_indices)
-            if not indices:
+            rows = sorted(op_indices)
+            if not rows:
                 raise ValueError("empty block")
-            if indices[0] < 0 or indices[-1] >= n_total:
+            if rows[0] < 0 or rows[-1] >= n_total:
                 raise IndexError("block indices out of range")
-            nodes = [compute[i] for i in indices]
-            position_frac = indices[0] / n_total
-            length_frac = len(indices) / n_total
+            position_frac = rows[0] / n_total
+            length_frac = len(rows) / n_total
+        flops = table.flops[rows]
+        params = table.params[rows]
+        mem = table.mem_elements[rows]
+        intensity = table.intensity[rows]
+        cats = table.category[rows]
+        n = len(flops)
 
-        n = len(nodes)
-        cat_counts = np.zeros(_N_CATEGORIES)
-        cat_flops = np.zeros(_N_CATEGORIES)
-        flops = np.zeros(n)
-        params = np.zeros(n)
-        mem = np.zeros(n)
-        intensity = np.zeros(n)
-        n_residual = 0
-        n_branch = 0
-        n_merge = 0
-        has_attention = 0.0
-        has_dwconv = 0.0
-        has_concat = 0.0
-        for i, node in enumerate(nodes):
-            m = node_metrics(graph, node)
-            ci = _CAT_INDEX[node.category]
-            cat_counts[ci] += 1
-            cat_flops[ci] += m.flops
-            flops[i] = m.flops
-            params[i] = m.params
-            mem[i] = m.mem_elements
-            intensity[i] = m.arithmetic_intensity
-            if node.op is OpType.ADD and len(node.inputs) > 1:
-                n_residual += 1
-            if len(node.inputs) > 1:
-                n_merge += 1
-            if len(graph.consumers(node.name)) > 1:
-                n_branch += 1
-            if node.category is OpCategory.ATTENTION:
-                has_attention = 1.0
-            if node.category is OpCategory.DWCONV:
-                has_dwconv = 1.0
-            if node.op is OpType.CONCAT:
-                has_concat = 1.0
+        # bincount's weighted sum adds in index order, bit-equal to a
+        # running per-node sum.
+        cat_counts = np.bincount(cats, minlength=_N_CATEGORIES).astype(float)
+        cat_flops = np.bincount(cats, weights=flops, minlength=_N_CATEGORIES)
+        n_residual = int(np.count_nonzero(table.residual[rows]))
+        n_merge = int(np.count_nonzero(table.merge[rows]))
+        n_branch = int(np.count_nonzero(table.fan_out[rows] > 1))
+        has_attention = 1.0 if (cats == _ATTENTION).any() else 0.0
+        has_dwconv = 1.0 if (cats == _DWCONV).any() else 0.0
+        has_concat = 1.0 if table.concat[rows].any() else 0.0
 
         total_flops = float(flops.sum())
         log_flops = np.log1p(flops)
@@ -288,10 +273,3 @@ class GlobalFeatureExtractor:
             length_frac,
         ])
         return GlobalFeatures(structural=structural, statistics=statistics)
-
-    def extract_block_matrix(self, graph: Graph,
-                             blocks: Sequence[Sequence[int]]) -> np.ndarray:
-        """Stacked ``vector`` features for each block of a power view."""
-        return np.vstack([
-            self.extract(graph, block).vector for block in blocks
-        ])

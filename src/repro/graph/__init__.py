@@ -28,12 +28,7 @@ from repro.graph.ops import (
 from repro.graph.graph import Graph, Node, GraphError
 from repro.graph.builder import GraphBuilder
 from repro.graph.shapes import infer_output_shape, ShapeError
-from repro.graph.metrics import (
-    NodeMetrics,
-    node_metrics,
-    graph_metrics,
-    GraphMetrics,
-)
+from repro.graph.metrics import NodeMetrics, NodeTable, node_metrics, node_table
 from repro.graph.serialize import graph_to_dict, graph_from_dict, save_graph, load_graph
 from repro.graph.validate import validate_graph, ValidationIssue
 from repro.graph.dot import graph_to_dot
@@ -60,8 +55,8 @@ __all__ = [
     "ShapeError",
     "NodeMetrics",
     "node_metrics",
-    "graph_metrics",
-    "GraphMetrics",
+    "NodeTable",
+    "node_table",
     "graph_to_dict",
     "graph_from_dict",
     "save_graph",

@@ -11,9 +11,13 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import (TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence,
+                    Tuple)
 
 from repro.graph.ops import OpAttrs, OpCategory, OpType, category_of
+
+if TYPE_CHECKING:
+    from repro.graph.metrics import NodeTable
 
 
 class GraphError(Exception):
@@ -68,6 +72,8 @@ class Graph:
         self._consumers: Dict[str, List[str]] = {}
         self._topo_cache: Optional[List[str]] = None
         self._fingerprint_cache: Optional[str] = None
+        # Built and read by repro.graph.metrics.node_table.
+        self._node_table: Optional["NodeTable"] = None
 
     # ------------------------------------------------------------------
     # construction
@@ -87,6 +93,7 @@ class Graph:
             self._consumers[src].append(node.name)
         self._topo_cache = None
         self._fingerprint_cache = None
+        self._node_table = None
         return node
 
     # ------------------------------------------------------------------
@@ -182,28 +189,6 @@ class Graph:
                 best = max((depth[s] for s in node.inputs), default=0)
                 depth[node.name] = best + 1
         return max(depth.values(), default=0)
-
-    def branching_stats(self) -> Tuple[int, int]:
-        """Return ``(n_branch_points, n_merge_points)``.
-
-        A branch point is a node whose output fans out to more than one
-        consumer; a merge point is a node with more than one producer
-        (residual adds, concatenations).  Both feed the global structural
-        feature vector.
-        """
-        branches = sum(
-            1 for name in self._nodes if len(self._consumers[name]) > 1
-        )
-        merges = sum(1 for n in self._nodes.values() if len(n.inputs) > 1)
-        return branches, merges
-
-    def residual_count(self) -> int:
-        """Number of elementwise-add merge nodes (residual connections)."""
-        return sum(
-            1
-            for n in self._nodes.values()
-            if n.op is OpType.ADD and len(n.inputs) > 1
-        )
 
     def fingerprint(self) -> str:
         """Stable structural digest of the compute-node sequence.

@@ -6,21 +6,27 @@ memory-access volume, channel counts and feature-map dimensions.  They are
 also what the hardware simulator's roofline model consumes.
 
 All counts are per batch element; the simulator scales by batch size.
+
+:func:`node_table` is the one derivation the feature extractors and the
+latency model read: a single :func:`node_metrics` pass over a graph's
+compute nodes, kept on the graph until it next changes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Sequence, Tuple
+from typing import Dict, Tuple
+
+import numpy as np
 
 from repro.graph.graph import Graph, Node
 from repro.graph.ops import (
     ACTIVATION_COST_FACTORS,
+    CATEGORY_ORDER,
     AttentionAttrs,
     ConvAttrs,
     LinearAttrs,
     NormAttrs,
-    OpCategory,
     OpType,
     PoolAttrs,
     is_activation,
@@ -147,54 +153,88 @@ def node_metrics(graph: Graph, node: Node) -> NodeMetrics:
     return NodeMetrics(flops, params, mem, in_elems, out_elems)
 
 
-@dataclass(frozen=True)
-class GraphMetrics:
-    """Whole-graph aggregate metrics (the 'statistics and aggregation'
-    half of the paper's global feature extractor)."""
-
-    total_flops: float
-    total_params: float
-    total_mem_elements: float
-    n_compute_nodes: int
-    depth: int
-    flops_by_category: Dict[str, float]
-    count_by_category: Dict[str, int]
-
-    @property
-    def mean_intensity(self) -> float:
-        if self.total_mem_elements <= 0:
-            return 0.0
-        return self.total_flops / self.total_mem_elements
+_CATEGORY_INDEX = {c: i for i, c in enumerate(CATEGORY_ORDER)}
 
 
-def graph_metrics(graph: Graph) -> GraphMetrics:
-    """Aggregate :class:`NodeMetrics` over all compute nodes."""
-    total_flops = 0.0
-    total_params = 0.0
-    total_mem = 0.0
-    flops_by_cat: Dict[str, float] = {c.value: 0.0 for c in OpCategory}
-    count_by_cat: Dict[str, int] = {c.value: 0 for c in OpCategory}
+@dataclass(frozen=True, eq=False)
+class NodeTable:
+    """Per-operator metrics and structural facts of a graph's compute
+    nodes, one array entry per node in canonical order.
+
+    Attributes
+    ----------
+    position:
+        Node name -> row, i.e. the node's index in ``compute_nodes()``.
+    flops / params / mem_elements / in_elements / out_elements:
+        The :class:`NodeMetrics` fields, as float64 columns.
+    intensity:
+        :attr:`NodeMetrics.arithmetic_intensity` of each node.
+    category:
+        Index of the node's category in :data:`CATEGORY_ORDER`.
+    fan_out:
+        Number of consumers of the node's output.
+    merge:
+        The node has more than one producer.
+    residual:
+        The node is an elementwise-add merge (a residual connection).
+    concat:
+        The node is a concatenation.
+    """
+
+    position: Dict[str, int]
+    flops: np.ndarray
+    params: np.ndarray
+    mem_elements: np.ndarray
+    in_elements: np.ndarray
+    out_elements: np.ndarray
+    intensity: np.ndarray
+    category: np.ndarray
+    fan_out: np.ndarray
+    merge: np.ndarray
+    residual: np.ndarray
+    concat: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.position)
+
+    def metrics(self, i: int) -> NodeMetrics:
+        """The :class:`NodeMetrics` of row ``i``."""
+        return NodeMetrics(self.flops[i].item(), self.params[i].item(),
+                           self.mem_elements[i].item(),
+                           self.in_elements[i].item(),
+                           self.out_elements[i].item())
+
+
+def node_table(graph: Graph) -> NodeTable:
+    """The :class:`NodeTable` of ``graph``: one :func:`node_metrics` call
+    per compute node, cached on the graph until its next ``add_node``.
+
+    The table is a pure function of the graph, so two threads that build
+    it at once store equal tables.
+    """
+    table = graph._node_table
+    if table is not None:
+        return table
     nodes = graph.compute_nodes()
-    for node in nodes:
-        m = node_metrics(graph, node)
-        total_flops += m.flops
-        total_params += m.params
-        total_mem += m.mem_elements
-        cat = node.category.value
-        flops_by_cat[cat] += m.flops
-        count_by_cat[cat] += 1
-    return GraphMetrics(
-        total_flops=total_flops,
-        total_params=total_params,
-        total_mem_elements=total_mem,
-        n_compute_nodes=len(nodes),
-        depth=graph.depth(),
-        flops_by_category=flops_by_cat,
-        count_by_category=count_by_cat,
+    rows = [node_metrics(graph, n) for n in nodes]
+    merge = [len(n.inputs) > 1 for n in nodes]
+    table = NodeTable(
+        position={n.name: i for i, n in enumerate(nodes)},
+        flops=np.array([m.flops for m in rows], dtype=float),
+        params=np.array([m.params for m in rows], dtype=float),
+        mem_elements=np.array([m.mem_elements for m in rows], dtype=float),
+        in_elements=np.array([m.in_elements for m in rows], dtype=float),
+        out_elements=np.array([m.out_elements for m in rows], dtype=float),
+        intensity=np.array([m.arithmetic_intensity for m in rows],
+                           dtype=float),
+        category=np.array([_CATEGORY_INDEX[n.category] for n in nodes],
+                          dtype=np.int8),
+        fan_out=np.array([len(graph.consumers(n.name)) for n in nodes],
+                         dtype=np.int32),
+        merge=np.array(merge, dtype=bool),
+        residual=np.array([m and n.op is OpType.ADD
+                           for n, m in zip(nodes, merge)], dtype=bool),
+        concat=np.array([n.op is OpType.CONCAT for n in nodes], dtype=bool),
     )
-
-
-def metrics_table(graph: Graph) -> Sequence[Tuple[str, NodeMetrics]]:
-    """(node name, metrics) rows for every compute node, in canonical
-    order — handy for debugging and for the examples."""
-    return [(n.name, node_metrics(graph, n)) for n in graph.compute_nodes()]
+    graph._node_table = table
+    return table

@@ -20,7 +20,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import List, Sequence
 
-from repro.graph import Graph, node_metrics
+from repro.graph import Graph, node_table
 from repro.graph.graph import Node
 from repro.hw.platform import PlatformSpec
 
@@ -129,12 +129,14 @@ class LatencyModel:
     # ------------------------------------------------------------------
     def op_work(self, graph: Graph, node: Node) -> OpWork:
         """Workload record for one node (per batch element)."""
-        m = node_metrics(graph, node)
+        table = node_table(graph)
+        i = table.position[node.name]
         return OpWork(
             name=node.name,
             category=node.category.value,
-            flops=m.flops,
-            mem_bytes=m.mem_elements * self.platform.dtype_bytes,
+            flops=table.flops[i].item(),
+            mem_bytes=table.mem_elements[i].item()
+            * self.platform.dtype_bytes,
         )
 
     def graph_work(self, graph: Graph) -> List[OpWork]:

@@ -11,6 +11,7 @@ The simulator produces two related views of a run:
 
 from __future__ import annotations
 
+import math
 import struct
 from array import array
 from collections.abc import Sequence
@@ -178,11 +179,15 @@ class Trace:
             compute_util: float = 0.0, memory_util: float = 0.0,
             label: str = "", op_index: int = -1) -> None:
         """Account one segment (the :class:`TraceSegment` fields) and keep
-        it if ``keep_segments``; a segment that raises changes nothing."""
+        it if ``keep_segments``; a segment that raises changes nothing.
+
+        The duration must be finite and non-negative: a NaN or infinite
+        time gives a NaN or infinite duration, which is rejected.
+        """
         dt = t_end - t_start
-        if dt < 0:
-            raise ValueError(f"negative-duration {kind} segment {label!r}: "
-                             f"{t_start!r} -> {t_end!r}")
+        if not 0.0 <= dt < math.inf:
+            raise ValueError(f"negative or non-finite duration of {kind} "
+                             f"segment {label!r}: {t_start!r} -> {t_end!r}")
         if self.keep_segments:
             # Packed before either column grows, so a value that does
             # not fit raises with both columns untouched.

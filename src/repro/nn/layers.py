@@ -90,19 +90,6 @@ class ReLU(Layer):
         return grad * self._mask
 
 
-class Tanh(Layer):
-    def __init__(self) -> None:
-        self._y: Optional[np.ndarray] = None
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        self._y = np.tanh(x)
-        return self._y
-
-    def backward(self, grad: np.ndarray) -> np.ndarray:
-        assert self._y is not None
-        return grad * (1.0 - self._y ** 2)
-
-
 class Dropout(Layer):
     """Inverted dropout; identity in eval mode."""
 
@@ -125,52 +112,3 @@ class Dropout(Layer):
         if self._mask is None:
             return grad
         return grad * self._mask
-
-
-class BatchNorm1d(Layer):
-    """Batch normalization over feature columns with running statistics."""
-
-    def __init__(self, num_features: int, momentum: float = 0.9,
-                 eps: float = 1e-5) -> None:
-        self.gamma = np.ones(num_features)
-        self.beta = np.zeros(num_features)
-        self.dgamma = np.zeros_like(self.gamma)
-        self.dbeta = np.zeros_like(self.beta)
-        self.momentum = momentum
-        self.eps = eps
-        self.running_mean = np.zeros(num_features)
-        self.running_var = np.ones(num_features)
-        self._cache = None
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        if self.training:
-            mean = x.mean(axis=0)
-            var = x.var(axis=0)
-            self.running_mean = (self.momentum * self.running_mean
-                                 + (1 - self.momentum) * mean)
-            self.running_var = (self.momentum * self.running_var
-                                + (1 - self.momentum) * var)
-        else:
-            mean = self.running_mean
-            var = self.running_var
-        std = np.sqrt(var + self.eps)
-        x_hat = (x - mean) / std
-        self._cache = (x_hat, std)
-        return self.gamma * x_hat + self.beta
-
-    def backward(self, grad: np.ndarray) -> np.ndarray:
-        assert self._cache is not None
-        x_hat, std = self._cache
-        n = grad.shape[0]
-        self.dgamma[...] = (grad * x_hat).sum(axis=0)
-        self.dbeta[...] = grad.sum(axis=0)
-        dx_hat = grad * self.gamma
-        # Standard batch-norm backward (training-mode statistics).
-        return (dx_hat - dx_hat.mean(axis=0)
-                - x_hat * (dx_hat * x_hat).mean(axis=0)) / std
-
-    def params(self) -> List[np.ndarray]:
-        return [self.gamma, self.beta]
-
-    def grads(self) -> List[np.ndarray]:
-        return [self.dgamma, self.dbeta]

@@ -1,4 +1,4 @@
-"""Losses: softmax cross-entropy (classification) and MSE."""
+"""Loss: softmax cross-entropy over integer class targets."""
 
 from __future__ import annotations
 
@@ -31,14 +31,3 @@ class SoftmaxCrossEntropy:
         grad = probs.copy()
         grad[np.arange(n), targets] -= 1.0
         return float(loss), grad / n
-
-
-class MSELoss:
-    """Mean squared error for regression heads."""
-
-    def forward(self, pred: np.ndarray,
-                target: np.ndarray) -> Tuple[float, np.ndarray]:
-        diff = pred - target
-        loss = float(np.mean(diff ** 2))
-        grad = 2.0 * diff / diff.size
-        return loss, grad

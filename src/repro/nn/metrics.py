@@ -30,21 +30,3 @@ def within_k_accuracy(pred: np.ndarray, target: np.ndarray,
     if pred.size == 0:
         return 0.0
     return float((np.abs(pred - target) <= k).mean())
-
-
-def confusion_matrix(pred: np.ndarray, target: np.ndarray,
-                     n_classes: int) -> np.ndarray:
-    """(n_classes, n_classes) matrix: rows = true class, cols = predicted."""
-    cm = np.zeros((n_classes, n_classes), dtype=np.int64)
-    for t, p in zip(np.asarray(target), np.asarray(pred)):
-        cm[int(t), int(p)] += 1
-    return cm
-
-
-def mean_level_error(pred: np.ndarray, target: np.ndarray) -> float:
-    """Mean absolute ordinal error in levels."""
-    pred = np.asarray(pred)
-    target = np.asarray(target)
-    if pred.size == 0:
-        return 0.0
-    return float(np.abs(pred - target).mean())

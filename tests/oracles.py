@@ -3,8 +3,8 @@
 Each function is the original loop implementation of a vectorized or
 memoized production path, kept verbatim as the baseline the hypothesis
 suites (``tests/test_labeling_fastpath.py``,
-``tests/test_distance_fastpath.py``) and the labeling benchmark compare
-against byte for byte.  No production code path calls them.
+``tests/test_distance_fastpath.py``, ``tests/test_node_table.py``) and
+the labeling benchmark compare against byte for byte.  No production code path calls them.
 """
 
 from __future__ import annotations
@@ -23,10 +23,163 @@ from repro.core.clustering import (
     smooth_features,
 )
 from repro.core import labeling
+from repro.core.features import GlobalFeatures, _log1p
 from repro.core.labeling import NetworkLabels
 from repro.core.schemes import ClusteringScheme
-from repro.graph import Graph
+from repro.graph import Graph, node_metrics
+from repro.graph.graph import Node
+from repro.graph.ops import (
+    CATEGORY_ORDER,
+    AttentionAttrs,
+    ConvAttrs,
+    OpCategory,
+    OpType,
+)
 from repro.hw.analytic import AnalyticEvaluator, LevelProfile
+
+
+# ----------------------------------------------------------------------
+# feature extraction (core/features.py)
+# ----------------------------------------------------------------------
+
+_CAT_INDEX = {c: i for i, c in enumerate(CATEGORY_ORDER)}
+
+
+def depthwise_row_reference(graph: Graph, node: Node) -> np.ndarray:
+    """Per-node :meth:`DepthwiseFeatureExtractor.extract_node`, deriving
+    the node's metrics and fan-out itself."""
+    m = node_metrics(graph, node)
+    cat_onehot = np.zeros(len(CATEGORY_ORDER))
+    cat_onehot[_CAT_INDEX[node.category]] = 1.0
+
+    in_shape = graph[node.inputs[0]].output_shape if node.inputs else ()
+    out_shape = node.output_shape
+    in_channels = float(in_shape[0]) if in_shape else 0.0
+    out_channels = float(out_shape[0]) if out_shape else 0.0
+    spatial = float(out_shape[1]) if len(out_shape) >= 2 else 0.0
+
+    kernel_area = 0.0
+    stride_product = 1.0
+    groups = 1.0
+    if isinstance(node.attrs, ConvAttrs):
+        kernel_area = float(node.attrs.kernel[0] * node.attrs.kernel[1])
+        stride_product = float(node.attrs.stride[0] * node.attrs.stride[1])
+        groups = float(node.attrs.groups)
+    heads = 0.0
+    if isinstance(node.attrs, AttentionAttrs):
+        heads = float(node.attrs.num_heads)
+    is_merge = 1.0 if (node.op is OpType.ADD
+                       and len(node.inputs) > 1) else 0.0
+    fan_out = float(len(graph.consumers(node.name)))
+
+    return np.array([
+        _log1p(m.flops),
+        _log1p(m.params),
+        _log1p(m.mem_elements),
+        _log1p(m.in_elements),
+        _log1p(m.out_elements),
+        _log1p(m.arithmetic_intensity),
+        *cat_onehot,
+        _log1p(in_channels),
+        _log1p(out_channels),
+        _log1p(spatial),
+        kernel_area,
+        stride_product,
+        _log1p(groups),
+        heads,
+        is_merge,
+        fan_out,
+    ])
+
+
+def global_features_reference(
+        graph: Graph,
+        op_indices: Optional[Sequence[int]] = None) -> GlobalFeatures:
+    """Per-node-loop :meth:`GlobalFeatureExtractor.extract`."""
+    n_categories = len(CATEGORY_ORDER)
+    compute = graph.compute_nodes()
+    n_total = len(compute)
+    if n_total == 0:
+        raise ValueError(f"graph {graph.name!r} has no compute nodes")
+    if op_indices is None:
+        nodes = compute
+        position_frac, length_frac = 0.0, 1.0
+    else:
+        indices = sorted(op_indices)
+        if not indices:
+            raise ValueError("empty block")
+        if indices[0] < 0 or indices[-1] >= n_total:
+            raise IndexError("block indices out of range")
+        nodes = [compute[i] for i in indices]
+        position_frac = indices[0] / n_total
+        length_frac = len(indices) / n_total
+
+    n = len(nodes)
+    cat_counts = np.zeros(n_categories)
+    cat_flops = np.zeros(n_categories)
+    flops = np.zeros(n)
+    params = np.zeros(n)
+    mem = np.zeros(n)
+    intensity = np.zeros(n)
+    n_residual = 0
+    n_branch = 0
+    n_merge = 0
+    has_attention = 0.0
+    has_dwconv = 0.0
+    has_concat = 0.0
+    for i, node in enumerate(nodes):
+        m = node_metrics(graph, node)
+        ci = _CAT_INDEX[node.category]
+        cat_counts[ci] += 1
+        cat_flops[ci] += m.flops
+        flops[i] = m.flops
+        params[i] = m.params
+        mem[i] = m.mem_elements
+        intensity[i] = m.arithmetic_intensity
+        if node.op is OpType.ADD and len(node.inputs) > 1:
+            n_residual += 1
+        if len(node.inputs) > 1:
+            n_merge += 1
+        if len(graph.consumers(node.name)) > 1:
+            n_branch += 1
+        if node.category is OpCategory.ATTENTION:
+            has_attention = 1.0
+        if node.category is OpCategory.DWCONV:
+            has_dwconv = 1.0
+        if node.op is OpType.CONCAT:
+            has_concat = 1.0
+
+    total_flops = float(flops.sum())
+    log_flops = np.log1p(flops)
+    log_intensity = np.log1p(intensity)
+
+    structural = np.array([
+        _log1p(n),
+        _log1p(graph.depth() if op_indices is None else n),
+        n_branch / n,
+        n_merge / n,
+        n_residual / n,
+        *(cat_counts / n),
+        has_attention,
+        has_dwconv,
+        has_concat,
+    ])
+    flops_frac = cat_flops / total_flops if total_flops > 0 \
+        else np.zeros(n_categories)
+    statistics = np.array([
+        _log1p(total_flops),
+        _log1p(float(params.sum())),
+        _log1p(float(mem.sum())),
+        _log1p(total_flops / n),
+        float(log_flops.std()),
+        _log1p(float(flops.max())),
+        float(log_intensity.mean()),
+        float(log_intensity.std()),
+        *flops_frac,
+        position_frac,
+        length_frac,
+    ])
+    return GlobalFeatures(structural=structural, statistics=statistics)
 
 
 # ----------------------------------------------------------------------

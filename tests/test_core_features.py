@@ -134,6 +134,9 @@ class TestGlobal:
     def test_block_matrix(self, small_cnn):
         ext = GlobalFeatureExtractor()
         n = len(small_cnn.compute_nodes())
-        m = ext.extract_block_matrix(small_cnn,
-                                     [range(n // 2), range(n // 2, n)])
+        blocks = [range(n // 2), range(n // 2, n)]
+        m = np.vstack([ext.extract(small_cnn, b).vector for b in blocks])
         assert m.shape == (2, ext.structural_dim + ext.statistics_dim)
+        # position_frac, length_frac: the two blocks tile the network.
+        assert m[:, -2].tolist() == [0.0, (n // 2) / n]
+        assert m[:, -1].sum() == pytest.approx(1.0)

@@ -1,10 +1,11 @@
 """Operator/graph metric tests, pinned against hand-computed and
 published reference values."""
 
+import numpy as np
 import pytest
 
-from repro.graph import GraphBuilder, graph_metrics, node_metrics
-from repro.graph.metrics import metrics_table
+from repro.graph import GraphBuilder, node_metrics, node_table
+from repro.graph.ops import CATEGORY_ORDER, OpType
 from repro.models import build_model
 
 
@@ -82,7 +83,7 @@ class TestPublishedTotals:
     ])
     def test_param_counts(self, model, params_m, tol):
         g = build_model(model)
-        total = graph_metrics(g).total_params / 1e6
+        total = node_table(g).params.sum() / 1e6
         assert total == pytest.approx(params_m, rel=tol)
 
     @pytest.mark.parametrize("model,gmacs,tol", [
@@ -93,26 +94,50 @@ class TestPublishedTotals:
     ])
     def test_flop_counts(self, model, gmacs, tol):
         g = build_model(model)
-        total = graph_metrics(g).total_flops / 2e9
+        total = node_table(g).flops.sum() / 2e9
         assert total == pytest.approx(gmacs, rel=tol)
 
 
 class TestGraphMetrics:
+    """The node table: one row per compute node, in canonical order."""
+
     def test_aggregates_consistent(self, small_cnn):
-        gm = graph_metrics(small_cnn)
-        rows = metrics_table(small_cnn)
-        assert gm.n_compute_nodes == len(rows)
-        assert gm.total_flops == pytest.approx(
-            sum(m.flops for _, m in rows))
-        assert gm.total_params == pytest.approx(
-            sum(m.params for _, m in rows))
+        table = node_table(small_cnn)
+        nodes = small_cnn.compute_nodes()
+        assert len(table) == len(nodes)
+        for i, node in enumerate(nodes):
+            assert table.position[node.name] == i
+            assert table.metrics(i) == node_metrics(small_cnn, node)
 
     def test_category_breakdown_sums(self, small_cnn):
-        gm = graph_metrics(small_cnn)
-        assert sum(gm.flops_by_category.values()) == \
-            pytest.approx(gm.total_flops)
-        assert sum(gm.count_by_category.values()) == gm.n_compute_nodes
+        table = node_table(small_cnn)
+        assert [CATEGORY_ORDER[c] for c in table.category] == \
+            [n.category for n in small_cnn.compute_nodes()]
+        per_cat = np.bincount(table.category, weights=table.flops)
+        assert per_cat.sum() == pytest.approx(table.flops.sum())
 
     def test_mean_intensity(self, small_cnn):
-        gm = graph_metrics(small_cnn)
-        assert gm.mean_intensity > 0
+        table = node_table(small_cnn)
+        assert table.flops.sum() / table.mem_elements.sum() > 0
+        assert list(table.intensity) == [
+            table.metrics(i).arithmetic_intensity
+            for i in range(len(table))]
+
+    def test_structural_facts(self, small_cnn):
+        table = node_table(small_cnn)
+        for i, node in enumerate(small_cnn.compute_nodes()):
+            merge = len(node.inputs) > 1
+            assert table.fan_out[i] == len(small_cnn.consumers(node.name))
+            assert table.merge[i] == merge
+            assert table.residual[i] == (merge and node.op is OpType.ADD)
+            assert table.concat[i] == (node.op is OpType.CONCAT)
+
+    def test_cached_until_add_node(self):
+        b = GraphBuilder("g")
+        x = b.relu(b.input((3, 8, 8)))
+        table = node_table(b.graph)
+        assert node_table(b.graph) is table
+        b.relu(x)
+        grown = node_table(b.graph)
+        assert len(table) == 1 and len(grown) == 2
+        assert grown.fan_out[0] == 1 and table.fan_out[0] == 0

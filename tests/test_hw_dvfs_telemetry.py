@@ -156,7 +156,7 @@ class TestColumnStore:
             0.0, 0.0, 0.0, 0.0, 0.0, 0
         for seg in segments:
             dt = seg.t_end - seg.t_start
-            if dt < 0:
+            if not math.isfinite(dt) or dt < 0:
                 for trace in (kept, dropped):
                     before = _accumulators(trace)
                     with pytest.raises(ValueError, match="negative"):
@@ -197,6 +197,21 @@ class TestColumnStore:
         assert _accumulators(kept) == ref
         assert _accumulators(dropped) == ref
         assert dropped.segments == []
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["t_start", "t_end"])
+    def test_non_finite_time_rejected(self, field, bad):
+        times = {"t_start": 1.0, "t_end": 2.0, field: bad}
+        for trace in (Trace(), Trace(keep_segments=False)):
+            trace.append(_seg(0.0, 1.0))
+            before = _accumulators(trace)
+            with pytest.raises(ValueError, match="non-finite"):
+                trace.add(times["t_start"], times["t_end"], KIND_GPU_OP, 3,
+                          5.0, 1.0, 2.0, label="op")
+            assert _accumulators(trace) == before
+            assert trace.strings == (
+                [KIND_GPU_OP, ""] if trace.keep_segments else [])
+            assert len(trace.segments) == int(trace.keep_segments)
 
     def test_view_is_live_and_read_only(self):
         tr = Trace()

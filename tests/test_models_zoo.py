@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.graph import graph_metrics, validate_graph
+from repro.graph import node_table, validate_graph
 from repro.graph.ops import OpCategory, OpType
 from repro.models import PAPER_MODELS, build_model, list_models
 from repro.models.zoo import _ALIASES, register_model
@@ -53,10 +53,10 @@ class TestArchitectureFidelity:
     def test_resnet152_block_structure(self):
         g = build_model("resnet152")
         # 50 bottlenecks -> 50 residual adds.
-        assert g.residual_count() == 3 + 8 + 36 + 3
+        assert int(node_table(g).residual.sum()) == 3 + 8 + 36 + 3
 
     def test_resnet34_residuals(self):
-        assert build_model("resnet34").residual_count() == 16
+        assert int(node_table(build_model("resnet34")).residual.sum()) == 16
 
     def test_vit_b16_attention_count(self):
         g = build_model("vit_b_16")
@@ -100,8 +100,7 @@ class TestArchitectureFidelity:
         ("wide_resnet50_2", 68.9),
     ])
     def test_extended_zoo_param_counts(self, model, params_m):
-        from repro.graph import graph_metrics
-        total = graph_metrics(build_model(model)).total_params / 1e6
+        total = node_table(build_model(model)).params.sum() / 1e6
         assert total == pytest.approx(params_m, rel=0.03)
 
     def test_inception_asymmetric_kernels(self):
@@ -127,7 +126,7 @@ class TestArchitectureFidelity:
 
     def test_size_ordering(self):
         sizes = {
-            name: graph_metrics(build_model(name)).total_flops
+            name: node_table(build_model(name)).flops.sum()
             for name in ("alexnet", "resnet34", "resnet152",
                          "regnet_y_128gf")
         }

@@ -6,15 +6,12 @@ import pytest
 
 from repro.nn import (
     Adam,
-    BatchNorm1d,
     Dense,
     Dropout,
-    MSELoss,
     ReLU,
     SGD,
     Sequential,
     SoftmaxCrossEntropy,
-    Tanh,
     TwoBranchMLP,
     softmax,
 )
@@ -82,13 +79,6 @@ class TestActivations:
         grad = r.backward(np.array([[1.0, 1.0]]))
         assert np.array_equal(grad, [[0.0, 1.0]])
 
-    def test_tanh_gradient(self):
-        t = Tanh()
-        x = np.array([[0.3, -0.7]])
-        y = t.forward(x)
-        g = t.backward(np.ones_like(x))
-        assert np.allclose(g, 1 - np.tanh(x) ** 2)
-
 
 class TestDropout:
     def test_invalid_p(self):
@@ -120,41 +110,6 @@ class TestDropout:
         assert np.array_equal(grad == 0, out == 0)
 
 
-class TestBatchNorm:
-    def test_normalizes_in_train_mode(self):
-        bn = BatchNorm1d(3)
-        rng = np.random.default_rng(0)
-        x = rng.normal(5.0, 3.0, size=(256, 3))
-        out = bn.forward(x)
-        assert np.allclose(out.mean(axis=0), 0.0, atol=1e-7)
-        assert np.allclose(out.std(axis=0), 1.0, atol=1e-3)
-
-    def test_running_stats_used_in_eval(self):
-        bn = BatchNorm1d(2, momentum=0.0)  # running = last batch
-        x = np.array([[1.0, 10.0], [3.0, 30.0]])
-        bn.forward(x)
-        bn.eval()
-        out = bn.forward(np.array([[2.0, 20.0]]))
-        assert np.allclose(out, 0.0, atol=1e-3)
-
-    def test_gradient_check(self):
-        rng = np.random.default_rng(2)
-        bn = BatchNorm1d(4)
-        dense = Dense(4, 2, rng=rng)
-        x = rng.normal(size=(8, 4))
-        y = np.array([0, 1] * 4)
-        loss_fn = SoftmaxCrossEntropy()
-
-        def f():
-            return loss_fn.forward(dense.forward(bn.forward(x)), y)[0]
-
-        _, dlog = loss_fn.forward(dense.forward(bn.forward(x)), y)
-        bn.backward(dense.backward(dlog))
-        for i in (0, 3):
-            num = _numeric_grad(f, bn.gamma, i, eps=1e-5)
-            assert bn.dgamma[i] == pytest.approx(num, abs=1e-4)
-
-
 class TestLosses:
     def test_softmax_rows_sum_to_one(self):
         p = softmax(np.random.default_rng(0).normal(size=(5, 7)))
@@ -177,12 +132,6 @@ class TestLosses:
         with pytest.raises(ValueError, match="empty batch"):
             SoftmaxCrossEntropy().forward(np.zeros((0, 3)),
                                           np.zeros(0, dtype=int))
-
-    def test_mse(self):
-        loss, grad = MSELoss().forward(np.array([1.0, 2.0]),
-                                       np.array([0.0, 0.0]))
-        assert loss == pytest.approx(2.5)
-        assert np.allclose(grad, [1.0, 2.0])
 
 
 class TestOptimizers:

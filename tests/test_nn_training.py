@@ -9,12 +9,10 @@ from repro.nn import (
     Trainer,
     TwoBranchMLP,
     accuracy,
-    confusion_matrix,
     iterate_minibatches,
     split_indices,
     within_k_accuracy,
 )
-from repro.nn.metrics import mean_level_error
 
 
 class TestScaler:
@@ -87,19 +85,10 @@ class TestMetrics:
         assert within_k_accuracy(pred, target, 1) == pytest.approx(2 / 3)
         assert within_k_accuracy(pred, target, 7) == 1.0
 
-    def test_confusion_matrix(self):
-        cm = confusion_matrix(np.array([0, 1, 1]), np.array([0, 0, 1]), 2)
-        assert cm[0, 0] == 1 and cm[0, 1] == 1 and cm[1, 1] == 1
-
-    def test_mean_level_error(self):
-        assert mean_level_error(np.array([1, 5]),
-                                np.array([2, 3])) == pytest.approx(1.5)
-
     def test_empty_inputs(self):
         empty = np.array([], dtype=int)
         assert accuracy(empty, empty) == 0.0
         assert within_k_accuracy(empty, empty) == 0.0
-        assert mean_level_error(empty, empty) == 0.0
 
 
 class TestTrainer:

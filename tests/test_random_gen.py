@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.graph import graph_metrics, validate_graph
+from repro.graph import node_table, validate_graph
 from repro.graph.ops import OpType
 from repro.models import RandomDNNConfig, RandomDNNGenerator
 
@@ -58,7 +58,7 @@ class TestValidity:
 class TestDiversity:
     def test_population_varies_in_size(self):
         gen = RandomDNNGenerator(seed=42)
-        flops = [graph_metrics(g).total_flops
+        flops = [node_table(g).flops.sum()
                  for g in gen.generate_many(20)]
         assert max(flops) / min(flops) > 3
 
