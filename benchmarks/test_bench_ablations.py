@@ -15,14 +15,13 @@ import pytest
 
 from repro.core.clustering import (
     cluster_power_blocks,
-    dbscan_precomputed,
-    power_distance_matrix,
+    dbscan,
     process_clusters,
-    spacing_matrix,
 )
 from repro.core.features import DepthwiseFeatureExtractor
 from repro.hw.analytic import AnalyticEvaluator
 from repro.models import build_model
+from tests.oracles import spacing_matrix
 
 
 @pytest.fixture(scope="module")
@@ -50,7 +49,7 @@ def test_mahalanobis_vs_euclidean(benchmark, features):
         n = len(d)
         blend = 0.6 * d + 0.4 * spacing_matrix(n, 0.05)
         np.fill_diagonal(blend, 0.0)
-        labels = dbscan_precomputed(blend, 0.6, 2)
+        labels = dbscan(blend <= 0.6, 2)
         eucl_blocks = process_clusters(labels, 2)
         return maha_blocks, eucl_blocks
     maha, eucl = benchmark.pedantic(run, rounds=1, iterations=1)
@@ -86,7 +85,7 @@ def test_latency_slack_sweep(benchmark, vgg19, tx2_context, slack):
     ev = AnalyticEvaluator(tx2_context.platform)
 
     def run():
-        profile = ev.graph_profile(vgg19, batch_size=16)
+        profile = ev.profile_table(vgg19, 16).graph_profile()
         lvl = ev.best_level(profile, latency_slack=slack)
         return (float(profile.ee[lvl] / profile.ee[-1]),
                 float(profile.times[lvl] / profile.times[-1]))

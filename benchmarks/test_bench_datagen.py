@@ -33,11 +33,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.core.clustering import (
-    FactoredDistance,
-    blocks_from_distance,
-    smoothed_power_distance,
-)
+from repro.core.clustering import FactoredDistance
 from repro.core.datasets import DatasetGenerator
 from repro.core.features import DepthwiseFeatureExtractor
 from repro.core.labeling import label_network
@@ -47,7 +43,11 @@ from repro.hw.analytic import AnalyticEvaluator
 from repro.models.random_gen import RandomDNNConfig, RandomDNNGenerator
 
 from tests.conftest import check_golden
-from tests.oracles import label_network_reference
+from tests.oracles import (
+    blocks_from_distance,
+    label_network_reference,
+    smoothed_power_distance,
+)
 
 pytestmark = pytest.mark.perf
 

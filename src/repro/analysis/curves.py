@@ -63,11 +63,11 @@ def level_curve(platform: PlatformSpec, graph: Graph,
                 batch_size: int = 16,
                 op_indices: Optional[Sequence[int]] = None) -> LevelCurve:
     """Evaluate the whole graph (or the selected block) at every level."""
-    evaluator = AnalyticEvaluator(platform)
+    table = AnalyticEvaluator(platform).profile_table(graph, batch_size)
     if op_indices is None:
-        profile = evaluator.graph_profile(graph, batch_size)
+        profile = table.graph_profile()
     else:
-        profile = evaluator.block_profile(graph, op_indices, batch_size)
+        profile = table.block_profile(op_indices)
     return LevelCurve(
         graph_name=graph.name,
         platform_name=platform.name,

@@ -7,9 +7,9 @@ Modules
     (per-layer) extractor and the global (structural + statistics)
     extractor.
 ``clustering``
-    Power behavior similarity clustering (Algorithm 1): Mahalanobis
-    distance, operator-spacing regularization, DBSCAN over the blended
-    distance matrix, and post-processing into contiguous power blocks.
+    Power behavior similarity clustering (Algorithm 1): the factorized
+    Mahalanobis + operator-spacing distance stage, DBSCAN over its
+    exact adjacency, and post-processing into contiguous power blocks.
 ``power_view``
     The power view / power block intermediate representation.
 ``schemes``
@@ -44,20 +44,12 @@ from repro.core.features import (
     DEPTHWISE_FEATURE_NAMES,
 )
 from repro.core.clustering import (
-    mahalanobis_matrix,
-    spacing_matrix,
-    power_distance_matrix,
-    smoothed_power_distance,
-    blocks_from_distance,
-    dbscan_precomputed,
     process_clusters,
     cluster_power_blocks,
 )
 from repro.core.power_view import PowerBlock, PowerView
 from repro.core.schemes import ClusteringScheme, default_scheme_grid
 from repro.core.labeling import (
-    block_optimal_level,
-    scheme_quality,
     best_scheme_for_graph,
     label_network,
     NetworkLabels,
@@ -90,20 +82,12 @@ __all__ = [
     "GlobalFeatureExtractor",
     "GlobalFeatures",
     "DEPTHWISE_FEATURE_NAMES",
-    "mahalanobis_matrix",
-    "spacing_matrix",
-    "power_distance_matrix",
-    "smoothed_power_distance",
-    "blocks_from_distance",
-    "dbscan_precomputed",
     "process_clusters",
     "cluster_power_blocks",
     "PowerBlock",
     "PowerView",
     "ClusteringScheme",
     "default_scheme_grid",
-    "block_optimal_level",
-    "scheme_quality",
     "best_scheme_for_graph",
     "label_network",
     "NetworkLabels",

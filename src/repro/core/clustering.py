@@ -21,29 +21,33 @@ considered").  We implement the stated intent, ``R = 1 - exp(-lambda *
 ``spacing_mode='paper'`` for comparison.
 
 Performance note: this module sits on the dataset-generation hot path
-(every scheme of every random network runs through it), so the distance
-matrix, DBSCAN and the majority filter are vectorized.  Every fast path
-is **byte-identical** to its original loop implementation — the loops
-live on as test oracles (``tests/oracles.py``) and the equivalence is
-enforced by the hypothesis suites in ``tests/test_labeling_fastpath.py``
-and ``tests/test_distance_fastpath.py``.
+(every scheme of every random network runs through it), so DBSCAN and
+the majority filter are vectorized and the distance stage is
+factorized.  Each stage has exactly one implementation here.  Their
+reference implementations — the dense einsum distance chain and the
+original loops — live with the tests (``tests/oracles.py``), and the
+hypothesis suites in ``tests/test_labeling_fastpath.py`` and
+``tests/test_distance_fastpath.py`` pin every fast path to them byte
+for byte.
 
-:class:`FactoredDistance` is the factorized distance stage (DESIGN.md
-§5i): the quadratic form is expanded into Gram matrices of the smoothed
-features once per smoothing window, so pairwise distances come from
-three BLAS matmuls instead of the three-operand ``c_einsum``.  The
-factorized values are not bit-equal to the einsum's (different
-summation association), but every *decision* downstream of the matrix
-— the median normalization scale and each ``distance <= eps`` DBSCAN
+:class:`FactoredDistance` is the distance stage (DESIGN.md §5i): the
+quadratic form is expanded into Gram matrices of the smoothed features
+once per smoothing window, so pairwise distances come from three BLAS
+matmuls instead of the three-operand ``c_einsum``.  The factorized
+values are not bit-equal to the einsum's (different summation
+association), but every *decision* downstream of the distances — the
+median normalization scale and each ``distance <= eps`` DBSCAN
 adjacency — is resolved exactly: a rigorous per-pair error band marks
 the decisions that could straddle a boundary, and the first one that
-does makes the window fall back to the reference einsum chain.  The
-resulting labels, blocks and datasets are therefore byte-identical to
-the reference path and the dataset-cache key is unchanged.
+does makes the window evaluate the einsum for every pair
+(:meth:`FactoredDistance._ensure_exact`).  The resulting labels, blocks
+and datasets are therefore byte-identical to the dense reference chain
+and the dataset-cache key is unchanged.
 """
 
 from __future__ import annotations
 
+import math
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -52,67 +56,17 @@ import numpy as np
 #: :class:`FactoredDistance` are built from.
 _EPS64 = float(np.finfo(np.float64).eps)
 
-def _normalize_by_median(d: np.ndarray, n: int) -> np.ndarray:
-    """Shared tail of the Mahalanobis computation.
-
-    Normalize by the median off-diagonal distance: in a whitened
-    high-dimensional space pairwise distances concentrate, so a
-    max-normalization squeezes all structure into a narrow band.
-    Median scaling puts "typically similar" pairs well below 1 and
-    dissimilar pairs above it, giving the epsilon grid real leverage.
-    """
-    if n > 1:
-        off = d[~np.eye(n, dtype=bool)]
-        scale = float(np.median(off))
-        if scale > 0:
-            d = d / scale
-    return d
-
-
-def mahalanobis_matrix(x: np.ndarray) -> np.ndarray:
-    """Pairwise Mahalanobis distances between rows of ``x``.
-
-    The covariance matrix is pseudo-inverted (features can be collinear:
-    one-hot columns, constant columns), exactly as Algorithm 1 line 3
-    prescribes.
-
-    The quadratic form is evaluated over the upper-triangle pairs only
-    and mirrored: ``c_einsum`` computes every output element
-    independently with a fixed ``(k, l)`` summation order, and the IEEE
-    sign-flip identities make ``diff . P . diff`` bit-equal for
-    ``x_i - x_j`` and ``x_j - x_i``, so this halves the work of
-    the full ``(n, n, d)`` einsum while staying byte-identical.
-    """
-    x = np.asarray(x, dtype=float)
-    n = x.shape[0]
-    if n == 0:
-        return np.zeros((0, 0))
-    if n == 1:
-        return np.zeros((1, 1))
-    cov = np.cov(x, rowvar=False)
-    p = np.linalg.pinv(np.atleast_2d(cov))
-    iu, ju = np.triu_indices(n, k=1)
-    pairs = x[iu] - x[ju]
-    # d^2[i,j] = diff . P . diff
-    d2_pairs = np.einsum("pk,kl,pl->p", pairs, p, pairs)
-    d2 = np.zeros((n, n))
-    d2[iu, ju] = d2_pairs
-    d2 = d2 + d2.T
-    # The reference evaluates i == j cells on an all-zero diff; its
-    # result can carry a sign-of-zero from P's entries, so reproduce it
-    # with the same quadratic form instead of assuming +0.0.
-    zero_row = np.zeros((1, x.shape[1]))
-    np.fill_diagonal(
-        d2, np.einsum("pk,kl,pl->p", zero_row, p, zero_row)[0])
-    d2 = np.maximum(d2, 0.0)
-    d = np.sqrt(d2)
-    return _normalize_by_median(d, n)
-
 
 def _spacing_of(gaps: np.ndarray, lam: float, mode: str) -> np.ndarray:
-    """The regularizer as an elementwise function of operator gaps."""
-    if lam < 0:
-        raise ValueError("lambda must be non-negative")
+    """The regularizer as an elementwise function of operator gaps.
+
+    ``mode='penalty'`` (default): ``R = 1 - exp(-lam * |i - j|)`` —
+    grows with topological distance, penalizing non-adjacent pairs.
+    ``mode='paper'``: the literal formula ``R = exp(-lam * |i - j|)``.
+    """
+    if not 0.0 <= lam < math.inf:
+        raise ValueError(
+            f"lambda must be finite and non-negative, got {lam!r}")
     decay = np.exp(-lam * gaps)
     if mode == "penalty":
         return 1.0 - decay
@@ -121,97 +75,46 @@ def _spacing_of(gaps: np.ndarray, lam: float, mode: str) -> np.ndarray:
     raise ValueError(f"unknown spacing mode {mode!r}")
 
 
-def spacing_matrix(n: int, lam: float,
-                   mode: str = "penalty") -> np.ndarray:
-    """Operator-spacing regularization matrix.
-
-    ``mode='penalty'`` (default): ``R = 1 - exp(-lam * |i - j|)`` —
-    grows with topological distance, penalizing non-adjacent pairs.
-    ``mode='paper'``: the literal formula ``R = exp(-lam * |i - j|)``.
-    """
-    idx = np.arange(n)
-    return _spacing_of(np.abs(idx[:, None] - idx[None, :]), lam, mode)
-
-
 def spacing_by_gap(n: int, lam: float,
                    mode: str = "penalty") -> np.ndarray:
-    """Row 0 of :func:`spacing_matrix`: the regularizer per gap
-    ``g = |i - j|`` for ``g = 0..n-1``.
+    """The regularizer per gap ``g = |i - j|`` for ``g = 0..n-1``.
 
-    ``spacing_by_gap(n, lam, mode)[j - i]`` is bit-equal to
-    ``spacing_matrix(n, lam, mode)[i, j]`` (the same elementwise ops on
-    the same gap values) in O(n) memory instead of O(n²).
+    ``spacing_by_gap(n, lam, mode)[j - i]`` is the regularizer of the
+    pair ``(i, j)``: bit-equal to the dense n×n matrix of the reference
+    chain (``tests/oracles.py::spacing_matrix``, the same elementwise
+    ops on the same gap values) in O(n) memory instead of O(n²).
     """
     return _spacing_of(np.arange(n), lam, mode)
 
 
-def _blend_distances(d: np.ndarray, n: int, alpha: float, lam: float,
-                     spacing_mode: str) -> np.ndarray:
-    """Blend a Mahalanobis matrix with the spacing regularizer
-    (Algorithm 1 line 12)."""
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError("alpha must be in [0, 1]")
-    out = alpha * d + (1.0 - alpha) * spacing_matrix(n, lam, spacing_mode)
-    np.fill_diagonal(out, 0.0)
-    return out
-
-
-def power_distance_matrix(x: np.ndarray, alpha: float = 0.6,
-                          lam: float = 0.05,
-                          spacing_mode: str = "penalty") -> np.ndarray:
-    """Blended power distance: ``alpha * D_mahalanobis + (1 - alpha) * R``
-    (Algorithm 1 line 12)."""
-    return _blend_distances(mahalanobis_matrix(x), x.shape[0], alpha,
-                            lam, spacing_mode)
-
-
 # ----------------------------------------------------------------------
-# DBSCAN over a precomputed distance matrix
+# DBSCAN over a boolean adjacency matrix
 # ----------------------------------------------------------------------
 
 NOISE = -1
 _UNVISITED = -2
 
 
-def _check_dbscan_args(distance: np.ndarray, eps: float,
-                       min_pts: int) -> None:
-    if distance.ndim != 2 or distance.shape[0] != distance.shape[1]:
-        raise ValueError("distance must be a square matrix")
-    if eps < 0:
-        raise ValueError("eps must be non-negative")
-    if min_pts < 1:
-        raise ValueError("min_pts must be >= 1")
-
-
-def dbscan_precomputed(distance: np.ndarray, eps: float,
-                       min_pts: int) -> np.ndarray:
-    """Classic DBSCAN on a precomputed distance matrix.
+def dbscan(adjacent: np.ndarray, min_pts: int) -> np.ndarray:
+    """Classic DBSCAN given the ``distance <= eps`` adjacency matrix.
 
     Returns integer labels per point; ``-1`` marks noise.  Implemented
     from scratch since the environment carries no clustering library.
+    :meth:`FactoredDistance.blocks` feeds it the exact-decision
+    adjacency, so no distance matrix is ever materialized.
 
-    Cluster expansion runs on boolean frontier vectors over a
-    precomputed adjacency matrix rather than a per-point Python queue.
-    The final labels are identical to a per-point queue expansion
-    (the test oracle): a cluster's membership is the
-    core-connected closure of its seed restricted to points unclaimed
-    when the seed is visited, which is order-free — only the seed scan
-    order (ascending ``i``, shared by both implementations) matters.
+    Cluster expansion runs on boolean frontier vectors rather than a
+    per-point Python queue.  The final labels are identical to a
+    per-point queue expansion (the test oracle): a cluster's membership
+    is the core-connected closure of its seed restricted to points
+    unclaimed when the seed is visited, which is order-free — only the
+    seed scan order (ascending ``i``, shared by both implementations)
+    matters.
     """
-    distance = np.asarray(distance)
-    _check_dbscan_args(distance, eps, min_pts)
-    return _dbscan_from_adjacency(distance <= eps, min_pts)
-
-
-def _dbscan_from_adjacency(adjacent: np.ndarray,
-                           min_pts: int) -> np.ndarray:
-    """DBSCAN given the boolean adjacency matrix directly.
-
-    This is the scheme-dependent half shared by the dense path
-    (:func:`dbscan_precomputed`) and :meth:`FactoredDistance.blocks`,
-    whose adjacency comes from the exact-decision guard instead of a
-    materialized distance matrix.
-    """
+    if adjacent.ndim != 2 or adjacent.shape[0] != adjacent.shape[1]:
+        raise ValueError("adjacency must be a square matrix")
+    if min_pts < 1:
+        raise ValueError("min_pts must be >= 1")
     n = adjacent.shape[0]
     labels = np.full(n, _UNVISITED, dtype=int)
     core = adjacent.sum(axis=1) >= min_pts
@@ -416,30 +319,6 @@ def smooth_features(x: np.ndarray, window: int) -> np.ndarray:
     return out
 
 
-def smoothed_power_distance(x: np.ndarray, window: int,
-                            alpha: float = 0.6, lam: float = 0.05,
-                            spacing_mode: str = "penalty") -> np.ndarray:
-    """Blended power distance of the ``window``-smoothed features.
-
-    This is the scheme-*independent* half of Algorithm 1: the matrix
-    depends on ``(features, window, alpha, lam)`` but not on
-    ``(epsilon, minPts)``, so a scheme sweep only needs one matrix per
-    distinct smoothing window (the labeling fast path memoizes exactly
-    that).
-    """
-    xs = smooth_features(x, window)
-    return power_distance_matrix(xs, alpha=alpha, lam=lam,
-                                 spacing_mode=spacing_mode)
-
-
-def blocks_from_distance(distance: np.ndarray, eps: float,
-                         min_pts: int) -> List[List[int]]:
-    """Scheme-*dependent* half of Algorithm 1: DBSCAN over a prepared
-    blended matrix plus block post-processing."""
-    labels = dbscan_precomputed(distance, eps, min_pts)
-    return process_clusters(labels, min_block_size=max(1, min_pts))
-
-
 def _gram_pairs(q: np.ndarray, g: np.ndarray, iu: np.ndarray,
                 ju: np.ndarray, op: np.ufunc) -> np.ndarray:
     """``op(op(q[iu] + q[ju], g[iu, ju]), g[ju, iu])`` over the pairs,
@@ -459,12 +338,15 @@ def _middle_mean(values: np.ndarray, r1: int, r2: int) -> float:
 
 
 class FactoredDistance:
-    """Factorized blended-distance oracle for one ``(features, window,
-    alpha, lam, spacing_mode)`` key.
+    """The blended-distance stage of Algorithm 1 (lines 2-12) for one
+    ``(features, window, alpha, lam, spacing_mode)`` key.
 
-    The expensive part of :func:`smoothed_power_distance` is the
-    three-operand ``einsum("pk,kl,pl->p")`` quadratic form — ``c_einsum``
-    evaluates it one scalar multiply-add at a time.  Here the quadratic
+    The reference evaluation of the blended distance is the dense chain
+    in ``tests/oracles.py`` (``smoothed_power_distance``: smoothing, the
+    pair-einsum Mahalanobis matrix, median normalization and the spacing
+    blend).  Its expensive part is the three-operand
+    ``einsum("pk,kl,pl->p")`` quadratic form — ``c_einsum`` evaluates it
+    one scalar multiply-add at a time.  Here the quadratic
     form is expanded once into Gram matrices of the smoothed features,
     ``d²_ij = q_i + q_j − G_ij − G_ji`` with ``G = (X P) Xᵀ`` and
     ``q = diag(G)``, so the whole pairwise stage collapses to three
@@ -663,7 +545,8 @@ class FactoredDistance:
         """Reference blended values for *every* pair — the lazy,
         all-or-nothing fallback (see the class docstring for why partial
         recomputation is unsound), the same ops, element for element, as
-        :func:`power_distance_matrix`."""
+        the dense reference chain's ``power_distance_matrix`` — the only
+        copy of that einsum arithmetic in the package."""
         if self._exact is None:
             pairs = self._xs[self._iu] - self._xs[self._ju]
             e2 = np.einsum("pk,kl,pl->p", pairs, self._p, pairs)
@@ -686,14 +569,15 @@ class FactoredDistance:
     def adjacency(self, eps: float) -> np.ndarray:
         """Exact DBSCAN adjacency ``blended <= eps`` (boolean, n×n).
 
-        Byte-identical to ``smoothed_power_distance(...) <= eps``: sure
+        Byte-identical to the dense reference chain's
+        ``smoothed_power_distance(...) <= eps``: sure
         cases are decided from the banded fast values, the radius prune
         discards pairs whose spacing term alone exceeds ``eps``, and any
         boundary-straddling pair flips the window to the lazily
         evaluated reference chain.
         """
-        if eps < 0:
-            raise ValueError("eps must be non-negative")
+        if not eps >= 0:
+            raise ValueError(f"eps must be non-negative, got {eps!r}")
         n = self.n
         out = np.zeros((n, n), dtype=bool)
         if n == 0:
@@ -721,15 +605,10 @@ class FactoredDistance:
 
     def blocks(self, eps: float, min_pts: int) -> List[List[int]]:
         """Power blocks for one ``(eps, min_pts)`` scheme — the
-        scheme-dependent half of Algorithm 1, byte-identical to
-        :func:`blocks_from_distance` on the reference matrix."""
-        if min_pts < 1:
-            raise ValueError("min_pts must be >= 1")
-        if self.n == 0:
-            if eps < 0:
-                raise ValueError("eps must be non-negative")
-            return []
-        labels = _dbscan_from_adjacency(self.adjacency(eps), min_pts)
+        scheme-dependent half of Algorithm 1 (lines 13-14),
+        byte-identical to the dense reference chain's
+        ``blocks_from_distance``."""
+        labels = dbscan(self.adjacency(eps), min_pts)
         return process_clusters(labels, min_block_size=max(1, min_pts))
 
 
@@ -743,12 +622,10 @@ def cluster_power_blocks(x: np.ndarray, eps: float, min_pts: int,
     ``smooth_window=-1`` derives the smoothing radius from ``min_pts``
     (coarser granularity smooths wider); pass 0 to disable.  Runs the
     :class:`FactoredDistance` fast path; byte-identical to the
-    full-einsum, queue-DBSCAN loop chain (the test oracle).
+    full-einsum, queue-DBSCAN loop chain (the test oracle).  Zero- and
+    one-op inputs take the same path, so their hyper-parameters are
+    validated too.
     """
-    if x.shape[0] == 0:
-        return []
-    if x.shape[0] == 1:
-        return [[0]]
     if smooth_window < 0:
         smooth_window = max(2, min_pts)
     fd = FactoredDistance(x, smooth_window, alpha=alpha, lam=lam,

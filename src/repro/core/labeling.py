@@ -1,13 +1,14 @@
 """Dataset labeling rules (section 2.2 of the paper).
 
-Two exhaustive-sweep oracles:
+Two exhaustive-sweep oracles, both priced through one
+:class:`~repro.hw.analytic.ProfileTable` per ``(graph, batch)``:
 
-* :func:`block_optimal_level` — "each block in the power view is
+* :func:`plan_levels_for_blocks` — "each block in the power view is
   deployed at all frequencies to select the data that achieves the
   optimal energy efficiency" (Dataset B labels);
-* :func:`scheme_quality` / :func:`best_scheme_for_graph` — evaluate a
-  clustering scheme by the end-to-end energy efficiency of its view
-  when every block runs at its optimal level (Dataset A labels).
+* :func:`best_scheme_for_graph` — evaluate each clustering scheme by the
+  end-to-end energy efficiency of its view when every block runs at its
+  optimal level (Dataset A labels).
 
 This module is the per-network unit of work of dataset generation, so
 :func:`label_network` runs a structured fast path:
@@ -56,14 +57,11 @@ STAGE_NAMES = ("distance", "cluster", "evaluate")
 QUALITY_TOLERANCE = 0.01
 
 
-def block_optimal_level(evaluator: AnalyticEvaluator, graph: Graph,
-                        op_indices: Sequence[int], batch_size: int = 16,
-                        latency_slack: float = 0.25) -> int:
-    """Exhaustive sweep of one block over every DVFS level; returns the
-    EE-optimal level under the latency-slack constraint."""
-    return evaluator.best_level_for_block(
-        graph, op_indices, batch_size=batch_size,
-        latency_slack=latency_slack)
+def _block_levels(table: ProfileTable, blocks: Sequence[Sequence[int]],
+                  latency_slack: float) -> List[int]:
+    """Exhaustive-sweep optimal level of every block of a view."""
+    return [table.best_level_for_block(block, latency_slack)
+            for block in blocks]
 
 
 def plan_levels_for_blocks(evaluator: AnalyticEvaluator, graph: Graph,
@@ -71,36 +69,23 @@ def plan_levels_for_blocks(evaluator: AnalyticEvaluator, graph: Graph,
                            batch_size: int = 16,
                            latency_slack: float = 0.25) -> List[int]:
     """Optimal level for every block of a view."""
-    return [
-        block_optimal_level(evaluator, graph, block, batch_size,
-                            latency_slack)
-        for block in blocks
-    ]
-
-
-def scheme_quality(evaluator: AnalyticEvaluator, graph: Graph,
-                   blocks: Sequence[Sequence[int]], batch_size: int = 16,
-                   latency_slack: float = 0.25) -> float:
-    """Energy efficiency (1/J, relative) of running each block of the
-    candidate view at its swept-optimal level, switch costs included."""
-    table = evaluator.profile_table(graph, batch_size)
-    quality, _levels = _evaluate_view(table, blocks, latency_slack,
-                                      graph.name)
-    return quality
+    return _block_levels(evaluator.profile_table(graph, batch_size),
+                         blocks, latency_slack)
 
 
 def _evaluate_view(table: ProfileTable, blocks: Sequence[Sequence[int]],
                    latency_slack: float,
                    graph_name: str) -> Tuple[float, List[int]]:
-    """Quality and optimal level plan of one view against a prepared
-    profile table (the memoized unit of the scheme sweep).  The empty
-    view of a zero-op graph rates 0.0 with no levels (every scheme ties;
-    the sweep keeps scheme 0); a non-empty view with non-positive energy
-    means a broken power model and raises ``ValueError``."""
+    """Quality — energy efficiency (1/J, relative) of running each block
+    at its swept-optimal level, switch costs included — and optimal
+    level plan of one view against a prepared profile table (the
+    memoized unit of the scheme sweep).  The empty view of a zero-op
+    graph rates 0.0 with no levels (every scheme ties; the sweep keeps
+    scheme 0); a non-empty view with non-positive energy means a broken
+    power model and raises ``ValueError``."""
     if not blocks:
         return 0.0, []
-    levels = [table.best_level_for_block(block, latency_slack)
-              for block in blocks]
+    levels = _block_levels(table, blocks, latency_slack)
     energy, _time = table.plan_energy_time(blocks, levels)
     if energy <= 0:
         raise ValueError(f"graph {graph_name!r}: view of {len(blocks)} "

@@ -356,14 +356,14 @@ class PowerLens:
             return view, levels
         cfg = self.config
         n_ops = len(graph.compute_nodes())
+        table = self.evaluator.profile_table(graph, cfg.batch_size)
         blocks = [list(b.op_indices) for b in view.blocks]
-        e_multi, _t = self.evaluator.plan_energy_time(
-            graph, blocks, levels, cfg.batch_size)
+        e_multi, _t = table.plan_energy_time(blocks, levels)
         whole = self.global_.extract(graph).vector
         single_level = self.decision_model.predict_levels(
             whole[None, :])[0]
-        e_single, _t = self.evaluator.plan_energy_time(
-            graph, [list(range(n_ops))], [single_level], cfg.batch_size)
+        e_single, _t = table.plan_energy_time([list(range(n_ops))],
+                                              [single_level])
         if e_single < e_multi * 1.02:
             collapsed = PowerView.from_blocks(
                 graph, [list(range(n_ops))], eps=view.eps,

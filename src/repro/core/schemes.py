@@ -20,8 +20,8 @@ class ClusteringScheme:
     min_pts: int
 
     def __post_init__(self) -> None:
-        if self.eps < 0:
-            raise ValueError("eps must be non-negative")
+        if not self.eps >= 0:
+            raise ValueError(f"eps must be non-negative, got {self.eps!r}")
         if self.min_pts < 1:
             raise ValueError("min_pts must be >= 1")
 

@@ -50,8 +50,8 @@ def batch_sweep(platform: PlatformSpec, graph: Graph,
     for batch in candidates:
         if batch < 1:
             raise ValueError("batch sizes must be positive")
-        profile = evaluator.graph_profile(graph, batch_size=batch,
-                                          sparsity=sparsity)
+        profile = evaluator.profile_table(graph, batch,
+                                          sparsity).graph_profile()
         level = evaluator.best_level(profile, latency_slack=latency_slack)
         energy = float(profile.energies[level])
         latency = float(profile.times[level])

@@ -280,9 +280,7 @@ class AdaptivePresetGovernor(PresetGovernor):
         energy without blowing the latency guard."""
         table = self.evaluator.profile_table(graph, int(batch_size),
                                              float(sparsity))
-        starts = [s.op_index for s in plan.steps] + [table.n_ops]
-        blocks = [list(range(starts[i], starts[i + 1]))
-                  for i in range(len(plan.steps))]
+        blocks = plan.blocks(table.n_ops)
         clamp = table.n_levels - 1
         cur = [min(max(s.level, 0), clamp) for s in plan.steps]
         new = [min(max(s.level, 0), clamp) for s in candidate.steps]

@@ -11,8 +11,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import (TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence,
-                    Tuple)
+from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Tuple
 
 from repro.graph.ops import OpAttrs, OpCategory, OpType, category_of
 
@@ -218,10 +217,5 @@ class Graph:
     # ------------------------------------------------------------------
     # misc
     # ------------------------------------------------------------------
-    def subgraph_nodes(self, indices: Sequence[int]) -> List[Node]:
-        """Compute nodes selected by position in the canonical order."""
-        compute = self.compute_nodes()
-        return [compute[i] for i in indices]
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Graph({self.name!r}, {len(self)} nodes)"

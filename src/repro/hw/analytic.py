@@ -12,15 +12,16 @@ The platform energy charged to a block includes the board and idle-CPU
 power for its duration, so very low frequencies are correctly penalized
 (stretching a block's runtime stretches the fixed-power energy too).
 
-Fast path: the labeling sweep asks for many block profiles of the same
-graph (every scheme's view, every block, every level).  A
-:class:`ProfileTable` holds per-op time/energy arrays at every level,
-computed once per ``(graph, batch_size)`` and fully vectorized over
-``(ops x levels)``; block profiles then reduce op rows instead of
-re-walking the operator list.  Every table query is **byte-identical**
-to the per-op loop of :meth:`AnalyticEvaluator.profile` (enforced by the
-hypothesis suites in ``tests/test_labeling_fastpath.py``, against the
-loop oracles in ``tests/oracles.py``).
+Every query goes through one :class:`ProfileTable` per ``(graph,
+batch_size, sparsity)``: per-op time/energy arrays at every level,
+computed once and fully vectorized over ``(ops x levels)``.  The
+labeling sweep asks for many block profiles of the same graph (every
+scheme's view, every block, every level), and each one reduces op rows
+instead of re-walking the operator list.  Every table query is
+**byte-identical** to the per-op reference loop, which lives with the
+tests (``tests/oracles.py::profile_reference``); the hypothesis suites
+in ``tests/test_labeling_fastpath.py`` and
+``tests/test_analytic_sparsity.py`` enforce it.
 """
 
 from __future__ import annotations
@@ -40,8 +41,6 @@ from repro.hw.power import PowerModel
 #: LRU (a serving device cycles through models x sparsities).
 PROFILE_TABLE_CACHE_SIZE = 16
 
-#: Level whose time sets the latency budget (None: the maximum level).
-REFERENCE_LEVEL: Optional[int] = None
 #: Relative EE gap within which levels count as tied; the highest of
 #: the tied levels wins.
 EE_TOLERANCE = 0.005
@@ -177,7 +176,10 @@ class ProfileTable:
 
 
 class AnalyticEvaluator:
-    """Vectorized fixed-level evaluation of operator sequences."""
+    """Closed-form fixed-level cost model of one platform.
+
+    :meth:`profile_table` prices every op of a graph at every level;
+    :meth:`best_level` picks the level a profile should run at."""
 
     def __init__(self, platform: PlatformSpec) -> None:
         self.platform = platform
@@ -201,48 +203,10 @@ class AnalyticEvaluator:
             = OrderedDict()
 
     # ------------------------------------------------------------------
-    def profile(self, works: Sequence[OpWork],
-                batch_size: int = 1,
-                sparsity: float = 0.0) -> LevelProfile:
-        """Time and platform energy of ``works`` at every level.
-
-        This per-op loop is the reference semantics every fast path must
-        reproduce bit for bit; :meth:`profile_table` is the vectorized
-        equivalent for repeated queries against one graph.  ``sparsity``
-        rescales sparsity-sensitive ops via
-        :func:`repro.hw.perf.sparse_works` *before* the loop, so the
-        loop/table bit-identity contract holds at every sparsity.
-        """
-        works = sparse_works(works, sparsity)
-        p = self.platform
-        n_levels = p.n_levels
-        times = np.zeros(n_levels)
-        energies = np.zeros(n_levels)
-        f = self._freqs
-        v2f = self._volts ** 2 * f
-        static = p.leak_w_per_v * self._volts
-        for work in works:
-            eff = p.op_efficiency.get(work.category, 0.2)
-            cap = p.intensity_caps.get(work.category, 1.0)
-            amp = p.traffic_amplification.get(work.category, 1.0)
-            t_c = (work.flops * batch_size) / (p.flops_per_cycle * f * eff)
-            bytes_moved = amp * work.mem_bytes * batch_size + \
-                ((work.flops * batch_size) / cap if cap > 0 else 0.0)
-            t_m = bytes_moved / self._bw
-            dur = np.maximum(t_c, t_m) + p.kernel_launch_s
-            u_c = np.minimum(1.0, t_c / dur)
-            activity = u_c + p.stall_power_fraction * (1.0 - u_c)
-            gpu_power = static + v2f * p.c_eff * activity
-            times += dur
-            energies += gpu_power * dur + p.dram_energy_per_byte * \
-                bytes_moved
-        energies += self.overhead_power * times
-        return LevelProfile(times=times, energies=energies)
-
-    # ------------------------------------------------------------------
     def _build_profile_table(self, works: Sequence[OpWork],
                              batch_size: int) -> ProfileTable:
-        """Vectorized ``(ops x levels)`` evaluation of :meth:`profile`.
+        """Vectorized ``(ops x levels)`` evaluation of the per-op
+        reference loop (``tests/oracles.py::profile_reference``).
 
         Every expression keeps the reference loop's operand association
         (e.g. ``(flops_per_cycle * f) * eff``, ``(amp * mem) * batch``),
@@ -298,28 +262,13 @@ class AnalyticEvaluator:
         return table
 
     # ------------------------------------------------------------------
-    def graph_profile(self, graph: Graph,
-                      batch_size: int = 1,
-                      sparsity: float = 0.0) -> LevelProfile:
-        """Whole-graph fixed-level profile."""
-        return self.profile_table(graph, batch_size,
-                                  sparsity).graph_profile()
-
-    def block_profile(self, graph: Graph, op_indices: Sequence[int],
-                      batch_size: int = 1,
-                      sparsity: float = 0.0) -> LevelProfile:
-        """Fixed-level profile of a subset of compute nodes."""
-        return self.profile_table(graph, batch_size,
-                                  sparsity).block_profile(op_indices)
-
-    # ------------------------------------------------------------------
     def best_level(self, profile: LevelProfile,
                    latency_slack: float = 0.25) -> int:
         """EE-optimal level under a latency constraint.
 
         Chooses the level maximizing energy efficiency among levels whose
         time does not exceed ``(1 + latency_slack)`` times the time at
-        :data:`REFERENCE_LEVEL`.  This mirrors the paper's "maintain
+        the maximum level.  This mirrors the paper's "maintain
         performance while optimizing energy" framing (section 2.1.1) and
         produces the modest task-flow time increases of Figure 5 rather
         than a throughput collapse.
@@ -332,8 +281,7 @@ class AnalyticEvaluator:
         and a stable rule keeps the Dataset-B labels learnable instead
         of coin flips.
         """
-        ref = self.platform.max_level if REFERENCE_LEVEL is None \
-            else REFERENCE_LEVEL
+        ref = self.platform.max_level
         budget = (1.0 + latency_slack) * profile.times[ref]
         feasible = profile.times <= budget + 1e-15
         ee = profile.ee.copy()
@@ -343,24 +291,3 @@ class AnalyticEvaluator:
             return ref
         near = np.flatnonzero(ee >= best * (1.0 - EE_TOLERANCE))
         return int(near[-1])
-
-    def best_level_for_block(self, graph: Graph,
-                             op_indices: Sequence[int],
-                             batch_size: int = 1,
-                             latency_slack: float = 0.25,
-                             sparsity: float = 0.0) -> int:
-        """Exhaustive-sweep optimal level for one block (the labeling
-        rule of Dataset B)."""
-        return self.profile_table(
-            graph, batch_size, sparsity).best_level_for_block(
-            op_indices, latency_slack)
-
-    def plan_energy_time(self, graph: Graph,
-                         blocks: Sequence[Sequence[int]],
-                         levels: Sequence[int],
-                         batch_size: int = 1,
-                         sparsity: float = 0.0) -> Tuple[float, float]:
-        """Analytic energy/time of running each block at its own level,
-        including per-boundary switch stalls."""
-        return self.profile_table(
-            graph, batch_size, sparsity).plan_energy_time(blocks, levels)

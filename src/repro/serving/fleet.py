@@ -362,11 +362,8 @@ class SimulatedDevice:
             return cached
         plan = self.plan_cache.get_or_build(graph, batch_size)
         table = self.evaluator.profile_table(graph, batch_size)
-        starts = [s.op_index for s in plan.steps] + [table.n_ops]
-        blocks = [list(range(starts[i], starts[i + 1]))
-                  for i in range(len(plan.steps))]
         energy, time = table.plan_energy_time(
-            blocks, [s.level for s in plan.steps])
+            plan.blocks(table.n_ops), [s.level for s in plan.steps])
         self._predictions[key] = (time, energy)
         return time, energy
 

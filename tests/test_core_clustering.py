@@ -7,12 +7,18 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.clustering import (
     NOISE,
+    FactoredDistance,
     cluster_power_blocks,
+    dbscan,
+    process_clusters,
+    smooth_features,
+    spacing_by_gap,
+)
+from repro.core.schemes import ClusteringScheme
+from tests.oracles import (
     dbscan_precomputed,
     mahalanobis_matrix,
     power_distance_matrix,
-    process_clusters,
-    smooth_features,
     spacing_matrix,
 )
 
@@ -127,6 +133,12 @@ class TestDBSCAN:
         with pytest.raises(ValueError):
             dbscan_precomputed(np.zeros((3, 3)), 0.1, 0)
 
+    def test_adjacency_validation(self):
+        with pytest.raises(ValueError, match="square"):
+            dbscan(np.zeros((2, 3), dtype=bool), 2)
+        with pytest.raises(ValueError, match="min_pts"):
+            dbscan(np.eye(3, dtype=bool), 0)
+
     def test_min_pts_one_no_noise(self):
         d = np.full((4, 4), 10.0)
         np.fill_diagonal(d, 0.0)
@@ -224,3 +236,49 @@ class TestEndToEnd:
                                       smooth_window=0)
         assert len(blocks) == 2
         assert blocks[0][-1] == 19
+
+
+def _features(n=46, seed=0):
+    return np.random.default_rng(seed).normal(size=(n, 6))
+
+
+class TestHyperparameterValidation:
+    """NaN compares False against every bound, so ``eps < 0`` alone
+    would let a NaN epsilon through and silently yield one block."""
+
+    @pytest.mark.parametrize("eps", [float("nan"), -0.1])
+    @pytest.mark.parametrize("entry", [
+        lambda eps: ClusteringScheme(eps=eps, min_pts=2),
+        lambda eps: FactoredDistance(_features(), 2).adjacency(eps),
+        lambda eps: FactoredDistance(_features(), 2).blocks(eps, 2),
+        lambda eps: cluster_power_blocks(_features(), eps, 2),
+    ], ids=["scheme", "adjacency", "blocks", "cluster_power_blocks"])
+    def test_bad_eps_rejected(self, entry, eps):
+        with pytest.raises(ValueError, match="eps"):
+            entry(eps)
+
+    @pytest.mark.parametrize("lam", [float("nan"), float("inf"),
+                                     float("-inf"), -0.1])
+    @pytest.mark.parametrize("entry", [
+        lambda lam: spacing_by_gap(8, lam),
+        lambda lam: FactoredDistance(_features(), 2, lam=lam),
+        lambda lam: cluster_power_blocks(_features(), 0.5, 2, lam=lam),
+    ], ids=["spacing_by_gap", "factored", "cluster_power_blocks"])
+    def test_bad_lambda_rejected(self, entry, lam):
+        with pytest.raises(ValueError, match="lambda"):
+            entry(lam)
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_degenerate_sizes_validated(self, n):
+        x = _features(n)
+        with pytest.raises(ValueError, match="eps"):
+            cluster_power_blocks(x, float("nan"), 2)
+        with pytest.raises(ValueError, match="lambda"):
+            cluster_power_blocks(x, 0.5, 2, lam=float("nan"))
+        with pytest.raises(ValueError, match="min_pts"):
+            cluster_power_blocks(x, 0.5, 0)
+
+    def test_valid_bounds_accepted(self):
+        assert ClusteringScheme(eps=0.0, min_pts=1).eps == 0.0
+        assert spacing_by_gap(3, 0.0).tolist() == [0.0, 0.0, 0.0]
+        _assert_partition(cluster_power_blocks(_features(), 0.0, 2), 46)

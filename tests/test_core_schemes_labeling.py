@@ -6,10 +6,9 @@ import pytest
 from repro.core.features import DepthwiseFeatureExtractor
 from repro.core.labeling import (
     QUALITY_TOLERANCE,
+    _evaluate_view,
     best_scheme_for_graph,
-    block_optimal_level,
     plan_levels_for_blocks,
-    scheme_quality,
 )
 from repro.core.schemes import (
     ClusteringScheme,
@@ -23,6 +22,13 @@ from repro.hw.analytic import AnalyticEvaluator, ProfileTable
 @pytest.fixture()
 def evaluator(tx2):
     return AnalyticEvaluator(tx2)
+
+
+def _quality(evaluator, graph, blocks, batch_size=16):
+    """The scheme-sweep's rating of one view (default latency slack)."""
+    table = evaluator.profile_table(graph, batch_size)
+    quality, _levels = _evaluate_view(table, blocks, 0.25, graph.name)
+    return quality
 
 
 class TestSchemes:
@@ -52,16 +58,16 @@ class TestBlockLabeling:
     def test_block_optimal_level_in_range(self, evaluator, small_cnn,
                                           tx2):
         n = len(small_cnn.compute_nodes())
-        lvl = block_optimal_level(evaluator, small_cnn, range(n),
-                                  batch_size=8)
+        [lvl] = plan_levels_for_blocks(evaluator, small_cnn, [range(n)],
+                                       batch_size=8)
         assert 0 <= lvl <= tx2.max_level
 
     def test_optimal_below_max(self, evaluator, small_cnn):
         """The whole point of the paper: the EE-optimal level sits below
         the maximum frequency."""
         n = len(small_cnn.compute_nodes())
-        lvl = block_optimal_level(evaluator, small_cnn, range(n),
-                                  batch_size=8)
+        [lvl] = plan_levels_for_blocks(evaluator, small_cnn, [range(n)],
+                                       batch_size=8)
         assert lvl < evaluator.platform.max_level
 
     def test_plan_levels_one_per_block(self, evaluator, small_cnn):
@@ -75,12 +81,11 @@ class TestBlockLabeling:
 class TestSchemeQuality:
     def test_quality_positive(self, evaluator, small_cnn):
         n = len(small_cnn.compute_nodes())
-        q = scheme_quality(evaluator, small_cnn, [list(range(n))],
-                           batch_size=8)
+        q = _quality(evaluator, small_cnn, [list(range(n))], batch_size=8)
         assert q > 0
 
     def test_empty_blocks_zero(self, evaluator, small_cnn):
-        assert scheme_quality(evaluator, small_cnn, []) == 0.0
+        assert _quality(evaluator, small_cnn, []) == 0.0
 
     def test_zero_op_graph_rates_every_scheme_zero(self, evaluator):
         graph = Graph("empty")
@@ -96,15 +101,16 @@ class TestSchemeQuality:
                             lambda self, blocks, levels: (0.0, 1.0))
         n = len(small_cnn.compute_nodes())
         with pytest.raises(ValueError, match=repr(small_cnn.name)):
-            scheme_quality(evaluator, small_cnn, [list(range(n))])
+            _quality(evaluator, small_cnn, [list(range(n))])
 
     def test_quality_is_reciprocal_energy(self, evaluator, small_cnn):
         n = len(small_cnn.compute_nodes())
         blocks = [list(range(n))]
-        q = scheme_quality(evaluator, small_cnn, blocks, batch_size=8)
+        q = _quality(evaluator, small_cnn, blocks, batch_size=8)
         levels = plan_levels_for_blocks(evaluator, small_cnn, blocks,
                                         batch_size=8)
-        e, _t = evaluator.plan_energy_time(small_cnn, blocks, levels, 8)
+        e, _t = evaluator.profile_table(small_cnn, 8).plan_energy_time(
+            blocks, levels)
         assert q == pytest.approx(1.0 / e)
 
 

@@ -4,8 +4,8 @@
 ``einsum`` blended-distance computation with a Gram-form factorization
 plus conservative error bands; the repo's contract is that everything
 observable downstream — adjacency, DBSCAN labels, power blocks — is
-*byte*-identical to the retained reference chain
-(:func:`smoothed_power_distance` + :func:`blocks_from_distance`).
+*byte*-identical to the dense reference chain in ``tests/oracles.py``
+(``smoothed_power_distance`` + ``blocks_from_distance``).
 
 This file is the property-based pin for that contract, including the
 band-coverage assertion the class docstring points at: outside the
@@ -20,14 +20,14 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.clustering import (
     FactoredDistance,
-    blocks_from_distance,
     cluster_power_blocks,
     smooth_features,
-    smoothed_power_distance,
 )
 from tests.oracles import (
+    blocks_from_distance,
     cluster_power_blocks_reference,
     smooth_features_reference,
+    smoothed_power_distance,
 )
 
 _EPS_GRID = (0.0, 0.05, 0.3, 1.0)

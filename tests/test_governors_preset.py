@@ -51,6 +51,20 @@ class TestFrequencyPlan:
             PlanStep(0, 2), PlanStep(10, 2), PlanStep(20, 5)])
         assert plan.switch_indices() == [0, 20]
 
+    @pytest.mark.parametrize("starts,n_ops", [
+        ([0], 1), ([0], 7), ([0, 3], 7), ([0, 1, 5], 7),
+        ([0, 6], 7),          # last step is the last op
+        ([0, 1, 2], 3)])      # every op its own step
+    def test_blocks_tile_ops_in_order(self, starts, n_ops):
+        plan = FrequencyPlan(graph_name="g",
+                             steps=[PlanStep(i, 1) for i in starts])
+        blocks = plan.blocks(n_ops)
+        assert len(blocks) == plan.n_blocks
+        assert [b[0] for b in blocks] == starts
+        assert [op for b in blocks for op in b] == list(range(n_ops))
+        for block in blocks:
+            assert all(plan.level_for_op(op) == 1 for op in block)
+
 
 class TestPresetGovernor:
     def test_plan_lookup(self, small_cnn):

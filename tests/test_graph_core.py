@@ -117,8 +117,3 @@ class TestBuilder:
         x = b.conv(x, 16, kernel=3, padding=1)
         y = b.squeeze_excite(x, 4)
         assert b.shape(y) == (16, 32, 32)
-
-    def test_subgraph_nodes(self, small_cnn):
-        compute = small_cnn.compute_nodes()
-        picked = small_cnn.subgraph_nodes([0, 2])
-        assert picked == [compute[0], compute[2]]

@@ -90,7 +90,7 @@ class TestFrequencyBehaviour:
         level = 6
         r = sim.run([job], StaticGovernor(level=level))
         ev = AnalyticEvaluator(tx2)
-        profile = ev.graph_profile(small_cnn, batch_size=8)
+        profile = ev.profile_table(small_cnn, 8).graph_profile()
         gpu_busy_time = r.trace.busy_gpu_time
         assert gpu_busy_time == pytest.approx(float(profile.times[level]),
                                               rel=1e-6)

@@ -16,10 +16,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.clustering import (
+    FactoredDistance,
     _mode_filter,
     cluster_power_blocks,
-    dbscan_precomputed,
-    mahalanobis_matrix,
 )
 from repro.core.labeling import label_network
 from repro.core.schemes import ClusteringScheme
@@ -28,13 +27,17 @@ from repro.hw.analytic import AnalyticEvaluator
 from repro.hw.platform import jetson_tx2
 from repro.models.random_gen import RandomDNNConfig, RandomDNNGenerator
 from tests.oracles import (
+    _blend_distances,
     block_profile_reference,
     cluster_power_blocks_reference,
+    dbscan_precomputed,
     dbscan_precomputed_reference,
     label_network_reference,
+    mahalanobis_matrix,
     mahalanobis_matrix_reference,
     mode_filter_reference,
     plan_energy_time_reference,
+    profile_reference,
 )
 
 #: Small population + coarse grid keeps the exhaustive sweeps CI-fast.
@@ -58,20 +61,46 @@ def _random_graph(seed: int):
 # clustering primitives
 # ----------------------------------------------------------------------
 
+def _mahalanobis_input(seed: int, n: int, d: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(n, d)) * rng.uniform(0.1, 10.0, size=d)
+    # Collinear / constant columns exercise the pseudo-inverse.
+    if d > 1 and seed % 3 == 0:
+        x[:, -1] = x[:, 0]
+    if d > 2 and seed % 5 == 0:
+        x[:, 1] = 7.0
+    return x
+
+
 class TestMahalanobisEquivalence:
     @given(seed=st.integers(0, 10**6), n=st.integers(0, 24),
            d=st.integers(1, 6))
     @settings(max_examples=80, deadline=None)
     def test_matches_reference(self, seed, n, d):
-        rng = np.random.default_rng(seed)
-        x = rng.normal(size=(n, d)) * rng.uniform(0.1, 10.0, size=d)
-        # Collinear / constant columns exercise the pseudo-inverse.
-        if d > 1 and seed % 3 == 0:
-            x[:, -1] = x[:, 0]
-        if d > 2 and seed % 5 == 0:
-            x[:, 1] = 7.0
+        x = _mahalanobis_input(seed, n, d)
         _assert_bytes_equal(mahalanobis_matrix(x),
                             mahalanobis_matrix_reference(x))
+
+    @given(seed=st.integers(0, 10**6), n=st.integers(2, 24),
+           d=st.integers(1, 6), alpha=st.floats(0.0, 1.0),
+           lam=st.floats(0.0, 1.0),
+           mode=st.sampled_from(["penalty", "paper"]))
+    @settings(max_examples=80, deadline=None)
+    def test_factored_exact_matches_full_einsum(self, seed, n, d, alpha,
+                                                lam, mode):
+        """The pair einsum inside ``FactoredDistance`` — the package's
+        only copy of that arithmetic — reproduces the full-einsum
+        blended matrix's upper triangle byte for byte."""
+        x = _mahalanobis_input(seed, n, d)
+        fd = FactoredDistance(x, 0, alpha=alpha, lam=lam,
+                              spacing_mode=mode)
+        fd._force_exact = True
+        reference = _blend_distances(mahalanobis_matrix_reference(x), n,
+                                     alpha, lam, mode)
+        iu, ju = np.triu_indices(n, k=1)
+        _assert_bytes_equal(fd._ensure_exact(), reference[iu, ju])
+        for eps in (0.0, 0.3, 1.0):
+            _assert_bytes_equal(fd.adjacency(eps), reference <= eps)
 
 
 class TestDbscanEquivalence:
@@ -139,7 +168,8 @@ class TestProfileTableEquivalence:
             n_ops, size=int(rng.integers(1, n_ops + 1)),
             replace=False).tolist())
         for block in ([], contiguous, scattered, list(range(n_ops))):
-            fast = tx2_evaluator.block_profile(graph, block, batch)
+            fast = tx2_evaluator.profile_table(graph,
+                                               batch).block_profile(block)
             ref = block_profile_reference(tx2_evaluator, graph, block,
                                           batch)
             _assert_bytes_equal(fast.times, ref.times)
@@ -151,8 +181,8 @@ class TestProfileTableEquivalence:
     def test_graph_profile_bitwise(self, tx2_evaluator, seed, batch):
         graph = _random_graph(seed)
         works = tx2_evaluator.latency.graph_work(graph)
-        fast = tx2_evaluator.graph_profile(graph, batch)
-        ref = tx2_evaluator.profile(works, batch)
+        fast = tx2_evaluator.profile_table(graph, batch).graph_profile()
+        ref = profile_reference(tx2_evaluator, works, batch)
         _assert_bytes_equal(fast.times, ref.times)
         _assert_bytes_equal(fast.energies, ref.energies)
 
@@ -172,8 +202,8 @@ class TestProfileTableEquivalence:
         blocks = [list(range(a, b)) for a, b in zip(bounds, bounds[1:])]
         levels = [int(rng.integers(0, tx2_evaluator.platform.n_levels))
                   for _ in blocks]
-        fast = tx2_evaluator.plan_energy_time(graph, blocks, levels,
-                                              batch)
+        fast = tx2_evaluator.profile_table(graph, batch).plan_energy_time(
+            blocks, levels)
         ref = plan_energy_time_reference(tx2_evaluator, graph, blocks,
                                          levels, batch)
         assert np.float64(fast[0]).tobytes() == np.float64(ref[0]).tobytes()

@@ -42,8 +42,8 @@ def test_analytic_energy_scales_superlinearly_never_sublinearly(
     energy minus the fixed launch overhead (work scales linearly, fixed
     overheads amortize)."""
     graph = RandomDNNGenerator(seed=seed).generate()
-    p1 = _EVALUATOR.graph_profile(graph, batch_size=4)
-    p2 = _EVALUATOR.graph_profile(graph, batch_size=8)
+    p1 = _EVALUATOR.profile_table(graph, 4).graph_profile()
+    p2 = _EVALUATOR.profile_table(graph, 8).graph_profile()
     assert p2.energies[level] > p1.energies[level] * 1.5
     assert p2.times[level] > p1.times[level]
 
@@ -77,7 +77,7 @@ def test_best_level_feasibility_on_random_networks(seed):
     """Property: the exhaustive sweep's chosen level always honours the
     latency-slack constraint on arbitrary networks."""
     graph = RandomDNNGenerator(seed=seed).generate()
-    profile = _EVALUATOR.graph_profile(graph, batch_size=8)
+    profile = _EVALUATOR.profile_table(graph, 8).graph_profile()
     for slack in (0.0, 0.25):
         level = _EVALUATOR.best_level(profile, latency_slack=slack)
         assert profile.times[level] <= \
