@@ -28,10 +28,6 @@ class OpBoundness:
     duration_at_ref: float
     compute_bound_at_ref: bool
 
-    def crossover_fraction(self, platform: PlatformSpec) -> float:
-        """Crossover as a fraction of the top clock (clamped to [0,2])."""
-        return min(2.0, max(0.0, self.crossover_hz / platform.f_max))
-
 
 @dataclass
 class RooflineReport:

@@ -15,7 +15,7 @@
 from __future__ import annotations
 
 import random
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 from repro.core.features import GlobalFeatureExtractor
 from repro.core.pipeline import PowerLens

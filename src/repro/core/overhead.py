@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 from repro.obs.tracing import NULL_TRACER, Tracer
 
@@ -49,12 +49,6 @@ class StageTimer:
 
     def mean(self, name: str) -> float:
         return self._agg.mean(name)
-
-    def stages(self) -> List[str]:
-        return self._agg.names()
-
-    def as_dict(self) -> Dict[str, float]:
-        return self._agg.totals()
 
 
 @dataclass

@@ -9,7 +9,7 @@ DVFS instrumentation points placed before every block.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 import numpy as np

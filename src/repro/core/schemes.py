@@ -9,7 +9,7 @@ at its swept-optimal frequency (section 2.2's Dataset A labeling rule).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import List
 
 
 @dataclass(frozen=True)
@@ -43,11 +43,3 @@ def default_scheme_grid() -> List[ClusteringScheme]:
             grid.append(ClusteringScheme(eps=eps, min_pts=min_pts))
     return grid
 
-
-def scheme_index(schemes: Sequence[ClusteringScheme],
-                 scheme: ClusteringScheme) -> int:
-    """Index of ``scheme`` in ``schemes`` (identity by value)."""
-    for i, s in enumerate(schemes):
-        if s == scheme:
-            return i
-    raise ValueError(f"{scheme} not in grid")

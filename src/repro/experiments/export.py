@@ -1,4 +1,4 @@
-"""Export experiment results to JSON / CSV.
+"""Export experiment results as JSON records.
 
 Every driver returns a structured result object; these helpers flatten
 them into machine-readable records so downstream analysis (plotting,
@@ -8,11 +8,8 @@ pretty-printed tables.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
-from pathlib import Path
-from typing import List, Union
+from typing import List
 
 from repro.experiments.accuracy import AccuracyResult
 from repro.experiments.figure5 import Figure5Result
@@ -185,18 +182,3 @@ def canonical_json(result) -> str:
     """Byte-stable JSON for golden-regression fixtures."""
     return json.dumps(canonical_records(result), indent=1, sort_keys=True)
 
-
-def write_json(result, path: Union[str, Path]) -> None:
-    Path(path).write_text(json.dumps(to_records(result), indent=1))
-
-
-def write_csv(result, path: Union[str, Path]) -> None:
-    records = to_records(result)
-    if not records:
-        Path(path).write_text("")
-        return
-    buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=list(records[0].keys()))
-    writer.writeheader()
-    writer.writerows(records)
-    Path(path).write_text(buf.getvalue())

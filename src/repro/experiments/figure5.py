@@ -9,7 +9,7 @@ bar groups plus the relative deltas quoted in section 3.2.2.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from repro.experiments.common import ExperimentContext, get_context
 from repro.workloads.taskflow import TaskFlowConfig, make_taskflow

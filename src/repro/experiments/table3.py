@@ -10,8 +10,8 @@ synchronous actuation model.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Optional, Sequence
 
 from repro.core.overhead import OverheadReport
 from repro.experiments.common import (

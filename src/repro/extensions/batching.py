@@ -16,8 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
-import numpy as np
-
 from repro.graph import Graph
 from repro.hw.analytic import AnalyticEvaluator
 from repro.hw.platform import PlatformSpec
@@ -81,55 +79,4 @@ def best_batch_size(platform: PlatformSpec, graph: Graph,
         # Nothing fits the cap: fall back to the lowest-latency option.
         return min(choices, key=lambda c: c.batch_latency)
     return max(feasible, key=lambda c: c.energy_efficiency)
-
-
-def interpolate_choice(choices: Sequence[BatchChoice],
-                       batch_size: int) -> BatchChoice:
-    """Per-image cost estimate for a batch size between calibrated ones.
-
-    Dispatchers see batch sizes the sweep never ran.  Rather than
-    re-sweeping online, interpolate linearly between the two bracketing
-    calibrated choices on the per-image axes (energy, latency) and take
-    the frequency level from the *nearer* calibrated neighbor (levels
-    are discrete; ties go to the smaller batch).  Outside the
-    calibrated range the estimate clamps to the nearest endpoint —
-    extrapolating a linear trend past the largest measured batch
-    invents amortization that may not exist.
-
-    Deterministic and total for every ``batch_size >= 1``; an exact
-    calibrated hit returns that choice object unchanged.
-    """
-    if not choices:
-        raise ValueError("need at least one calibrated choice")
-    if batch_size < 1:
-        raise ValueError("batch sizes must be positive")
-    ordered = sorted(choices, key=lambda c: c.batch_size)
-    sizes = [c.batch_size for c in ordered]
-    if len(set(sizes)) != len(sizes):
-        raise ValueError("duplicate calibrated batch sizes")
-    batch = int(batch_size)
-    if batch <= sizes[0]:
-        lo = hi = ordered[0]
-    elif batch >= sizes[-1]:
-        lo = hi = ordered[-1]
-    else:
-        i = next(k for k in range(len(sizes) - 1)
-                 if sizes[k] <= batch < sizes[k + 1])
-        lo, hi = ordered[i], ordered[i + 1]
-    if batch == lo.batch_size:
-        return lo
-    frac = 0.0 if lo is hi else \
-        (batch - lo.batch_size) / (hi.batch_size - lo.batch_size)
-    energy = lo.energy_per_image + frac * (hi.energy_per_image
-                                           - lo.energy_per_image)
-    latency = lo.latency_per_image + frac * (hi.latency_per_image
-                                             - lo.latency_per_image)
-    level = lo.level if frac <= 0.5 else hi.level
-    return BatchChoice(
-        batch_size=batch,
-        level=level,
-        energy_per_image=energy,
-        latency_per_image=latency,
-        batch_latency=latency * batch,
-    )
 

@@ -17,7 +17,7 @@ result the simulator reports back and walks a degradation ladder:
    nearest achieved level and not fought over again this job;
 3. **fall back** — after :data:`MAX_BLOCK_FAILURES` pinned blocks in
    one job, the plan is abandoned and the job finishes at a safe static
-   level (the plan's median level unless :data:`SAFE_LEVEL` is set).
+   level, the plan's median (:meth:`FrequencyPlan.safe_level`).
 
 Plans are validated when installed (levels clamped to the platform
 ladder) and again at job start (operator indices must fit the graph,
@@ -42,14 +42,10 @@ from repro.hw.perf import OpWork
 from repro.hw.platform import PlatformSpec
 from repro.obs.metrics import MetricsRegistry, NULL_METRICS
 
-#: Level for jobs whose graph has no plan (None: the platform maximum).
-FALLBACK_LEVEL: Optional[int] = None
 #: Re-issues per failed decision point before pinning the block.
 MAX_RETRIES = 2
 #: Pinned blocks per job before abandoning the plan entirely.
 MAX_BLOCK_FAILURES = 3
-#: Static level for abandoned-plan jobs (None: the plan's median level).
-SAFE_LEVEL: Optional[int] = None
 
 
 @dataclass(frozen=True)
@@ -198,7 +194,7 @@ class PresetGovernor(Governor):
     """Applies :class:`FrequencyPlan` objects at instrumentation points.
 
     Plans are keyed by graph name; jobs whose graph has no plan run at
-    :data:`FALLBACK_LEVEL`.  The CPU keeps the stock ondemand policy —
+    the platform's maximum level.  The CPU keeps the stock ondemand policy —
     the paper's PowerLens configures *only* the GPU.
 
     Parameters
@@ -298,10 +294,7 @@ class PresetGovernor(Governor):
 
     def initial_gpu_level(self) -> int:
         assert self.platform is not None
-        if FALLBACK_LEVEL is not None:
-            level = self.platform.clamp_level(FALLBACK_LEVEL)
-        else:
-            level = self.platform.max_level
+        level = self.platform.max_level
         self._believed = level
         return level
 
@@ -457,7 +450,5 @@ class PresetGovernor(Governor):
             self._pinned = {}
             self.health.plan_fallbacks += 1
             self._count("plan_fallbacks")
-            safe = (SAFE_LEVEL if SAFE_LEVEL is not None
-                    else self._active.safe_level())
-            return self._request(safe, retries=0)
+            return self._request(self._active.safe_level(), retries=0)
         return None

@@ -10,7 +10,7 @@ insertion-order tie-breaking).
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Tuple
 
 from repro.graph.ops import OpAttrs, OpCategory, OpType, category_of
@@ -113,9 +113,6 @@ class Graph:
     def nodes(self) -> Iterator[Node]:
         """Iterate nodes in insertion order."""
         return iter(self._nodes.values())
-
-    def node_names(self) -> List[str]:
-        return list(self._nodes)
 
     def consumers(self, name: str) -> List[str]:
         """Names of nodes consuming ``name``'s output."""

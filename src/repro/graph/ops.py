@@ -9,7 +9,7 @@ transformers (ViT-B/16, ViT-B/32).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 from enum import Enum
 from typing import Tuple
 
@@ -229,16 +229,6 @@ def attrs_class_for(op: OpType):
     if op in _ACTIVATIONS:
         return ActivationAttrs
     return _ATTR_CLASSES.get(op, OpAttrs)
-
-
-def default_attrs_for(op: OpType) -> OpAttrs:
-    """Instantiate default attributes for operators that allow it.
-
-    Raises ``TypeError`` for operators whose attributes have no sensible
-    default (e.g. convolutions need an output channel count).
-    """
-    cls = attrs_class_for(op)
-    return cls()
 
 
 def category_of(op: OpType, attrs: OpAttrs | None = None) -> OpCategory:

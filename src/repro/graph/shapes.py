@@ -20,7 +20,6 @@ from repro.graph.ops import (
     OpAttrs,
     OpType,
     PoolAttrs,
-    ReshapeAttrs,
     is_activation,
 )
 

@@ -26,7 +26,7 @@ from repro.hw.platform import (
     PLATFORM_PRESETS,
     get_platform,
 )
-from repro.hw.power import PowerModel, PowerBreakdown
+from repro.hw.power import PowerModel
 from repro.hw.perf import LatencyModel, OpTiming
 from repro.hw.dvfs import DVFSController, DVFSSwitch, SwitchResult
 from repro.hw.faults import (
@@ -53,7 +53,6 @@ __all__ = [
     "PLATFORM_PRESETS",
     "get_platform",
     "PowerModel",
-    "PowerBreakdown",
     "LatencyModel",
     "OpTiming",
     "DVFSController",

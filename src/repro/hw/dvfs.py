@@ -187,8 +187,3 @@ class DVFSController:
                 prev_dir = d
         return reversals
 
-    def reversal_rate(self, total_time: float) -> float:
-        """Reversals per second over ``total_time``."""
-        if total_time <= 0:
-            return 0.0
-        return self.reversal_count() / total_time

@@ -36,7 +36,7 @@ byte-identical traces, telemetry and datasets at zero fault rates.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 from typing import Dict, Optional, Tuple
 
 from repro.hw.telemetry import TelemetrySample

@@ -181,19 +181,3 @@ class LatencyModel:
                       batch_size: int = 1) -> OpTiming:
         return self.time_of(work, self.platform.freq_of_level(level),
                             batch_size)
-
-    def graph_time(self, graph: Graph, level: int,
-                   batch_size: int = 1) -> float:
-        """Total sequential execution time of a graph at a fixed level."""
-        freq = self.platform.freq_of_level(level)
-        return sum(
-            self.time_of(w, freq, batch_size).duration
-            for w in self.graph_work(graph)
-        )
-
-    def cpu_time(self, cpu_ops: float, cpu_freq: float) -> float:
-        """Host-side time for ``cpu_ops`` scalar operations."""
-        rate = self.platform.cpu.ops_per_cycle * cpu_freq
-        if rate <= 0:
-            return 0.0
-        return cpu_ops / rate

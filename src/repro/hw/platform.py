@@ -20,7 +20,7 @@ governor that Table 1(b) reports on AGX versus TX2.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import Callable, Dict, Sequence, Tuple
 
 MHZ = 1.0e6
 
@@ -235,11 +235,6 @@ class PlatformSpec:
                 f"level {level} outside ladder [0, {self.n_levels - 1}]"
             )
         return self.gpu_freq_levels[level]
-
-    def level_of_freq(self, freq: float) -> int:
-        """Closest ladder index for an arbitrary frequency."""
-        diffs = [abs(f - freq) for f in self.gpu_freq_levels]
-        return diffs.index(min(diffs))
 
     def clamp_level(self, level: int) -> int:
         return max(0, min(self.max_level, level))

@@ -1,4 +1,4 @@
-"""CMOS-style power model for the GPU rail, CPU cluster and board.
+"""CMOS-style power model for the GPU rail and the CPU cluster.
 
 GPU power while an operator executes:
 
@@ -19,23 +19,8 @@ gating leaves only a small residual dynamic component
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.hw.perf import OpTiming
-from repro.hw.platform import CpuSpec, PlatformSpec
-
-
-@dataclass(frozen=True)
-class PowerBreakdown:
-    """Instantaneous platform power split (watts)."""
-
-    gpu: float
-    cpu: float
-    board: float
-
-    @property
-    def total(self) -> float:
-        return self.gpu + self.cpu + self.board
+from repro.hw.platform import PlatformSpec
 
 
 class PowerModel:
@@ -89,14 +74,3 @@ class PowerModel:
         return cpu.leak_w_per_v * v_floor + \
             0.02 * cpu.c_eff * v * v * cpu_freq
 
-    # ------------------------------------------------------------------
-    # platform totals
-    # ------------------------------------------------------------------
-    def platform_power(self, gpu_power: float,
-                       cpu_power: float) -> PowerBreakdown:
-        return PowerBreakdown(gpu=gpu_power, cpu=cpu_power,
-                              board=self.platform.board_power)
-
-    def op_energy(self, freq: float, timing: OpTiming) -> float:
-        """GPU-rail energy of one operator execution (J)."""
-        return self.gpu_busy(freq, timing) * timing.duration

@@ -237,12 +237,6 @@ class Trace:
     def total_energy(self) -> float:
         return self.gpu_energy + self.cpu_energy + self.board_energy
 
-    @property
-    def average_power(self) -> float:
-        if self.total_time <= 0:
-            return 0.0
-        return self.total_energy / self.total_time
-
     def frequency_timeline(self) -> List[tuple]:
         """(t_start, t_end, gpu_level) runs — for Figure 1-style plots."""
         runs: List[tuple] = []
@@ -282,18 +276,6 @@ class EnergyReport:
     cpu_energy: float
     board_energy: float
     switch_count: int
-
-    @property
-    def fps(self) -> float:
-        if self.total_time <= 0:
-            return 0.0
-        return self.images / self.total_time
-
-    @property
-    def average_power(self) -> float:
-        if self.total_time <= 0:
-            return 0.0
-        return self.total_energy / self.total_time
 
     @property
     def energy_efficiency(self) -> float:

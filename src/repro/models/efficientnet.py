@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List
 
 from repro.graph import Graph, GraphBuilder
 from repro.graph.ops import OpType

@@ -15,7 +15,7 @@ one directly on the platform simulator.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -143,10 +143,6 @@ class RandomDNNGenerator:
         graph = b.build()
         assert_valid(graph)
         return graph
-
-    def generate_many(self, n: int) -> List[Graph]:
-        """Generate ``n`` validated networks."""
-        return [self.generate() for _ in range(n)]
 
     # ------------------------------------------------------------------
     # stage builders

@@ -8,7 +8,7 @@ instantiations of the design-space equations for the evaluated scales.
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import List
 
 from repro.graph import Graph, GraphBuilder
 

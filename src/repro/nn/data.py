@@ -31,11 +31,6 @@ class StandardScaler:
     def fit_transform(self, x: np.ndarray) -> np.ndarray:
         return self.fit(x).transform(x)
 
-    def inverse_transform(self, x: np.ndarray) -> np.ndarray:
-        if self.mean_ is None or self.scale_ is None:
-            raise RuntimeError("scaler not fitted")
-        return x * self.scale_ + self.mean_
-
 
 def split_indices(n: int, fractions: Sequence[float] = (0.8, 0.1, 0.1),
                   seed: int = 0) -> Tuple[np.ndarray, ...]:

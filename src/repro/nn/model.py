@@ -3,7 +3,7 @@ of the clustering hyper-parameter prediction model (Figure 3)."""
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 import numpy as np
 

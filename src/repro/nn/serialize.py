@@ -16,7 +16,6 @@ from typing import List, Union
 import numpy as np
 
 from repro.nn.data import StandardScaler
-from repro.nn.model import Sequential, TwoBranchMLP
 
 
 def _collect_params(model) -> List[np.ndarray]:

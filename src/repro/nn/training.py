@@ -7,10 +7,9 @@ inputs are passed as a tuple of arrays and splatted into ``forward``.
 
 from __future__ import annotations
 
-import copy
 import time
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 

@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
+from typing import Dict, List, Optional, Tuple, TYPE_CHECKING
 
 from repro.hw.telemetry import KIND_CPU, KIND_GPU_OP, KIND_IDLE, \
     KIND_SWITCH
@@ -197,26 +197,25 @@ class EnergyLedger:
         else:
             n_ops = 1 + max((op for kind, op in zip(kinds, op_indices)
                              if kind == gpu_op and op >= 0), default=0)
-        starts, planned_levels = [0], None
         if plan is not None:
-            starts = [s.op_index for s in plan.steps]
+            # Every op up to the plan's last step belongs to a block, so
+            # each step's block is non-empty.
+            n_ops = max(n_ops, plan.max_op_index + 1)
+            block_ops = plan.blocks(n_ops)
             planned_levels = [s.level for s in plan.steps]
-            n_ops = max(n_ops, starts[-1] + 1)
+        else:
+            block_ops = [list(range(n_ops))]
+            planned_levels = [None]
         blocks = [
-            BlockLedgerRow(
-                index=i,
-                op_start=start,
-                op_stop=(starts[i + 1] if i + 1 < len(starts) else n_ops),
-                planned_level=(planned_levels[i]
-                               if planned_levels is not None else None),
-            )
-            for i, start in enumerate(starts)
+            BlockLedgerRow(index=i, op_start=ops[0], op_stop=ops[-1] + 1,
+                           planned_level=level)
+            for i, (ops, level) in enumerate(zip(block_ops, planned_levels))
         ]
         op_rows: Dict[int, OpLedgerRow] = {}
         overheads: Dict[str, Tuple[float, float]] = {}
         over_t = {k: 0.0 for k in OVERHEAD_KINDS}
         over_e = {k: 0.0 for k in OVERHEAD_KINDS}
-        block_of_op = _op_to_block(starts, n_ops)
+        block_of_op = [i for i, ops in enumerate(block_ops) for _ in ops]
 
         # Duration and energy elementwise; the attribution below stays a
         # sequential loop, so every sum has the order it always had.
@@ -312,14 +311,6 @@ class EnergyLedger:
     def total_time_s(self) -> float:
         return self.reconciliation.attributed_time_s
 
-    @property
-    def block_energy_j(self) -> float:
-        return math.fsum(b.energy_j for b in self.blocks)
-
-    @property
-    def overhead_energy_j(self) -> float:
-        return math.fsum(e for _, e in self.overheads.values())
-
     def mispredicted_blocks(self) -> List[BlockLedgerRow]:
         return [b for b in self.blocks if b.mispredicted]
 
@@ -410,14 +401,3 @@ class EnergyLedger:
             lines.append(f"mispredicted blocks: {n_miss} / "
                          f"{len(self.blocks)}")
         return "\n".join(lines)
-
-
-def _op_to_block(starts: Sequence[int], n_ops: int) -> List[int]:
-    """Dense op-index -> block-index lookup from sorted block starts."""
-    mapping = [0] * n_ops
-    block = 0
-    for op in range(n_ops):
-        while block + 1 < len(starts) and op >= starts[block + 1]:
-            block += 1
-        mapping[op] = block
-    return mapping

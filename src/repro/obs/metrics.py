@@ -28,7 +28,6 @@ merging histograms with different boundaries is an error, not a guess.
 
 from __future__ import annotations
 
-import json
 import math
 from bisect import bisect_left
 from typing import Any, Dict, List, Optional, Sequence, Tuple
@@ -339,13 +338,6 @@ class MetricsRegistry:
             metric._load(spec)
             registry._metrics[name] = metric
         return registry
-
-    def to_json(self, indent: Optional[int] = 1) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "MetricsRegistry":
-        return cls.from_dict(json.loads(text))
 
     def to_prometheus_text(self) -> str:
         """Prometheus text exposition (version 0.0.4 style)."""

@@ -229,9 +229,6 @@ class Tracer:
         """Finished spans, in completion order (bounded)."""
         return list(self._spans)
 
-    def names(self) -> List[str]:
-        return list(self._totals)
-
     def total(self, name: str) -> float:
         """Summed duration of every finished span named ``name``."""
         return self._totals.get(name, 0.0)
@@ -244,10 +241,6 @@ class Tracer:
         if count == 0:
             return 0.0
         return self._totals[name] / count
-
-    def totals(self) -> Dict[str, float]:
-        """Per-name summed durations (copy)."""
-        return dict(self._totals)
 
     def clear(self) -> None:
         """Drop buffered spans and aggregates (active stack survives)."""

@@ -31,13 +31,6 @@ class ImageBatchSpec:
     def shape(self) -> Tuple[int, int, int, int]:
         return (self.batch_size, self.channels, self.height, self.width)
 
-    @property
-    def pixels(self) -> int:
-        return self.batch_size * self.channels * self.height * self.width
-
-    def nbytes(self, dtype_bytes: int = 4) -> int:
-        return self.pixels * dtype_bytes
-
 
 def synthetic_batch(spec: ImageBatchSpec, seed: int = 0) -> np.ndarray:
     """Generate ImageNet-normalized-looking random pixels for the spec."""

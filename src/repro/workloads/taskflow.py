@@ -9,7 +9,7 @@ that: each task is an :class:`~repro.hw.simulator.InferenceJob` running
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 from repro.graph import Graph

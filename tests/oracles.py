@@ -11,8 +11,9 @@ There are two kinds:
   (``*_reference``), kept verbatim;
 * the dense Algorithm-1 distance chain (``mahalanobis_matrix`` through
   ``blocks_from_distance``) that ``FactoredDistance`` replaced, and the
-  per-op cost loop (:func:`profile_reference`) that ``ProfileTable``
-  replaced, moved here with their arithmetic unchanged.
+  per-op cost loops (:func:`profile_reference`, :func:`graph_time`)
+  that ``ProfileTable`` replaced, moved here with their arithmetic
+  unchanged.
 
 No production code path calls them.
 """
@@ -46,7 +47,7 @@ from repro.graph.ops import (
     OpType,
 )
 from repro.hw.analytic import AnalyticEvaluator, LevelProfile
-from repro.hw.perf import OpWork, sparse_works
+from repro.hw.perf import LatencyModel, OpWork, sparse_works
 
 
 # ----------------------------------------------------------------------
@@ -234,6 +235,17 @@ def profile_reference(evaluator: AnalyticEvaluator,
             bytes_moved
     energies += evaluator.overhead_power * times
     return LevelProfile(times=times, energies=energies)
+
+
+def graph_time(latency: LatencyModel, graph: Graph, level: int,
+               batch_size: int = 1) -> float:
+    """Total sequential execution time of a graph at a fixed level,
+    summed op by op through the scalar roofline model."""
+    freq = latency.platform.freq_of_level(level)
+    return sum(
+        latency.time_of(w, freq, batch_size).duration
+        for w in latency.graph_work(graph)
+    )
 
 
 def block_profile_reference(evaluator: AnalyticEvaluator, graph: Graph,

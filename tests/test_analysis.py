@@ -37,11 +37,6 @@ class TestRoofline:
         assert bottom.memory_bound_time_share() < \
             top.memory_bound_time_share()
 
-    def test_crossover_fraction_clamped(self, tx2, vgg19):
-        report = roofline_report(tx2, vgg19)
-        for op in report.ops:
-            assert 0.0 <= op.crossover_fraction(tx2) <= 2.0
-
     def test_category_shares_sum_to_one(self, tx2, vgg19):
         shares = roofline_report(tx2, vgg19).time_share_by_category()
         assert sum(shares.values()) == pytest.approx(1.0)

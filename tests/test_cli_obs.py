@@ -50,7 +50,8 @@ def test_traced_run_emits_valid_jsonl_and_metrics(tmp_path, capsys):
     # The metrics snapshot round-trips through both exporters.
     snapshot = trace.metrics
     assert snapshot is not None
-    assert MetricsRegistry.from_json(snapshot.to_json()).to_dict() == \
+    text = json.dumps(snapshot.to_dict(), sort_keys=True)
+    assert MetricsRegistry.from_dict(json.loads(text)).to_dict() == \
         snapshot.to_dict()
     reparsed = parse_prometheus_text(prom_path.read_text())
     assert reparsed.counter(

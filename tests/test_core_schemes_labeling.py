@@ -10,11 +10,7 @@ from repro.core.labeling import (
     best_scheme_for_graph,
     plan_levels_for_blocks,
 )
-from repro.core.schemes import (
-    ClusteringScheme,
-    default_scheme_grid,
-    scheme_index,
-)
+from repro.core.schemes import ClusteringScheme, default_scheme_grid
 from repro.graph import Graph
 from repro.hw.analytic import AnalyticEvaluator, ProfileTable
 
@@ -42,12 +38,6 @@ class TestSchemes:
             ClusteringScheme(eps=-0.1, min_pts=2)
         with pytest.raises(ValueError):
             ClusteringScheme(eps=0.1, min_pts=0)
-
-    def test_scheme_index(self):
-        grid = default_scheme_grid()
-        assert scheme_index(grid, grid[5]) == 5
-        with pytest.raises(ValueError):
-            scheme_index(grid, ClusteringScheme(eps=9.9, min_pts=99))
 
     def test_label(self):
         s = ClusteringScheme(eps=0.45, min_pts=4)

@@ -3,7 +3,6 @@ retried with fresh spawned seeds, persistent failures are quarantined
 (never aborting the run), and the resulting datasets and quarantine
 bookkeeping are identical at any worker count."""
 
-import numpy as np
 import pytest
 
 from repro.core.datasets import (

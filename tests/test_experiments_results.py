@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.experiments.figure1 import Figure1Result, MethodTrace
+from repro.experiments.figure1 import MethodTrace
 from repro.experiments.figure5 import Figure5Result, MethodOutcome
 from repro.experiments.table1 import Table1Result, Table1Row
 from repro.experiments.table2 import Table2Result, Table2Row

@@ -1,20 +1,17 @@
 """Experiment result export tests."""
 
-import csv
 import json
 
 import pytest
 
 from repro.core.overhead import OverheadReport
 from repro.experiments.export import (
-    accuracy_records,
+    canonical_json,
     figure5_records,
     table1_records,
     table2_records,
     table3_records,
     to_records,
-    write_csv,
-    write_json,
 )
 from repro.experiments.figure5 import Figure5Result, MethodOutcome
 from repro.experiments.table1 import Table1Result, Table1Row
@@ -71,18 +68,7 @@ def test_dispatch_unknown_type():
         to_records(object())
 
 
-def test_write_json_roundtrip(tmp_path, table1):
-    path = tmp_path / "t1.json"
-    write_json(table1, path)
-    loaded = json.loads(path.read_text())
+def test_canonical_json_roundtrip(table1):
+    loaded = json.loads(canonical_json(table1))
     assert len(loaded) == 3
     assert loaded[0]["model"] == "alexnet"
-
-
-def test_write_csv(tmp_path, table1):
-    path = tmp_path / "t1.csv"
-    write_csv(table1, path)
-    with open(path) as fh:
-        rows = list(csv.DictReader(fh))
-    assert len(rows) == 3
-    assert rows[0]["platform"] == "tx2"

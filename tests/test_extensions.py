@@ -1,11 +1,9 @@
 """Extension tests: CPU DVFS planning, batch co-optimization, platform
 calibration (the paper's section-5 future work)."""
 
-import numpy as np
 import pytest
 
 from repro.extensions import (
-    BatchChoice,
     CalibrationSample,
     best_batch_size,
     batch_sweep,

@@ -4,7 +4,7 @@ import pytest
 
 from repro.graph import Graph, GraphBuilder, GraphError, node_table
 from repro.graph.graph import Node
-from repro.graph.ops import InputAttrs, OpAttrs, OpType
+from repro.graph.ops import InputAttrs, OpType
 
 
 def _node(name, op=OpType.RELU, inputs=(), attrs=None):

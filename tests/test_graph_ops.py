@@ -14,7 +14,6 @@ from repro.graph.ops import (
     OpType,
     attrs_class_for,
     category_of,
-    default_attrs_for,
     is_activation,
 )
 
@@ -88,11 +87,12 @@ class TestAttrs:
         assert attrs_class_for(OpType.RELU) is ActivationAttrs
 
     def test_default_attrs_for_relu(self):
-        assert default_attrs_for(OpType.RELU) == ActivationAttrs()
+        assert attrs_class_for(OpType.RELU)() == ActivationAttrs()
 
     def test_default_attrs_for_conv_raises(self):
+        # A convolution has no default output channel count.
         with pytest.raises(TypeError):
-            default_attrs_for(OpType.CONV2D)
+            attrs_class_for(OpType.CONV2D)()
 
     def test_conv_attrs_frozen(self):
         attrs = ConvAttrs(out_channels=8)

@@ -17,7 +17,7 @@ from repro.models import RandomDNNGenerator
 
 def _assert_graphs_equal(a: Graph, b: Graph) -> None:
     assert a.name == b.name
-    assert a.node_names() == b.node_names()
+    assert [n.name for n in a.nodes()] == [n.name for n in b.nodes()]
     for node_a, node_b in zip(a.nodes(), b.nodes()):
         assert node_a.op == node_b.op
         assert node_a.attrs == node_b.attrs

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.hw.analytic import AnalyticEvaluator
-from repro.hw.perf import LatencyModel, OpWork
+from repro.hw.perf import LatencyModel
+from tests.oracles import graph_time
 
 
 @pytest.fixture()
@@ -32,7 +33,7 @@ class TestProfile:
         latency = LatencyModel(tx2)
         p = evaluator.profile_table(small_cnn, 8).graph_profile()
         for level in (0, 5, tx2.max_level):
-            expected = latency.graph_time(small_cnn, level, batch_size=8)
+            expected = graph_time(latency, small_cnn, level, batch_size=8)
             assert p.times[level] == pytest.approx(expected, rel=1e-9)
 
     def test_block_profile_sums_to_graph(self, evaluator, small_cnn):

@@ -52,7 +52,6 @@ class TestDVFSController:
         for t, lvl in enumerate([5, 2, 6, 1, 8]):  # up,down,up,down,up
             c.request(float(t), lvl)
         assert c.reversal_count() == 4
-        assert c.reversal_rate(2.0) == pytest.approx(2.0)
 
     def test_monotone_ramp_has_no_reversals(self, tx2):
         c = DVFSController(tx2, level=0)
@@ -77,11 +76,6 @@ class TestTrace:
         assert tr.total_energy == pytest.approx(tr.gpu_energy
                                                 + tr.cpu_energy
                                                 + tr.board_energy)
-
-    def test_average_power(self):
-        tr = Trace()
-        tr.append(_seg(0.0, 2.0, gpu=4.0, cpu=0.0, board=0.0))
-        assert tr.average_power == pytest.approx(4.0)
 
     def test_negative_duration_rejected(self):
         tr = Trace()
@@ -257,8 +251,9 @@ class TestEnergyReport:
                          gpu_energy=30.0, cpu_energy=15.0,
                          board_energy=5.0, switch_count=0)
         assert r.energy_efficiency == pytest.approx(2.0)
-        assert r.fps / r.average_power == pytest.approx(
-            r.energy_efficiency)
+        fps = r.images / r.total_time
+        average_power = r.total_energy / r.total_time
+        assert fps / average_power == pytest.approx(r.energy_efficiency)
         assert r.energy_per_image == pytest.approx(0.5)
 
     def test_zero_guards(self):
@@ -266,8 +261,6 @@ class TestEnergyReport:
                          gpu_energy=0, cpu_energy=0, board_energy=0,
                          switch_count=0)
         assert r.energy_efficiency == 0.0
-        assert r.fps == 0.0
-        assert r.average_power == 0.0
         assert r.energy_per_image == 0.0
 
     def test_report_from_trace(self):

@@ -2,9 +2,6 @@
 (:mod:`repro.hw.faults`): profile validation/parsing/scaling, injector
 determinism, per-category outcomes and the pure worker-fault function."""
 
-import random
-from dataclasses import replace
-
 import pytest
 
 from repro.hw.faults import (

@@ -44,14 +44,6 @@ class TestLevelArithmetic:
         with pytest.raises(IndexError):
             tx2.freq_of_level(tx2.n_levels)
 
-    def test_level_of_freq_roundtrip(self, tx2):
-        for lvl in range(tx2.n_levels):
-            assert tx2.level_of_freq(tx2.freq_of_level(lvl)) == lvl
-
-    def test_level_of_freq_closest(self, tx2):
-        assert tx2.level_of_freq(0.0) == 0
-        assert tx2.level_of_freq(1e12) == tx2.max_level
-
     def test_clamp_level(self, tx2):
         assert tx2.clamp_level(-5) == 0
         assert tx2.clamp_level(999) == tx2.max_level

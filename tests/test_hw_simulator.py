@@ -4,7 +4,6 @@ import pytest
 
 from repro.governors import (
     FrequencyPlan,
-    OndemandGovernor,
     PlanStep,
     PresetGovernor,
     StaticGovernor,
@@ -123,18 +122,14 @@ class TestPresetExecution:
         assert levels[compute[-1].name] == 9
         assert r.switch_count == 2  # initial max->2, then 2->9
 
-    def test_unplanned_graph_runs_at_fallback(self, tx2, small_cnn,
-                                              monkeypatch):
-        import repro.governors.preset as preset
-
-        monkeypatch.setattr(preset, "FALLBACK_LEVEL", 7)
+    def test_unplanned_graph_runs_at_fallback(self, tx2, small_cnn):
         plan = FrequencyPlan(graph_name="other", steps=[PlanStep(0, 3)])
         sim = InferenceSimulator(tx2, sample_period=10.0)
         job = InferenceJob(graph=small_cnn, batch_size=4)
         r = sim.run([job], PresetGovernor([plan]))
         op_levels = {s.gpu_level for s in r.trace.segments
                      if s.kind == KIND_GPU_OP}
-        assert op_levels == {7}
+        assert op_levels == {tx2.max_level}
 
     def test_switch_stall_charged(self, tx2, small_cnn):
         n_ops = len(small_cnn.compute_nodes())

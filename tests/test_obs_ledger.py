@@ -107,8 +107,10 @@ class TestReconciliationProperty:
         assert rec.energy_rel_err <= RECONCILIATION_TOLERANCE
         assert rec.time_rel_err <= RECONCILIATION_TOLERANCE
         # Block + overhead partition is exhaustive and non-overlapping.
-        assert math.isclose(ledger.block_energy_j
-                            + ledger.overhead_energy_j,
+        block_energy = math.fsum(b.energy_j for b in ledger.blocks)
+        overhead_energy = math.fsum(
+            e for _, e in ledger.overheads.values())
+        assert math.isclose(block_energy + overhead_energy,
                             ledger.total_energy_j, rel_tol=1e-12)
         # Per-level residency inside each block sums to the block time.
         for block in ledger.blocks:
@@ -190,6 +192,29 @@ class TestMisprediction:
 
 
 class TestLedgerInterface:
+    @pytest.mark.parametrize("last_step, with_graph", [
+        (lambda n: 6, True),          # multi-step plan
+        (lambda n: n - 1, True),      # last step on the graph's last op
+        (lambda n: 6, False),         # ops counted from the trace
+        (lambda n: n + 2, True),      # a step past the graph's end
+    ], ids=["multi_step", "last_op", "no_graph", "past_end"])
+    def test_block_rows_follow_plan_blocks(self, last_step, with_graph):
+        graph = build_small_cnn()
+        n_graph_ops = len(graph.compute_nodes())
+        plan = FrequencyPlan(graph_name=graph.name, steps=[
+            PlanStep(0, 2), PlanStep(3, 9),
+            PlanStep(last_step(n_graph_ops), 5)])
+        sim = InferenceSimulator(jetson_tx2(), keep_trace=True)
+        result = sim.run([InferenceJob(graph=graph, n_batches=1)],
+                         PresetGovernor([plan]))
+        ledger = EnergyLedger.from_result(
+            result, plan=plan, graph=graph if with_graph else None)
+        n_ops = max(n_graph_ops, plan.max_op_index + 1)
+        assert [(b.op_start, b.op_stop) for b in ledger.blocks] == \
+            [(ops[0], ops[-1] + 1) for ops in plan.blocks(n_ops)]
+        assert [b.planned_level for b in ledger.blocks] == [2, 9, 5]
+        assert ledger.reconciliation.ok
+
     def test_requires_kept_trace(self):
         graph = build_small_cnn()
         sim = InferenceSimulator(jetson_tx2(), keep_trace=False)

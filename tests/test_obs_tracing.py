@@ -124,7 +124,7 @@ class TestBufferAndAggregates:
             pass
         tracer.clear()
         assert tracer.spans == []
-        assert tracer.names() == []
+        assert tracer.count("a") == 0
         assert tracer.total("a") == 0.0
 
 
@@ -144,7 +144,7 @@ class TestDisabledTracer:
     def test_disabled_record_is_noop(self):
         tracer = Tracer(enabled=False)
         tracer.record("x", 1.0)
-        assert tracer.names() == []
+        assert tracer.count("x") == 0
 
     def test_null_obs_bundle_is_disabled(self):
         assert not NULL_OBS.enabled

@@ -36,11 +36,6 @@ class TestStageTimer:
                 raise RuntimeError("boom")
         assert t.total("failing") > 0
 
-    def test_as_dict(self):
-        t = StageTimer()
-        t.record("a", 1.0)
-        assert t.as_dict() == {"a": 1.0}
-
 
 class TestOverheadReport:
     def test_format_durations(self):

@@ -175,15 +175,6 @@ class TestDegradationLadder:
         gov.on_job_start(1, InferenceJob(graph=small_cnn))
         assert gov.on_op_start(1, 0, None) == 1
 
-    def test_safe_level_override(self, tiny_platform, small_cnn,
-                                 monkeypatch):
-        monkeypatch.setattr(preset, "MAX_RETRIES", 0)
-        monkeypatch.setattr(preset, "MAX_BLOCK_FAILURES", 1)
-        monkeypatch.setattr(preset, "SAFE_LEVEL", 2)
-        gov = _governor_on(tiny_platform, small_cnn, level=3)
-        gov.on_op_start(0, 0, None)
-        assert gov.on_switch_result(_result(0, 3)) == 2
-
     def test_clean_switch_disarms(self, tiny_platform, small_cnn):
         gov = _governor_on(tiny_platform, small_cnn, level=3)
         gov.on_op_start(0, 0, None)

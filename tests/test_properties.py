@@ -1,7 +1,6 @@
 """Cross-cutting property-based tests tying the layers together."""
 
 import numpy as np
-import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core.clustering import cluster_power_blocks

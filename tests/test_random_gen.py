@@ -1,6 +1,5 @@
 """Random DNN generator tests."""
 
-import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.graph import node_table, validate_graph
@@ -10,8 +9,10 @@ from repro.models import RandomDNNConfig, RandomDNNGenerator
 
 class TestDeterminism:
     def test_same_seed_same_graphs(self):
-        a = RandomDNNGenerator(seed=123).generate_many(3)
-        b = RandomDNNGenerator(seed=123).generate_many(3)
+        gen_a = RandomDNNGenerator(seed=123)
+        gen_b = RandomDNNGenerator(seed=123)
+        a = [gen_a.generate() for _ in range(3)]
+        b = [gen_b.generate() for _ in range(3)]
         for ga, gb in zip(a, b):
             assert [n.op for n in ga.nodes()] == [n.op for n in gb.nodes()]
             assert [n.output_shape for n in ga.nodes()] == \
@@ -59,7 +60,7 @@ class TestDiversity:
     def test_population_varies_in_size(self):
         gen = RandomDNNGenerator(seed=42)
         flops = [node_table(g).flops.sum()
-                 for g in gen.generate_many(20)]
+                 for g in (gen.generate() for _ in range(20))]
         assert max(flops) / min(flops) > 3
 
     def test_transformer_stage_appears(self):

@@ -16,8 +16,6 @@ class TestImages:
     def test_spec_shape(self):
         spec = ImageBatchSpec(batch_size=4)
         assert spec.shape == (4, 3, 224, 224)
-        assert spec.pixels == 4 * 3 * 224 * 224
-        assert spec.nbytes() == spec.pixels * 4
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):

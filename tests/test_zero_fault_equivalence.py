@@ -4,7 +4,6 @@ byte-identical traces, telemetry and generated datasets.  This is the
 property that lets the fault layer ship inside the production simulator
 instead of behind a fork."""
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
