@@ -430,10 +430,23 @@ def main(argv: Optional[List[str]] = None) -> int:
         _export_obs(obs, args, crash)
 
 
-def _cmd_serve_sim(args, obs) -> int:
+def _fault_profile(args):
+    """``--fault-profile`` parsed, or ``None`` for the command's
+    default: ``representative`` for ``robustness`` (the sweeps size the
+    thermal-cap window from the measured fault-free run), ``none``
+    elsewhere.  A malformed spec raises ``ValueError``."""
+    from repro.hw import FaultProfile
+
+    spec = args.fault_profile.strip().lower()
+    default = (("representative", "rep") if args.command == "robustness"
+               else ("", "none"))
+    return None if spec in default else FaultProfile.parse(
+        args.fault_profile)
+
+
+def _cmd_serve_sim(args, obs, faults) -> int:
     import json as _json
 
-    from repro.hw import FaultProfile
     from repro.obs.burnrate import BurnRateConfig, BurnRateMonitor
     from repro.serving import (DeviceConfig, Fleet, FleetScheduler,
                                RecoveryConfig, RequestTracer,
@@ -455,9 +468,6 @@ def _cmd_serve_sim(args, obs) -> int:
                                               for s in sparsities}))
     # Every config error takes the one-line exit-2 path.
     try:
-        spec = args.fault_profile.strip().lower()
-        faults = None if spec in ("", "none") else FaultProfile.parse(
-            args.fault_profile)
         fleet = Fleet.build(configs, governor=args.governor,
                             fleet_seed=args.seed, faults=faults,
                             sparsity_edges=sparsity_edges)
@@ -548,7 +558,7 @@ def _cmd_serve_sim(args, obs) -> int:
     return 0
 
 
-def _cmd_adaptive_robustness(args) -> int:
+def _cmd_adaptive_robustness(args, profile) -> int:
     """``powerlens robustness --adaptive`` / ``--family``: the
     drift-retention sweep.
 
@@ -561,11 +571,7 @@ def _cmd_adaptive_robustness(args) -> int:
     import json as _json
 
     from repro.experiments.adaptive import run_adaptive_retention
-    from repro.hw import FaultProfile
 
-    spec = args.fault_profile.strip().lower()
-    profile = (None if spec in ("representative", "rep")
-               else FaultProfile.parse(args.fault_profile))
     kwargs = {}
     if args.scales:
         kwargs["scales"] = args.scales
@@ -593,10 +599,18 @@ def _cmd_adaptive_robustness(args) -> int:
 
 
 def _dispatch(args, obs) -> int:
+    faults = None
+    if hasattr(args, "fault_profile"):
+        # Before any fitting: a bad spec costs no dataset generation.
+        try:
+            faults = _fault_profile(args)
+        except ValueError as exc:
+            print(f"powerlens {args.command}: {exc}", file=sys.stderr)
+            return 2
     if args.command == "serve-sim":
-        return _cmd_serve_sim(args, obs)
+        return _cmd_serve_sim(args, obs, faults)
     if args.command == "robustness" and (args.adaptive or args.family):
-        return _cmd_adaptive_robustness(args)
+        return _cmd_adaptive_robustness(args, faults)
 
     # Everything else needs a fitted context.  The CLI caches generated
     # datasets by default (the library default is off): repeated table /
@@ -653,17 +667,11 @@ def _dispatch(args, obs) -> int:
                              context=ctx)
     elif args.command == "robustness":
         from repro.experiments import run_robustness
-        from repro.hw import FaultProfile
-        # "representative" is left as None so run_robustness can size
-        # the thermal-cap window from the measured zero-fault horizon.
-        spec = args.fault_profile.strip().lower()
-        profile = (None if spec in ("representative", "rep")
-                   else FaultProfile.parse(args.fault_profile))
         kwargs = {}
         if args.scales:
             kwargs["scales"] = args.scales
         result = run_robustness(args.platform, models=args.models,
-                                n_runs=args.runs, profile=profile,
+                                n_runs=args.runs, profile=faults,
                                 context=ctx, **kwargs)
     elif args.command == "analyze":
         plan = ctx.lens.analyze(ctx.graph(args.model))
@@ -671,12 +679,6 @@ def _dispatch(args, obs) -> int:
         return 0
     elif args.command == "ledger":
         from repro.experiments.common import run_model_ledger
-        spec = args.fault_profile.strip().lower()
-        if spec in ("", "none"):
-            faults = None
-        else:
-            from repro.hw import FaultProfile
-            faults = FaultProfile.parse(args.fault_profile)
         _, ledger = run_model_ledger(
             ctx, args.model, n_batches=args.batches,
             batch_size=args.batch_size, seed=args.seed, faults=faults)

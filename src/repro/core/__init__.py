@@ -58,7 +58,6 @@ from repro.core.datasets import (
     DatasetA,
     DatasetB,
     DatasetGenerator,
-    GenerationProgress,
     GenerationStats,
 )
 from repro.core.predictors import (
@@ -94,7 +93,6 @@ __all__ = [
     "DatasetA",
     "DatasetB",
     "DatasetGenerator",
-    "GenerationProgress",
     "GenerationStats",
     "HyperparamPredictor",
     "DecisionModel",

@@ -251,27 +251,24 @@ def _merge_runs(labels: np.ndarray,
 
 
 def process_clusters(labels: Sequence[int],
-                     min_block_size: int = 1,
-                     mode_window: int = -1) -> List[List[int]]:
+                     min_block_size: int = 1) -> List[List[int]]:
     """Post-process raw DBSCAN labels into power blocks.
 
     Guarantees (the paper's "continuous and practically feasible"
     requirement): the returned blocks are contiguous index ranges,
     non-overlapping, ordered, and together cover ``range(n)`` exactly.
 
-    Rules: a majority filter recovers region identity from interleaved
-    per-kind clusters (``mode_window=-1`` derives the radius from
-    ``min_block_size``; 0 disables); non-contiguous clusters are split
-    into runs; isolated noise points join the shorter adjacent run; runs
-    smaller than ``min_block_size`` are merged into their smaller
-    neighbour.
+    Rules: a majority filter of radius ``max(2, min_block_size)``
+    recovers region identity from interleaved per-kind clusters;
+    non-contiguous clusters are split into runs; isolated noise points
+    join the shorter adjacent run; runs smaller than ``min_block_size``
+    are merged into their smaller neighbour.
     """
     labels = np.asarray(list(labels), dtype=int)
     if len(labels) == 0:
         return []
-    if mode_window < 0:
-        mode_window = max(2, min_block_size)
-    return _merge_runs(_mode_filter(labels, mode_window), min_block_size)
+    return _merge_runs(_mode_filter(labels, max(2, min_block_size)),
+                       min_block_size)
 
 
 def smooth_features(x: np.ndarray, window: int) -> np.ndarray:
@@ -614,20 +611,16 @@ class FactoredDistance:
 
 def cluster_power_blocks(x: np.ndarray, eps: float, min_pts: int,
                          alpha: float = 0.6, lam: float = 0.05,
-                         spacing_mode: str = "penalty",
-                         smooth_window: int = -1) -> List[List[int]]:
+                         spacing_mode: str = "penalty") -> List[List[int]]:
     """End-to-end Algorithm 1: features -> neighbourhood smoothing ->
     blended distance -> DBSCAN -> contiguous power blocks.
 
-    ``smooth_window=-1`` derives the smoothing radius from ``min_pts``
-    (coarser granularity smooths wider); pass 0 to disable.  Runs the
-    :class:`FactoredDistance` fast path; byte-identical to the
-    full-einsum, queue-DBSCAN loop chain (the test oracle).  Zero- and
-    one-op inputs take the same path, so their hyper-parameters are
-    validated too.
+    The smoothing radius is ``max(2, min_pts)``: coarser granularity
+    smooths wider.  Runs the :class:`FactoredDistance` fast path;
+    byte-identical to the full-einsum, queue-DBSCAN loop chain (the test
+    oracle).  Zero- and one-op inputs take the same path, so their
+    hyper-parameters are validated too.
     """
-    if smooth_window < 0:
-        smooth_window = max(2, min_pts)
-    fd = FactoredDistance(x, smooth_window, alpha=alpha, lam=lam,
+    fd = FactoredDistance(x, max(2, min_pts), alpha=alpha, lam=lam,
                           spacing_mode=spacing_mode)
     return fd.blocks(eps, min_pts)

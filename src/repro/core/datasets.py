@@ -27,7 +27,7 @@ import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -185,37 +185,6 @@ class GenerationStats:
         return lines
 
 
-@dataclass(frozen=True)
-class GenerationProgress:
-    """One progress tick, emitted after each network completes."""
-
-    completed: int
-    total: int
-    n_blocks: int
-    elapsed_s: float
-
-    @property
-    def networks_per_s(self) -> float:
-        if self.elapsed_s <= 0:
-            return 0.0
-        return self.completed / self.elapsed_s
-
-    @property
-    def blocks_per_s(self) -> float:
-        if self.elapsed_s <= 0:
-            return 0.0
-        return self.n_blocks / self.elapsed_s
-
-    def format(self) -> str:
-        return (f"{self.completed}/{self.total} networks "
-                f"({self.n_blocks} blocks, "
-                f"{self.networks_per_s:.2f} networks/s, "
-                f"{self.blocks_per_s:.2f} blocks/s)")
-
-
-ProgressCallback = Callable[[GenerationProgress], None]
-
-
 #: Bounded retries per network before quarantine (initial try + 2).
 MAX_TASK_RETRIES = 2
 
@@ -337,8 +306,7 @@ class DatasetGenerator:
 
     # ------------------------------------------------------------------
     def generate(self, n_networks: int, seed: int = 0,
-                 n_jobs: Optional[int] = 1,
-                 progress: Optional[ProgressCallback] = None
+                 n_jobs: Optional[int] = 1
                  ) -> Tuple[DatasetA, DatasetB, GenerationStats]:
         """Generate both datasets from ``n_networks`` random networks.
 
@@ -347,8 +315,7 @@ class DatasetGenerator:
         network draws its seed from the same spawned
         :class:`~numpy.random.SeedSequence` stream and results are
         reassembled in submission order, so the datasets are identical
-        regardless of ``n_jobs``.  ``progress`` (if given) is called
-        with a :class:`GenerationProgress` after each network.
+        regardless of ``n_jobs``.
 
         A network whose labeling raises is retried up to
         :data:`MAX_TASK_RETRIES` times with a fresh spawned seed; one
@@ -366,7 +333,7 @@ class DatasetGenerator:
         with self.obs.tracer.span("generate", n_networks=n_networks,
                                   n_jobs=n_jobs) as span:
             dataset_a, dataset_b, stats = self._generate(
-                n_networks, seed, n_jobs, progress)
+                n_networks, seed, n_jobs)
             span.set(n_blocks=stats.n_blocks,
                      n_quarantined=stats.n_quarantined)
         metrics = self.obs.metrics
@@ -380,37 +347,18 @@ class DatasetGenerator:
             stats.n_quarantined)
         return dataset_a, dataset_b, stats
 
-    def _generate(self, n_networks: int, seed: int, n_jobs: int,
-                  progress: Optional[ProgressCallback]
+    def _generate(self, n_networks: int, seed: int, n_jobs: int
                   ) -> Tuple[DatasetA, DatasetB, GenerationStats]:
         t0 = time.perf_counter()
         tasks = [_NetworkTask(index=i, seed=s)
                  for i, s in enumerate(spawn_seeds(seed, n_networks))]
 
         stats = GenerationStats(n_jobs=n_jobs)
-        blocks_done = 0
-
-        def tick(result: _NetworkResult, completed: int) -> None:
-            nonlocal blocks_done
-            blocks_done += len(result.levels)
-            if progress is not None:
-                progress(GenerationProgress(
-                    completed=completed, total=n_networks,
-                    n_blocks=blocks_done,
-                    elapsed_s=time.perf_counter() - t0))
-
         if n_jobs == 1:
-            results: List[Optional[_NetworkResult]] = [None] * len(tasks)
-            completed = 0
-            for task in tasks:
-                result = self._run_with_retries(task, stats)
-                if result is None:
-                    continue
-                results[task.index] = result
-                completed += 1
-                tick(result, completed)
+            results: List[Optional[_NetworkResult]] = [
+                self._run_with_retries(task, stats) for task in tasks]
         else:
-            results = self._generate_pooled(tasks, n_jobs, tick, stats)
+            results = self._generate_pooled(tasks, n_jobs, stats)
 
         stats.quarantined.sort()
         survivors = [r for r in results if r is not None]
@@ -470,7 +418,6 @@ class DatasetGenerator:
                 task = task.retry()
 
     def _generate_pooled(self, tasks: Sequence[_NetworkTask], n_jobs: int,
-                         tick: Callable[[_NetworkResult, int], None],
                          stats: GenerationStats
                          ) -> List[Optional[_NetworkResult]]:
         """Fan the per-network work out over a process pool.
@@ -487,7 +434,6 @@ class DatasetGenerator:
         initargs = (self.platform, list(self.schemes), self.batch_size,
                     self.latency_slack, self.alpha, self.lam,
                     self.dnn_config, self.faults)
-        completed = 0
         with ProcessPoolExecutor(max_workers=n_jobs,
                                  initializer=_init_worker,
                                  initargs=initargs) as pool:
@@ -507,6 +453,4 @@ class DatasetGenerator:
                         continue
                     result = future.result()
                     results[result.index] = result
-                    completed += 1
-                    tick(result, completed)
         return results

@@ -3,7 +3,7 @@
 Offline, once per platform::
 
     lens = PowerLens(platform)
-    summary = lens.fit(n_networks=300, seed=0)   # datasets + both models
+    summary = lens.fit()   # datasets + both models, sized by the config
 
 Then, per network::
 
@@ -25,11 +25,7 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
 from repro.core.clustering import cluster_power_blocks
-from repro.core.datasets import (
-    DatasetGenerator,
-    GenerationStats,
-    ProgressCallback,
-)
+from repro.core.datasets import DatasetGenerator, GenerationStats
 from repro.core.features import (
     DepthwiseFeatureExtractor,
     GlobalFeatureExtractor,
@@ -211,18 +207,13 @@ class PowerLens:
     # ------------------------------------------------------------------
     # offline training
     # ------------------------------------------------------------------
-    def fit(self, n_networks: Optional[int] = None, seed: Optional[int] = None,
-            verbose: bool = False, n_jobs: Optional[int] = None,
-            use_cache: Optional[bool] = None,
-            progress: Optional[ProgressCallback] = None) -> TrainingSummary:
+    def fit(self) -> TrainingSummary:
         """Generate datasets and train both prediction models.
 
         Fully automated — this is the paper's "transferring to a new
         hardware platform simply involves the automated generation of
-        datasets and training" (section 2.3.1).  ``n_jobs``/``use_cache``
-        override the config's dataset-generation parallelism and on-disk
-        cache policy for this call; ``progress`` receives per-network
-        generation throughput ticks.
+        datasets and training" (section 2.3.1).  The corpus size, seed,
+        worker count and cache policy all come from the config.
         """
         # Local import: persistence imports this module at top level.
         from repro.core.persistence import (
@@ -232,17 +223,14 @@ class PowerLens:
         )
 
         cfg = self.config
-        n_networks = n_networks if n_networks is not None else cfg.n_networks
-        seed = seed if seed is not None else cfg.seed
-        n_jobs = n_jobs if n_jobs is not None else cfg.n_jobs
-        use_cache = use_cache if use_cache is not None else cfg.use_cache
+        n_networks, seed = cfg.n_networks, cfg.seed
         generator = DatasetGenerator(
             self.platform, schemes=self.schemes,
             batch_size=cfg.batch_size, latency_slack=cfg.latency_slack,
             alpha=cfg.alpha, lam=cfg.lam, dnn_config=cfg.dnn_config,
             faults=cfg.fault_profile, obs=self.obs)
 
-        cache_dir = resolve_cache_dir(cfg.cache_dir) if use_cache else None
+        cache_dir = resolve_cache_dir(cfg.cache_dir) if cfg.use_cache else None
         cache = DatasetCache(cache_dir, obs=self.obs) \
             if cache_dir is not None else None
         key = dataset_cache_key(
@@ -260,8 +248,7 @@ class PowerLens:
                     dataset_a, dataset_b, gen_stats = cached
                 else:
                     dataset_a, dataset_b, gen_stats = generator.generate(
-                        n_networks, seed=seed, n_jobs=n_jobs,
-                        progress=progress)
+                        n_networks, seed=seed, n_jobs=cfg.n_jobs)
                     if cache is not None:
                         cache.store(key, dataset_a, dataset_b, gen_stats)
 
@@ -278,10 +265,10 @@ class PowerLens:
                 with self.overhead.stage(
                         "clustering hyperparameter prediction model"):
                     report_a = self.hyperparam_model.fit(
-                        dataset_a, seed=seed, verbose=verbose)
+                        dataset_a, seed=seed)
                 with self.overhead.stage("decision model"):
                     report_b = self.decision_model.fit(
-                        dataset_b, seed=seed, verbose=verbose)
+                        dataset_b, seed=seed)
             span.set(cache_hit=gen_stats.cache_hit,
                      n_blocks=gen_stats.n_blocks)
         self.training_summary = TrainingSummary(
@@ -402,17 +389,14 @@ class PowerLens:
         return PowerLensPlan(view=view, levels=levels, plan=plan)
 
     def governor(self, graphs: Sequence[Graph],
-                 oracle: bool = False,
                  resilient: bool = True) -> PresetGovernor:
-        """Preset governor carrying plans for ``graphs``.
+        """Preset governor carrying the analyzed plans for ``graphs``.
 
         ``resilient=False`` returns the naive fire-and-forget runtime —
         only useful as the robustness-experiment baseline.
         """
-        make = self.oracle_plan if oracle else self.analyze
-        plans = [make(g).plan for g in graphs]
-        name = "powerlens-oracle" if oracle else "powerlens"
-        return PresetGovernor(plans, name=name, resilient=resilient,
+        plans = [self.analyze(g).plan for g in graphs]
+        return PresetGovernor(plans, name="powerlens", resilient=resilient,
                               metrics=self.obs.metrics)
 
     def ledger(self, result, graph: Graph,

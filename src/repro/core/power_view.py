@@ -82,10 +82,6 @@ class PowerView:
                 return block
         raise IndexError(f"operator {op_index} not covered by the view")
 
-    def boundaries(self) -> List[int]:
-        """Instrumentation-point operator indices (start of each block)."""
-        return [b.start for b in self.blocks]
-
     def feature_matrix(self) -> np.ndarray:
         """Stacked block feature vectors (decision-model input)."""
         return np.vstack([b.features.vector for b in self.blocks])

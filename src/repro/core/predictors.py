@@ -30,6 +30,9 @@ from repro.nn import (
     within_k_accuracy,
 )
 
+#: Hidden-layer widths of the decision model's MLP (Figure 4).
+DECISION_HIDDEN = (128, 64)
+
 
 @dataclass
 class FitReport:
@@ -75,7 +78,7 @@ class HyperparamPredictor:
 
     # ------------------------------------------------------------------
     def fit(self, dataset: DatasetA, seed: int = 0,
-            max_epochs: int = 200, verbose: bool = False) -> FitReport:
+            max_epochs: int = 200) -> FitReport:
         """80/10/10 train/val/test fit with early stopping."""
         xs = self._scaler_struct.fit_transform(dataset.x_struct)
         xt = self._scaler_stats.fit_transform(dataset.x_stats)
@@ -84,7 +87,7 @@ class HyperparamPredictor:
         trainer = Trainer(self.model, lr=2e-3, batch_size=64,
                           max_epochs=max_epochs, patience=20, seed=seed)
         history = trainer.fit((xs[tr], xt[tr]), y[tr],
-                              (xs[va], xt[va]), y[va], verbose=verbose)
+                              (xs[va], xt[va]), y[va])
         self._fitted = True
         pred_te = trainer.predict((xs[te], xt[te]))
         val_acc = accuracy(trainer.predict((xs[va], xt[va])), y[va])
@@ -125,24 +128,23 @@ class DecisionModel:
     """Target-frequency decision model (Figure 4)."""
 
     def __init__(self, input_dim: int, n_levels: int,
-                 hidden: Sequence[int] = (128, 64), seed: int = 0) -> None:
+                 seed: int = 0) -> None:
         self.n_levels = n_levels
-        self.model = Sequential.mlp([input_dim, *hidden, n_levels],
+        self.model = Sequential.mlp([input_dim, *DECISION_HIDDEN, n_levels],
                                     dropout=0.1, seed=seed)
         self._scaler = StandardScaler()
         self._fitted = False
 
     # ------------------------------------------------------------------
     def fit(self, dataset: DatasetB, seed: int = 0,
-            max_epochs: int = 200, verbose: bool = False) -> FitReport:
+            max_epochs: int = 200) -> FitReport:
         """80/10/10 train/val/test fit with early stopping."""
         x = self._scaler.fit_transform(dataset.x)
         y = dataset.y
         tr, va, te = split_indices(len(y), seed=seed)
         trainer = Trainer(self.model, lr=2e-3, batch_size=128,
                           max_epochs=max_epochs, patience=20, seed=seed)
-        history = trainer.fit((x[tr],), y[tr], (x[va],), y[va],
-                              verbose=verbose)
+        history = trainer.fit((x[tr],), y[tr], (x[va],), y[va])
         self._fitted = True
         pred_te = trainer.predict((x[te],))
         val_acc = accuracy(trainer.predict((x[va],)), y[va])

@@ -46,15 +46,6 @@ class CalibrationResult:
     dram_energy_per_byte: float
     rms_error_w: float
 
-    def apply(self, platform: PlatformSpec) -> PlatformSpec:
-        """Platform spec with the fitted coefficients installed."""
-        return platform.with_overrides(
-            leak_w_per_v=self.leak_w_per_v,
-            c_eff=self.c_eff,
-            stall_power_fraction=self.stall_power_fraction,
-            dram_energy_per_byte=self.dram_energy_per_byte,
-        )
-
 
 def fit_power_model(platform: PlatformSpec,
                     samples: Sequence[CalibrationSample]

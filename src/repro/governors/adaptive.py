@@ -86,12 +86,6 @@ class ReplanHealth:
     #: mint one fingerprint per member and can churn a small cache).
     validation_evictions: int = 0
 
-    @property
-    def active(self) -> bool:
-        """True when the adaptive loop ever acted."""
-        return self.adopted > 0 or self.rejected > 0 \
-            or self.rollbacks > 0
-
     def to_dict(self) -> Dict[str, int]:
         return asdict(self)
 

@@ -17,7 +17,8 @@ selected for an input:
 * a **member** is keyed by ``(graph name and fingerprint, batch size,
   sparsity bucket)`` and built lazily by :func:`analytic_plan` for
   exactly that batch and for the bucket's representative sparsity;
-  members are content-hash cached (:func:`plan_cache_key`);
+  the platform, latency slack and block size are fixed per cache, so
+  they are not part of the key;
 * **sparsity buckets** are the sorted, de-duplicated edges with 0.0
   prepended; bucket ``i`` covers ``[edge_i, edge_{i+1})`` and the last
   bucket everything up to 1.0.  Selection is total and pure arithmetic
@@ -36,9 +37,6 @@ runtime only ever sees the selected member.
 
 from __future__ import annotations
 
-import dataclasses
-import hashlib
-import json
 import threading
 from bisect import bisect_right
 from typing import Dict, Sequence, Tuple
@@ -46,15 +44,19 @@ from typing import Dict, Sequence, Tuple
 from repro.governors.preset import FrequencyPlan, PlanStep
 from repro.graph import Graph
 from repro.hw.analytic import AnalyticEvaluator
-from repro.hw.platform import PlatformSpec
 
-__all__ = ["PLAN_CACHE_VERSION", "PlanCache", "analytic_plan",
-           "plan_cache_key"]
+__all__ = ["PlanCache", "analytic_plan"]
 
-#: Bump when the analytic planner's semantics change (invalidates keys).
-#: v2: plan keys carry the activation-sparsity bucket the plan was
-#: built for (0.0 plans are numerically unchanged from v1).
-PLAN_CACHE_VERSION = 2
+#: A member's key: ``(graph name, graph fingerprint, batch, sparsity)``.
+MemberKey = Tuple[str, str, int, float]
+
+
+def _member_key(graph: Graph, batch_size: int, sparsity: float
+                ) -> MemberKey:
+    # The plan carries the graph's name (the preset runtime looks plans
+    # up by name), so same-structure graphs get their own member.
+    return (graph.name, graph.fingerprint(), int(batch_size),
+            float(sparsity))
 
 
 def analytic_plan(evaluator: AnalyticEvaluator, graph: Graph,
@@ -84,30 +86,9 @@ def analytic_plan(evaluator: AnalyticEvaluator, graph: Graph,
                          graph_fingerprint=graph.fingerprint())
 
 
-def plan_cache_key(platform: PlatformSpec, graph: Graph,
-                   batch_size: int, latency_slack: float,
-                   block_size: int, sparsity: float = 0.0) -> str:
-    """Content hash of everything a device's frequency plan depends on
-    (same recipe as :func:`repro.core.persistence.dataset_cache_key`)."""
-    payload = {
-        "version": PLAN_CACHE_VERSION,
-        "platform": dataclasses.asdict(platform),
-        # The plan carries the graph's name (the preset runtime looks
-        # plans up by name), so same-structure graphs get their own.
-        "graph_name": graph.name,
-        "graph_fingerprint": graph.fingerprint(),
-        "batch_size": int(batch_size),
-        "latency_slack": latency_slack,
-        "block_size": int(block_size),
-        "sparsity": float(sparsity),
-    }
-    blob = json.dumps(payload, sort_keys=True, default=list)
-    return hashlib.sha256(blob.encode()).hexdigest()[:32]
-
-
 class PlanCache:
-    """One device's plan family: analytic members keyed by
-    :func:`plan_cache_key`, plus adopted corrections (module docstring).
+    """One device's plan family: analytic members plus adopted
+    corrections, both keyed by :data:`MemberKey` (module docstring).
 
     Thread-safe under one lock so the scheduler can pre-warm many
     devices' caches in parallel (``n_jobs``) while each device's
@@ -132,15 +113,10 @@ class PlanCache:
         self.block_size = block_size
         self.hits = 0
         self.misses = 0
-        self._plans: Dict[str, FrequencyPlan] = {}
-        # Content hashes per (graph name, graph fingerprint, batch,
-        # sparsity): the other key inputs are fixed per cache, so a
-        # lookup need not re-serialize the platform on every dispatch.
-        self._keys: Dict[Tuple[str, str, int, float], str] = {}
-        # Adopted corrections per (graph name, graph fingerprint, batch,
-        # bucket), kept apart from the content-hash members they replace.
-        self._corrections: Dict[Tuple[str, str, int, float],
-                                FrequencyPlan] = {}
+        self._plans: Dict[MemberKey, FrequencyPlan] = {}
+        # Adopted corrections, kept apart from the analytic members they
+        # replace: get_or_build (prewarm, predict) reads only members.
+        self._corrections: Dict[MemberKey, FrequencyPlan] = {}
         self._lock = threading.Lock()
 
     def bucket(self, sparsity: float) -> float:
@@ -149,22 +125,11 @@ class PlanCache:
         edges = self.sparsity_edges
         return edges[max(0, bisect_right(edges, float(sparsity)) - 1)]
 
-    def key_for(self, graph: Graph, batch_size: int,
-                sparsity: float = 0.0) -> str:
-        ident = (graph.name, graph.fingerprint(), int(batch_size),
-                 float(sparsity))
-        key = self._keys.get(ident)
-        if key is None:
-            key = self._keys[ident] = plan_cache_key(
-                self.evaluator.platform, graph, batch_size,
-                self.latency_slack, self.block_size, sparsity)
-        return key
-
     def get_or_build(self, graph: Graph, batch_size: int,
                      sparsity: float = 0.0) -> FrequencyPlan:
         """The analytic member built for exactly ``sparsity`` (callers
         pass a bucket edge)."""
-        key = self.key_for(graph, batch_size, sparsity)
+        key = _member_key(graph, batch_size, sparsity)
         with self._lock:
             plan = self._plans.get(key)
             if plan is not None:
@@ -183,7 +148,7 @@ class PlanCache:
         its member if there is one, else the analytic member."""
         bucket = self.bucket(sparsity)
         plan = self._corrections.get(
-            (graph.name, graph.fingerprint(), int(batch_size), bucket))
+            _member_key(graph, batch_size, bucket))
         if plan is None:
             plan = self.get_or_build(graph, batch_size, bucket)
         return plan, bucket
@@ -192,8 +157,7 @@ class PlanCache:
               plan: FrequencyPlan) -> None:
         """Make ``plan`` the member :meth:`select` returns for
         ``(graph, batch_size, bucket)`` from now on."""
-        self._corrections[(graph.name, graph.fingerprint(),
-                           int(batch_size), bucket)] = plan
+        self._corrections[_member_key(graph, batch_size, bucket)] = plan
 
     def __len__(self) -> int:
         return len(self._plans)

@@ -29,7 +29,7 @@ from repro.graph.graph import Graph, Node, GraphError
 from repro.graph.builder import GraphBuilder
 from repro.graph.shapes import infer_output_shape, ShapeError
 from repro.graph.metrics import NodeMetrics, NodeTable, node_metrics, node_table
-from repro.graph.serialize import graph_to_dict, graph_from_dict, save_graph, load_graph
+from repro.graph.serialize import graph_to_dict, graph_from_dict
 from repro.graph.validate import validate_graph, ValidationIssue
 from repro.graph.dot import graph_to_dot
 
@@ -59,8 +59,6 @@ __all__ = [
     "node_table",
     "graph_to_dict",
     "graph_from_dict",
-    "save_graph",
-    "load_graph",
     "validate_graph",
     "ValidationIssue",
     "graph_to_dot",

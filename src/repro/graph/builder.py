@@ -127,23 +127,11 @@ class GraphBuilder:
     def relu(self, x: str, name: Optional[str] = None) -> str:
         return self.activation(x, OpType.RELU, inplace=True, name=name)
 
-    def relu6(self, x: str, name: Optional[str] = None) -> str:
-        return self.activation(x, OpType.RELU6, inplace=True, name=name)
-
     def gelu(self, x: str, name: Optional[str] = None) -> str:
         return self.activation(x, OpType.GELU, name=name)
 
-    def sigmoid(self, x: str, name: Optional[str] = None) -> str:
-        return self.activation(x, OpType.SIGMOID, name=name)
-
     def hardswish(self, x: str, name: Optional[str] = None) -> str:
         return self.activation(x, OpType.HARDSWISH, name=name)
-
-    def hardsigmoid(self, x: str, name: Optional[str] = None) -> str:
-        return self.activation(x, OpType.HARDSIGMOID, name=name)
-
-    def silu(self, x: str, name: Optional[str] = None) -> str:
-        return self.activation(x, OpType.SILU, name=name)
 
     def softmax(self, x: str, name: Optional[str] = None) -> str:
         return self.activation(x, OpType.SOFTMAX, name=name)

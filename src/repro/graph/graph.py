@@ -120,10 +120,6 @@ class Graph:
             raise GraphError(f"no such node: {name!r}")
         return list(self._consumers[name])
 
-    def producers(self, name: str) -> List[str]:
-        """Names of nodes feeding ``name``, in positional order."""
-        return list(self[name].inputs)
-
     @property
     def input_nodes(self) -> List[Node]:
         return [n for n in self._nodes.values() if n.op is OpType.INPUT]

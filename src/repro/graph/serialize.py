@@ -7,10 +7,6 @@ paper) without re-running the generator.
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
-from typing import Union
-
 from repro.graph.graph import Graph, GraphError, Node
 from repro.graph.ops import OpType, attrs_class_for
 
@@ -61,13 +57,3 @@ def graph_from_dict(payload: dict) -> Graph:
     except (KeyError, TypeError, ValueError) as exc:
         raise GraphError(f"malformed graph payload: {exc}") from exc
     return graph
-
-
-def save_graph(graph: Graph, path: Union[str, Path]) -> None:
-    """Write ``graph`` as JSON to ``path``."""
-    Path(path).write_text(json.dumps(graph_to_dict(graph), indent=1))
-
-
-def load_graph(path: Union[str, Path]) -> Graph:
-    """Read a JSON graph written by :func:`save_graph`."""
-    return graph_from_dict(json.loads(Path(path).read_text()))

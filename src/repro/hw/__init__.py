@@ -41,7 +41,6 @@ from repro.hw.telemetry import (
     TraceSegment,
     TelemetrySample,
     EnergyReport,
-    format_tegrastats,
 )
 from repro.hw.simulator import InferenceSimulator, SimulationResult, InferenceJob
 
@@ -67,7 +66,6 @@ __all__ = [
     "TraceSegment",
     "TelemetrySample",
     "EnergyReport",
-    "format_tegrastats",
     "InferenceSimulator",
     "SimulationResult",
     "InferenceJob",

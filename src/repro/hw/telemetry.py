@@ -5,8 +5,7 @@ The simulator produces two related views of a run:
 * an exact, piecewise-constant :class:`Trace` of (interval, frequency,
   power) segments from which energy is integrated with no sampling error;
 * a stream of :class:`TelemetrySample` windows — what a real governor
-  (or ``tegrastats``) would see — used by the reactive baselines and by
-  :func:`format_tegrastats` for log-style output.
+  (or ``tegrastats``) would see — used by the reactive baselines.
 """
 
 from __future__ import annotations
@@ -16,7 +15,7 @@ import struct
 from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, NamedTuple, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Tuple
 
 import numpy as np
 
@@ -301,25 +300,3 @@ def report_from_trace(trace: Trace, images: int) -> EnergyReport:
         board_energy=trace.board_energy,
         switch_count=trace.switch_count,
     )
-
-
-def format_tegrastats(samples: Iterable[TelemetrySample],
-                      platform_name: str = "jetson") -> str:
-    """Render samples in a tegrastats-like line format.
-
-    Example line::
-
-        RAM 0/0MB ... GR3D_FREQ 87%@1122 VDD_GPU 6540/6540 VDD_CPU 812/812
-    """
-    lines = []
-    for s in samples:
-        gpu_pct = int(round(s.gpu_busy * 100))
-        lines.append(
-            f"[{platform_name} t={s.t:8.3f}s] "
-            f"GR3D_FREQ {gpu_pct:3d}%@L{s.gpu_level:02d} "
-            f"VDD_GPU {int(s.gpu_power * 1000):6d}mW "
-            f"VDD_CPU {int(s.cpu_power * 1000):6d}mW "
-            f"TOTAL {int(s.total_power * 1000):6d}mW"
-            + (" [faulty]" if s.faulty else "")
-        )
-    return "\n".join(lines)

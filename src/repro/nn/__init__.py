@@ -6,13 +6,13 @@ macro *structural* features enter at the input and aggregate *statistics*
 features are injected mid-network — and the per-block target-frequency
 decision model.  This package provides exactly the machinery those models
 need: dense/ReLU/dropout layers with hand-written backprop, softmax
-cross-entropy, SGD/Adam, a two-branch module mirroring Figure 3, a
+cross-entropy, Adam, a two-branch module mirroring Figure 3, a
 training loop with early stopping, and feature scaling.
 """
 
 from repro.nn.layers import Layer, Dense, ReLU, Dropout
 from repro.nn.losses import SoftmaxCrossEntropy, softmax
-from repro.nn.optim import SGD, Adam, Optimizer
+from repro.nn.optim import Adam, Optimizer
 from repro.nn.model import Sequential, TwoBranchMLP
 from repro.nn.data import StandardScaler, split_indices, iterate_minibatches
 from repro.nn.training import Trainer, TrainingHistory
@@ -25,7 +25,6 @@ __all__ = [
     "Dropout",
     "SoftmaxCrossEntropy",
     "softmax",
-    "SGD",
     "Adam",
     "Optimizer",
     "Sequential",

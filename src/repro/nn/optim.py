@@ -1,4 +1,4 @@
-"""Optimizers: SGD with momentum and Adam."""
+"""Optimizers: Adam."""
 
 from __future__ import annotations
 
@@ -26,22 +26,6 @@ class Optimizer:
     def zero_grad(self) -> None:
         for g in self.grads:
             g[...] = 0.0
-
-
-class SGD(Optimizer):
-    """SGD with classical momentum."""
-
-    def __init__(self, params: List[np.ndarray], grads: List[np.ndarray],
-                 lr: float = 0.01, momentum: float = 0.9) -> None:
-        super().__init__(params, grads, lr)
-        self.momentum = momentum
-        self._velocity = [np.zeros_like(p) for p in params]
-
-    def step(self) -> None:
-        for p, g, v in zip(self.params, self.grads, self._velocity):
-            v *= self.momentum
-            v -= self.lr * g
-            p += v
 
 
 class Adam(Optimizer):

@@ -18,6 +18,9 @@ from repro.nn.losses import SoftmaxCrossEntropy
 from repro.nn.metrics import accuracy
 from repro.nn.optim import Adam
 
+#: L2 penalty Adam adds to every gradient.
+WEIGHT_DECAY = 1e-5
+
 
 @dataclass
 class TrainingHistory:
@@ -40,13 +43,12 @@ class Trainer:
 
     def __init__(self, model, lr: float = 1e-3, batch_size: int = 64,
                  max_epochs: int = 200, patience: int = 15,
-                 weight_decay: float = 1e-5, seed: int = 0) -> None:
+                 seed: int = 0) -> None:
         self.model = model
         self.lr = lr
         self.batch_size = batch_size
         self.max_epochs = max_epochs
         self.patience = patience
-        self.weight_decay = weight_decay
         self.seed = seed
         self.loss_fn = SoftmaxCrossEntropy()
         self.history = TrainingHistory()
@@ -76,8 +78,7 @@ class Trainer:
     def fit(self, train_inputs: Tuple[np.ndarray, ...],
             train_targets: np.ndarray,
             val_inputs: Optional[Tuple[np.ndarray, ...]] = None,
-            val_targets: Optional[np.ndarray] = None,
-            verbose: bool = False) -> TrainingHistory:
+            val_targets: Optional[np.ndarray] = None) -> TrainingHistory:
         """Train until convergence or ``max_epochs``.
 
         Early stopping restores the best-validation-loss parameters.  An
@@ -86,7 +87,7 @@ class Trainer:
         """
         t0 = time.perf_counter()
         optimizer = Adam(self.model.params(), self.model.grads(),
-                         lr=self.lr, weight_decay=self.weight_decay)
+                         lr=self.lr, weight_decay=WEIGHT_DECAY)
         n = len(train_targets)
         best_val = np.inf
         best_params: Optional[List[np.ndarray]] = None
@@ -113,9 +114,6 @@ class Trainer:
                 val_loss, val_acc = self.evaluate(val_inputs, val_targets)
                 self.history.val_loss.append(val_loss)
                 self.history.val_accuracy.append(val_acc)
-                if verbose:  # pragma: no cover - console aid
-                    print(f"epoch {epoch:3d} train {epoch_loss/n_batches:.4f}"
-                          f" val {val_loss:.4f} acc {val_acc:.3f}")
                 if val_loss < best_val - 1e-6:
                     best_val = val_loss
                     best_params = [p.copy() for p in self.model.params()]

@@ -42,7 +42,6 @@ observability on and off).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 from repro.obs.metrics import (
     Counter,
@@ -73,7 +72,7 @@ __all__ = [
     "Counter", "Gauge", "Histogram", "MetricsRegistry",
     "parse_prometheus_text", "DEFAULT_BUCKETS", "SWITCH_LATENCY_BUCKETS",
     "NULL_METRICS", "Span", "Tracer", "NULL_TRACER", "DEFAULT_MAX_SPANS",
-    "Observability", "NULL_OBS", "observability",
+    "Observability", "NULL_OBS",
     "SpanNode", "TraceFile", "read_trace", "span_tree",
     "summarize_trace",
     "EnergyLedger",
@@ -138,8 +137,3 @@ class Observability:
 #: Shared disabled bundle — the default wherever ``obs`` is accepted.
 #: Both members are inert singletons; never mutates.
 NULL_OBS = Observability(tracer=NULL_TRACER, metrics=NULL_METRICS)
-
-
-def observability(obs: Optional[Observability]) -> Observability:
-    """Normalize an optional ``obs`` argument to a concrete bundle."""
-    return obs if obs is not None else NULL_OBS

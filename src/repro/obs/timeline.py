@@ -258,12 +258,6 @@ class ServingTimeline:
             timeline(event)
         return timeline
 
-    @classmethod
-    def from_file(cls, path: Union[str, Path],
-                  **kwargs: Any) -> "ServingTimeline":
-        events, _ = read_event_log(path)
-        return cls.from_events(events, **kwargs)
-
     # ------------------------------------------------------------------
     def __call__(self, event: Dict[str, Any]) -> None:
         """Fold one event-log record into the timeline."""

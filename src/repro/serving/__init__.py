@@ -35,12 +35,7 @@ from repro.serving.arrivals import (
     make_trace,
     poisson_trace,
 )
-from repro.governors.family import (
-    PLAN_CACHE_VERSION,
-    PlanCache,
-    analytic_plan,
-    plan_cache_key,
-)
+from repro.governors.family import PlanCache, analytic_plan
 from repro.serving.fleet import (
     DeviceConfig,
     DispatchRecord,
@@ -83,8 +78,7 @@ __all__ = [
     "DeviceConfig", "DispatchRecord", "Fleet", "PlanCache",
     "RecoveryConfig", "FAMILY_GOVERNORS", "SERVING_GOVERNORS",
     "SimulatedDevice",
-    "PLAN_CACHE_VERSION", "analytic_plan", "derive_seed",
-    "plan_cache_key",
+    "analytic_plan", "derive_seed",
     "DeadlinePolicy", "EnergyAwarePolicy", "FifoPolicy",
     "POLICY_REGISTRY", "QueuePolicy", "make_policy",
     "FleetScheduler", "SchedulerConfig", "ServingResult",

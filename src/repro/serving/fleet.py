@@ -7,10 +7,7 @@ to treat it as an independent worker:
 * a **plan store** — the device's
   :class:`~repro.governors.family.PlanCache`: frequency plans built
   analytically (NeuralPower-style closed-form oracle, no fitted lens
-  required), keyed by a content hash exactly like
-  :func:`repro.core.persistence.dataset_cache_key` (any change to the
-  platform's power model, the graph, the batch size, the sparsity
-  bucket or the planner parameters yields a new key), plus the
+  required), one per graph, batch size and sparsity bucket, plus the
   corrections the adaptive governors adopt per member;
 * a **dispatch-time cost model** — predicted wall time and joules of a
   job on this device from the same
@@ -259,7 +256,6 @@ class SimulatedDevice:
     def __init__(self, config: DeviceConfig, governor: str = "powerlens",
                  fleet_seed: int = 0,
                  faults: Optional[FaultProfile] = None,
-                 latency_slack: float = 0.25, block_size: int = 8,
                  sparsity_edges: Sequence[float] = (0.0,)) -> None:
         if governor not in SERVING_GOVERNORS:
             raise KeyError(
@@ -282,8 +278,8 @@ class SimulatedDevice:
         # single dense bucket (after the edges are validated) so every
         # key, plan and event they produce stays byte-identical to the
         # pre-family serving layer.
-        self.plan_cache = PlanCache(self.evaluator, latency_slack,
-                                    block_size, sparsity_edges)
+        self.plan_cache = PlanCache(self.evaluator,
+                                    sparsity_edges=sparsity_edges)
         if governor not in FAMILY_GOVERNORS:
             self.plan_cache.sparsity_edges = (0.0,)
         # Per-device metrics, merged fleet-wide after the run; the
@@ -301,7 +297,8 @@ class SimulatedDevice:
         elif governor in ("powerlens-adaptive",
                           "powerlens-family-adaptive"):
             self._governor = AdaptivePresetGovernor(
-                [], self.evaluator, latency_slack=latency_slack,
+                [], self.evaluator,
+                latency_slack=self.plan_cache.latency_slack,
                 obs=self.obs, name=governor)
         else:
             self._governor = make_governor(governor)
@@ -322,7 +319,6 @@ class SimulatedDevice:
         self.energies_j: List[float] = []
         self.ledger_energies_j: List[float] = []
         self.anomaly_count = 0
-        self.records: List[DispatchRecord] = []
         self._predictions: Dict[Tuple[str, int], Tuple[float, float]] = {}
         # -- recovery state machine (driven by the scheduler) --------------
         self.recovery_state = "active"
@@ -552,7 +548,6 @@ class SimulatedDevice:
         self.energies_j.append(record.energy_j)
         self.ledger_energies_j.append(record.ledger_energy_j)
         self.anomaly_count += record.new_anomalies
-        self.records.append(record)
         return record
 
 
@@ -572,11 +567,10 @@ class Fleet:
     def build(cls, configs: Sequence[DeviceConfig], governor: str,
               fleet_seed: int = 0,
               faults: Optional[FaultProfile] = None,
-              latency_slack: float = 0.25, block_size: int = 8,
               sparsity_edges: Sequence[float] = (0.0,)) -> "Fleet":
         return cls([
             SimulatedDevice(cfg, governor, fleet_seed, faults,
-                            latency_slack, block_size, sparsity_edges)
+                            sparsity_edges)
             for cfg in configs
         ])
 

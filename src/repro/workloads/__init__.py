@@ -1,6 +1,5 @@
 """Workload construction: single-model EE tests and random task flows."""
 
-from repro.workloads.images import ImageBatchSpec, synthetic_batch
 from repro.workloads.taskflow import (
     TaskFlowConfig,
     make_taskflow,
@@ -10,8 +9,6 @@ from repro.workloads.taskflow import (
 )
 
 __all__ = [
-    "ImageBatchSpec",
-    "synthetic_batch",
     "TaskFlowConfig",
     "make_taskflow",
     "make_model_job",

@@ -6,6 +6,7 @@ from types import SimpleNamespace
 import pytest
 
 import repro.cli as cli
+from repro.hw import FaultProfile
 
 
 class _FakePlan:
@@ -64,3 +65,42 @@ def test_accuracy_command(monkeypatch, capsys):
                         lambda *a, **k: _FakeAccuracy())
     assert cli.main(["accuracy", "--networks", "5"]) == 0
     assert "accuracy table" in capsys.readouterr().out
+
+
+def _no_fit(*args, **kwargs):
+    raise AssertionError("a bad --fault-profile must fail before fitting")
+
+
+@pytest.mark.parametrize("argv", [["robustness", "--adaptive"],
+                                  ["robustness"], ["ledger"],
+                                  ["serve-sim"]],
+                         ids=["robustness-adaptive", "robustness",
+                              "ledger", "serve-sim"])
+def test_bad_fault_profile_exits_2_before_fitting(monkeypatch, capsys,
+                                                  argv):
+    monkeypatch.setattr("repro.experiments.common.get_context", _no_fit)
+    monkeypatch.setattr(
+        "repro.experiments.adaptive.run_adaptive_retention", _no_fit)
+    assert cli.main(argv + ["--fault-profile", "bogus=1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"powerlens {argv[0]}: unknown fault-profile "
+                          f"field 'bogus'")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command, spec, expected", [
+    # robustness leaves "representative" to the sweep, which sizes the
+    # thermal-cap window from the measured fault-free run.
+    ("robustness", "representative", None),
+    ("robustness", "rep", None),
+    ("robustness", "none", FaultProfile.none()),
+    ("ledger", "none", None),
+    ("ledger", "", None),
+    ("ledger", "representative", FaultProfile.representative()),
+    ("serve-sim", "none", None),
+    ("serve-sim", "switch_drop_rate=0.1",
+     FaultProfile(switch_drop_rate=0.1)),
+])
+def test_fault_profile_defaults_per_command(command, spec, expected):
+    args = SimpleNamespace(command=command, fault_profile=spec)
+    assert cli._fault_profile(args) == expected

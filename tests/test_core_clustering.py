@@ -8,6 +8,8 @@ from hypothesis import given, settings, strategies as st
 from repro.core.clustering import (
     NOISE,
     FactoredDistance,
+    _merge_runs,
+    _mode_filter,
     cluster_power_blocks,
     dbscan,
     process_clusters,
@@ -147,6 +149,13 @@ class TestDBSCAN:
         assert len(set(labels)) == 4
 
 
+def _filtered(labels, window, min_block_size=1):
+    """``process_clusters`` with a majority filter of radius ``window``
+    (0 skips the filter)."""
+    labels = np.asarray(labels, dtype=int)
+    return _merge_runs(_mode_filter(labels, window), min_block_size)
+
+
 def _assert_partition(blocks, n):
     covered = [i for b in blocks for i in b]
     assert covered == list(range(n))
@@ -156,7 +165,7 @@ def _assert_partition(blocks, n):
 
 class TestPostProcess:
     def test_contiguous_labels_pass_through(self):
-        blocks = process_clusters([0, 0, 0, 1, 1, 1], mode_window=0)
+        blocks = _filtered([0, 0, 0, 1, 1, 1], 0)
         _assert_partition(blocks, 6)
         assert len(blocks) == 2
 
@@ -170,17 +179,16 @@ class TestPostProcess:
         assert blocks[0][-1] in (5, 6)
 
     def test_noise_absorbed(self):
-        blocks = process_clusters([0, 0, -1, 1, 1], mode_window=0)
+        blocks = _filtered([0, 0, -1, 1, 1], 0)
         _assert_partition(blocks, 5)
 
     def test_all_noise_single_block(self):
-        blocks = process_clusters([-1, -1, -1, -1], mode_window=0)
+        blocks = _filtered([-1, -1, -1, -1], 0)
         _assert_partition(blocks, 4)
         assert len(blocks) == 1
 
     def test_small_runs_merged(self):
-        blocks = process_clusters([0, 0, 0, 1, 0, 0, 0],
-                                  min_block_size=2, mode_window=0)
+        blocks = _filtered([0, 0, 0, 1, 0, 0, 0], 0, min_block_size=2)
         _assert_partition(blocks, 7)
         for b in blocks[:-1]:
             assert len(b) >= 2
@@ -195,9 +203,9 @@ class TestPostProcess:
     def test_partition_invariants(self, labels, min_size, window):
         """Property: output is always an ordered, contiguous, complete,
         non-overlapping partition, whatever the input labels."""
-        blocks = process_clusters(labels, min_block_size=min_size,
-                                  mode_window=window)
-        _assert_partition(blocks, len(labels))
+        _assert_partition(_filtered(labels, window, min_size), len(labels))
+        _assert_partition(process_clusters(labels, min_block_size=min_size),
+                          len(labels))
 
 
 class TestEndToEnd:
@@ -232,8 +240,7 @@ class TestEndToEnd:
         a = rng.normal(0.0, 0.05, size=(20, 6))
         b = rng.normal(4.0, 0.05, size=(20, 6))
         x = np.vstack([a, b])
-        blocks = cluster_power_blocks(x, eps=0.5, min_pts=3,
-                                      smooth_window=0)
+        blocks = FactoredDistance(x, 0).blocks(eps=0.5, min_pts=3)
         assert len(blocks) == 2
         assert blocks[0][-1] == 19
 

@@ -80,15 +80,18 @@ class TestGovernorIntegration:
         assert gov.name == "powerlens"
 
     def test_oracle_governor_name(self, fitted_lens, small_cnn):
-        gov = fitted_lens.governor([small_cnn], oracle=True)
+        plan = fitted_lens.oracle_plan(small_cnn).plan
+        gov = PresetGovernor([plan], name="powerlens-oracle")
         assert gov.name == "powerlens-oracle"
+        assert gov.plan_for(small_cnn.name) is plan
 
     def test_powerlens_beats_max_frequency(self, fitted_lens, tx2):
         """Headline claim: the fitted framework improves EE over pinned
         maximum frequency on an unseen real network."""
         from repro.governors import StaticGovernor
         graph = build_model("resnet18")
-        gov = fitted_lens.governor([graph], oracle=True)
+        gov = PresetGovernor([fitted_lens.oracle_plan(graph).plan],
+                             name="powerlens-oracle")
         job = InferenceJob(graph=graph, batch_size=16, n_batches=3,
                            cpu_work_per_image=5e7)
         ee_pl = InferenceSimulator(tx2, keep_trace=False).run(

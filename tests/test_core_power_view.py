@@ -56,7 +56,7 @@ class TestAccess:
 
     def test_boundaries_are_instrumentation_points(self, small_cnn):
         view = _view(small_cnn, [4, 8])
-        assert view.boundaries() == [0, 4, 8]
+        assert [b.start for b in view.blocks] == [0, 4, 8]
 
     def test_feature_matrix_shape(self, small_cnn):
         view = _view(small_cnn, [4])

@@ -4,6 +4,7 @@ ResourceWarning-clean load fix, and the on-disk generation cache."""
 import gc
 import json
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -297,8 +298,8 @@ class TestFitLevelCache:
             dnn_config=RandomDNNConfig(min_stages=2, max_stages=3,
                                        max_blocks_per_stage=3))
         PowerLens(tx2, config).fit()
-        lens = PowerLens(tx2, config)
-        summary = lens.fit(use_cache=False)
+        lens = PowerLens(tx2, replace(config, use_cache=False))
+        summary = lens.fit()
         assert summary.generation.cache_hit is False
 
 

@@ -12,7 +12,6 @@ import pytest
 
 from repro.core.datasets import (
     DatasetGenerator,
-    GenerationProgress,
     GenerationStats,
 )
 from repro.core.schemes import ClusteringScheme
@@ -112,33 +111,13 @@ class TestDeterminism:
 
 
 class TestProgressAndStats:
-    def test_progress_callback_ticks(self, tiny_platform):
-        events = []
-        _a, b, stats = _small_generator(tiny_platform).generate(
-            5, seed=2, n_jobs=1, progress=events.append)
-        assert [e.completed for e in events] == [1, 2, 3, 4, 5]
-        assert all(e.total == 5 for e in events)
-        assert events[-1].n_blocks == stats.n_blocks == len(b)
-        assert events[-1].networks_per_s > 0
-        assert events[-1].blocks_per_s > 0
-        assert "networks/s" in events[-1].format()
-
-    def test_progress_callback_under_pool(self, tiny_platform):
-        events = []
-        _small_generator(tiny_platform).generate(
-            4, seed=2, n_jobs=2, progress=events.append)
-        assert [e.completed for e in events] == [1, 2, 3, 4]
-        assert events[-1].n_blocks > 0
-
     def test_throughput_properties(self):
         stats = GenerationStats(n_networks=10, n_blocks=40,
                                 wall_time_s=2.0)
         assert stats.networks_per_s == pytest.approx(5.0)
         assert stats.blocks_per_s == pytest.approx(20.0)
         assert GenerationStats().networks_per_s == 0.0
-        zero = GenerationProgress(completed=0, total=5, n_blocks=0,
-                                  elapsed_s=0.0)
-        assert zero.networks_per_s == 0.0 and zero.blocks_per_s == 0.0
+        assert GenerationStats().blocks_per_s == 0.0
 
     def test_invalid_count_still_rejected(self, tiny_platform):
         with pytest.raises(ValueError):

@@ -125,11 +125,14 @@ def test_cluster_power_blocks_matches_reference(x, window, eps, min_pts,
                                                 alpha, lam):
     """The public fast entry point equals the retained reference across
     the blend/regularizer parameter grid."""
-    fast = cluster_power_blocks(x, eps, min_pts, alpha=alpha, lam=lam,
-                                smooth_window=window)
+    fast = FactoredDistance(x, window, alpha=alpha, lam=lam).blocks(
+        eps, min_pts)
     ref = cluster_power_blocks_reference(x, eps, min_pts, alpha=alpha,
                                          lam=lam, smooth_window=window)
     assert fast == ref
+    if window == max(2, min_pts):
+        assert cluster_power_blocks(x, eps, min_pts, alpha=alpha,
+                                    lam=lam) == ref
 
 
 @settings(max_examples=100, deadline=None)

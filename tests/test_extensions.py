@@ -110,13 +110,6 @@ class TestCalibration:
         assert result.c_eff == pytest.approx(tx2.c_eff, rel=0.1)
         assert result.rms_error_w < 0.5
 
-    def test_apply_returns_updated_platform(self, tx2):
-        samples = synthesize_samples(tx2, n=50)
-        result = fit_power_model(tx2, samples)
-        fitted = result.apply(tx2)
-        assert fitted.c_eff == pytest.approx(result.c_eff)
-        assert fitted.gpu_freq_levels == tx2.gpu_freq_levels
-
     def test_needs_enough_samples(self, tx2):
         with pytest.raises(ValueError):
             fit_power_model(tx2, synthesize_samples(tx2, n=3))

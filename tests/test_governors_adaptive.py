@@ -91,7 +91,9 @@ class TestZeroDriftIdentity:
                                      seed=seed + j)
             assert sig_a == sig_s
             assert adaptive.observe_job(graph, batch, ledger) == "none"
-        assert not adaptive.replan_health.active
+        health = adaptive.replan_health
+        assert (health.adopted, health.rejected, health.rollbacks) \
+            == (0, 0, 0)
         assert adaptive.replan_health.proposed == 0
 
 

@@ -40,7 +40,7 @@ class TestGraphStructure:
         g.add_node(_node("b", inputs=("x",)))
         g.add_node(_node("c", OpType.ADD, inputs=("a", "b")))
         assert sorted(g.consumers("x")) == ["a", "b"]
-        assert g.producers("c") == ["a", "b"]
+        assert list(g["c"].inputs) == ["a", "b"]
         assert [n.name for n in g.output_nodes] == ["c"]
 
     def test_len_and_contains(self, small_cnn):

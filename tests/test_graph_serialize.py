@@ -9,8 +9,6 @@ from repro.graph import (
     GraphError,
     graph_from_dict,
     graph_to_dict,
-    load_graph,
-    save_graph,
 )
 from repro.models import RandomDNNGenerator
 
@@ -27,12 +25,6 @@ def _assert_graphs_equal(a: Graph, b: Graph) -> None:
 
 def test_roundtrip_small_cnn(small_cnn):
     _assert_graphs_equal(small_cnn, graph_from_dict(graph_to_dict(small_cnn)))
-
-
-def test_file_roundtrip(tmp_path, small_cnn):
-    path = tmp_path / "g.json"
-    save_graph(small_cnn, path)
-    _assert_graphs_equal(small_cnn, load_graph(path))
 
 
 def test_malformed_payload_raises():

@@ -35,7 +35,7 @@ def test_multiple_outputs_warn():
     b = GraphBuilder("g")
     x = b.input((4, 8, 8))
     b.relu(x)
-    b.sigmoid(x)
+    b.activation(x, OpType.SIGMOID)
     issues = validate_graph(b.build())
     assert any(i.severity == "warning" and "output nodes" in i.message
                for i in issues)

@@ -17,7 +17,6 @@ from repro.hw.telemetry import (
     TelemetrySample,
     Trace,
     TraceSegment,
-    format_tegrastats,
     report_from_trace,
 )
 
@@ -269,16 +268,6 @@ class TestEnergyReport:
         r = report_from_trace(tr, images=4)
         assert r.images == 4
         assert r.total_energy == pytest.approx(tr.total_energy)
-
-
-def test_tegrastats_format():
-    s = TelemetrySample(t=1.5, period=0.02, gpu_level=7, gpu_busy=0.87,
-                        compute_util=0.5, memory_util=0.3, gpu_power=6.54,
-                        cpu_power=0.81, total_power=9.0)
-    text = format_tegrastats([s], "tx2")
-    assert "GR3D_FREQ  87%@L07" in text
-    assert "VDD_GPU   6540mW" in text
-    assert "TOTAL   9000mW" in text
 
 
 def _sample(t=1.5, power=6.0):

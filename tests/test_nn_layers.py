@@ -9,7 +9,6 @@ from repro.nn import (
     Dense,
     Dropout,
     ReLU,
-    SGD,
     Sequential,
     SoftmaxCrossEntropy,
     TwoBranchMLP,
@@ -135,13 +134,6 @@ class TestLosses:
 
 
 class TestOptimizers:
-    def test_sgd_moves_against_gradient(self):
-        p = np.array([1.0])
-        g = np.array([0.5])
-        opt = SGD([p], [g], lr=0.1, momentum=0.0)
-        opt.step()
-        assert p[0] == pytest.approx(0.95)
-
     def test_adam_converges_on_quadratic(self):
         p = np.array([5.0])
         g = np.zeros(1)
@@ -157,7 +149,7 @@ class TestOptimizers:
 
     def test_zero_grad(self):
         g = np.ones(3)
-        opt = SGD([np.zeros(3)], [g], lr=0.1)
+        opt = Adam([np.zeros(3)], [g], lr=0.1)
         opt.zero_grad()
         assert np.array_equal(g, np.zeros(3))
 

@@ -212,7 +212,7 @@ class TestEventLogParsing:
     def test_from_file_round_trip(self, tmp_path, run, timeline):
         path = tmp_path / "ev.jsonl"
         path.write_text(run.event_log())
-        rebuilt = ServingTimeline.from_file(path)
+        rebuilt = ServingTimeline.from_events(read_event_log(path)[0])
         assert len(rebuilt.requests) == len(timeline.requests)
         assert rebuilt.makespan_s == timeline.makespan_s
 

@@ -1,32 +1,12 @@
 """Workload construction tests."""
 
-import numpy as np
 import pytest
 
 from repro.workloads import (
-    ImageBatchSpec,
     TaskFlowConfig,
     make_model_job,
     make_taskflow,
-    synthetic_batch,
 )
-
-
-class TestImages:
-    def test_spec_shape(self):
-        spec = ImageBatchSpec(batch_size=4)
-        assert spec.shape == (4, 3, 224, 224)
-
-    def test_spec_validation(self):
-        with pytest.raises(ValueError):
-            ImageBatchSpec(batch_size=0)
-
-    def test_synthetic_batch(self):
-        spec = ImageBatchSpec(batch_size=2, height=32, width=32)
-        batch = synthetic_batch(spec, seed=1)
-        assert batch.shape == spec.shape
-        assert batch.dtype == np.float32
-        assert np.array_equal(batch, synthetic_batch(spec, seed=1))
 
 
 class TestModelJob:
