@@ -30,6 +30,13 @@ hypothesis suites in ``tests/test_labeling_fastpath.py`` and
 ``tests/test_distance_fastpath.py`` pin every fast path to them byte
 for byte.
 
+A network's pairs ``i < j`` are indexed once (:func:`pair_index`), as
+flat offsets into an n×n array, so every pair gather is a 1-D
+``take``.  :meth:`FactoredDistance.blocks` never builds
+an n×n matrix: it decides the adjacent pairs and hands them to
+:func:`dbscan_pairs`, which labels connected components of the core
+points instead of scanning points one by one.
+
 :class:`FactoredDistance` is the distance stage (DESIGN.md §5i): the
 quadratic form is expanded into Gram matrices of the smoothed features
 once per smoothing window, so pairwise distances come from three BLAS
@@ -48,7 +55,7 @@ and the dataset-cache key is unchanged.
 from __future__ import annotations
 
 import math
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -92,49 +99,77 @@ def spacing_by_gap(n: int, lam: float,
 # ----------------------------------------------------------------------
 
 NOISE = -1
+#: The queue oracle's mark for a point not yet scanned.
 _UNVISITED = -2
 
 
 def dbscan(adjacent: np.ndarray, min_pts: int) -> np.ndarray:
-    """Classic DBSCAN given the ``distance <= eps`` adjacency matrix.
+    """Classic DBSCAN given the symmetric ``distance <= eps`` adjacency
+    matrix (see :func:`dbscan_pairs`).
 
     Returns integer labels per point; ``-1`` marks noise.  Implemented
     from scratch since the environment carries no clustering library.
-    :meth:`FactoredDistance.blocks` feeds it the exact-decision
-    adjacency, so no distance matrix is ever materialized.
-
-    Cluster expansion runs on boolean frontier vectors rather than a
-    per-point Python queue.  The final labels are identical to a
-    per-point queue expansion (the test oracle): a cluster's membership
-    is the core-connected closure of its seed restricted to points
-    unclaimed when the seed is visited, which is order-free — only the
-    seed scan order (ascending ``i``, shared by both implementations)
-    matters.
     """
     if adjacent.ndim != 2 or adjacent.shape[0] != adjacent.shape[1]:
         raise ValueError("adjacency must be a square matrix")
+    i, j = np.nonzero(np.triu(adjacent, k=1))
+    return dbscan_pairs(adjacent.sum(axis=1), i, j, min_pts)
+
+
+def dbscan_pairs(degree: np.ndarray, i: np.ndarray, j: np.ndarray,
+                 min_pts: int) -> np.ndarray:
+    """DBSCAN labels of ``len(degree)`` points from their neighbourhood
+    sizes (self included) and their adjacent pairs ``i < j``.
+
+    :meth:`FactoredDistance.blocks` feeds it the exact-decision pairs,
+    so neither a distance nor an adjacency matrix is materialized.
+
+    The labels are the classic per-point scan's (the queue-expansion
+    test oracle), computed without a scan: a point is *core* when its
+    neighbourhood holds ``min_pts`` points; a cluster is a connected
+    component of the core points, numbered in order of its least index
+    (the scan's seed order); a non-core point joins the lowest-numbered
+    cluster with a core point adjacent to it — the first cluster whose
+    expansion reaches it — or stays noise.
+    """
     if min_pts < 1:
         raise ValueError("min_pts must be >= 1")
-    n = adjacent.shape[0]
-    labels = np.full(n, _UNVISITED, dtype=int)
-    core = adjacent.sum(axis=1) >= min_pts
-    cluster = 0
-    for i in range(n):
-        if labels[i] != _UNVISITED:
-            continue
-        if not core[i]:
-            labels[i] = NOISE
-            continue
-        labels[i] = cluster
-        frontier = np.zeros(n, dtype=bool)
-        frontier[i] = True
-        while frontier.any():
-            reached = adjacent[frontier].any(axis=0)
-            claimed = reached & (labels == _UNVISITED)
-            labels[reached & (labels == NOISE)] = cluster  # border points
-            labels[claimed] = cluster
-            frontier = claimed & core
-        cluster += 1
+    n = degree.shape[0]
+    core = degree >= min_pts
+    core_i = core[i]
+    core_j = core[j]
+    linked = core_i & core_j
+    u, v = i[linked], j[linked]
+    # Connected components by hooking and pointer jumping: each root
+    # hooks under the least root it shares a core pair with, then every
+    # point jumps to its root.  ``parent[x] <= x`` throughout, so each
+    # component ends as a star on its least index.
+    parent = np.arange(n)
+    while True:
+        pu, pv = parent[u], parent[v]
+        split = pu != pv
+        if not split.any():
+            break
+        pu, pv = pu[split], pv[split]
+        np.minimum.at(parent, np.maximum(pu, pv), np.minimum(pu, pv))
+        while True:
+            grand = parent[parent]
+            if np.array_equal(grand, parent):
+                break
+            parent = grand
+    labels = np.full(n, NOISE, dtype=int)
+    seeds = np.flatnonzero(core)
+    labels[seeds] = np.unique(parent[seeds], return_inverse=True)[1]
+    # Border points: the least cluster among their core neighbours.
+    to_j = core_i & ~core_j
+    to_i = core_j & ~core_i
+    border = np.concatenate([j[to_j], i[to_i]])
+    if border.size:
+        via = np.concatenate([labels[i[to_j]], labels[j[to_i]]])
+        claim = np.full(n, n)
+        np.minimum.at(claim, border, via)
+        claimed = claim < n
+        labels[claimed] = claim[claimed]
     return labels
 
 
@@ -144,13 +179,9 @@ def dbscan(adjacent: np.ndarray, min_pts: int) -> np.ndarray:
 
 def _runs_of(labels: np.ndarray) -> List[List[int]]:
     """Split the index sequence into maximal runs of equal label."""
-    runs: List[List[int]] = []
-    for i, lab in enumerate(labels):
-        if runs and labels[runs[-1][-1]] == lab:
-            runs[-1].append(i)
-        else:
-            runs.append([i])
-    return runs
+    edges = [0, *(np.flatnonzero(labels[1:] != labels[:-1]) + 1).tolist(),
+             len(labels)]
+    return [list(range(a, b)) for a, b in zip(edges, edges[1:])]
 
 
 def _mode_filter(labels: np.ndarray, window: int) -> np.ndarray:
@@ -166,7 +197,10 @@ def _mode_filter(labels: np.ndarray, window: int) -> np.ndarray:
     Window counts are prefix-sum differences of a one-hot label matrix
     (exact integer arithmetic), and the min-label tie-break falls out of
     ``argmax`` over label-sorted columns — identical to per-point vote
-    dictionaries (the test oracle).
+    dictionaries (the test oracle).  The votes run on codes into the
+    input's sorted label set: a pass only ever outputs labels it was
+    given, and a label that has dropped out keeps an all-zero column,
+    which wins no vote.
     """
     if window <= 0:
         return labels
@@ -176,24 +210,23 @@ def _mode_filter(labels: np.ndarray, window: int) -> np.ndarray:
     positions = np.arange(n)
     lo = np.maximum(0, positions - window)
     hi = np.minimum(n, positions + window + 1)
-    current = labels
+    uniq, codes = np.unique(labels, return_inverse=True)
+    noise_cols = np.flatnonzero(uniq == NOISE)
     for _pass in range(3):  # iterate to (near) fixpoint
-        uniq, inverse = np.unique(current, return_inverse=True)
         one_hot = np.zeros((n + 1, len(uniq)), dtype=np.int64)
-        one_hot[positions + 1, inverse] = 1
+        one_hot[positions + 1, codes] = 1
         prefix = np.cumsum(one_hot, axis=0)
         votes = prefix[hi] - prefix[lo]          # (n, n_labels), exact
-        noise_cols = np.flatnonzero(uniq == NOISE)
         if noise_cols.size:
             votes[:, noise_cols[0]] = 0
         best = np.argmax(votes, axis=1)          # min-label tie-break
-        best_count = votes[positions, best]
-        out = np.where(best_count > 0, uniq[best], NOISE)
-        out = out.astype(current.dtype, copy=False)
-        if np.array_equal(out, current):
+        if noise_cols.size:
+            # An all-noise window keeps noise.
+            best[votes[positions, best] == 0] = noise_cols[0]
+        if np.array_equal(best, codes):
             break
-        current = out
-    return current
+        codes = best
+    return uniq[codes]
 
 
 def _merge_runs(labels: np.ndarray,
@@ -264,7 +297,7 @@ def process_clusters(labels: Sequence[int],
     join the shorter adjacent run; runs smaller than ``min_block_size``
     are merged into their smaller neighbour.
     """
-    labels = np.asarray(list(labels), dtype=int)
+    labels = np.asarray(labels, dtype=int)
     if len(labels) == 0:
         return []
     return _merge_runs(_mode_filter(labels, max(2, min_block_size)),
@@ -316,22 +349,68 @@ def smooth_features(x: np.ndarray, window: int) -> np.ndarray:
     return out
 
 
-def _gram_pairs(q: np.ndarray, g: np.ndarray, iu: np.ndarray,
-                ju: np.ndarray, op: np.ufunc) -> np.ndarray:
-    """``op(op(q[iu] + q[ju], g[iu, ju]), g[ju, iu])`` over the pairs,
-    accumulated in place so only one pair-length temporary is live."""
-    out = q[iu]
-    out += q[ju]
-    op(out, g[iu, ju], out=out)
-    op(out, g[ju, iu], out=out)
+class PairIndex(NamedTuple):
+    """The pairs ``i < j`` of ``n`` points, in ``np.triu_indices(n, 1)``
+    order, as flat offsets into a C-ordered n×n array: ``upper = i*n +
+    j`` addresses ``[i, j]`` and ``lower = j*n + i`` addresses ``[j, i]``.
+    Every pair gather is a 1-D ``take`` and every adjacency scatter a
+    1-D assignment; ``(i, j)`` themselves are recovered only where they
+    are needed, so the index holds two pair-length arrays."""
+
+    n: int
+    upper: np.ndarray
+    lower: np.ndarray
+
+    def rows_cols(self, positions: Optional[np.ndarray] = None
+                  ) -> Tuple[np.ndarray, np.ndarray]:
+        """``(i, j)`` of every pair, or of the pairs at ``positions``."""
+        flat = self.upper if positions is None else \
+            self.upper.take(positions)
+        rows = flat // self.n
+        return rows, flat - rows * self.n
+
+    def gaps(self) -> np.ndarray:
+        """``j - i`` of every pair: ``lower - upper = (j - i)(n - 1)``."""
+        gap = self.lower - self.upper
+        gap //= self.n - 1
+        return gap
+
+
+def pair_index(n: int) -> PairIndex:
+    """The :class:`PairIndex` of ``n`` points."""
+    iu, ju = np.triu_indices(n, k=1)
+    upper = iu * n
+    upper += ju
+    lower = ju * n
+    lower += iu
+    return PairIndex(n, upper, lower)
+
+
+def _gram_pairs(b: np.ndarray, x: np.ndarray, pairs: PairIndex,
+                op: np.ufunc) -> np.ndarray:
+    """``op(op(q[i] + q[j], g[i, j]), g[j, i])`` over the pairs, for the
+    Gram matrix ``g = b xᵀ`` and ``q = diag(g)``, accumulated in place so
+    only one pair-length temporary is live once ``g`` is built."""
+    q = np.einsum("nk,nk->n", b, x)
+    i, j = pairs.rows_cols()
+    out = q.take(i)
+    out += q.take(j)
+    del i, j  # freed before the n×n Gram matrix is built
+    g = b @ x.T
+    op(out, g.take(pairs.upper), out=out)
+    op(out, g.take(pairs.lower), out=out)
     return out
 
 
 def _middle_mean(values: np.ndarray, r1: int, r2: int) -> float:
-    """Mean of order statistics ``r1`` and ``r2`` of ``values``,
-    partitioned in place (the same algorithm as ``np.partition``)."""
-    values.partition([r1, r2])
-    return float(np.mean(values[[r1, r2]]))
+    """Mean of order statistics ``r1`` and ``r2 ∈ {r1, r1 + 1}`` of
+    ``values``, partitioned in place: one selection of ``r1`` (a
+    two-``kth`` partition selects twice and runs several times slower),
+    after which ``r2`` is the least value above it."""
+    values.partition(r1)
+    low = values[r1]
+    high = low if r2 == r1 else values[r2:].min()
+    return float(np.mean([low, high]))
 
 
 class FactoredDistance:
@@ -386,19 +465,19 @@ class FactoredDistance:
     pairs when the fallback fires; telemetry for the equivalence
     suite).
 
-    ``pairs`` takes a precomputed ``np.triu_indices(n, 1)`` so the
-    windows of one network can share it.  Nothing is cached across
+    ``pairs`` takes a precomputed :func:`pair_index` so the windows of
+    one network can share it.  Nothing is cached across
     networks: every O(n²) array lives exactly as long as the instance
     (the spacing term comes from the O(n) :func:`spacing_by_gap`).
     """
 
     __slots__ = ("n", "alpha", "lam", "spacing_mode", "exact_evaluations",
-                 "_iu", "_ju", "_xs", "_p", "_scale", "_scale_band",
+                 "_pairs", "_xs", "_p", "_scale", "_scale_band",
                  "_blended", "_band", "_omr", "_exact", "_force_exact")
 
     def __init__(self, x: np.ndarray, window: int, alpha: float = 0.6,
                  lam: float = 0.05, spacing_mode: str = "penalty",
-                 pairs: Optional[Tuple[np.ndarray, np.ndarray]] = None
+                 pairs: Optional[PairIndex] = None
                  ) -> None:
         if not 0.0 <= alpha <= 1.0:
             raise ValueError("alpha must be in [0, 1]")
@@ -415,7 +494,7 @@ class FactoredDistance:
         # Validates lam and the mode eagerly, like the dense path.
         omr_by_gap = (1.0 - alpha) * spacing_by_gap(n, lam, spacing_mode)
         if n <= 1:
-            self._iu = self._ju = np.zeros(0, dtype=int)
+            self._pairs = pair_index(n)
             self._xs = xs
             self._p = np.zeros((1, 1))
             self._scale = 0.0
@@ -424,9 +503,9 @@ class FactoredDistance:
             self._band = np.zeros(0)
             self._omr = np.zeros(0)
             return
-        iu, ju = np.triu_indices(n, k=1) if pairs is None else pairs
-        self._iu, self._ju = iu, ju
-        self._omr = omr_by_gap[ju - iu]
+        if pairs is None:
+            pairs = pair_index(n)
+        self._pairs = pairs
         cov = np.cov(xs, rowvar=False)
         p = np.linalg.pinv(np.atleast_2d(cov))
         self._xs = xs
@@ -449,8 +528,7 @@ class FactoredDistance:
         # evaluates the same asymmetric P the einsum sees, so the gap
         # is pure summation rounding.)
         b = xs @ p
-        d = _gram_pairs(np.einsum("nk,nk->n", b, xs), b @ xs.T, iu, ju,
-                        np.subtract)
+        d = _gram_pairs(b, xs, pairs, np.subtract)
         # Conservative per-pair bound on |d²_fast − d²_einsum|: both
         # sides are floating-point sums of the same k²+2k products (in
         # different association orders, plus the Gram expansion's
@@ -468,8 +546,7 @@ class FactoredDistance:
         habs = np.abs(xs)
         babs = habs @ np.abs(p)
         # b2 = 64·u·m̄ with m̄ = q̄_i + q̄_j + Ḡ_ij + Ḡ_ji; d = √max(d², 0)
-        band = _gram_pairs(np.einsum("nk,nk->n", babs, habs),
-                           babs @ habs.T, iu, ju, np.add)
+        band = _gram_pairs(babs, habs, pairs, np.add)
         band *= 64.0 * _EPS64
         np.sqrt(np.maximum(d, 0.0, out=d), out=d)
         # In the d domain: |√a − √b| ≤ min(√|a−b|, |a−b| / √a), so
@@ -479,6 +556,9 @@ class FactoredDistance:
             ratio = np.divide(band, np.maximum(d, 1e-300))
             np.minimum(np.sqrt(band, out=band), ratio, out=band)
             band *= 1.01
+        del ratio
+        # Gathered only now, so it is not alive under the Gram matrices.
+        self._omr = omr_by_gap.take(pairs.gaps())
         n_pairs = d.shape[0]
         if not (np.isfinite(d).all() and np.isfinite(band).all()):
             # Pathological features (inf/NaN): no finite error bound, so
@@ -545,8 +625,9 @@ class FactoredDistance:
         the dense reference chain's ``power_distance_matrix`` — the only
         copy of that einsum arithmetic in the package."""
         if self._exact is None:
-            pairs = self._xs[self._iu] - self._xs[self._ju]
-            e2 = np.einsum("pk,kl,pl->p", pairs, self._p, pairs)
+            i, j = self._pairs.rows_cols()
+            diffs = self._xs[i] - self._xs[j]
+            e2 = np.einsum("pk,kl,pl->p", diffs, self._p, diffs)
             d = np.sqrt(np.maximum(e2, 0.0))
             n_pairs = d.shape[0]
             r1, r2 = (n_pairs - 1) // 2, n_pairs // 2
@@ -563,25 +644,18 @@ class FactoredDistance:
         return self._exact
 
     # ------------------------------------------------------------------
-    def adjacency(self, eps: float) -> np.ndarray:
-        """Exact DBSCAN adjacency ``blended <= eps`` (boolean, n×n).
-
-        Byte-identical to the dense reference chain's
-        ``smoothed_power_distance(...) <= eps``: sure
-        cases are decided from the banded fast values, the radius prune
-        discards pairs whose spacing term alone exceeds ``eps``, and any
+    def _adjacent_pairs(self, eps: float) -> np.ndarray:
+        """Positions in the pair arrays of the pairs with ``blended <=
+        eps``, decided exactly as the dense reference chain's
+        ``smoothed_power_distance(...) <= eps``: sure cases are decided
+        from the banded fast values, the radius prune discards pairs
+        whose spacing term alone exceeds ``eps``, and any
         boundary-straddling pair flips the window to the lazily
-        evaluated reference chain.
-        """
+        evaluated reference chain."""
         if not eps >= 0:
             raise ValueError(f"eps must be non-negative, got {eps!r}")
-        n = self.n
-        out = np.zeros((n, n), dtype=bool)
-        if n == 0:
-            return out
-        np.fill_diagonal(out, True)  # the blended diagonal is exactly 0
-        if n == 1:
-            return out
+        if self.n <= 1:
+            return np.zeros(0, dtype=np.intp)
         if self._force_exact:
             adj = self._ensure_exact() <= eps
         else:
@@ -594,18 +668,34 @@ class FactoredDistance:
                 ~adj & (blended - band <= eps)
                 & (self._omr <= eps * (1.0 + 16.0 * _EPS64) + 1e-30))
             if uncertain.size:
-                adj = adj.copy()
                 adj[uncertain] = self._ensure_exact()[uncertain] <= eps
-        out[self._iu, self._ju] = adj
-        out[self._ju, self._iu] = adj
+        return np.flatnonzero(adj)
+
+    def adjacency(self, eps: float) -> np.ndarray:
+        """Exact DBSCAN adjacency ``blended <= eps`` (boolean, n×n),
+        byte-identical to the dense reference chain's
+        ``smoothed_power_distance(...) <= eps``."""
+        hits = self._adjacent_pairs(eps)
+        n = self.n
+        out = np.zeros((n, n), dtype=bool)
+        flat = out.reshape(-1)
+        flat[::n + 1] = True  # the blended diagonal is exactly 0
+        flat[self._pairs.upper.take(hits)] = True
+        flat[self._pairs.lower.take(hits)] = True
         return out
 
     def blocks(self, eps: float, min_pts: int) -> List[List[int]]:
         """Power blocks for one ``(eps, min_pts)`` scheme — the
         scheme-dependent half of Algorithm 1 (lines 13-14),
         byte-identical to the dense reference chain's
-        ``blocks_from_distance``."""
-        labels = dbscan(self.adjacency(eps), min_pts)
+        ``blocks_from_distance``.  DBSCAN runs on the adjacent pairs,
+        which are sparse (the spacing term keeps far pairs apart)."""
+        hits = self._adjacent_pairs(eps)
+        i, j = self._pairs.rows_cols(hits)
+        # Every point neighbours itself: the blended diagonal is 0.
+        degree = (np.bincount(i, minlength=self.n)
+                  + np.bincount(j, minlength=self.n) + 1)
+        labels = dbscan_pairs(degree, i, j, min_pts)
         return process_clusters(labels, min_block_size=max(1, min_pts))
 
 

@@ -23,7 +23,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from repro.graph import Graph, NodeTable, node_table
+from repro.graph import Graph, node_table
 from repro.graph.graph import Node
 from repro.graph.ops import (
     CATEGORY_ORDER,
@@ -69,65 +69,68 @@ class DepthwiseFeatureExtractor:
         return len(DEPTHWISE_FEATURE_NAMES)
 
     def extract_node(self, graph: Graph, node: Node) -> np.ndarray:
-        """Feature vector of a single compute node."""
-        table = node_table(graph)
-        return self._row(graph, node, table, table.position[node.name])
-
-    @staticmethod
-    def _row(graph: Graph, node: Node, table: NodeTable,
-             i: int) -> np.ndarray:
-        m = table.metrics(i)
-        cat_onehot = np.zeros(_N_CATEGORIES)
-        cat_onehot[table.category[i]] = 1.0
-
-        in_shape = graph[node.inputs[0]].output_shape if node.inputs else ()
-        out_shape = node.output_shape
-        in_channels = float(in_shape[0]) if in_shape else 0.0
-        out_channels = float(out_shape[0]) if out_shape else 0.0
-        spatial = float(out_shape[1]) if len(out_shape) >= 2 else 0.0
-
-        kernel_area = 0.0
-        stride_product = 1.0
-        groups = 1.0
-        if isinstance(node.attrs, ConvAttrs):
-            kernel_area = float(node.attrs.kernel[0] * node.attrs.kernel[1])
-            stride_product = float(node.attrs.stride[0]
-                                   * node.attrs.stride[1])
-            groups = float(node.attrs.groups)
-        heads = 0.0
-        if isinstance(node.attrs, AttentionAttrs):
-            heads = float(node.attrs.num_heads)
-        is_merge = 1.0 if table.residual[i] else 0.0
-        fan_out = float(table.fan_out[i])
-
-        return np.array([
-            _log1p(m.flops),
-            _log1p(m.params),
-            _log1p(m.mem_elements),
-            _log1p(m.in_elements),
-            _log1p(m.out_elements),
-            _log1p(m.arithmetic_intensity),
-            *cat_onehot,
-            _log1p(in_channels),
-            _log1p(out_channels),
-            _log1p(spatial),
-            kernel_area,
-            stride_product,
-            _log1p(groups),
-            heads,
-            is_merge,
-            fan_out,
-        ])
+        """Feature vector of a single compute node (its row of
+        :meth:`extract`)."""
+        return self.extract(graph)[node_table(graph).position[node.name]]
 
     def extract(self, graph: Graph) -> np.ndarray:
         """(n_ops, n_features) matrix over compute nodes in canonical
-        order — the ``X`` of Algorithm 1."""
+        order — the ``X`` of Algorithm 1.
+
+        Built column by column: the metric columns come from the graph's
+        :class:`~repro.graph.NodeTable`, the shape and attribute columns
+        from one pass over the nodes.  Every value is the same Python
+        float expression a per-node row would compute."""
         table = node_table(graph)
-        rows = [self._row(graph, n, table, i)
-                for i, n in enumerate(graph.compute_nodes())]
-        if not rows:
-            return np.zeros((0, self.n_features))
-        return np.vstack(rows)
+        n = len(table)
+        x = np.zeros((n, self.n_features))
+        if n == 0:
+            return x
+        in_channels: List[float] = []
+        out_channels: List[float] = []
+        spatial: List[float] = []
+        kernel_area: List[float] = []
+        stride_product: List[float] = []
+        groups: List[float] = []
+        heads: List[float] = []
+        for node in graph.compute_nodes():
+            in_shape = (graph[node.inputs[0]].output_shape if node.inputs
+                        else ())
+            out_shape = node.output_shape
+            in_channels.append(float(in_shape[0]) if in_shape else 0.0)
+            out_channels.append(float(out_shape[0]) if out_shape else 0.0)
+            spatial.append(float(out_shape[1]) if len(out_shape) >= 2
+                           else 0.0)
+            attrs = node.attrs
+            if isinstance(attrs, ConvAttrs):
+                kernel_area.append(float(attrs.kernel[0] * attrs.kernel[1]))
+                stride_product.append(float(attrs.stride[0]
+                                            * attrs.stride[1]))
+                groups.append(float(attrs.groups))
+            else:
+                kernel_area.append(0.0)
+                stride_product.append(1.0)
+                groups.append(1.0)
+            heads.append(float(attrs.num_heads)
+                         if isinstance(attrs, AttentionAttrs) else 0.0)
+
+        def logs(values) -> List[float]:
+            return [_log1p(v) for v in values]
+
+        c = 0
+        for column in (table.flops, table.params, table.mem_elements,
+                       table.in_elements, table.out_elements,
+                       table.intensity):
+            x[:, c] = logs(column.tolist())
+            c += 1
+        x[np.arange(n), c + table.category] = 1.0
+        c += _N_CATEGORIES
+        for column in (logs(in_channels), logs(out_channels),
+                       logs(spatial), kernel_area, stride_product,
+                       logs(groups), heads, table.residual, table.fan_out):
+            x[:, c] = column
+            c += 1
+        return x
 
     def extract_scaled(self, graph: Graph) -> np.ndarray:
         """Column-standardized features (Algorithm 1 takes *scaled*

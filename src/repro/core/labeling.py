@@ -15,11 +15,15 @@ This module is the per-network unit of work of dataset generation, so
 
 * one :class:`~repro.hw.analytic.ProfileTable` per ``(graph, batch)`` —
   block evaluations reduce precomputed op rows instead of re-walking the
-  operator list per scheme/block/level;
+  operator list per scheme/block/level, and its span memo prices each
+  distinct contiguous block once per network, however many views share
+  it;
 * one :class:`~repro.core.clustering.FactoredDistance` per distinct
   smoothing window (``max(2, min_pts)``): the blended Mahalanobis work
   is expanded into Gram-matrix matmuls (exact-decision-guarded, see
-  DESIGN.md §5i) and shared by every scheme in the grid that uses it;
+  DESIGN.md §5i) and shared by every scheme in the grid that uses it.
+  The windows run one at a time, so only one window's pair arrays are
+  alive at once; all of them share one pair index per network;
 * ``(quality, levels)`` is memoized by block-partition key, so the many
   schemes that collapse to the same view are evaluated once — and the
   winner's levels are reused directly instead of a second sweep.
@@ -42,7 +46,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.clustering import FactoredDistance
+from repro.core.clustering import FactoredDistance, pair_index
 from repro.core.overhead import StageTimer
 from repro.core.schemes import ClusteringScheme
 from repro.graph import Graph
@@ -57,20 +61,14 @@ STAGE_NAMES = ("distance", "cluster", "evaluate")
 QUALITY_TOLERANCE = 0.01
 
 
-def _block_levels(table: ProfileTable, blocks: Sequence[Sequence[int]],
-                  latency_slack: float) -> List[int]:
-    """Exhaustive-sweep optimal level of every block of a view."""
-    return [table.best_level_for_block(block, latency_slack)
-            for block in blocks]
-
-
 def plan_levels_for_blocks(evaluator: AnalyticEvaluator, graph: Graph,
                            blocks: Sequence[Sequence[int]],
                            batch_size: int = 16,
                            latency_slack: float = 0.25) -> List[int]:
     """Optimal level for every block of a view."""
-    return _block_levels(evaluator.profile_table(graph, batch_size),
-                         blocks, latency_slack)
+    table = evaluator.profile_table(graph, batch_size)
+    return [table.best_level_for_block(block, latency_slack)
+            for block in blocks]
 
 
 def _evaluate_view(table: ProfileTable, blocks: Sequence[Sequence[int]],
@@ -79,13 +77,16 @@ def _evaluate_view(table: ProfileTable, blocks: Sequence[Sequence[int]],
     """Quality — energy efficiency (1/J, relative) of running each block
     at its swept-optimal level, switch costs included — and optimal
     level plan of one view against a prepared profile table (the
-    memoized unit of the scheme sweep).  The empty view of a zero-op
-    graph rates 0.0 with no levels (every scheme ties; the sweep keeps
-    scheme 0); a non-empty view with non-positive energy means a broken
-    power model and raises ``ValueError``."""
+    memoized unit of the scheme sweep).  Blocks are priced through the
+    table's span memo, so a block shared by several views is reduced
+    once per network.  The empty view of a zero-op graph rates 0.0 with
+    no levels (every scheme ties; the sweep keeps scheme 0); a non-empty
+    view with non-positive energy means a broken power model and raises
+    ``ValueError``."""
     if not blocks:
         return 0.0, []
-    levels = _block_levels(table, blocks, latency_slack)
+    levels = [table.block_sweep(b[0], b[-1] + 1, latency_slack)[1]
+              for b in blocks]
     energy, _time = table.plan_energy_time(blocks, levels)
     if energy <= 0:
         raise ValueError(f"graph {graph_name!r}: view of {len(blocks)} "
@@ -125,7 +126,10 @@ def _sweep_schemes(evaluator: AnalyticEvaluator, graph: Graph,
 
     The distance matrix depends on the scheme only through its smoothing
     window, and the quality/levels only through the resulting partition,
-    so both are computed once per distinct key.  Wall time is split into
+    so both are computed once per distinct key.  The schemes are
+    clustered one smoothing window at a time, so only one window's
+    :class:`FactoredDistance` (and its pair arrays) is alive at once;
+    the views are then rated in scheme order.  Wall time is split into
     the three pipeline stages via a :class:`StageTimer` and read back
     from its span aggregates for ``GenerationStats``.
     """
@@ -134,42 +138,39 @@ def _sweep_schemes(evaluator: AnalyticEvaluator, graph: Graph,
     with timer.stage("evaluate"):
         table = evaluator.profile_table(graph, batch_size)
 
-    distances: Dict[int, FactoredDistance] = {}
-    # One upper-triangle pair set per network, shared by its windows.
-    pairs = None
+    views: List[List[List[int]]] = [[[0]] if n == 1 else []
+                                    for _ in schemes]
+    if n > 1:
+        windows: Dict[int, List[int]] = {}
+        for k, scheme in enumerate(schemes):
+            windows.setdefault(max(2, scheme.min_pts), []).append(k)
+        pairs = None  # one pair index per network, shared by its windows
+        for window, members in windows.items():
+            with timer.stage("distance"):
+                if pairs is None:
+                    pairs = pair_index(n)
+                distance = FactoredDistance(features, window, alpha=alpha,
+                                            lam=lam, pairs=pairs)
+            with timer.stage("cluster"):
+                for k in members:
+                    views[k] = distance.blocks(schemes[k].eps,
+                                               schemes[k].min_pts)
+            del distance  # freed before the next window's is built
+
     evaluations: Dict[tuple, Tuple[float, List[int]]] = {}
-    views: List[List[List[int]]] = []
     qualities: List[float] = []
     levels_by_view: List[List[int]] = []
-    for scheme in schemes:
-        if n == 0:
-            blocks: List[List[int]] = []
-        elif n == 1:
-            blocks = [[0]]
-        else:
-            window = max(2, scheme.min_pts)
-            distance = distances.get(window)
-            if distance is None:
-                with timer.stage("distance"):
-                    if pairs is None:
-                        pairs = np.triu_indices(n, k=1)
-                    distance = FactoredDistance(
-                        features, window, alpha=alpha, lam=lam,
-                        pairs=pairs)
-                distances[window] = distance
-            with timer.stage("cluster"):
-                blocks = distance.blocks(scheme.eps, scheme.min_pts)
-        views.append(blocks)
-        with timer.stage("evaluate"):
+    with timer.stage("evaluate"):
+        for blocks in views:
             key = _partition_key(blocks)
             hit = evaluations.get(key)
             if hit is None:
                 hit = _evaluate_view(table, blocks, latency_slack,
                                      graph.name)
                 evaluations[key] = hit
-        quality, levels = hit
-        qualities.append(quality)
-        levels_by_view.append(levels)
+            quality, levels = hit
+            qualities.append(quality)
+            levels_by_view.append(levels)
     stage = {name: timer.total(name) for name in STAGE_NAMES}
 
     top = max(qualities)

@@ -29,7 +29,6 @@ from repro.graph.graph import Graph, Node, GraphError
 from repro.graph.builder import GraphBuilder
 from repro.graph.shapes import infer_output_shape, ShapeError
 from repro.graph.metrics import NodeMetrics, NodeTable, node_metrics, node_table
-from repro.graph.serialize import graph_to_dict, graph_from_dict
 from repro.graph.validate import validate_graph, ValidationIssue
 from repro.graph.dot import graph_to_dot
 
@@ -57,8 +56,6 @@ __all__ = [
     "node_metrics",
     "NodeTable",
     "node_table",
-    "graph_to_dict",
-    "graph_from_dict",
     "validate_graph",
     "ValidationIssue",
     "graph_to_dot",

@@ -197,13 +197,6 @@ class NodeTable:
     def __len__(self) -> int:
         return len(self.position)
 
-    def metrics(self, i: int) -> NodeMetrics:
-        """The :class:`NodeMetrics` of row ``i``."""
-        return NodeMetrics(self.flops[i].item(), self.params[i].item(),
-                           self.mem_elements[i].item(),
-                           self.in_elements[i].item(),
-                           self.out_elements[i].item())
-
 
 def node_table(graph: Graph) -> NodeTable:
     """The :class:`NodeTable` of ``graph``: one :func:`node_metrics` call

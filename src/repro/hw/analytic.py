@@ -46,9 +46,10 @@ PROFILE_TABLE_CACHE_SIZE = 16
 EE_TOLERANCE = 0.005
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LevelProfile:
-    """Energy/time of a workload at every DVFS level."""
+    """Energy/time of a workload at every DVFS level.  Slotted: a
+    profile table keeps one per distinct block it has priced."""
 
     times: np.ndarray            # (n_levels,) seconds
     energies: np.ndarray         # (n_levels,) joules, platform-inclusive
@@ -58,6 +59,18 @@ class LevelProfile:
         """Relative energy efficiency (1/J); images cancel in argmax."""
         with np.errstate(divide="ignore"):
             return np.where(self.energies > 0, 1.0 / self.energies, 0.0)
+
+
+def _span_of(block: Sequence[int]) -> Tuple[int, int]:
+    """``(start, stop)`` of a contiguous ascending block of op indices;
+    an empty block is the empty span ``(0, 0)``."""
+    if not len(block):
+        return 0, 0
+    start = int(block[0])
+    stop = start + len(block)
+    if list(block) != list(range(start, stop)):
+        raise ValueError("plan blocks must be contiguous op ranges")
+    return start, stop
 
 
 class ProfileTable:
@@ -89,8 +102,8 @@ class ProfileTable:
         self.prefix_energies = np.zeros((n_ops + 1, n_levels))
         np.cumsum(op_times, axis=0, out=self.prefix_times[1:])
         np.cumsum(op_energies, axis=0, out=self.prefix_energies[1:])
-        self._sweeps: Dict[Tuple[int, int, float],
-                           Tuple[LevelProfile, int]] = {}
+        self._spans: Dict[Tuple[int, int], LevelProfile] = {}
+        self._levels: Dict[Tuple[int, int, float], int] = {}
 
     @property
     def n_ops(self) -> int:
@@ -138,23 +151,35 @@ class ProfileTable:
         return self._evaluator.best_level(self.block_profile(op_indices),
                                           latency_slack)
 
+    def span_profile(self, op_start: int, op_stop: int) -> LevelProfile:
+        """Profile of ops ``op_start .. op_stop - 1``, memoized on (and
+        evicted with) this table, so each distinct span is reduced once.
+        Callers must not mutate the returned profile."""
+        key = (op_start, op_stop)
+        profile = self._spans.get(key)
+        if profile is None:
+            profile = self._spans[key] = self.block_profile(
+                range(op_start, op_stop))
+        return profile
+
     def block_sweep(self, op_start: int, op_stop: int,
                     latency_slack: float) -> Tuple[LevelProfile, int]:
-        """Profile and exhaustive-sweep optimal level of ops
-        ``op_start .. op_stop - 1``, memoized on (and evicted with) this
-        table.  Callers must not mutate the returned profile."""
+        """:meth:`span_profile` of ops ``op_start .. op_stop - 1`` and its
+        exhaustive-sweep optimal level, both memoized on this table."""
+        profile = self.span_profile(op_start, op_stop)
         key = (op_start, op_stop, latency_slack)
-        sweep = self._sweeps.get(key)
-        if sweep is None:
-            profile = self.block_profile(range(op_start, op_stop))
-            sweep = self._sweeps[key] = (
-                profile, self._evaluator.best_level(profile, latency_slack))
-        return sweep
+        best = self._levels.get(key)
+        if best is None:
+            best = self._levels[key] = self._evaluator.best_level(
+                profile, latency_slack)
+        return profile, best
 
     def plan_energy_time(self, blocks: Sequence[Sequence[int]],
                          levels: Sequence[int]) -> Tuple[float, float]:
         """Analytic energy/time of running each block at its own level,
-        including per-boundary switch stalls."""
+        including per-boundary switch stalls.  Each block must be a
+        contiguous ascending run of op indices (possibly empty), and is
+        priced through :meth:`span_profile`."""
         if len(blocks) != len(levels):
             raise ValueError("one level per block required")
         ev = self._evaluator
@@ -162,7 +187,7 @@ class ProfileTable:
         total_t = 0.0
         prev_level: Optional[int] = None
         for block, level in zip(blocks, levels):
-            profile = self.block_profile(block)
+            profile = self.span_profile(*_span_of(block))
             total_e += float(profile.energies[level])
             total_t += float(profile.times[level])
             if prev_level is not None and level != prev_level:

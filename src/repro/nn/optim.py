@@ -28,16 +28,20 @@ class Optimizer:
             g[...] = 0.0
 
 
+#: Adam's first- and second-moment decay rates.
+BETA1 = 0.9
+BETA2 = 0.999
+
+#: Adam's denominator guard.
+EPS = 1e-8
+
+
 class Adam(Optimizer):
     """Adam with bias correction."""
 
     def __init__(self, params: List[np.ndarray], grads: List[np.ndarray],
-                 lr: float = 1e-3, beta1: float = 0.9, beta2: float = 0.999,
-                 eps: float = 1e-8, weight_decay: float = 0.0) -> None:
+                 lr: float = 1e-3, weight_decay: float = 0.0) -> None:
         super().__init__(params, grads, lr)
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.weight_decay = weight_decay
         self._m = [np.zeros_like(p) for p in params]
         self._v = [np.zeros_like(p) for p in params]
@@ -45,14 +49,13 @@ class Adam(Optimizer):
 
     def step(self) -> None:
         self._t += 1
-        b1, b2 = self.beta1, self.beta2
         for p, g, m, v in zip(self.params, self.grads, self._m, self._v):
             if self.weight_decay > 0:
                 g = g + self.weight_decay * p
-            m *= b1
-            m += (1 - b1) * g
-            v *= b2
-            v += (1 - b2) * (g * g)
-            m_hat = m / (1 - b1 ** self._t)
-            v_hat = v / (1 - b2 ** self._t)
-            p -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            m *= BETA1
+            m += (1 - BETA1) * g
+            v *= BETA2
+            v += (1 - BETA2) * (g * g)
+            m_hat = m / (1 - BETA1 ** self._t)
+            v_hat = v / (1 - BETA2 ** self._t)
+            p -= self.lr * m_hat / (np.sqrt(v_hat) + EPS)

@@ -19,13 +19,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.clustering import (
+    NOISE,
     FactoredDistance,
     cluster_power_blocks,
+    dbscan,
     smooth_features,
 )
 from tests.oracles import (
     blocks_from_distance,
     cluster_power_blocks_reference,
+    dbscan_precomputed,
+    dbscan_precomputed_reference,
     smooth_features_reference,
     smoothed_power_distance,
 )
@@ -80,6 +84,39 @@ def test_adjacency_byte_identical(x, window):
             f"adjacency mismatch at eps={eps}"
 
 
+@settings(max_examples=80, deadline=None)
+@given(x=feature_matrices(), window=windows,
+       order=st.permutations(_EPS_GRID), force=st.booleans())
+def test_adjacency_any_eps_order(x, window, order, force):
+    """One instance answers the ε grid in any order: the fallback may
+    fire at any ε (or be forced from the start), and every answer
+    before and after it still equals ``reference <= eps``."""
+    fd = FactoredDistance(x, window)
+    fd._force_exact = fd._force_exact or force
+    ref = smoothed_power_distance(x, window) if x.shape[0] else None
+    for eps in order:
+        adj = fd.adjacency(eps)
+        if ref is None:
+            assert adj.shape == (0, 0)
+        else:
+            assert np.array_equal(adj, ref <= eps), f"eps={eps}"
+
+
+@settings(max_examples=60, deadline=None)
+@given(gaps=st.lists(st.floats(0.0, 1.0), min_size=0, max_size=60),
+       eps=st.sampled_from((0.1, 0.3, 0.6, 1.2)),
+       min_pts=st.integers(1, 6))
+def test_dbscan_matches_queue_reference_on_chains(gaps, eps, min_pts):
+    """Points on a line cluster into long chains — the deep case of the
+    component search — and their labels equal the queue oracle's."""
+    position = np.cumsum(gaps)
+    d = np.abs(position[:, None] - position[None, :])
+    labels = dbscan_precomputed(d, eps, min_pts)
+    ref = dbscan_precomputed_reference(d, eps, min_pts)
+    assert labels.dtype == ref.dtype
+    assert labels.tobytes() == ref.tobytes()
+
+
 @settings(max_examples=120, deadline=None)
 @given(x=feature_matrices(), window=windows)
 def test_blocks_byte_identical(x, window):
@@ -108,7 +145,7 @@ def test_band_covers_true_error(x, window):
     if fd.n <= 1 or fd._force_exact:
         return
     ref = smoothed_power_distance(x, window)
-    exact = ref[fd._iu, fd._ju]
+    exact = ref.take(fd._pairs.upper)
     gap = np.abs(fd._blended - exact)
     assert np.all(gap <= fd._band), (
         f"band violated: max gap {gap.max():.3e} vs band "
@@ -218,6 +255,26 @@ class TestDegenerateShapes:
         assert fd.exact_evaluations > 0
         assert blocks == cluster_power_blocks_reference(x, 0.3, 2)
 
+    def test_fallback_fires_between_two_eps(self):
+        # The same network at window 2: eps=0.6 decides every pair from
+        # the fast values, eps=0.3 straddles a band and runs the
+        # fallback, and the answers on either side of it all equal the
+        # reference chain's.
+        from repro.core.features import DepthwiseFeatureExtractor
+        from repro.models.random_gen import RandomDNNGenerator, spawn_seeds
+
+        graph = RandomDNNGenerator(seed=spawn_seeds(1, 60)[30],
+                                   start_index=30).generate()
+        x = DepthwiseFeatureExtractor().extract_scaled(graph)
+        ref = smoothed_power_distance(x, 2)
+        fd = FactoredDistance(x, 2)
+        assert np.array_equal(fd.adjacency(0.6), ref <= 0.6)
+        assert fd.exact_evaluations == 0
+        assert np.array_equal(fd.adjacency(0.3), ref <= 0.3)
+        assert fd.exact_evaluations > 0
+        for eps in (0.75, 0.6, 0.45):
+            assert np.array_equal(fd.adjacency(eps), ref <= eps)
+
     def test_validation_matches_reference(self):
         with pytest.raises(ValueError):
             FactoredDistance(np.ones((3, 2)), 2, alpha=1.5)
@@ -226,3 +283,47 @@ class TestDegenerateShapes:
             fd.adjacency(-0.1)
         with pytest.raises(ValueError):
             fd.blocks(0.3, 0)
+
+
+class TestDbscanBorderClaims:
+    """Pinned border cases of the DBSCAN labeling rule."""
+
+    def test_noise_scanned_first_is_claimed_as_border(self):
+        # Point 0 neighbours only point 1, so it is not core and the
+        # classic scan marks it noise before any cluster exists; the
+        # cluster seeded at core point 1 then claims it as a border.
+        adjacent = np.array([[1, 1, 0, 0],
+                             [1, 1, 1, 1],
+                             [0, 1, 1, 1],
+                             [0, 1, 1, 1]], dtype=bool)
+        labels = dbscan(adjacent, 3)
+        assert labels.tolist() == [0, 0, 0, 0]
+        d = np.where(adjacent, 0.0, 1.0)
+        assert labels.tolist() == \
+            dbscan_precomputed_reference(d, 0.5, 3).tolist()
+
+    def test_border_joins_lowest_numbered_cluster(self):
+        # Point 3 is a non-core bridge between core point 2 (cluster 0,
+        # with its borders 0 and 1) and core point 4 (cluster 1, with
+        # 5 and 6): cluster 0 claims it, and no cluster chains through.
+        adjacent = np.zeros((7, 7), dtype=bool)
+        for group in ((0, 1, 2, 3), (3, 4, 5, 6)):
+            for i in group:
+                for j in group:
+                    adjacent[i, j] = True
+        adjacent[3, 0] = adjacent[0, 3] = False
+        adjacent[3, 1] = adjacent[1, 3] = False
+        adjacent[3, 5] = adjacent[5, 3] = False
+        adjacent[3, 6] = adjacent[6, 3] = False
+        # 3 neighbours only 2 and 4 (and itself): 3 points < min_pts=4.
+        assert adjacent.sum(axis=1).tolist() == [3, 3, 4, 3, 4, 3, 3]
+        labels = dbscan(adjacent, 4)
+        assert labels.tolist() == [0, 0, 0, 0, 1, 1, 1]
+        d = np.where(adjacent, 0.0, 1.0)
+        assert labels.tolist() == \
+            dbscan_precomputed_reference(d, 0.5, 4).tolist()
+
+    def test_isolated_non_core_stays_noise(self):
+        adjacent = np.eye(3, dtype=bool)
+        adjacent[0, 1] = adjacent[1, 0] = True
+        assert dbscan(adjacent, 3).tolist() == [NOISE] * 3

@@ -107,7 +107,11 @@ class TestGraphMetrics:
         assert len(table) == len(nodes)
         for i, node in enumerate(nodes):
             assert table.position[node.name] == i
-            assert table.metrics(i) == node_metrics(small_cnn, node)
+            m = node_metrics(small_cnn, node)
+            assert (table.flops[i], table.params[i], table.mem_elements[i],
+                    table.in_elements[i], table.out_elements[i]) == \
+                (m.flops, m.params, m.mem_elements, m.in_elements,
+                 m.out_elements)
 
     def test_category_breakdown_sums(self, small_cnn):
         table = node_table(small_cnn)
@@ -120,8 +124,8 @@ class TestGraphMetrics:
         table = node_table(small_cnn)
         assert table.flops.sum() / table.mem_elements.sum() > 0
         assert list(table.intensity) == [
-            table.metrics(i).arithmetic_intensity
-            for i in range(len(table))]
+            node_metrics(small_cnn, node).arithmetic_intensity
+            for node in small_cnn.compute_nodes()]
 
     def test_structural_facts(self, small_cnn):
         table = node_table(small_cnn)

@@ -130,6 +130,31 @@ class TestPlanEnergy:
             evaluator.profile_table(small_cnn, 8).plan_energy_time(
                 [[0]], [1, 2])
 
+    @pytest.mark.parametrize("block", [[0, 2], [1, 0], [0, 2, 2]])
+    def test_non_contiguous_block_rejected(self, evaluator, small_cnn,
+                                           block):
+        with pytest.raises(ValueError, match="contiguous"):
+            evaluator.profile_table(small_cnn, 8).plan_energy_time(
+                [block], [5])
+
+    def test_empty_block_costs_nothing_but_its_switch(self, evaluator,
+                                                      small_cnn):
+        table = evaluator.profile_table(small_cnn, 8)
+        e, t = table.plan_energy_time([[0, 1], [2, 3]], [5, 8])
+        e_empty, t_empty = table.plan_energy_time([[0, 1], [], [2, 3]],
+                                                  [5, 8, 8])
+        # The same terms, summed in another order.
+        assert e_empty == pytest.approx(e, rel=1e-12)
+        assert t_empty == pytest.approx(t, rel=1e-12)
+
+    def test_plan_blocks_priced_through_the_span_memo(self, evaluator,
+                                                      small_cnn):
+        table = evaluator.profile_table(small_cnn, 8, 0.7)
+        table.plan_energy_time([[0, 1, 2], [3, 4]], [5, 8])
+        assert table.span_profile(0, 3) is table.span_profile(0, 3)
+        assert table.block_sweep(3, 5, 0.25)[0] is \
+            table.span_profile(3, 5)
+
     @settings(max_examples=20, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(level=st.integers(0, 12), batch=st.integers(1, 32))

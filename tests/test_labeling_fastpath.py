@@ -1,7 +1,7 @@
 """Byte-identity suites for the vectorized labeling fast path.
 
 Every optimization in the labeling hot path (pairs-einsum Mahalanobis,
-frontier DBSCAN, one-hot-cumsum majority filter, ProfileTable block
+pair-based DBSCAN, one-hot-cumsum majority filter, ProfileTable block
 reductions, memoized scheme sweep) has its original loop
 implementation kept as a ``*_reference`` oracle in ``tests/oracles.py``;
 these property tests pin the fast paths to the oracles **byte for
@@ -9,6 +9,9 @@ byte** — ``tobytes()``, not
 ``allclose`` — so labeling output (and therefore every dataset cache
 key's payload) is provably unchanged by the optimization work.
 """
+
+import weakref
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -20,10 +23,11 @@ from repro.core.clustering import (
     _mode_filter,
     cluster_power_blocks,
 )
-from repro.core.labeling import label_network
-from repro.core.schemes import ClusteringScheme
+from repro.core import labeling
+from repro.core.labeling import _sweep_schemes, label_network
+from repro.core.schemes import ClusteringScheme, default_scheme_grid
 from repro.core.features import DepthwiseFeatureExtractor
-from repro.hw.analytic import AnalyticEvaluator
+from repro.hw.analytic import AnalyticEvaluator, ProfileTable
 from repro.hw.platform import jetson_tx2
 from repro.models.random_gen import RandomDNNConfig, RandomDNNGenerator
 from tests.oracles import (
@@ -263,3 +267,48 @@ class TestFastPathSmoke:
         t2 = evaluator.profile_table(graph, 16)
         assert t1 is t2
         assert evaluator.profile_table(graph, 1) is not t1
+
+
+class TestSweepStructure:
+    """How the scheme sweep spends its memory and its pricing work."""
+
+    @staticmethod
+    def _network():
+        graph = RandomDNNGenerator(seed=11).generate()
+        return graph, DepthwiseFeatureExtractor().extract_scaled(graph)
+
+    def test_one_distance_stage_alive_at_a_time(self, monkeypatch):
+        alive = []
+
+        class Tracked(labeling.FactoredDistance):
+            def __init__(self, *args, **kwargs):
+                assert all(ref() is None for ref in alive), \
+                    "a previous window's FactoredDistance is still alive"
+                super().__init__(*args, **kwargs)
+                alive.append(weakref.ref(self))
+
+        monkeypatch.setattr(labeling, "FactoredDistance", Tracked)
+        graph, features = self._network()
+        grid = default_scheme_grid()
+        label_network(AnalyticEvaluator(jetson_tx2()), graph, features,
+                      grid)
+        assert len(alive) == len({max(2, s.min_pts) for s in grid})
+        assert all(ref() is None for ref in alive)
+
+    def test_each_distinct_block_priced_once(self, monkeypatch):
+        priced = Counter()
+        block_profile = ProfileTable.block_profile
+
+        def counting(table, op_indices):
+            priced[(op_indices[0], op_indices[-1] + 1)] += 1
+            return block_profile(table, op_indices)
+
+        monkeypatch.setattr(ProfileTable, "block_profile", counting)
+        graph, features = self._network()
+        sweep = _sweep_schemes(AnalyticEvaluator(jetson_tx2()), graph,
+                               features, default_scheme_grid(), 16, 0.25,
+                               0.6, 0.05)
+        distinct = {(b[0], b[-1] + 1) for view in sweep.views
+                    for b in view}
+        assert sum(len(view) for view in sweep.views) > len(distinct)
+        assert priced == Counter(dict.fromkeys(distinct, 1))

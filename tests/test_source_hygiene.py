@@ -35,6 +35,12 @@ NO_CALLER_ALLOWED: Dict[str, str] = {
         "test seam: the op indices where a plan switches level",
     "Fleet.add_graph":
         "test seam: serving tests register tiny synthetic graphs",
+    "FactoredDistance.adjacency":
+        "test seam: the exact-decision adjacency matrix, checked against "
+        "the dense reference chain (blocks run DBSCAN on the pairs)",
+    "attrs_class_for":
+        "test seam: the attribute dataclass of an op, for tests that "
+        "build a node of every op type",
     "DepthwiseFeatureExtractor.extract_node":
         "test seam: one node's depthwise features, checked against the "
         "whole-graph extract",
@@ -47,10 +53,6 @@ NO_CALLER_ALLOWED: Dict[str, str] = {
     "parse_prometheus_text":
         "reads back the Prometheus text that --metrics writes; the "
         "tests pin that format with it",
-    "graph_to_dict": "JSON form of a graph; see the FOUND line in "
-                     "CHANGES.md",
-    "graph_from_dict": "JSON form of a graph; see the FOUND line in "
-                       "CHANGES.md",
 }
 
 
