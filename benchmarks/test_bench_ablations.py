@@ -85,8 +85,9 @@ def test_latency_slack_sweep(benchmark, vgg19, tx2_context, slack):
     ev = AnalyticEvaluator(tx2_context.platform)
 
     def run():
-        profile = ev.profile_table(vgg19, 16).graph_profile()
-        lvl = ev.best_level(profile, latency_slack=slack)
+        table = ev.profile_table(vgg19, 16)
+        profile = table.span_profile(0, table.n_ops)
+        lvl = profile.best_level(slack)
         return (float(profile.ee[lvl] / profile.ee[-1]),
                 float(profile.times[lvl] / profile.times[-1]))
     ee_ratio, time_ratio = benchmark.pedantic(run, rounds=1, iterations=1)

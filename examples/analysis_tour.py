@@ -7,7 +7,7 @@ Renders, for a chosen model on the TX2:
    clock and where each category's crossover sits;
 2. the EE-versus-level curve with its interior optimum (the headroom the
    built-in race-to-max governor leaves on the table);
-3. per-block curves showing why the conv trunk and the classifier head
+3. per-block levels showing why the conv trunk and the classifier head
    want different frequencies;
 4. ping-pong/lag diagnostics of the ondemand governor on the same
    workload.
@@ -25,6 +25,7 @@ from repro.analysis import (
 )
 from repro.governors import OndemandGovernor
 from repro.hw import InferenceJob, InferenceSimulator, jetson_tx2
+from repro.hw.analytic import AnalyticEvaluator
 from repro.models import build_model
 
 
@@ -47,16 +48,13 @@ def main() -> None:
     print(render_curve(curve, "ee"))
     print(f"headroom over max frequency: {curve.headroom():.1%}")
 
-    # 3. per-block curves (first vs last eighth of the network)
+    # 3. per-block levels (first vs last eighth of the network), by the
+    #    planners' own rule at a 25 % latency slack
     n = len(graph.compute_nodes())
-    trunk = level_curve(platform, graph, batch_size=16,
-                        op_indices=range(n // 8))
-    head = level_curve(platform, graph, batch_size=16,
-                       op_indices=range(7 * n // 8, n))
-    print(f"\nfirst eighth of the network: optimal level "
-          f"{trunk.optimal_level(latency_slack=0.25)}")
-    print(f"last eighth of the network:  optimal level "
-          f"{head.optimal_level(latency_slack=0.25)}")
+    table = AnalyticEvaluator(platform).profile_table(graph, 16)
+    trunk, head = table.levels([(0, n // 8), (7 * n // 8, n)], 0.25)
+    print(f"\nfirst eighth of the network: optimal level {trunk}")
+    print(f"last eighth of the network:  optimal level {head}")
 
     # 4. reactive-governor diagnostics
     sim = InferenceSimulator(platform, sample_period=0.01)

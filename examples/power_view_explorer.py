@@ -14,7 +14,7 @@ import sys
 
 from repro.core.clustering import cluster_power_blocks
 from repro.core.features import DepthwiseFeatureExtractor
-from repro.core.labeling import best_scheme_for_graph, plan_levels_for_blocks
+from repro.core.labeling import best_scheme_for_graph
 from repro.core.power_view import PowerView
 from repro.core.schemes import default_scheme_grid
 from repro.hw import jetson_tx2
@@ -36,16 +36,18 @@ def main() -> None:
     print(f"\n{'scheme':<24s} {'blocks':>6s} {'per-block levels'}")
     best_idx, best_blocks, qualities = best_scheme_for_graph(
         evaluator, graph, features, schemes)
+    table = evaluator.profile_table(graph, 16)
     for i, scheme in enumerate(schemes):
         blocks = cluster_power_blocks(features, scheme.eps,
                                       scheme.min_pts)
-        levels = plan_levels_for_blocks(evaluator, graph, blocks)
+        levels = table.levels(PowerView.from_blocks(graph, blocks).spans(),
+                              0.25)
         marker = " <- selected" if i == best_idx else ""
         print(f"{scheme.label():<24s} {len(blocks):>6d} "
               f"{levels}{marker}")
 
     view = PowerView.from_blocks(graph, best_blocks)
-    levels = plan_levels_for_blocks(evaluator, graph, best_blocks)
+    levels = table.levels(view.spans(), 0.25)
     print(f"\n{view.summary()}")
     print("per-block target levels:", levels)
 

@@ -10,7 +10,7 @@ the gain over the top of the ladder.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -40,14 +40,11 @@ class LevelCurve:
         return np.where(self.times_s > 0,
                         self.energies_j / self.times_s, 0.0)
 
-    def optimal_level(self, latency_slack: Optional[float] = None) -> int:
-        """EE-argmax level; with ``latency_slack`` the argmax is taken
-        over levels within the slowdown budget."""
-        ee = self.ee.copy()
-        if latency_slack is not None:
-            budget = (1 + latency_slack) * self.times_s[-1]
-            ee[self.times_s > budget] = -np.inf
-        return int(np.argmax(ee))
+    def optimal_level(self) -> int:
+        """Unconstrained EE-argmax level.  The level a planner runs the
+        workload at under a latency slack is
+        :meth:`~repro.hw.analytic.LevelProfile.best_level`."""
+        return int(np.argmax(self.ee))
 
     def headroom(self) -> float:
         """Relative EE gain of the unconstrained optimum over the top
@@ -61,13 +58,12 @@ class LevelCurve:
 
 def level_curve(platform: PlatformSpec, graph: Graph,
                 batch_size: int = 16,
-                op_indices: Optional[Sequence[int]] = None) -> LevelCurve:
-    """Evaluate the whole graph (or the selected block) at every level."""
+                span: Optional[Tuple[int, int]] = None) -> LevelCurve:
+    """Evaluate the whole graph (or the ``(start, stop)`` op span) at
+    every level."""
     table = AnalyticEvaluator(platform).profile_table(graph, batch_size)
-    if op_indices is None:
-        profile = table.graph_profile()
-    else:
-        profile = table.block_profile(op_indices)
+    start, stop = (0, table.n_ops) if span is None else span
+    profile = table.span_profile(start, stop)
     return LevelCurve(
         graph_name=graph.name,
         platform_name=platform.name,
@@ -102,7 +98,7 @@ def render_curve(curve: LevelCurve, metric: str = "ee",
     if values is None:
         raise ValueError(f"unknown metric {metric!r}")
     peak = float(values.max())
-    best = int(np.argmax(values)) if metric == "ee" else -1
+    best = curve.optimal_level() if metric == "ee" else -1
     lines = [f"{metric} vs level: {curve.graph_name} on "
              f"{curve.platform_name}"]
     for i, (f, v) in enumerate(zip(curve.freqs_hz, values)):

@@ -3,21 +3,27 @@
 Two exhaustive-sweep oracles, both priced through one
 :class:`~repro.hw.analytic.ProfileTable` per ``(graph, batch)``:
 
-* :func:`plan_levels_for_blocks` — "each block in the power view is
-  deployed at all frequencies to select the data that achieves the
-  optimal energy efficiency" (Dataset B labels);
+* the per-block level sweep — "each block in the power view is deployed
+  at all frequencies to select the data that achieves the optimal
+  energy efficiency" (Dataset B labels) — is
+  :meth:`ProfileTable.levels <repro.hw.analytic.ProfileTable.levels>`
+  over the view's ``(start, stop)`` spans;
 * :func:`best_scheme_for_graph` — evaluate each clustering scheme by the
   end-to-end energy efficiency of its view when every block runs at its
   optimal level (Dataset A labels).
+
+A clustered view is a list of op-index lists; :func:`_span_of` is the
+one place it becomes spans, and raises ``ValueError`` for a block that
+is not a contiguous op range.
 
 This module is the per-network unit of work of dataset generation, so
 :func:`label_network` runs a structured fast path:
 
 * one :class:`~repro.hw.analytic.ProfileTable` per ``(graph, batch)`` —
-  block evaluations reduce precomputed op rows instead of re-walking the
-  operator list per scheme/block/level, and its span memo prices each
-  distinct contiguous block once per network, however many views share
-  it;
+  span evaluations reduce precomputed op rows instead of re-walking the
+  operator list per scheme/block/level, and its span and level memos
+  price and sweep each distinct span once per network, however many
+  views share it;
 * one :class:`~repro.core.clustering.FactoredDistance` per distinct
   smoothing window (``max(2, min_pts)``): the blended Mahalanobis work
   is expanded into Gram-matrix matmuls (exact-decision-guarded, see
@@ -61,14 +67,17 @@ STAGE_NAMES = ("distance", "cluster", "evaluate")
 QUALITY_TOLERANCE = 0.01
 
 
-def plan_levels_for_blocks(evaluator: AnalyticEvaluator, graph: Graph,
-                           blocks: Sequence[Sequence[int]],
-                           batch_size: int = 16,
-                           latency_slack: float = 0.25) -> List[int]:
-    """Optimal level for every block of a view."""
-    table = evaluator.profile_table(graph, batch_size)
-    return [table.best_level_for_block(block, latency_slack)
-            for block in blocks]
+def _span_of(block: Sequence[int]) -> Tuple[int, int]:
+    """``(start, stop)`` of a contiguous ascending block of op indices
+    (a clustered view's block); an empty block is the empty span
+    ``(0, 0)``."""
+    if not len(block):
+        return 0, 0
+    start = int(block[0])
+    stop = start + len(block)
+    if list(block) != list(range(start, stop)):
+        raise ValueError("plan blocks must be contiguous op ranges")
+    return start, stop
 
 
 def _evaluate_view(table: ProfileTable, blocks: Sequence[Sequence[int]],
@@ -77,17 +86,18 @@ def _evaluate_view(table: ProfileTable, blocks: Sequence[Sequence[int]],
     """Quality — energy efficiency (1/J, relative) of running each block
     at its swept-optimal level, switch costs included — and optimal
     level plan of one view against a prepared profile table (the
-    memoized unit of the scheme sweep).  Blocks are priced through the
-    table's span memo, so a block shared by several views is reduced
-    once per network.  The empty view of a zero-op graph rates 0.0 with
-    no levels (every scheme ties; the sweep keeps scheme 0); a non-empty
-    view with non-positive energy means a broken power model and raises
+    memoized unit of the scheme sweep).  The view's blocks become spans
+    here, once, and are priced through the table's span memo, so a
+    block shared by several views is reduced once per network.  The
+    empty view of a zero-op graph rates 0.0 with no levels (every
+    scheme ties; the sweep keeps scheme 0); a non-empty view with
+    non-positive energy means a broken power model and raises
     ``ValueError``."""
     if not blocks:
         return 0.0, []
-    levels = [table.block_sweep(b[0], b[-1] + 1, latency_slack)[1]
-              for b in blocks]
-    energy, _time = table.plan_energy_time(blocks, levels)
+    spans = [_span_of(block) for block in blocks]
+    levels = table.levels(spans, latency_slack)
+    energy, _time = table.plan_energy_time(spans, levels)
     if energy <= 0:
         raise ValueError(f"graph {graph_name!r}: view of {len(blocks)} "
                          f"blocks has non-positive energy {energy!r}")

@@ -30,7 +30,7 @@ from repro.core.features import (
     DepthwiseFeatureExtractor,
     GlobalFeatureExtractor,
 )
-from repro.core.labeling import best_scheme_for_graph, plan_levels_for_blocks
+from repro.core.labeling import best_scheme_for_graph
 from repro.core.overhead import OverheadReport, StageTimer
 from repro.core.power_view import PowerView
 from repro.core.predictors import DecisionModel, FitReport, HyperparamPredictor
@@ -344,12 +344,11 @@ class PowerLens:
         cfg = self.config
         n_ops = len(graph.compute_nodes())
         table = self.evaluator.profile_table(graph, cfg.batch_size)
-        blocks = [list(b.op_indices) for b in view.blocks]
-        e_multi, _t = table.plan_energy_time(blocks, levels)
+        e_multi, _t = table.plan_energy_time(view.spans(), levels)
         whole = self.global_.extract(graph).vector
         single_level = self.decision_model.predict_levels(
             whole[None, :])[0]
-        e_single, _t = table.plan_energy_time([list(range(n_ops))],
+        e_single, _t = table.plan_energy_time([(0, n_ops)],
                                               [single_level])
         if e_single < e_multi * 1.02:
             collapsed = PowerView.from_blocks(
@@ -368,16 +367,11 @@ class PowerLens:
             batch_size=cfg.batch_size, latency_slack=cfg.latency_slack,
             alpha=cfg.alpha, lam=cfg.lam)
         view = PowerView.from_blocks(graph, blocks, extractor=self.global_)
-        levels = plan_levels_for_blocks(
-            self.evaluator, graph, blocks, batch_size=cfg.batch_size,
-            latency_slack=cfg.latency_slack)
+        table = self.evaluator.profile_table(graph, cfg.batch_size)
+        levels = table.levels(view.spans(), cfg.latency_slack)
         view, levels = _fuse_near_level_blocks(
             graph, view, levels, self.global_, threshold=1,
-            repredict=lambda v: plan_levels_for_blocks(
-                self.evaluator, graph,
-                [list(b.op_indices) for b in v.blocks],
-                batch_size=cfg.batch_size,
-                latency_slack=cfg.latency_slack))
+            repredict=lambda v: table.levels(v.spans(), cfg.latency_slack))
         view, levels = _fuse_near_level_blocks(graph, view, levels,
                                                self.global_, threshold=0)
         plan = FrequencyPlan(

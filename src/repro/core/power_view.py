@@ -10,7 +10,7 @@ DVFS instrumentation points placed before every block.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -75,6 +75,10 @@ class PowerView:
     @property
     def n_blocks(self) -> int:
         return len(self.blocks)
+
+    def spans(self) -> List[Tuple[int, int]]:
+        """The ``(start, stop)`` op span of every block, in order."""
+        return [(b.start, b.end) for b in self.blocks]
 
     def block_of_op(self, op_index: int) -> PowerBlock:
         for block in self.blocks:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.core import PowerLens, PowerLensConfig
-from repro.core.pipeline import TrainingSummary
+from repro.core.pipeline import TrainingSummary, _acc
 from repro.hw import get_platform
 from repro.obs import Observability
 
@@ -31,6 +31,8 @@ class AccuracyResult:
     summary: TrainingSummary
 
     def format_table(self) -> str:
+        h = self.summary.hyperparam_report
+        d = self.summary.decision_report
         title = (f"Prediction model accuracy on {self.platform} "
                  f"({self.n_networks} networks, {self.n_blocks} blocks, "
                  f"80/10/10 split)")
@@ -38,13 +40,16 @@ class AccuracyResult:
             title,
             "=" * len(title),
             f"clustering hyperparameter model: "
-            f"{self.hyperparam_accuracy:.1%} exact / "
-            f"{self.hyperparam_equivalent:.1%} scheme-equivalent "
-            f"(paper: 92.6%)",
+            f"{_acc(h, self.hyperparam_accuracy)} exact / "
+            f"{_acc(h, self.hyperparam_equivalent)} scheme-equivalent "
+            f"(paper: 92.6%; {h.n_test} test samples)",
             f"decision model:                  "
-            f"{self.decision_accuracy:.1%} (paper: 94.2%)",
-            f"decision within 1 level:         {self.decision_within_1:.1%}",
-            f"decision within 2 levels:        {self.decision_within_2:.1%}",
+            f"{_acc(d, self.decision_accuracy)} "
+            f"(paper: 94.2%; {d.n_test} test samples)",
+            f"decision within 1 level:         "
+            f"{_acc(d, self.decision_within_1)} ({d.n_test} test samples)",
+            f"decision within 2 levels:        "
+            f"{_acc(d, self.decision_within_2)} ({d.n_test} test samples)",
         ])
 
 

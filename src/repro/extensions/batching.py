@@ -48,9 +48,9 @@ def batch_sweep(platform: PlatformSpec, graph: Graph,
     for batch in candidates:
         if batch < 1:
             raise ValueError("batch sizes must be positive")
-        profile = evaluator.profile_table(graph, batch,
-                                          sparsity).graph_profile()
-        level = evaluator.best_level(profile, latency_slack=latency_slack)
+        table = evaluator.profile_table(graph, batch, sparsity)
+        profile = table.span_profile(0, table.n_ops)
+        level = profile.best_level(latency_slack)
         energy = float(profile.energies[level])
         latency = float(profile.times[level])
         choices.append(BatchChoice(

@@ -17,8 +17,10 @@ from __future__ import annotations
 
 from typing import Sequence
 
+import numpy as np
+
 from repro.governors.preset import FrequencyPlan, PresetGovernor
-from repro.hw import analytic
+from repro.hw.analytic import LevelProfile
 from repro.hw.platform import PlatformSpec
 from repro.hw.power import PowerModel
 
@@ -46,26 +48,16 @@ def cpu_phase_energy(platform: PlatformSpec, cpu_ops: float,
 
 def optimal_cpu_level(platform: PlatformSpec, cpu_ops: float,
                       latency_slack: float = 0.25) -> int:
-    """Exhaustive sweep of the CPU ladder for one preprocessing phase.
-
-    Mirrors the GPU-side rule: minimize energy subject to the phase not
-    exceeding ``(1 + latency_slack)`` times its fastest duration; among
-    near-ties (within :data:`repro.hw.analytic.EE_TOLERANCE`) pick the
-    fastest level.
-    """
-    ladder = platform.cpu.freq_levels
-    energies = []
-    times = []
-    for level in range(len(ladder)):
-        e, t = cpu_phase_energy(platform, cpu_ops, level)
-        energies.append(e)
-        times.append(t)
-    budget = (1.0 + latency_slack) * times[-1]
-    feasible = [i for i in range(len(ladder)) if times[i] <= budget + 1e-15]
-    best_e = min(energies[i] for i in feasible)
-    near = [i for i in feasible
-            if energies[i] <= best_e * (1.0 + analytic.EE_TOLERANCE)]
-    return max(near)
+    """Exhaustive sweep of the CPU ladder for one preprocessing phase
+    by the GPU-side rule,
+    :meth:`~repro.hw.analytic.LevelProfile.best_level`: the most
+    energy-efficient level whose phase time stays within ``(1 +
+    latency_slack)`` times the fastest, the fastest of near-ties."""
+    costs = [cpu_phase_energy(platform, cpu_ops, level)
+             for level in range(len(platform.cpu.freq_levels))]
+    return LevelProfile(times=np.array([t for _e, t in costs]),
+                        energies=np.array([e for e, _t in costs])
+                        ).best_level(latency_slack)
 
 
 class PowerLensCGGovernor(PresetGovernor):

@@ -274,12 +274,12 @@ class AdaptivePresetGovernor(PresetGovernor):
         energy without blowing the latency guard."""
         table = self.evaluator.profile_table(graph, int(batch_size),
                                              float(sparsity))
-        blocks = plan.blocks(table.n_ops)
+        spans = plan.spans(table.n_ops)
         clamp = table.n_levels - 1
         cur = [min(max(s.level, 0), clamp) for s in plan.steps]
         new = [min(max(s.level, 0), clamp) for s in candidate.steps]
-        e_cur, t_cur = table.plan_energy_time(blocks, cur)
-        e_new, t_new = table.plan_energy_time(blocks, new)
+        e_cur, t_cur = table.plan_energy_time(spans, cur)
+        e_new, t_new = table.plan_energy_time(spans, new)
         if e_cur <= 0:
             return False
         improves = e_new <= e_cur * (1.0 - MIN_IMPROVEMENT_FRAC)

@@ -68,20 +68,18 @@ def analytic_plan(evaluator: AnalyticEvaluator, graph: Graph,
 
     This is the serving-time planner — the oracle labeling rule of
     Dataset B applied per block, cheap enough (one
-    :class:`~repro.hw.analytic.ProfileTable` query per block) to run at
-    admission without a fitted lens.  ``sparsity`` plans against the
-    activation-sparsity-rescaled workload (0.0 reproduces the
-    pre-sparsity plans bit for bit).
+    :meth:`~repro.hw.analytic.ProfileTable.levels` call over the fixed
+    ``(start, stop)`` spans) to run at admission without a fitted lens.
+    ``sparsity`` plans against the activation-sparsity-rescaled
+    workload (0.0 reproduces the pre-sparsity plans bit for bit).
     """
     if block_size < 1:
         raise ValueError("block_size must be >= 1")
     table = evaluator.profile_table(graph, batch_size, sparsity)
-    steps = [
-        PlanStep(start, table.best_level_for_block(
-            range(start, min(start + block_size, table.n_ops)),
-            latency_slack))
-        for start in range(0, table.n_ops, block_size)
-    ]
+    spans = [(start, min(start + block_size, table.n_ops))
+             for start in range(0, table.n_ops, block_size)]
+    steps = [PlanStep(start, level) for (start, _stop), level
+             in zip(spans, table.levels(spans, latency_slack))]
     return FrequencyPlan(graph_name=graph.name, steps=steps,
                          graph_fingerprint=graph.fingerprint())
 

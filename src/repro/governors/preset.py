@@ -97,13 +97,11 @@ class FrequencyPlan:
     def max_op_index(self) -> int:
         return self.steps[-1].op_index
 
-    def blocks(self, n_ops: int) -> List[List[int]]:
-        """The op indices each step's level covers, in step order: step
-        ``i`` runs ops ``steps[i].op_index`` up to the next step (the
-        last step up to ``n_ops``)."""
-        stops = self._indices[1:] + [n_ops]
-        return [list(range(start, stop))
-                for start, stop in zip(self._indices, stops)]
+    def spans(self, n_ops: int) -> List[Tuple[int, int]]:
+        """The ``(start, stop)`` op span each step's level covers, in
+        step order: step ``i`` runs ops ``steps[i].op_index`` up to the
+        next step (the last step up to ``n_ops``)."""
+        return list(zip(self._indices, self._indices[1:] + [n_ops]))
 
     def level_for_op(self, op_index: int) -> int:
         """Level in force while ``op_index`` executes."""

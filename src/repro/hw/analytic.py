@@ -14,10 +14,24 @@ power for its duration, so very low frequencies are correctly penalized
 
 Every query goes through one :class:`ProfileTable` per ``(graph,
 batch_size, sparsity)``: per-op time/energy arrays at every level,
-computed once and fully vectorized over ``(ops x levels)``.  The
-labeling sweep asks for many block profiles of the same graph (every
+computed once and fully vectorized over ``(ops x levels)``.  A block is
+always a contiguous ``(start, stop)`` span of op indices, as in the
+paper's power view, and a partition is a list of spans:
+
+* :meth:`ProfileTable.span_profile` prices one span (a prefix row from
+  op 0, else one ``np.add.reduce`` over its op rows), memoized per
+  span;
+* :meth:`LevelProfile.best_level` is the one level rule — the latency
+  slack budget plus the :data:`EE_TOLERANCE` tie band;
+* :meth:`ProfileTable.levels` gives a partition's levels, memoized per
+  ``(start, stop, latency_slack)``; every planner, labeler and ledger
+  takes its levels from it;
+* :meth:`ProfileTable.plan_energy_time` prices a partition at given
+  levels, switch stalls included.
+
+The labeling sweep asks for many spans of the same graph (every
 scheme's view, every block, every level), and each one reduces op rows
-instead of re-walking the operator list.  Every table query is
+once instead of re-walking the operator list.  Every table query is
 **byte-identical** to the per-op reference loop, which lives with the
 tests (``tests/oracles.py::profile_reference``); the hypothesis suites
 in ``tests/test_labeling_fastpath.py`` and
@@ -28,7 +42,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -49,7 +63,7 @@ EE_TOLERANCE = 0.005
 @dataclass(frozen=True, slots=True)
 class LevelProfile:
     """Energy/time of a workload at every DVFS level.  Slotted: a
-    profile table keeps one per distinct block it has priced."""
+    profile table keeps one per distinct span it has priced."""
 
     times: np.ndarray            # (n_levels,) seconds
     energies: np.ndarray         # (n_levels,) joules, platform-inclusive
@@ -60,17 +74,34 @@ class LevelProfile:
         with np.errstate(divide="ignore"):
             return np.where(self.energies > 0, 1.0 / self.energies, 0.0)
 
+    def best_level(self, latency_slack: float) -> int:
+        """EE-optimal level under a latency constraint.
 
-def _span_of(block: Sequence[int]) -> Tuple[int, int]:
-    """``(start, stop)`` of a contiguous ascending block of op indices;
-    an empty block is the empty span ``(0, 0)``."""
-    if not len(block):
-        return 0, 0
-    start = int(block[0])
-    stop = start + len(block)
-    if list(block) != list(range(start, stop)):
-        raise ValueError("plan blocks must be contiguous op ranges")
-    return start, stop
+        Chooses the level maximizing energy efficiency among levels whose
+        time does not exceed ``(1 + latency_slack)`` times the time at
+        the top level.  This mirrors the paper's "maintain performance
+        while optimizing energy" framing (section 2.1.1) and produces
+        the modest task-flow time increases of Figure 5 rather than a
+        throughput collapse.
+
+        The EE curve is typically flat near its peak, so among levels
+        within :data:`EE_TOLERANCE` (relative) of the best we
+        deterministically pick the *highest* — on real hardware those
+        levels are within measurement noise of each other, the faster
+        choice minimizes the latency cost of an equal-energy decision,
+        and a stable rule keeps the Dataset-B labels learnable instead
+        of coin flips.
+        """
+        ref = len(self.times) - 1
+        budget = (1.0 + latency_slack) * self.times[ref]
+        feasible = self.times <= budget + 1e-15
+        ee = self.ee
+        ee[~feasible] = -np.inf
+        best = float(np.max(ee))
+        if not np.isfinite(best):
+            return ref
+        near = np.flatnonzero(ee >= best * (1.0 - EE_TOLERANCE))
+        return int(near[-1])
 
 
 class ProfileTable:
@@ -78,14 +109,18 @@ class ProfileTable:
 
     ``op_times``/``op_energies`` are ``(n_ops, n_levels)`` arrays holding
     each operator's duration and GPU+DRAM energy (platform overhead is
-    charged per query, like the reference).  ``prefix_times``/
+    charged per span, like the reference).  ``prefix_times``/
     ``prefix_energies`` are ``(n_ops + 1, n_levels)`` sequential prefix
-    sums along the op axis, so any block anchored at op 0 — and the whole
+    sums along the op axis, so any span anchored at op 0 — and the whole
     graph — is a single O(n_levels) row lookup.
+
+    Every block the table prices is a contiguous ``(start, stop)`` span
+    of op indices, and :meth:`levels` is the one place a partition's
+    levels come from.
 
     Exactness note: a general prefix *difference* ``prefix[j] -
     prefix[i]`` is not bit-identical to summing the rows in order
-    (floating-point addition does not reassociate), so interior blocks
+    (floating-point addition does not reassociate), so interior spans
     instead use ``np.add.reduce`` over their op rows — a sequential
     accumulation over the outer axis, bit-identical to the reference
     loop and still two orders of magnitude cheaper than re-walking ops
@@ -113,81 +148,54 @@ class ProfileTable:
     def n_levels(self) -> int:
         return self.op_times.shape[1]
 
-    @property
-    def overhead_power(self) -> float:
-        return self._evaluator.overhead_power
-
     # ------------------------------------------------------------------
-    def block_profile(self, op_indices: Sequence[int]) -> LevelProfile:
-        """Fixed-level profile of a subset of ops (by canonical index)."""
-        idx = np.asarray(op_indices, dtype=np.intp)
-        if idx.size == 0:
-            times = np.zeros(self.n_levels)
-            energies = np.zeros(self.n_levels)
-        else:
-            start = int(idx[0])
-            stop = int(idx[-1]) + 1
-            contiguous = (stop - start == idx.size) and (
-                idx.size == 1 or bool(np.all(np.diff(idx) == 1)))
-            if contiguous and start == 0:
-                times = self.prefix_times[stop].copy()
-                energies = self.prefix_energies[stop].copy()
-            else:
-                rows = slice(start, stop) if contiguous else idx
-                times = np.add.reduce(self.op_times[rows], axis=0)
-                energies = np.add.reduce(self.op_energies[rows], axis=0)
-        energies = energies + self.overhead_power * times
-        return LevelProfile(times=times, energies=energies)
-
-    def graph_profile(self) -> LevelProfile:
-        """Whole-graph fixed-level profile (last prefix row)."""
-        times = self.prefix_times[-1].copy()
-        energies = self.prefix_energies[-1] + self.overhead_power * times
-        return LevelProfile(times=times, energies=energies)
-
-    def best_level_for_block(self, op_indices: Sequence[int],
-                             latency_slack: float = 0.25) -> int:
-        """Exhaustive-sweep optimal level for one block."""
-        return self._evaluator.best_level(self.block_profile(op_indices),
-                                          latency_slack)
-
-    def span_profile(self, op_start: int, op_stop: int) -> LevelProfile:
-        """Profile of ops ``op_start .. op_stop - 1``, memoized on (and
-        evicted with) this table, so each distinct span is reduced once.
-        Callers must not mutate the returned profile."""
-        key = (op_start, op_stop)
+    def span_profile(self, start: int, stop: int) -> LevelProfile:
+        """Profile of ops ``start .. stop - 1`` (the empty span prices
+        to zeros), memoized on (and evicted with) this table, so each
+        distinct span is reduced once.  Callers must not mutate the
+        returned profile."""
+        key = (start, stop)
         profile = self._spans.get(key)
         if profile is None:
-            profile = self._spans[key] = self.block_profile(
-                range(op_start, op_stop))
+            if start == 0:
+                times = self.prefix_times[stop].copy()
+                energies = self.prefix_energies[stop]
+            else:
+                times = np.add.reduce(self.op_times[start:stop], axis=0)
+                energies = np.add.reduce(self.op_energies[start:stop],
+                                         axis=0)
+            profile = self._spans[key] = LevelProfile(
+                times=times,
+                energies=energies + self._evaluator.overhead_power * times)
         return profile
 
-    def block_sweep(self, op_start: int, op_stop: int,
-                    latency_slack: float) -> Tuple[LevelProfile, int]:
-        """:meth:`span_profile` of ops ``op_start .. op_stop - 1`` and its
-        exhaustive-sweep optimal level, both memoized on this table."""
-        profile = self.span_profile(op_start, op_stop)
-        key = (op_start, op_stop, latency_slack)
-        best = self._levels.get(key)
-        if best is None:
-            best = self._levels[key] = self._evaluator.best_level(
-                profile, latency_slack)
-        return profile, best
+    def levels(self, spans: Sequence[Tuple[int, int]],
+               latency_slack: float) -> List[int]:
+        """Exhaustive-sweep optimal level of every span of a partition
+        (:meth:`LevelProfile.best_level`), memoized per ``(start, stop,
+        latency_slack)`` on this table."""
+        out = []
+        for start, stop in spans:
+            key = (start, stop, latency_slack)
+            level = self._levels.get(key)
+            if level is None:
+                level = self._levels[key] = self.span_profile(
+                    start, stop).best_level(latency_slack)
+            out.append(level)
+        return out
 
-    def plan_energy_time(self, blocks: Sequence[Sequence[int]],
+    def plan_energy_time(self, spans: Sequence[Tuple[int, int]],
                          levels: Sequence[int]) -> Tuple[float, float]:
-        """Analytic energy/time of running each block at its own level,
-        including per-boundary switch stalls.  Each block must be a
-        contiguous ascending run of op indices (possibly empty), and is
-        priced through :meth:`span_profile`."""
-        if len(blocks) != len(levels):
-            raise ValueError("one level per block required")
+        """Analytic energy/time of running each ``(start, stop)`` span
+        at its own level, including per-boundary switch stalls."""
+        if len(spans) != len(levels):
+            raise ValueError("one level per span required")
         ev = self._evaluator
         total_e = 0.0
         total_t = 0.0
         prev_level: Optional[int] = None
-        for block, level in zip(blocks, levels):
-            profile = self.span_profile(*_span_of(block))
+        for (start, stop), level in zip(spans, levels):
+            profile = self.span_profile(start, stop)
             total_e += float(profile.energies[level])
             total_t += float(profile.times[level])
             if prev_level is not None and level != prev_level:
@@ -201,10 +209,8 @@ class ProfileTable:
 
 
 class AnalyticEvaluator:
-    """Closed-form fixed-level cost model of one platform.
-
-    :meth:`profile_table` prices every op of a graph at every level;
-    :meth:`best_level` picks the level a profile should run at."""
+    """Closed-form fixed-level cost model of one platform:
+    :meth:`profile_table` prices every op of a graph at every level."""
 
     def __init__(self, platform: PlatformSpec) -> None:
         self.platform = platform
@@ -285,34 +291,3 @@ class AnalyticEvaluator:
         while len(self._table_cache) > PROFILE_TABLE_CACHE_SIZE:
             self._table_cache.popitem(last=False)
         return table
-
-    # ------------------------------------------------------------------
-    def best_level(self, profile: LevelProfile,
-                   latency_slack: float = 0.25) -> int:
-        """EE-optimal level under a latency constraint.
-
-        Chooses the level maximizing energy efficiency among levels whose
-        time does not exceed ``(1 + latency_slack)`` times the time at
-        the maximum level.  This mirrors the paper's "maintain
-        performance while optimizing energy" framing (section 2.1.1) and
-        produces the modest task-flow time increases of Figure 5 rather
-        than a throughput collapse.
-
-        The EE curve is typically flat near its peak, so among levels
-        within :data:`EE_TOLERANCE` (relative) of the best we
-        deterministically pick the *highest* — on real hardware those
-        levels are within measurement noise of each other, the faster
-        choice minimizes the latency cost of an equal-energy decision,
-        and a stable rule keeps the Dataset-B labels learnable instead
-        of coin flips.
-        """
-        ref = self.platform.max_level
-        budget = (1.0 + latency_slack) * profile.times[ref]
-        feasible = profile.times <= budget + 1e-15
-        ee = profile.ee.copy()
-        ee[~feasible] = -np.inf
-        best = float(np.max(ee))
-        if not np.isfinite(best):
-            return ref
-        near = np.flatnonzero(ee >= best * (1.0 - EE_TOLERANCE))
-        return int(near[-1])

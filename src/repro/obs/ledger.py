@@ -201,21 +201,23 @@ class EnergyLedger:
             # Every op up to the plan's last step belongs to a block, so
             # each step's block is non-empty.
             n_ops = max(n_ops, plan.max_op_index + 1)
-            block_ops = plan.blocks(n_ops)
+            spans = plan.spans(n_ops)
             planned_levels = [s.level for s in plan.steps]
         else:
-            block_ops = [list(range(n_ops))]
+            spans = [(0, n_ops)]
             planned_levels = [None]
         blocks = [
-            BlockLedgerRow(index=i, op_start=ops[0], op_stop=ops[-1] + 1,
+            BlockLedgerRow(index=i, op_start=start, op_stop=stop,
                            planned_level=level)
-            for i, (ops, level) in enumerate(zip(block_ops, planned_levels))
+            for i, ((start, stop), level) in enumerate(zip(spans,
+                                                           planned_levels))
         ]
         op_rows: Dict[int, OpLedgerRow] = {}
         overheads: Dict[str, Tuple[float, float]] = {}
         over_t = {k: 0.0 for k in OVERHEAD_KINDS}
         over_e = {k: 0.0 for k in OVERHEAD_KINDS}
-        block_of_op = [i for i, ops in enumerate(block_ops) for _ in ops]
+        block_of_op = [i for i, (start, stop) in enumerate(spans)
+                       for _ in range(start, stop)]
 
         # Duration and energy elementwise; the attribution below stays a
         # sequential loop, so every sum has the order it always had.
@@ -284,12 +286,13 @@ class EnergyLedger:
                                 latency_slack,
                                 sparsity: float = 0.0) -> None:
         table = evaluator.profile_table(graph, batch_size, sparsity)
-        for row in self.blocks:
-            stop = min(row.op_stop, table.n_ops)
-            if row.op_start >= stop:
-                continue
-            profile, best = table.block_sweep(row.op_start, stop,
-                                              latency_slack)
+        rows = [row for row in self.blocks
+                if row.op_start < min(row.op_stop, table.n_ops)]
+        spans = [(row.op_start, min(row.op_stop, table.n_ops))
+                 for row in rows]
+        for row, span, best in zip(rows, spans,
+                                   table.levels(spans, latency_slack)):
+            profile = table.span_profile(*span)
             row.best_level = best
             row.best_energy_j = float(profile.energies[best])
             if row.planned_level is not None:

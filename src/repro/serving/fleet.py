@@ -359,7 +359,7 @@ class SimulatedDevice:
         plan = self.plan_cache.get_or_build(graph, batch_size)
         table = self.evaluator.profile_table(graph, batch_size)
         energy, time = table.plan_energy_time(
-            plan.blocks(table.n_ops), [s.level for s in plan.steps])
+            plan.spans(table.n_ops), [s.level for s in plan.steps])
         self._predictions[key] = (time, energy)
         return time, energy
 

@@ -12,8 +12,9 @@ There are two kinds:
 * the dense Algorithm-1 distance chain (``mahalanobis_matrix`` through
   ``blocks_from_distance``) that ``FactoredDistance`` replaced, and the
   per-op cost loops (:func:`profile_reference`, :func:`graph_time`)
-  that ``ProfileTable`` replaced, moved here with their arithmetic
-  unchanged.
+  that ``ProfileTable`` replaced and the CPU-ladder level loop
+  (:func:`optimal_cpu_level_reference`) that ``LevelProfile.best_level``
+  replaced, moved here with their arithmetic unchanged.
 
 No production code path calls them.
 """
@@ -46,8 +47,11 @@ from repro.graph.ops import (
     OpCategory,
     OpType,
 )
+from repro.extensions.cpu_dvfs import cpu_phase_energy
+from repro.hw import analytic
 from repro.hw.analytic import AnalyticEvaluator, LevelProfile
 from repro.hw.perf import LatencyModel, OpWork, sparse_works
+from repro.hw.platform import PlatformSpec
 
 
 # ----------------------------------------------------------------------
@@ -252,8 +256,9 @@ def block_profile_reference(evaluator: AnalyticEvaluator, graph: Graph,
                             op_indices: Sequence[int],
                             batch_size: int = 1,
                             sparsity: float = 0.0) -> LevelProfile:
-    """Per-op-loop :meth:`ProfileTable.block_profile
-    <repro.hw.analytic.ProfileTable.block_profile>`.
+    """Per-op-loop profile of any set of ops; on a contiguous range it is
+    :meth:`ProfileTable.span_profile
+    <repro.hw.analytic.ProfileTable.span_profile>`.
 
     Sparsity is applied per op, so subsetting before or after the
     rescale is the same arithmetic — the table path rescales the whole
@@ -289,6 +294,28 @@ def plan_energy_time_reference(
             total_e += (idle_p + evaluator.overhead_power) * stall
         prev_level = level
     return total_e, total_t
+
+
+def optimal_cpu_level_reference(platform: PlatformSpec, cpu_ops: float,
+                                latency_slack: float = 0.25) -> int:
+    """The CPU-ladder loop that
+    :func:`~repro.extensions.cpu_dvfs.optimal_cpu_level` ran before it
+    shared :meth:`LevelProfile.best_level
+    <repro.hw.analytic.LevelProfile.best_level>`: minimize energy within
+    the slack budget, the fastest of the near-ties."""
+    ladder = platform.cpu.freq_levels
+    energies = []
+    times = []
+    for level in range(len(ladder)):
+        e, t = cpu_phase_energy(platform, cpu_ops, level)
+        energies.append(e)
+        times.append(t)
+    budget = (1.0 + latency_slack) * times[-1]
+    feasible = [i for i in range(len(ladder)) if times[i] <= budget + 1e-15]
+    best_e = min(energies[i] for i in feasible)
+    near = [i for i in feasible
+            if energies[i] <= best_e * (1.0 + analytic.EE_TOLERANCE)]
+    return max(near)
 
 
 # ----------------------------------------------------------------------
@@ -564,9 +591,8 @@ def plan_levels_for_blocks_reference(
         latency_slack: float = 0.25) -> List[int]:
     """Per-block per-op profile loops, no table."""
     return [
-        evaluator.best_level(
-            block_profile_reference(evaluator, graph, block, batch_size),
-            latency_slack)
+        block_profile_reference(evaluator, graph, block,
+                                batch_size).best_level(latency_slack)
         for block in blocks
     ]
 

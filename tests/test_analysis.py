@@ -11,6 +11,7 @@ from repro.analysis import (
 )
 from repro.governors import OndemandGovernor, StaticGovernor
 from repro.hw import InferenceJob, InferenceSimulator
+from repro.hw.analytic import AnalyticEvaluator, LevelProfile
 from repro.models import build_model
 
 
@@ -63,17 +64,29 @@ class TestCurves:
         assert curve.headroom() > 0.2
 
     def test_slack_constrains_optimum(self, tx2, vgg19):
+        """A latency slack only moves the planners' level
+        (:meth:`LevelProfile.best_level`) up from the unconstrained EE
+        peak."""
         curve = level_curve(tx2, vgg19, batch_size=16)
-        free = curve.optimal_level()
-        constrained = curve.optimal_level(latency_slack=0.05)
-        assert constrained >= free
+        profile = LevelProfile(times=curve.times_s,
+                               energies=curve.energies_j)
+        assert profile.best_level(0.05) >= curve.optimal_level()
+
+    def test_curve_level_is_the_planners_level(self, tx2):
+        """The whole-graph level of a curve's profile is the level every
+        planner takes from the profile table: googlenet at batch 16 and
+        slack 0.25 runs at 5 (a plain argmax over the budget said 4)."""
+        graph = build_model("googlenet")
+        curve = level_curve(tx2, graph, batch_size=16)
+        level = LevelProfile(times=curve.times_s,
+                             energies=curve.energies_j).best_level(0.25)
+        table = AnalyticEvaluator(tx2).profile_table(graph, 16)
+        assert level == table.levels([(0, table.n_ops)], 0.25)[0] == 5
 
     def test_block_curve(self, tx2, vgg19):
         n = len(vgg19.compute_nodes())
-        head = level_curve(tx2, vgg19, batch_size=16,
-                           op_indices=range(n - 8, n))
-        trunk = level_curve(tx2, vgg19, batch_size=16,
-                            op_indices=range(n - 8))
+        head = level_curve(tx2, vgg19, batch_size=16, span=(n - 8, n))
+        trunk = level_curve(tx2, vgg19, batch_size=16, span=(0, n - 8))
         # The fc head is far more memory-bound: its optimum sits lower.
         assert head.optimal_level() <= trunk.optimal_level()
 

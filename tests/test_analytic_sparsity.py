@@ -90,7 +90,7 @@ class TestProfileSparsity:
         works = evaluator.latency.graph_work(graph)
         loop = profile_reference(evaluator, works, batch_size=batch,
                                  sparsity=s)
-        fast = table.graph_profile()
+        fast = table.span_profile(0, table.n_ops)
         np.testing.assert_array_equal(fast.energies, loop.energies)
         np.testing.assert_array_equal(fast.times, loop.times)
 
@@ -98,7 +98,8 @@ class TestProfileSparsity:
                                                   graph):
         prev = None
         for s in (0.0, 0.25, 0.5, 0.75):
-            profile = evaluator.profile_table(graph, 16, s).graph_profile()
+            table = evaluator.profile_table(graph, 16, s)
+            profile = table.span_profile(0, table.n_ops)
             point = (profile.energies.sum(), profile.times.sum())
             if prev is not None:
                 assert point[0] < prev[0]

@@ -104,3 +104,19 @@ def test_bad_fault_profile_exits_2_before_fitting(monkeypatch, capsys,
 def test_fault_profile_defaults_per_command(command, spec, expected):
     args = SimpleNamespace(command=command, fault_profile=spec)
     assert cli._fault_profile(args) == expected
+
+
+def test_accuracy_on_one_network_reports_no_test_accuracy(capsys):
+    """One network splits 1/0/0: the hyper-parameter model has an empty
+    test split, which the table reports as such instead of as 0 %, and
+    every line names its own test count."""
+    assert cli.main(["accuracy", "--networks", "1", "--no-cache"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    table = out[next(i for i, line in enumerate(out)
+                     if line.startswith("Prediction model")):]
+    assert table[2] == ("clustering hyperparameter model: n/a (0 test "
+                        "samples) exact / n/a (0 test samples) "
+                        "scheme-equivalent (paper: 92.6%; 0 test samples)")
+    assert table[3].startswith("decision model:")
+    assert table[3].endswith(" test samples)")
+    assert all(line.endswith(" test samples)") for line in table[4:6])

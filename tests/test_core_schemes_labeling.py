@@ -7,8 +7,8 @@ from repro.core.features import DepthwiseFeatureExtractor
 from repro.core.labeling import (
     QUALITY_TOLERANCE,
     _evaluate_view,
+    _span_of,
     best_scheme_for_graph,
-    plan_levels_for_blocks,
 )
 from repro.core.schemes import ClusteringScheme, default_scheme_grid
 from repro.graph import Graph
@@ -48,24 +48,34 @@ class TestBlockLabeling:
     def test_block_optimal_level_in_range(self, evaluator, small_cnn,
                                           tx2):
         n = len(small_cnn.compute_nodes())
-        [lvl] = plan_levels_for_blocks(evaluator, small_cnn, [range(n)],
-                                       batch_size=8)
+        [lvl] = evaluator.profile_table(small_cnn, 8).levels([(0, n)], 0.25)
         assert 0 <= lvl <= tx2.max_level
 
     def test_optimal_below_max(self, evaluator, small_cnn):
         """The whole point of the paper: the EE-optimal level sits below
         the maximum frequency."""
         n = len(small_cnn.compute_nodes())
-        [lvl] = plan_levels_for_blocks(evaluator, small_cnn, [range(n)],
-                                       batch_size=8)
+        [lvl] = evaluator.profile_table(small_cnn, 8).levels([(0, n)], 0.25)
         assert lvl < evaluator.platform.max_level
 
     def test_plan_levels_one_per_block(self, evaluator, small_cnn):
         n = len(small_cnn.compute_nodes())
-        blocks = [list(range(n // 2)), list(range(n // 2, n))]
-        levels = plan_levels_for_blocks(evaluator, small_cnn, blocks,
-                                        batch_size=8)
+        levels = evaluator.profile_table(small_cnn, 8).levels(
+            [(0, n // 2), (n // 2, n)], 0.25)
         assert len(levels) == 2
+
+    def test_view_blocks_become_spans(self):
+        assert _span_of([3, 4, 5]) == (3, 6)
+        assert _span_of(range(2, 4)) == (2, 4)
+        assert _span_of([]) == (0, 0)
+
+    @pytest.mark.parametrize("block", [[0, 2], [1, 0], [0, 2, 2]])
+    def test_non_contiguous_block_rejected(self, evaluator, small_cnn,
+                                           block):
+        with pytest.raises(ValueError, match="contiguous"):
+            _span_of(block)
+        with pytest.raises(ValueError, match="contiguous"):
+            _quality(evaluator, small_cnn, [block])
 
 
 class TestSchemeQuality:
@@ -88,7 +98,7 @@ class TestSchemeQuality:
     def test_non_positive_energy_names_the_graph(self, evaluator,
                                                  small_cnn, monkeypatch):
         monkeypatch.setattr(ProfileTable, "plan_energy_time",
-                            lambda self, blocks, levels: (0.0, 1.0))
+                            lambda self, spans, levels: (0.0, 1.0))
         n = len(small_cnn.compute_nodes())
         with pytest.raises(ValueError, match=repr(small_cnn.name)):
             _quality(evaluator, small_cnn, [list(range(n))])
@@ -97,10 +107,9 @@ class TestSchemeQuality:
         n = len(small_cnn.compute_nodes())
         blocks = [list(range(n))]
         q = _quality(evaluator, small_cnn, blocks, batch_size=8)
-        levels = plan_levels_for_blocks(evaluator, small_cnn, blocks,
-                                        batch_size=8)
-        e, _t = evaluator.profile_table(small_cnn, 8).plan_energy_time(
-            blocks, levels)
+        table = evaluator.profile_table(small_cnn, 8)
+        levels = table.levels([(0, n)], 0.25)
+        e, _t = table.plan_energy_time([(0, n)], levels)
         assert q == pytest.approx(1.0 / e)
 
 

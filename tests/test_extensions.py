@@ -2,6 +2,7 @@
 calibration (the paper's section-5 future work)."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.extensions import (
     CalibrationSample,
@@ -15,7 +16,9 @@ from repro.extensions import (
 from repro.extensions.calibrate import synthesize_samples
 from repro.extensions.cpu_dvfs import powerlens_cg_governor
 from repro.hw import InferenceJob, InferenceSimulator
+from repro.hw.platform import jetson_agx_xavier, jetson_tx2
 from repro.models import build_model
+from tests.oracles import optimal_cpu_level_reference
 
 
 class TestCpuDvfs:
@@ -39,6 +42,16 @@ class TestCpuDvfs:
     def test_zero_slack_pins_max(self, tx2):
         assert optimal_cpu_level(tx2, 2e9, latency_slack=0.0) == \
             len(tx2.cpu.freq_levels) - 1
+
+    @settings(max_examples=200, deadline=None)
+    @given(platform=st.sampled_from([jetson_tx2(), jetson_agx_xavier()]),
+           cpu_ops=st.one_of(st.just(0.0),
+                             st.floats(1e3, 1e12, allow_nan=False)),
+           slack=st.floats(0.0, 2.0, allow_nan=False))
+    def test_shared_rule_matches_the_ladder_loop(self, platform, cpu_ops,
+                                                 slack):
+        assert optimal_cpu_level(platform, cpu_ops, slack) == \
+            optimal_cpu_level_reference(platform, cpu_ops, slack)
 
     def test_planned_level_saves_cpu_energy(self, fitted_lens, tx2):
         """PowerLens-C+G must reduce total energy versus plain PowerLens

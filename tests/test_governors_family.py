@@ -35,6 +35,7 @@ from repro.governors import (
     analytic_plan,
 )
 from repro.graph import Graph
+from repro.hw import analytic
 from repro.hw.analytic import AnalyticEvaluator
 from repro.hw.platform import get_platform
 from repro.hw.simulator import InferenceJob, InferenceSimulator
@@ -179,6 +180,29 @@ class TestPlanFamily:
                                          block_size=BLOCK_SIZE,
                                          sparsity=edge)
                 assert member.steps == expected.steps
+
+    def test_cache_miss_reduces_each_span_once(self, monkeypatch):
+        """Building a member and predicting its cost price each 8-op
+        span once: the planner's levels and the prediction's energy
+        share the profile table's span memo."""
+        priced = []
+        level_profile = analytic.LevelProfile
+
+        def counting(**kwargs):
+            priced.append(1)
+            return level_profile(**kwargs)
+
+        monkeypatch.setattr(analytic, "LevelProfile", counting)
+        device = SimulatedDevice(DeviceConfig("d", "tx2"), "powerlens")
+        graph = _graph()
+        plan = device.plan_cache.get_or_build(graph, 16)
+        device.predict(graph, 16)
+        table = device.evaluator.profile_table(graph, 16)
+        starts = [step.op_index for step in plan.steps]
+        spans = list(zip(starts, starts[1:] + [table.n_ops]))
+        assert spans == [(0, 8), (8, 16), (16, 17)]
+        assert set(table._spans) == set(spans)
+        assert len(priced) == len(spans)
 
     def test_member_for_uses_buckets(self):
         graph = _graph()

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.core.labeling import plan_levels_for_blocks
 from repro.governors import FrequencyPlan, PlanStep, PresetGovernor
 from repro.hw import InferenceJob, InferenceSimulator
 from repro.hw.analytic import AnalyticEvaluator
@@ -11,8 +10,9 @@ from repro.hw.analytic import AnalyticEvaluator
 def sweep_plan(platform, graph, blocks, batch_size):
     """Each block at the level an exhaustive frequency sweep selects
     (the Dataset-B labeling rule)."""
-    levels = plan_levels_for_blocks(AnalyticEvaluator(platform), graph,
-                                    blocks, batch_size=batch_size)
+    levels = AnalyticEvaluator(platform).profile_table(
+        graph, batch_size).levels(
+            [(block[0], block[-1] + 1) for block in blocks], 0.25)
     return FrequencyPlan(
         graph_name=graph.name,
         steps=[PlanStep(op_index=min(block), level=level)
@@ -58,12 +58,15 @@ class TestFrequencyPlan:
     def test_blocks_tile_ops_in_order(self, starts, n_ops):
         plan = FrequencyPlan(graph_name="g",
                              steps=[PlanStep(i, 1) for i in starts])
-        blocks = plan.blocks(n_ops)
-        assert len(blocks) == plan.n_blocks
-        assert [b[0] for b in blocks] == starts
-        assert [op for b in blocks for op in b] == list(range(n_ops))
-        for block in blocks:
-            assert all(plan.level_for_op(op) == 1 for op in block)
+        spans = plan.spans(n_ops)
+        assert len(spans) == plan.n_blocks
+        assert [start for start, _stop in spans] == starts
+        assert [op for span in spans for op in range(*span)] == \
+            list(range(n_ops))
+        for start, stop in spans:
+            assert start < stop
+            assert all(plan.level_for_op(op) == 1
+                       for op in range(start, stop))
 
 
 class TestPresetGovernor:

@@ -89,7 +89,8 @@ class TestFrequencyBehaviour:
         level = 6
         r = sim.run([job], StaticGovernor(level=level))
         ev = AnalyticEvaluator(tx2)
-        profile = ev.profile_table(small_cnn, 8).graph_profile()
+        table = ev.profile_table(small_cnn, 8)
+        profile = table.span_profile(0, table.n_ops)
         gpu_busy_time = r.trace.busy_gpu_time
         assert gpu_busy_time == pytest.approx(float(profile.times[level]),
                                               rel=1e-6)

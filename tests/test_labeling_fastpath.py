@@ -1,7 +1,7 @@
 """Byte-identity suites for the vectorized labeling fast path.
 
 Every optimization in the labeling hot path (pairs-einsum Mahalanobis,
-pair-based DBSCAN, one-hot-cumsum majority filter, ProfileTable block
+pair-based DBSCAN, one-hot-cumsum majority filter, ProfileTable span
 reductions, memoized scheme sweep) has its original loop
 implementation kept as a ``*_reference`` oracle in ``tests/oracles.py``;
 these property tests pin the fast paths to the oracles **byte for
@@ -11,7 +11,6 @@ key's payload) is provably unchanged by the optimization work.
 """
 
 import weakref
-from collections import Counter
 
 import numpy as np
 import pytest
@@ -27,7 +26,8 @@ from repro.core import labeling
 from repro.core.labeling import _sweep_schemes, label_network
 from repro.core.schemes import ClusteringScheme, default_scheme_grid
 from repro.core.features import DepthwiseFeatureExtractor
-from repro.hw.analytic import AnalyticEvaluator, ProfileTable
+from repro.hw import analytic
+from repro.hw.analytic import AnalyticEvaluator
 from repro.hw.platform import jetson_tx2
 from repro.models.random_gen import RandomDNNConfig, RandomDNNGenerator
 from tests.oracles import (
@@ -167,15 +167,12 @@ class TestProfileTableEquivalence:
         rng = np.random.default_rng(pick)
         start = int(rng.integers(0, n_ops))
         stop = int(rng.integers(start + 1, n_ops + 1))
-        contiguous = list(range(start, stop))
-        scattered = sorted(rng.choice(
-            n_ops, size=int(rng.integers(1, n_ops + 1)),
-            replace=False).tolist())
-        for block in ([], contiguous, scattered, list(range(n_ops))):
-            fast = tx2_evaluator.profile_table(graph,
-                                               batch).block_profile(block)
-            ref = block_profile_reference(tx2_evaluator, graph, block,
-                                          batch)
+        table = tx2_evaluator.profile_table(graph, batch)
+        for span in ((start, start), (start, stop), (0, stop),
+                     (0, n_ops)):
+            fast = table.span_profile(*span)
+            ref = block_profile_reference(tx2_evaluator, graph,
+                                          range(*span), batch)
             _assert_bytes_equal(fast.times, ref.times)
             _assert_bytes_equal(fast.energies, ref.energies)
 
@@ -185,7 +182,8 @@ class TestProfileTableEquivalence:
     def test_graph_profile_bitwise(self, tx2_evaluator, seed, batch):
         graph = _random_graph(seed)
         works = tx2_evaluator.latency.graph_work(graph)
-        fast = tx2_evaluator.profile_table(graph, batch).graph_profile()
+        table = tx2_evaluator.profile_table(graph, batch)
+        fast = table.span_profile(0, table.n_ops)
         ref = profile_reference(tx2_evaluator, works, batch)
         _assert_bytes_equal(fast.times, ref.times)
         _assert_bytes_equal(fast.energies, ref.energies)
@@ -203,13 +201,14 @@ class TestProfileTableEquivalence:
         cuts = sorted(rng.choice(range(1, n_ops), size=n_cuts,
                                  replace=False).tolist()) if n_cuts else []
         bounds = [0] + cuts + [n_ops]
-        blocks = [list(range(a, b)) for a, b in zip(bounds, bounds[1:])]
+        spans = list(zip(bounds, bounds[1:]))
         levels = [int(rng.integers(0, tx2_evaluator.platform.n_levels))
-                  for _ in blocks]
+                  for _ in spans]
         fast = tx2_evaluator.profile_table(graph, batch).plan_energy_time(
-            blocks, levels)
-        ref = plan_energy_time_reference(tx2_evaluator, graph, blocks,
-                                         levels, batch)
+            spans, levels)
+        ref = plan_energy_time_reference(
+            tx2_evaluator, graph, [range(a, b) for a, b in spans], levels,
+            batch)
         assert np.float64(fast[0]).tobytes() == np.float64(ref[0]).tobytes()
         assert np.float64(fast[1]).tobytes() == np.float64(ref[1]).tobytes()
 
@@ -296,19 +295,20 @@ class TestSweepStructure:
         assert all(ref() is None for ref in alive)
 
     def test_each_distinct_block_priced_once(self, monkeypatch):
-        priced = Counter()
-        block_profile = ProfileTable.block_profile
+        priced = []
+        level_profile = analytic.LevelProfile
 
-        def counting(table, op_indices):
-            priced[(op_indices[0], op_indices[-1] + 1)] += 1
-            return block_profile(table, op_indices)
+        def counting(**kwargs):
+            priced.append(1)
+            return level_profile(**kwargs)
 
-        monkeypatch.setattr(ProfileTable, "block_profile", counting)
+        monkeypatch.setattr(analytic, "LevelProfile", counting)
         graph, features = self._network()
-        sweep = _sweep_schemes(AnalyticEvaluator(jetson_tx2()), graph,
-                               features, default_scheme_grid(), 16, 0.25,
-                               0.6, 0.05)
+        evaluator = AnalyticEvaluator(jetson_tx2())
+        sweep = _sweep_schemes(evaluator, graph, features,
+                               default_scheme_grid(), 16, 0.25, 0.6, 0.05)
         distinct = {(b[0], b[-1] + 1) for view in sweep.views
                     for b in view}
         assert sum(len(view) for view in sweep.views) > len(distinct)
-        assert priced == Counter(dict.fromkeys(distinct, 1))
+        assert set(evaluator.profile_table(graph, 16)._spans) == distinct
+        assert len(priced) == len(distinct)

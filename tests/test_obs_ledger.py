@@ -159,9 +159,8 @@ class TestMisprediction:
         graph = build_small_cnn()
         table = fitted_lens.evaluator.profile_table(
             graph, fitted_lens.config.batch_size)
-        ops = list(range(table.n_ops))
-        best = fitted_lens.evaluator.best_level(
-            table.block_profile(ops), fitted_lens.config.latency_slack)
+        [best] = table.levels([(0, table.n_ops)],
+                              fitted_lens.config.latency_slack)
         plan = FrequencyPlan(graph_name=graph.name,
                              steps=[PlanStep(0, best)])
         sim = InferenceSimulator(fitted_lens.platform, keep_trace=True)
@@ -211,7 +210,7 @@ class TestLedgerInterface:
             result, plan=plan, graph=graph if with_graph else None)
         n_ops = max(n_graph_ops, plan.max_op_index + 1)
         assert [(b.op_start, b.op_stop) for b in ledger.blocks] == \
-            [(ops[0], ops[-1] + 1) for ops in plan.blocks(n_ops)]
+            plan.spans(n_ops)
         assert [b.planned_level for b in ledger.blocks] == [2, 9, 5]
         assert ledger.reconciliation.ok
 

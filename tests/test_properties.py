@@ -41,8 +41,8 @@ def test_analytic_energy_scales_superlinearly_never_sublinearly(
     energy minus the fixed launch overhead (work scales linearly, fixed
     overheads amortize)."""
     graph = RandomDNNGenerator(seed=seed).generate()
-    p1 = _EVALUATOR.profile_table(graph, 4).graph_profile()
-    p2 = _EVALUATOR.profile_table(graph, 8).graph_profile()
+    p1, p2 = (_EVALUATOR.profile_table(graph, batch).span_profile(
+        0, len(graph.compute_nodes())) for batch in (4, 8))
     assert p2.energies[level] > p1.energies[level] * 1.5
     assert p2.times[level] > p1.times[level]
 
@@ -76,9 +76,10 @@ def test_best_level_feasibility_on_random_networks(seed):
     """Property: the exhaustive sweep's chosen level always honours the
     latency-slack constraint on arbitrary networks."""
     graph = RandomDNNGenerator(seed=seed).generate()
-    profile = _EVALUATOR.profile_table(graph, 8).graph_profile()
+    table = _EVALUATOR.profile_table(graph, 8)
+    profile = table.span_profile(0, table.n_ops)
     for slack in (0.0, 0.25):
-        level = _EVALUATOR.best_level(profile, latency_slack=slack)
+        level = profile.best_level(slack)
         assert profile.times[level] <= \
             (1 + slack) * profile.times[-1] * (1 + 1e-9)
 
