@@ -21,35 +21,29 @@ from repro.obs import Observability
 @dataclass
 class AccuracyResult:
     platform: str
-    n_networks: int
-    n_blocks: int
-    hyperparam_accuracy: float
-    hyperparam_equivalent: float
-    decision_accuracy: float
-    decision_within_1: float
-    decision_within_2: float
     summary: TrainingSummary
 
     def format_table(self) -> str:
+        g = self.summary.generation
         h = self.summary.hyperparam_report
         d = self.summary.decision_report
         title = (f"Prediction model accuracy on {self.platform} "
-                 f"({self.n_networks} networks, {self.n_blocks} blocks, "
+                 f"({g.n_networks} networks, {g.n_blocks} blocks, "
                  f"80/10/10 split)")
         return "\n".join([
             title,
             "=" * len(title),
             f"clustering hyperparameter model: "
-            f"{_acc(h, self.hyperparam_accuracy)} exact / "
-            f"{_acc(h, self.hyperparam_equivalent)} scheme-equivalent "
+            f"{_acc(h, h.test_accuracy)} exact / "
+            f"{_acc(h, h.equivalent_accuracy)} scheme-equivalent "
             f"(paper: 92.6%; {h.n_test} test samples)",
             f"decision model:                  "
-            f"{_acc(d, self.decision_accuracy)} "
+            f"{_acc(d, d.test_accuracy)} "
             f"(paper: 94.2%; {d.n_test} test samples)",
             f"decision within 1 level:         "
-            f"{_acc(d, self.decision_within_1)} ({d.n_test} test samples)",
+            f"{_acc(d, d.within_1_accuracy)} ({d.n_test} test samples)",
             f"decision within 2 levels:        "
-            f"{_acc(d, self.decision_within_2)} ({d.n_test} test samples)",
+            f"{_acc(d, d.within_2_accuracy)} ({d.n_test} test samples)",
         ])
 
 
@@ -70,14 +64,4 @@ def run_accuracy(platform_name: str = "tx2", n_networks: int = 400,
         summary = lens.training_summary
         if summary is None:
             summary = lens.fit()
-    return AccuracyResult(
-        platform=lens.platform.name,
-        n_networks=summary.generation.n_networks,
-        n_blocks=summary.generation.n_blocks,
-        hyperparam_accuracy=summary.hyperparam_report.test_accuracy,
-        hyperparam_equivalent=summary.hyperparam_report.equivalent_accuracy,
-        decision_accuracy=summary.decision_report.test_accuracy,
-        decision_within_1=summary.decision_report.within_1_accuracy,
-        decision_within_2=summary.decision_report.within_2_accuracy,
-        summary=summary,
-    )
+    return AccuracyResult(platform=lens.platform.name, summary=summary)

@@ -86,15 +86,17 @@ def figure5_records(result: Figure5Result) -> List[dict]:
 
 
 def accuracy_records(result: AccuracyResult) -> List[dict]:
+    summary = result.summary
+    h, d = summary.hyperparam_report, summary.decision_report
     return [{
         "platform": result.platform,
-        "n_networks": result.n_networks,
-        "n_blocks": result.n_blocks,
-        "hyperparam_accuracy": result.hyperparam_accuracy,
-        "hyperparam_equivalent": result.hyperparam_equivalent,
-        "decision_accuracy": result.decision_accuracy,
-        "decision_within_1": result.decision_within_1,
-        "decision_within_2": result.decision_within_2,
+        "n_networks": summary.generation.n_networks,
+        "n_blocks": summary.generation.n_blocks,
+        "hyperparam_accuracy": h.test_accuracy,
+        "hyperparam_equivalent": h.equivalent_accuracy,
+        "decision_accuracy": d.test_accuracy,
+        "decision_within_1": d.within_1_accuracy,
+        "decision_within_2": d.within_2_accuracy,
     }]
 
 

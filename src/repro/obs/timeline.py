@@ -188,6 +188,11 @@ class RequestRow:
         return self.t_dispatch - self.t_batch_ready
 
     @property
+    def queue_delay_s(self) -> float:
+        """Arrival to dispatch: ``queue_s + batch_s``."""
+        return self.t_dispatch - self.t_arrival
+
+    @property
     def service_s(self) -> float:
         return self.t_end - self.t_dispatch
 

@@ -7,7 +7,8 @@ batch-coalescing queueing policies (:mod:`~repro.serving.queueing`),
 a heterogeneous device fleet with per-device plan stores and
 anomaly-fed health (:mod:`~repro.serving.fleet`), a deterministic
 discrete-event scheduler (:mod:`~repro.serving.scheduler`) and the
-fleet SLO report (:mod:`~repro.serving.slo_report`).
+fleet SLO report (:mod:`~repro.serving.slo_report`), a fold of the
+scheduler's event log.
 
 Entry point::
 
@@ -67,7 +68,6 @@ from repro.serving.scheduler import (
 )
 from repro.serving.slo_report import (
     DeviceSummary,
-    RequestOutcome,
     SLOReport,
     nearest_rank,
 )
@@ -85,5 +85,5 @@ __all__ = [
     "canonical_event_line",
     "RequestTracer", "SamplingConfig",
     "head_sample_keep",
-    "DeviceSummary", "RequestOutcome", "SLOReport", "nearest_rank",
+    "DeviceSummary", "SLOReport", "nearest_rank",
 ]

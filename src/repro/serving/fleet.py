@@ -310,25 +310,17 @@ class SimulatedDevice:
             {} if self._dispatch_is_static() else None
         self.memo_hits = 0
         self.memo_misses = 0
-        # -- scheduler-visible state --------------------------------------
+        # -- scheduler-visible state (what a device did is on the event
+        # log; only what the loop acts on lives here) ----------------------
         self.busy = False
         self.drained = False
-        self.jobs_done = 0
-        self.requests_served = 0
-        self.busy_time_s = 0.0
-        self.energies_j: List[float] = []
-        self.ledger_energies_j: List[float] = []
         self.anomaly_count = 0
         self._predictions: Dict[Tuple[str, int], Tuple[float, float]] = {}
         # -- recovery state machine (driven by the scheduler) --------------
         self.recovery_state = "active"
-        self.drain_count = 0
         self.recovery_attempts = 0
-        self.readmissions = 0
         self.probation_left = 0
         self.anomaly_floor = 0
-        self.drained_since: Optional[float] = None
-        self.drained_seconds = 0.0
 
     # ------------------------------------------------------------------
     # planning / prediction
@@ -385,29 +377,22 @@ class SimulatedDevice:
     # timing — cooldown scheduling, probe dispatch — lives in the
     # scheduler's event loop so virtual time stays in one place)
     # ------------------------------------------------------------------
-    def begin_drain(self, t: float) -> None:
-        """active/probation → drained at virtual time ``t``."""
+    def begin_drain(self) -> None:
+        """active/probation → drained."""
         self.drained = True
         self.recovery_state = "drained"
-        self.drain_count += 1
-        if self.drained_since is None:
-            self.drained_since = t
 
     def begin_cooldown(self) -> None:
         """drained → cooldown (a probe has been scheduled)."""
         self.recovery_state = "cooldown"
 
-    def begin_probation(self, t: float, probation_jobs: int) -> None:
+    def begin_probation(self, probation_jobs: int) -> None:
         """cooldown → probation: the probe ran clean, serve real
         traffic again under a zero-tolerance anomaly budget."""
         self.drained = False
         self.recovery_state = "probation"
         self.probation_left = probation_jobs
-        self.readmissions += 1
         self.anomaly_floor = self.anomaly_count
-        if self.drained_since is not None:
-            self.drained_seconds += max(0.0, t - self.drained_since)
-            self.drained_since = None
 
     def complete_probation(self) -> None:
         """probation → active: the device survived its probation jobs;
@@ -415,13 +400,6 @@ class SimulatedDevice:
         self.recovery_state = "active"
         self.probation_left = 0
         self.recovery_attempts = 0
-
-    def finalize_drain_accounting(self, t_end: float) -> None:
-        """Close the drained-seconds interval of a still-drained device
-        at the end of the trace."""
-        if self.drained_since is not None:
-            self.drained_seconds += max(0.0, t_end - self.drained_since)
-            self.drained_since = None
 
     # ------------------------------------------------------------------
     # execution
@@ -463,7 +441,7 @@ class SimulatedDevice:
                 self.memo_hits += 1
                 record, tape = entry
                 tape.replay()
-                return self._book(replace(record, job_name=job.label()))
+                return replace(record, job_name=job.label())
             self.memo_misses += 1
         seed = derive_seed(self.fleet_seed, self.name, dispatch_seq)
         faults = None
@@ -539,15 +517,7 @@ class SimulatedDevice:
             # An anomalous run moves device health, and an effect
             # outside the tape (a governor counter) may not repeat.
             memo[memo_key] = (record, tape)
-        return self._book(record)
-
-    def _book(self, record: DispatchRecord) -> DispatchRecord:
-        """Device bookkeeping shared by full runs and memo hits."""
-        self.jobs_done += 1
-        self.busy_time_s += record.duration_s
-        self.energies_j.append(record.energy_j)
-        self.ledger_energies_j.append(record.ledger_energy_j)
-        self.anomaly_count += record.new_anomalies
+        self.anomaly_count += new_anomalies
         return record
 
 

@@ -14,7 +14,7 @@
   through the full governor/simulator stack;
 * **completion** — the job's simulated duration advances the clock via
   a completion event; per-request latency and an even energy share are
-  recorded, and the device's anomaly count is re-checked: reaching
+  logged, and the device's anomaly count is re-checked: reaching
   :data:`~repro.serving.fleet.UNHEALTHY_AFTER` drains the device;
 * **recovery** — with :class:`~repro.serving.fleet.RecoveryConfig` a
   drain is not terminal: after an exponentially backed-off cooldown the
@@ -36,13 +36,16 @@ suite pins.  The event heap orders ties by ``(t, priority, seq)`` with
 completions (priority 0) ahead of arrivals (priority 1), so equal-time
 ordering is explicit, never dict- or hash-dependent.
 
-The log is also the only way the run is observed: ``sinks`` are called
-with each record as it is appended.  Request traces
+The log is also the only record of the run: the loop emits events and
+keeps no tallies of its own.  The SLO report and the scheduler's
+``powerlens_serving_*`` metrics are one fold of the finished log
+(:meth:`~repro.serving.slo_report.SLOReport.from_run`), and ``sinks``
+are called with each record as it is appended.  Request traces
 (:class:`~repro.serving.request_trace.RequestTracer`), burn-rate alerts
 (:class:`~repro.obs.burnrate.BurnRateMonitor`) and the timeline
 (:class:`~repro.obs.timeline.ServingTimeline`) are such sinks, so they
 cannot change what the loop does, and replaying a written log through
-them rebuilds what they saw live.
+them (or through the report's fold) rebuilds what they saw live.
 
 ``n_jobs`` never touches execution: the event loop is strictly
 sequential; extra workers only pre-warm the per-device plan caches
@@ -59,7 +62,8 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.hw.simulator import InferenceJob
 from repro.obs import Observability, NULL_OBS
-from repro.obs.metrics import DEFAULT_BUCKETS, MetricsRegistry
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.timeline import RequestRow, ServingTimeline
 from repro.serving.arrivals import ArrivalTrace, Request
 from repro.serving.fleet import (
     DispatchRecord,
@@ -69,8 +73,9 @@ from repro.serving.fleet import (
 )
 from repro.serving.queueing import QueuePolicy, make_policy
 from repro.serving.slo_report import (
-    DeviceSummary,
-    RequestOutcome,
+    DROP_EXPIRED,
+    DROP_QUEUE_FULL,
+    DROP_UNSERVICEABLE,
     SLOReport,
 )
 from repro.workloads import make_request_job
@@ -88,10 +93,6 @@ EventSink = Callable[[Dict[str, object]], None]
 _PRIO_COMPLETE = 0
 _PRIO_ARRIVAL = 1
 _PRIO_PROBE = 2
-
-DROP_QUEUE_FULL = "queue_full"
-DROP_EXPIRED = "expired"
-DROP_UNSERVICEABLE = "unserviceable"
 
 
 def canonical_event_line(record: Dict[str, object]) -> str:
@@ -127,9 +128,15 @@ class ServingResult:
 
     report: SLOReport
     events: List[Dict[str, object]]
-    outcomes: List[RequestOutcome]
     metrics: MetricsRegistry
     dispatches: List[DispatchRecord] = field(default_factory=list)
+
+    @property
+    def outcomes(self) -> List[RequestRow]:
+        """The completed requests, rebuilt from the event log."""
+        timeline = ServingTimeline.from_events(self.events)
+        return [row for row in timeline.requests.values()
+                if row.completed]
 
     def event_log(self) -> str:
         """Canonical JSONL event log (byte-identical across runs)."""
@@ -165,40 +172,11 @@ class FleetScheduler:
             fleet.prewarm(trace.models, batch_sizes, n_jobs=n_jobs)
 
         events: List[Dict[str, object]] = []
-        outcomes: List[RequestOutcome] = []
         dispatches: List[DispatchRecord] = []
         queue: List[Request] = []
-        drops = {DROP_QUEUE_FULL: 0, DROP_EXPIRED: 0,
-                 DROP_UNSERVICEABLE: 0}
         dispatch_seq = 0
         event_seq = 0
         makespan = 0.0
-
-        metrics = MetricsRegistry()
-        m_arrived = metrics.counter(
-            "powerlens_serving_requests_total",
-            help="Requests presented to the fleet")
-        m_admitted = metrics.counter(
-            "powerlens_serving_admitted_total")
-        m_completed = metrics.counter(
-            "powerlens_serving_completed_total")
-        m_jobs = metrics.counter("powerlens_serving_jobs_total")
-        m_drains = metrics.counter("powerlens_serving_drains_total")
-        m_probes = metrics.counter("powerlens_serving_probes_total")
-        m_readmits = metrics.counter(
-            "powerlens_serving_readmissions_total")
-        m_redrains = metrics.counter(
-            "powerlens_serving_redrains_total")
-        m_drops = {
-            reason: metrics.counter(
-                f"powerlens_serving_dropped_{reason}_total")
-            for reason in drops
-        }
-        m_latency = metrics.histogram(
-            "powerlens_serving_request_latency_seconds",
-            help="Arrival-to-completion latency",
-            buckets=DEFAULT_BUCKETS)
-
         sinks = self.sinks
 
         def emit(t: float, kind: str, **fields: object) -> None:
@@ -227,8 +205,6 @@ class FleetScheduler:
 
         def drop(t: float, request: Request, reason: str,
                  cause: Optional[str] = None) -> None:
-            drops[reason] += 1
-            m_drops[reason].inc()
             fields: Dict[str, object] = dict(
                 request_id=request.request_id, model=request.model,
                 reason=reason)
@@ -302,7 +278,7 @@ class FleetScheduler:
             return min(candidates, key=cost)[1]
 
         def try_dispatch(t: float) -> None:
-            nonlocal dispatch_seq, makespan, heap_seq
+            nonlocal dispatch_seq, heap_seq
             while True:
                 purge_expired(t)
                 if not queue:
@@ -329,9 +305,7 @@ class FleetScheduler:
                 )
                 record = device.execute(job, dispatch_seq)
                 device.busy = True
-                device.requests_served += len(batch)
                 dispatches.append(record)
-                m_jobs.inc()
                 t_done = t + record.duration_s
                 # Dense, fault-free dispatches omit the sparsity and
                 # anomaly fields entirely (zero is the reader default).
@@ -347,11 +321,11 @@ class FleetScheduler:
                      n_requests=len(batch),
                      request_ids=[r.request_id for r in batch],
                      predicted_done=t_done, plan=record.plan_fingerprint,
+                     duration=record.duration_s, energy=record.energy_j,
                      ledger_energy=record.ledger_energy_j,
                      recovery_state=device.recovery_state, **extra)
                 heapq.heappush(heap, (t_done, _PRIO_COMPLETE, heap_seq,
-                                      "complete",
-                                      (device, batch, record, t)))
+                                      "complete", (device, batch, record)))
                 heap_seq += 1
                 dispatch_seq += 1
 
@@ -361,12 +335,10 @@ class FleetScheduler:
             if kind == "arrival":
                 request = payload
                 arrivals_pending -= 1
-                m_arrived.inc()
                 if len(queue) >= cfg.queue_capacity:
                     drop(t, request, DROP_QUEUE_FULL)
                 else:
                     queue.append(request)
-                    m_admitted.inc()
                     emit(t, "admit", request_id=request.request_id,
                          model=request.model, images=request.images)
                     purge_if_dead(t)
@@ -386,10 +358,10 @@ class FleetScheduler:
                     name=f"{probe_graph.name}_probe")
                 record = device.execute(probe_job, dispatch_seq)
                 dispatch_seq += 1
-                m_probes.inc()
                 emit(t, "probe", device=device.name,
                      attempt=device.recovery_attempts,
-                     duration=record.duration_s,
+                     duration=record.duration_s, energy=record.energy_j,
+                     ledger_energy=record.ledger_energy_j,
                      anomalies=record.new_anomalies)
                 heapq.heappush(heap, (t + record.duration_s,
                                       _PRIO_COMPLETE, heap_seq,
@@ -408,45 +380,29 @@ class FleetScheduler:
                     schedule_probe(t, device)
                     purge_if_dead(t)
                 else:
-                    device.begin_probation(t, recovery.probation_jobs)
-                    m_readmits.inc()
+                    device.begin_probation(recovery.probation_jobs)
                     emit(t, "readmit", device=device.name,
                          probation_jobs=recovery.probation_jobs)
             else:  # complete
-                device, batch, record, t_dispatch = payload
+                device, batch, record = payload
                 device.busy = False
                 makespan = max(makespan, t)
                 share = record.energy_j / len(batch)
                 for request in batch:
-                    outcome = RequestOutcome(
-                        request_id=request.request_id,
-                        model=request.model,
-                        images=request.images,
-                        device=device.name,
-                        t_arrival=request.t_arrival,
-                        t_dispatch=t_dispatch,
-                        t_complete=t,
-                        energy_j=share,
-                        slo_latency_s=request.slo_latency_s,
-                    )
-                    outcomes.append(outcome)
-                    m_completed.inc()
-                    m_latency.observe(outcome.latency_s)
+                    latency = t - request.t_arrival
                     emit(t, "complete",
                          request_id=request.request_id,
                          device=device.name,
-                         latency=outcome.latency_s,
+                         latency=latency,
                          energy=share,
-                         slo_ok=outcome.slo_ok)
+                         slo_ok=latency <= request.slo_latency_s)
                 if recovery is not None \
                         and device.recovery_state == "probation":
                     if record.new_anomalies > 0:
                         # Zero tolerance on probation: one anomaly
                         # sends the device straight back to cooldown.
                         device.recovery_attempts += 1
-                        device.begin_drain(t)
-                        m_redrains.inc()
-                        m_drains.inc()
+                        device.begin_drain()
                         emit(t, "redrain", device=device.name,
                              anomalies=device.anomaly_count)
                         schedule_probe(t, device)
@@ -457,8 +413,7 @@ class FleetScheduler:
                             device.complete_probation()
                             emit(t, "recover", device=device.name)
                 elif not device.drained and device.over_anomaly_budget:
-                    device.begin_drain(t)
-                    m_drains.inc()
+                    device.begin_drain()
                     emit(t, "drain", device=device.name,
                          anomalies=device.anomaly_count)
                     schedule_probe(t, device)
@@ -472,10 +427,11 @@ class FleetScheduler:
         for request in queue:
             drop(t_end, request, DROP_UNSERVICEABLE, cause="trace_end")
         queue.clear()
-        for device in fleet.devices:
-            device.finalize_drain_accounting(t_end)
 
-        report = self._build_report(trace, outcomes, drops, makespan)
+        metrics = MetricsRegistry()
+        report = SLOReport.from_run(events, policy=self.policy.name,
+                                    trace=trace, devices=fleet.devices,
+                                    metrics=metrics)
         if not report.conserved:
             raise RuntimeError("serving run lost requests: " + ", ".join(
                 f"{name}={getattr(report, name)}" for name in (
@@ -487,62 +443,22 @@ class FleetScheduler:
         if self.obs.metrics.enabled:
             self.obs.metrics.merge(fleet_metrics)
         return ServingResult(report=report, events=events,
-                             outcomes=outcomes, metrics=fleet_metrics,
-                             dispatches=dispatches)
+                             metrics=fleet_metrics, dispatches=dispatches)
 
     # ------------------------------------------------------------------
-    def _build_report(self, trace: ArrivalTrace,
-                      outcomes: Sequence[RequestOutcome],
-                      drops: Dict[str, int],
-                      makespan: float) -> SLOReport:
-        devices = [
-            DeviceSummary(
-                name=d.name,
-                platform=d.platform.name,
-                jobs=d.jobs_done,
-                requests=d.requests_served,
-                busy_time_s=d.busy_time_s,
-                energy_j=math.fsum(d.energies_j),
-                ledger_energy_j=math.fsum(d.ledger_energies_j),
-                anomalies=d.anomaly_count,
-                drained=d.drained,
-                plan_cache_hits=d.plan_cache.hits,
-                plan_cache_misses=d.plan_cache.misses,
-                drained_seconds=d.drained_seconds,
-                readmissions=d.readmissions,
-                recovery_state=d.recovery_state,
-            )
-            for d in self.fleet.devices
-        ]
-        governors = {d.governor_name for d in self.fleet.devices}
-        return SLOReport.from_run(
-            policy=self.policy.name,
-            governor=(governors.pop() if len(governors) == 1
-                      else "mixed"),
-            arrival_kind=trace.kind,
-            seed=trace.seed,
-            duration_s=trace.duration_s,
-            arrived=len(trace),
-            dropped_queue_full=drops[DROP_QUEUE_FULL],
-            dropped_expired=drops[DROP_EXPIRED],
-            dropped_unserviceable=drops[DROP_UNSERVICEABLE],
-            outcomes=outcomes,
-            devices=devices,
-            makespan_s=makespan,
-        )
-
     @staticmethod
     def _record_summary_metrics(metrics: MetricsRegistry,
                                 report: SLOReport) -> None:
         metrics.gauge("powerlens_serving_fleet_energy_joules",
                       help="Total fleet energy of the run").set(
             report.fleet_energy_j)
-        metrics.gauge("powerlens_serving_joules_per_request").set(
-            report.joules_per_request)
+        if report.completed:
+            metrics.gauge("powerlens_serving_joules_per_request").set(
+                report.joules_per_request)
+            metrics.gauge("powerlens_serving_latency_p99_seconds").set(
+                report.latency_p99_s)
         metrics.gauge("powerlens_serving_makespan_seconds").set(
             report.makespan_s)
-        metrics.gauge("powerlens_serving_latency_p99_seconds").set(
-            report.latency_p99_s)
         metrics.gauge(
             "powerlens_serving_drained_device_seconds",
             help="Total device-seconds spent drained").set(

@@ -146,6 +146,20 @@ def test_empty_trace_terminates(recovery, duration):
     assert report.completed == 0
     assert report.conserved
     assert result.events == []
+    # No completion, so no latency and no joules per request: None,
+    # printed as n/a, and their gauges are never set.
+    for name in ("latency_p50_s", "latency_p90_s", "latency_p99_s",
+                 "latency_mean_s", "latency_max_s", "joules_per_request"):
+        assert getattr(report, name) is None, name
+        assert report.to_dict()[name] is None, name
+    table = report.format_table()
+    assert "latency: n/a (n=0)" in table
+    assert "J/request n/a (n=0)" in table
+    assert result.metrics.get("powerlens_serving_joules_per_request") is None
+    assert result.metrics.get(
+        "powerlens_serving_latency_p99_seconds") is None
+    assert result.metrics.get(
+        "powerlens_serving_fleet_energy_joules").value == 0.0
 
 
 @pytest.mark.parametrize("max_attempts", [1, 3])

@@ -1,6 +1,7 @@
 """CLI ``main()`` execution tests with a stubbed experiment context so
 the heavy fits never run."""
 
+import json
 from types import SimpleNamespace
 
 import pytest
@@ -120,3 +121,21 @@ def test_accuracy_on_one_network_reports_no_test_accuracy(capsys):
     assert table[3].startswith("decision model:")
     assert table[3].endswith(" test samples)")
     assert all(line.endswith(" test samples)") for line in table[4:6])
+
+
+def test_serve_sim_without_arrivals_reports_no_latency(capsys):
+    """A trace with no arrivals has no latency quantile and no joules
+    per request: the table prints n/a and the JSON holds null."""
+    argv = ["serve-sim", "--devices", "tx2", "--models", "alexnet",
+            "--rate", "0.01", "--duration", "1"]
+    assert cli.main(argv) == 0
+    out = capsys.readouterr().out
+    assert "requests: 0 arrived" in out
+    assert "latency: n/a (n=0), slo violations 0" in out
+    assert "J/request n/a (n=0)" in out
+    assert "0.0 ms" not in out and "0.0000 J/request" not in out
+    assert cli.main(argv + ["--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["completed"] == 0
+    assert report["latency_p50_s"] is None
+    assert report["joules_per_request"] is None

@@ -25,17 +25,22 @@ byte-identical to static ``powerlens`` on zero-fault runs.
 from __future__ import annotations
 
 import math
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.hw.faults import FaultProfile
+from repro.obs.metrics import MetricsRegistry
 from repro.serving import (
+    ArrivalTrace,
     DeviceConfig,
     Fleet,
     FleetScheduler,
     RecoveryConfig,
+    Request,
     SchedulerConfig,
+    SLOReport,
     make_trace,
 )
 from tests.conftest import build_small_cnn
@@ -223,6 +228,66 @@ class TestDeadFleetAccounting:
         assert result.metrics.gauge(
             "powerlens_serving_drained_device_seconds").value \
             == pytest.approx(report.drained_device_seconds)
+
+    def test_still_drained_device_counts_until_the_run_ends(self):
+        """Without recovery a drain never closes: the device is drained
+        from its drain to the later of the last completion and the last
+        arrival."""
+        result = _run(3, faults=_storm())
+        last_arrival = make_trace(
+            "poisson", rate_rps=30.0, duration_s=3.0, models=[MODEL],
+            seed=3, slo_latency_s=math.inf).requests[-1].t_arrival
+        t_end = max(last_arrival, max(e["t"] for e in result.events
+                                      if e["event"] == "complete"))
+        for device in result.report.devices:
+            drains = [e["t"] for e in result.events
+                      if e["event"] == "drain"
+                      and e["device"] == device.name]
+            assert device.drained == bool(drains)
+            expected = t_end - drains[0] if drains else 0.0
+            assert device.drained_seconds == expected
+        assert any(d.drained_seconds > 0 for d in result.report.devices)
+
+    def test_drained_seconds_fold(self):
+        """Drained intervals read off a hand-written log: a drain opens
+        one, a redrain of an open interval does not restart it, a
+        readmit closes it, and one still open closes at the run's end
+        (here the last arrival, after the last completion)."""
+        requests = (Request(0, 0.0, MODEL), Request(1, 3.0, MODEL))
+        trace = ArrivalTrace(kind="poisson", seed=0, requests=requests,
+                             duration_s=4.0)
+        job = dict(device="d", duration=0.5, energy=2.0,
+                   ledger_energy=2.0)
+        log = [
+            dict(event="admit", t=0.0, request_id=0),
+            dict(event="dispatch", t=0.0, n_requests=1, **job),
+            dict(event="complete", t=0.5, request_id=0, latency=0.5,
+                 slo_ok=True),
+            dict(event="drain", t=0.5, device="d"),
+            dict(event="probe", t=1.0, **job),
+            dict(event="readmit", t=1.5, device="d"),
+            dict(event="redrain", t=2.0, device="d"),
+            dict(event="redrain", t=2.5, device="d"),
+            dict(event="admit", t=3.0, request_id=1),
+            dict(event="drop", t=3.0, request_id=1,
+                 reason="unserviceable"),
+        ]
+        device = SimpleNamespace(
+            name="d", platform=SimpleNamespace(name="p"),
+            plan_cache=SimpleNamespace(hits=0, misses=0), drained=True,
+            recovery_state="drained", anomaly_count=3,
+            governor_name="powerlens")
+        report = SLOReport.from_run(log, policy="fifo", trace=trace,
+                                    devices=[device],
+                                    metrics=MetricsRegistry())
+        (summary,) = report.devices
+        assert summary.drained_seconds == 1.0 + 1.0
+        assert summary.readmissions == 1
+        assert (summary.jobs, summary.requests) == (2, 1)
+        assert summary.busy_time_s == 1.0
+        assert report.fleet_energy_j == 4.0
+        assert report.makespan_s == 0.5
+        assert report.conserved
 
     def test_arrivals_after_fleet_death_drop_immediately(self):
         result = _run(3, faults=_storm())

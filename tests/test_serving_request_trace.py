@@ -1,12 +1,13 @@
 """Request-lifecycle tracing: one event stream, sampling, decomposition.
 
-The tentpole invariant pinned here: a :class:`RequestTracer` and a
-:class:`BurnRateMonitor` are **projections of the scheduler's event
-log**.  They ride the run as sinks that see exactly the records the
-scheduler appends to ``result.events``, in order, and a tracer rebuilt
-from the written ``event_log()`` file yields the same rows, spans and
-alerts as the live one — across governors × policies × fault storms ×
-recovery configs × ``n_jobs``.  Also pinned:
+The central invariant pinned here: a :class:`RequestTracer`, a
+:class:`BurnRateMonitor` and the :class:`SLOReport` are **projections
+of the scheduler's event log**.  The first two ride the run as sinks
+that see exactly the records the scheduler appends to
+``result.events``, in order; a tracer, monitor and report rebuilt from
+the written ``event_log()`` file equal the live ones (the report's fold
+also rebuilds the scheduler's counters) — across governors × policies
+× fault storms × recovery configs × ``n_jobs``.  Also pinned:
 
 * **sampling determinism** — the head-sampled id set is a pure
   function of ``(seed, request_id)``, so replays sample identically;
@@ -34,6 +35,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.hw.faults import FaultProfile
 from repro.obs.burnrate import BurnRateConfig, BurnRateMonitor
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.replay import read_trace, span_tree
 from repro.obs.timeline import ServingTimeline, read_event_log
 from repro.serving import (
@@ -46,6 +48,7 @@ from repro.serving import (
     SamplingConfig,
     SchedulerConfig,
     ServingResult,
+    SLOReport,
     head_sample_keep,
     make_policy,
     make_trace,
@@ -69,6 +72,7 @@ class Run(NamedTuple):
     tracer: RequestTracer
     monitor: BurnRateMonitor
     trace: ArrivalTrace
+    fleet: Fleet
 
 
 def _run(seed: int, policy: str = "fifo", governor: str = "powerlens",
@@ -96,7 +100,7 @@ def _run(seed: int, policy: str = "fifo", governor: str = "powerlens",
                         recovery=recovery),
         sinks=[tracer, monitor, *extra_sinks])
     return Run(scheduler.run(trace, n_jobs=n_jobs), tracer, monitor,
-               trace)
+               trace, fleet)
 
 
 def _matrix_run(seed, policy, governor, storm, recovery_on, n_jobs,
@@ -158,6 +162,22 @@ class TestOneStream:
         # table: identical rendering of the run.
         assert plain.to_chrome_trace() == live.to_chrome_trace()
         assert plain.format_report() == live.format_report()
+        # The report and the scheduler's counters are one fold of the
+        # same log, plus the facts the log does not carry.
+        counters = MetricsRegistry()
+        report = SLOReport.from_run(
+            events, policy=make_policy(policy).name, trace=run.trace,
+            devices=run.fleet.devices, metrics=counters)
+        assert report.to_dict() == run.result.report.to_dict()
+        assert report == run.result.report
+        live_metrics = run.result.metrics
+        assert counters.names() == [
+            name for name in live_metrics.names()
+            if name.startswith("powerlens_serving_")
+            and live_metrics.get(name).kind != "gauge"]
+        for name in counters.names():
+            assert (counters.get(name).to_dict()
+                    == live_metrics.get(name).to_dict()), name
 
 
 class TestByteIdentity:
@@ -312,11 +332,16 @@ class TestDecomposition:
         run = _run(5, policy="slo")
         completed = [t for t in run.tracer.traces() if t.completed]
         assert completed
-        by_id = {o.request_id: o for o in run.result.outcomes}
+        by_id = {e["request_id"]: e for e in run.result.events
+                 if e["event"] == "complete"}
+        assert {tr.request_id for tr in completed} == set(by_id)
         for tr in completed:
-            outcome = by_id[tr.request_id]
-            assert tr.device == outcome.device
-            assert tr.energy_j == outcome.energy_j
+            event = by_id[tr.request_id]
+            assert tr.device == event["device"]
+            assert tr.energy_j == event["energy"]
+            assert tr.t_end == event["t"]
+            assert tr.latency_s == event["latency"]
+            assert tr.slo_ok == event["slo_ok"]
             assert tr.dispatch_seq >= 0
             assert tr.plan_fingerprint
             assert tr.recovery_state
