@@ -80,12 +80,6 @@ class PowerView:
         """The ``(start, stop)`` op span of every block, in order."""
         return [(b.start, b.end) for b in self.blocks]
 
-    def block_of_op(self, op_index: int) -> PowerBlock:
-        for block in self.blocks:
-            if block.start <= op_index < block.end:
-                return block
-        raise IndexError(f"operator {op_index} not covered by the view")
-
     def feature_matrix(self) -> np.ndarray:
         """Stacked block feature vectors (decision-model input)."""
         return np.vstack([b.features.vector for b in self.blocks])

@@ -25,7 +25,10 @@ an all-zero one) the fault layer is bypassed entirely, keeping traces,
 telemetry and energy byte-identical to the pre-fault simulator.
 
 Per-segment costs are table lookups, each filled once by the scalar
-power and latency models, so every value is the float they return.
+power and latency models, so every value is the float they return.  The
+GPU segment loop holds the clock, the trace totals and the window sums
+in locals between call-outs and adds in ``Trace.add``'s order; closing a
+window zeroes its sums in place.
 """
 
 from __future__ import annotations
@@ -181,25 +184,11 @@ class SimCosts:
                 batch_size: int) -> OpCost:
         freq = self.platform.gpu_freq_levels[level]
         timing = self.latency.time_of(work, freq, batch_size)
+        if not 0.0 < timing.duration < math.inf:
+            raise ValueError(f"operator {work.name!r} takes "
+                             f"{timing.duration!r} s at GPU level {level}")
         return (timing.duration, self.power.gpu_busy(freq, timing),
                 timing.compute_utilization, timing.memory_utilization)
-
-
-class _SampleWindow:
-    """Window statistics between sampling boundaries (fed by ``_emit``)."""
-
-    __slots__ = ("busy_gpu", "busy_cpu", "cu", "mu", "gpu_e", "cpu_e",
-                 "total_e", "start")
-
-    def __init__(self, start: float) -> None:
-        self.start = start
-        self.busy_gpu = 0.0
-        self.busy_cpu = 0.0
-        self.cu = 0.0
-        self.mu = 0.0
-        self.gpu_e = 0.0
-        self.cpu_e = 0.0
-        self.total_e = 0.0
 
 
 class InferenceSimulator:
@@ -248,6 +237,7 @@ class InferenceSimulator:
             raise ValueError("noise_std must be finite and non-negative")
         self.platform = platform
         self._board_power = platform.board_power
+        self._n_cpu_levels = len(platform.cpu.freq_levels)
         self.sample_period = sample_period
         self.noise_std = noise_std
         self.keep_trace = keep_trace
@@ -292,17 +282,13 @@ class InferenceSimulator:
         cpu_policy = getattr(governor, "cpu_policy", "ondemand")
         cpu_level = self._initial_cpu_level(cpu_policy)
 
+        thermal = (ThermalState.initial(self.thermal_config)
+                   if self.thermal_config else None)
         state = _RunState(
-            trace=Trace(keep_segments=self.keep_trace),
-            dvfs=dvfs,
-            cpu_level=cpu_level,
-            cpu_policy=cpu_policy,
-            window=_SampleWindow(0.0),
-            next_sample=self.sample_period,
-            thermal=(ThermalState.initial(self.thermal_config)
-                     if self.thermal_config else None),
-            injector=FaultInjector.maybe(self.faults),
-        )
+            trace=Trace(keep_segments=self.keep_trace), dvfs=dvfs,
+            cpu_level=cpu_level, cpu_policy=cpu_policy,
+            next_sample=self.sample_period, thermal=thermal,
+            injector=FaultInjector.maybe(self.faults))
         samples: List[TelemetrySample] = []
         per_job: List[EnergyReport] = []
 
@@ -313,35 +299,27 @@ class InferenceSimulator:
                 self._apply_switch(state, level)
             works, rows = self.costs.op_table(job)
             cpu_label = f"{job.label()}:cpu"
+            labels: List[Optional[int]] = [None] * len(works)
             for _batch in range(job.n_batches):
                 self._run_cpu_phase(state, governor, job, cpu_label,
                                     samples)
                 self._run_gpu_phase(state, governor, job, job_idx,
-                                    works, rows, samples)
+                                    works, rows, labels, samples)
             per_job.append(EnergyReport(
-                images=job.images,
-                total_time=state.trace.total_time - t0,
-                total_energy=state.trace.total_energy - e0,
-                gpu_energy=0.0, cpu_energy=0.0, board_energy=0.0,
-                switch_count=0,
-            ))
+                images=job.images, total_time=state.trace.total_time - t0,
+                total_energy=state.trace.total_energy - e0, gpu_energy=0.0,
+                cpu_energy=0.0, board_energy=0.0, switch_count=0))
 
-        images = sum(j.images for j in jobs)
-        report = report_from_trace(state.trace, images)
         return SimulationResult(
-            report=report,
-            trace=state.trace,
-            samples=samples,
+            report=report_from_trace(state.trace,
+                                     sum(j.images for j in jobs)),
+            trace=state.trace, samples=samples,
             switch_count=dvfs.switch_count(),
-            reversal_count=dvfs.reversal_count(),
-            per_job=per_job,
-            peak_temperature=(state.thermal.peak_temperature
-                              if state.thermal else 0.0),
-            throttle_time=(state.thermal.throttle_time
-                           if state.thermal else 0.0),
+            reversal_count=dvfs.reversal_count(), per_job=per_job,
+            peak_temperature=thermal.peak_temperature if thermal else 0.0,
+            throttle_time=thermal.throttle_time if thermal else 0.0,
             fault_stats=(state.injector.stats
-                         if state.injector is not None else None),
-        )
+                         if state.injector is not None else None))
 
     # ------------------------------------------------------------------
     # phases
@@ -359,7 +337,7 @@ class InferenceSimulator:
             dt = min(t_rem, state.next_sample - state.t)
             dt = max(dt, 1e-12)
             self._emit(state, dt, KIND_CPU, costs.gpu_idle[state.dvfs.level],
-                       costs.cpu_busy[state.cpu_level], 0.0, 0.0, label)
+                       costs.cpu_busy[state.cpu_level], label)
             remaining -= rate * dt
             if state.t >= state.next_sample - 1e-12:
                 self._close_window(state, governor, samples)
@@ -368,132 +346,176 @@ class InferenceSimulator:
                        job: InferenceJob, job_idx: int,
                        works: Sequence[OpWork],
                        rows: List[List[Optional[OpCost]]],
+                       labels: List[Optional[int]],
                        samples: List[TelemetrySample]) -> None:
-        """GPU operator sequence for one batch.
+        """GPU operator sequence for one batch (``labels``: the job's op
+        label codes, each interned when its op first runs, so codes are
+        handed out in ``Trace.add``'s first-use order).
 
-        The per-segment lookups are bound once per batch (``state.dvfs``
-        is fixed for the run).
+        What a segment reads and sums is held in locals, stored back
+        before :meth:`_apply_switch` or :meth:`_close_window` and loaded
+        again after; each sum takes the terms ``_emit`` and ``Trace.add``
+        take, in the same order.
         """
         costs = self.costs
-        cpu_busy, cpu_idle = costs.cpu_busy, costs.cpu_idle
-        dvfs = state.dvfs
-        emit = self._emit
-        on_op_start = governor.on_op_start
-        gauss = self._rng.gauss
-        noise_std = self.noise_std
-        batch_size = job.batch_size
+        op_cost, gpu_static = costs.op_cost, costs.gpu_static
+        trace, thermal, board_p = state.trace, state.thermal, self._board_power
+        keep = trace.keep if trace.keep_segments else None
+        kind = trace.code(KIND_GPU_OP)
+        on_op_start, gauss = governor.on_op_start, self._rng.gauss
+        noise_std, batch_size = self.noise_std, job.batch_size
+        (t, next_sample, busy_until, level, cpu_busy_p, cpu_idle_p, e_gpu,
+         e_cpu, e_board, busy, w_busy, w_cu, w_mu, w_gpu, w_cpu,
+         w_total) = self._load(state)
         for op_idx, work in enumerate(works):
-            level = on_op_start(job_idx, op_idx, work)
-            if level is not None:
-                self._apply_switch(state, level)
+            switch_to = on_op_start(job_idx, op_idx, work)
+            if switch_to is not None:
+                self._store(state, t, e_gpu, e_cpu, e_board, busy, w_busy,
+                            w_cu, w_mu, w_gpu, w_cpu, w_total)
+                self._apply_switch(state, switch_to)
+                (t, next_sample, busy_until, level, cpu_busy_p, cpu_idle_p,
+                 e_gpu, e_cpu, e_board, busy, w_busy, w_cu, w_mu, w_gpu,
+                 w_cpu, w_total) = self._load(state)
             # Run-to-run duration noise; a noiseless run draws nothing.
             noise = max(0.5, gauss(1.0, noise_std)) if noise_std else 1.0
-            row = rows[op_idx]
-            name = work.name
+            row, label = rows[op_idx], labels[op_idx]
+            if label is None and keep is not None:
+                kind = trace.intern(KIND_GPU_OP)
+                label = labels[op_idx] = trace.intern(work.name)
             remaining = 1.0  # fraction of the op still to execute
             while remaining > 1e-12:
-                gpu_level = dvfs.level
-                cost = row[gpu_level]
+                cost = row[level]
                 if cost is None:
-                    cost = row[gpu_level] = costs.op_cost(
-                        work, gpu_level, batch_size)
+                    cost = row[level] = op_cost(work, level, batch_size)
                 nominal, gpu_p, cu, mu = cost
                 duration = nominal * noise
                 t_rem = remaining * duration
-                t = state.t
                 # min(t_rem, to_boundary) then max(dt, 1e-12), as
                 # comparisons: the same floats without two builtin calls.
-                to_boundary = state.next_sample - t
+                to_boundary = next_sample - t
                 dt = to_boundary if to_boundary < t_rem else t_rem
                 if dt < 1e-12:
                     dt = 1e-12
-                cpu_p = (cpu_busy if t < state.cpu_busy_until
-                         else cpu_idle)[state.cpu_level]
-                emit(state, dt, KIND_GPU_OP, gpu_p, cpu_p, cu, mu, name,
-                     op_idx)
+                cpu_p = cpu_busy_p if t < busy_until else cpu_idle_p
+                if thermal is not None:
+                    gpu_p = thermal.leak(gpu_p, gpu_static[level], cpu_p,
+                                         board_p, dt)
+                t_end = t + dt
+                # Finite and non-negative, as ``Trace.add`` requires:
+                # ``op_cost`` admits only finite positive durations.
+                d = t_end - t
+                if keep is not None:
+                    keep(t, t_end, kind, level, gpu_p, cpu_p, board_p, cu,
+                         mu, label, op_idx)
+                e = gpu_p * d
+                e_gpu, w_gpu = e_gpu + e, w_gpu + e
+                e = cpu_p * d
+                e_cpu, w_cpu = e_cpu + e, w_cpu + e
+                e_board += board_p * d
+                busy, w_busy = busy + d, w_busy + d
+                w_cu += cu * d
+                w_mu += mu * d
+                w_total += (gpu_p + cpu_p + board_p) * d
+                t = t_end
                 remaining -= dt / duration
                 # A level change at the window boundary re-times the
                 # remaining fraction of the op on the next pass.
-                if state.t >= state.next_sample - 1e-12:
+                if t >= next_sample - 1e-12:
+                    self._store(state, t, e_gpu, e_cpu, e_board, busy,
+                                w_busy, w_cu, w_mu, w_gpu, w_cpu, w_total)
                     self._close_window(state, governor, samples)
+                    (t, next_sample, busy_until, level, cpu_busy_p,
+                     cpu_idle_p, e_gpu, e_cpu, e_board, busy, w_busy, w_cu,
+                     w_mu, w_gpu, w_cpu, w_total) = self._load(state)
+        self._store(state, t, e_gpu, e_cpu, e_board, busy, w_busy, w_cu,
+                    w_mu, w_gpu, w_cpu, w_total)
+
+    def _load(self, state: "_RunState") -> tuple:
+        """The state ``_run_gpu_phase`` holds in locals, in its order."""
+        trace, cpu_level = state.trace, state.cpu_level
+        return (state.t, state.next_sample, state.cpu_busy_until,
+                state.dvfs.level, self.costs.cpu_busy[cpu_level],
+                self.costs.cpu_idle[cpu_level], trace.gpu_energy,
+                trace.cpu_energy, trace.board_energy, trace.busy_gpu_time,
+                state.w_busy_gpu, state.w_cu, state.w_mu, state.w_gpu_e,
+                state.w_cpu_e, state.w_total_e)
+
+    @staticmethod
+    def _store(state: "_RunState", t: float, *sums: float) -> None:
+        """Write back what ``_run_gpu_phase`` changes, in ``_load`` order."""
+        trace = state.trace
+        state.t = trace.total_time = t
+        (trace.gpu_energy, trace.cpu_energy, trace.board_energy,
+         trace.busy_gpu_time, state.w_busy_gpu, state.w_cu, state.w_mu,
+         state.w_gpu_e, state.w_cpu_e, state.w_total_e) = sums
 
     # ------------------------------------------------------------------
     # bookkeeping
     # ------------------------------------------------------------------
     def _emit(self, state: "_RunState", dt: float, kind: str,
-              gpu_p: float, cpu_p: float, cu: float, mu: float,
-              label: str = "", op_index: int = -1) -> None:
+              gpu_p: float, cpu_p: float, label: str) -> None:
+        """Account one CPU or switch segment (``_run_gpu_phase`` writes
+        the GPU segments)."""
         board_p = self._board_power
         level = state.dvfs.level
-        thermal = state.thermal
-        if thermal is not None:
-            # Temperature-dependent leakage rides on top of the nominal
-            # static power; integrate the die forward over this segment.
-            mult = thermal.leakage_multiplier()
-            extra = self.costs.gpu_static[level] * (mult - 1.0)
-            gpu_p += extra
-            thermal.advance(gpu_p + cpu_p + board_p, dt)
+        if state.thermal is not None:
+            gpu_p = state.thermal.leak(gpu_p, self.costs.gpu_static[level],
+                                       cpu_p, board_p, dt)
         t = state.t
         t_end = t + dt
         state.trace.add(t, t_end, kind, level, gpu_p, cpu_p, board_p,
-                        cu, mu, label, op_index)
+                        label=label)
         # The segment's own duration, not ``dt``: (t + dt) - t rounds.
         d = t_end - t
-        w = state.window
-        if kind == KIND_GPU_OP:
-            w.busy_gpu += d
-        elif kind == KIND_CPU:
-            w.busy_cpu += d
-        w.cu += cu * d
-        w.mu += mu * d
-        w.gpu_e += gpu_p * d
-        w.cpu_e += cpu_p * d
-        w.total_e += (gpu_p + cpu_p + board_p) * d
+        if kind == KIND_CPU:
+            state.w_busy_cpu += d
+        state.w_gpu_e += gpu_p * d
+        state.w_cpu_e += cpu_p * d
+        state.w_total_e += (gpu_p + cpu_p + board_p) * d
         state.t = t_end
 
     def _close_window(self, state: "_RunState", governor,
                       samples: List[TelemetrySample]) -> None:
         """Close the telemetry window at its boundary (the caller checks
         ``state.t`` reached it); let the governor react."""
-        w = state.window
-        period = state.t - w.start
+        t = state.t
+        period = t - state.w_start
         if period <= 0:
             period = self.sample_period
+        # ``x if x < 1.0 else 1.0`` is ``min(1.0, x)`` for every float,
+        # NaN and -0.0 included, without the builtin call.
+        gpu_busy = state.w_busy_gpu / period
+        cu = state.w_cu / period
+        mu = state.w_mu / period
+        cpu_busy = state.w_busy_cpu / period
         sample = TelemetrySample(
-            t=state.t,
-            period=period,
-            gpu_level=state.dvfs.level,
-            gpu_busy=min(1.0, w.busy_gpu / period),
-            compute_util=min(1.0, w.cu / period),
-            memory_util=min(1.0, w.mu / period),
-            gpu_power=w.gpu_e / period,
-            cpu_power=w.cpu_e / period,
-            total_power=w.total_e / period,
-            cpu_busy=min(1.0, w.busy_cpu / period),
-            cpu_level=state.cpu_level,
-        )
+            t, period, state.dvfs.level,
+            gpu_busy if gpu_busy < 1.0 else 1.0, cu if cu < 1.0 else 1.0,
+            mu if mu < 1.0 else 1.0, state.w_gpu_e / period,
+            state.w_cpu_e / period, state.w_total_e / period,
+            cpu_busy if cpu_busy < 1.0 else 1.0, state.cpu_level)
         delivered: Optional[TelemetrySample] = sample
         if state.injector is not None:
             delivered = state.injector.deliver_sample(sample)
+        level = None
         if delivered is None:
+            # Dropped window: the governor never hears about it and
+            # holds its last action; the host policy holds too.
             self.obs.metrics.counter(METRIC_SAMPLES_DROPPED).inc()
         else:
             self._m_samples.inc()
             if delivered.faulty:
                 self.obs.metrics.counter(METRIC_SAMPLES_FAULTY).inc()
-        if self.anomaly is not None and delivered is not None:
-            self.anomaly.on_sample(delivered)
-        if delivered is not None:
+            if self.anomaly is not None:
+                self.anomaly.on_sample(delivered)
             if self.keep_samples:
                 samples.append(delivered)
             self._update_cpu_policy(state, delivered)
             level = governor.on_sample(delivered)
-        else:
-            # Dropped window: the governor never hears about it and
-            # holds its last action; the host policy holds too.
-            level = None
-        state.window = _SampleWindow(state.t)
-        state.next_sample = state.t + self.sample_period
+        state.w_start = t
+        state.w_busy_gpu = state.w_busy_cpu = state.w_cu = state.w_mu = 0.0
+        state.w_gpu_e = state.w_cpu_e = state.w_total_e = 0.0
+        state.next_sample = t + self.sample_period
         if state.thermal is not None and state.thermal.update_throttle():
             # Thermal governor overrides everyone while engaged.
             cap = self.platform.clamp_level(
@@ -559,7 +581,7 @@ class InferenceSimulator:
         if stall > 0:
             self._emit(state, stall, KIND_SWITCH,
                        self.costs.gpu_idle[state.dvfs.level],
-                       self.costs.cpu_busy[state.cpu_level], 0.0, 0.0,
+                       self.costs.cpu_busy[state.cpu_level],
                        f"dvfs:{switch.from_level}->{switch.to_level}")
         # Host stays busy issuing the command for dvfs_cpu_busy_s.
         state.cpu_busy_until = max(
@@ -568,18 +590,18 @@ class InferenceSimulator:
         )
 
     def _initial_cpu_level(self, policy: str) -> int:
-        ladder = self.platform.cpu.freq_levels
+        n = self._n_cpu_levels
         if policy == "efficient":
-            return max(0, int(round(0.7 * (len(ladder) - 1))))
+            return max(0, int(round(0.7 * (n - 1))))
         # 'max' pins the top; ondemand starts high under load; 'plan' is
         # replaced at the first sample.
-        return len(ladder) - 1
+        return n - 1
 
     def _update_cpu_policy(self, state: "_RunState",
                            sample: TelemetrySample) -> None:
         """Host cluster governor: ondemand ramps with utilization; the
         'efficient' policy (FPG-C+G) pins a mid-ladder level."""
-        n = len(self.platform.cpu.freq_levels)
+        n = self._n_cpu_levels
         if state.cpu_policy == "plan":
             planned = getattr(self._governor, "planned_cpu_level", None)
             if planned is not None:
@@ -596,16 +618,25 @@ class InferenceSimulator:
             state.cpu_level = n - 1
 
 
-@dataclass
+@dataclass(slots=True)
 class _RunState:
+    """A run's mutable state; ``w_*`` sum the window opened at ``w_start``."""
+
     trace: Trace
     dvfs: DVFSController
     cpu_level: int
     cpu_policy: str
-    window: _SampleWindow
     next_sample: float
     t: float = 0.0
     cpu_busy_until: float = 0.0
     thermal: Optional[ThermalState] = None
     injector: Optional[FaultInjector] = None
     last_switch_result: Optional["SwitchResult"] = None
+    w_start: float = 0.0
+    w_busy_gpu: float = 0.0
+    w_busy_cpu: float = 0.0
+    w_cu: float = 0.0
+    w_mu: float = 0.0
+    w_gpu_e: float = 0.0
+    w_cpu_e: float = 0.0
+    w_total_e: float = 0.0

@@ -188,15 +188,9 @@ class Trace:
             raise ValueError(f"negative or non-finite duration of {kind} "
                              f"segment {label!r}: {t_start!r} -> {t_end!r}")
         if self.keep_segments:
-            # Packed before either column grows, so a value that does
-            # not fit raises with both columns untouched.
-            codes = self._codes
-            ints = _INTS.pack(codes.setdefault(kind, len(codes)), gpu_level,
-                              op_index, codes.setdefault(label, len(codes)))
-            floats = _FLOATS.pack(t_start, t_end, gpu_power, cpu_power,
-                                  board_power, compute_util, memory_util)
-            self._ints.frombytes(ints)
-            self._floats.frombytes(floats)
+            self.keep(t_start, t_end, self.intern(kind), gpu_level,
+                      gpu_power, cpu_power, board_power, compute_util,
+                      memory_util, self.intern(label), op_index)
         self.total_time = t_end
         self.gpu_energy += gpu_power * dt
         self.cpu_energy += cpu_power * dt
@@ -205,6 +199,19 @@ class Trace:
             self.busy_gpu_time += dt
         elif kind == KIND_SWITCH:
             self.switch_count += 1
+
+    def keep(self, t_start: float, t_end: float, kind: int, gpu_level: int,
+             gpu_power: float, cpu_power: float, board_power: float,
+             compute_util: float, memory_util: float, label: int,
+             op_index: int) -> None:
+        """Store a checked segment, ``kind`` and ``label`` as
+        :meth:`intern` codes, and sum nothing.  Both halves are packed
+        first, so a value that does not fit changes neither column."""
+        ints = _INTS.pack(kind, gpu_level, op_index, label)
+        floats = _FLOATS.pack(t_start, t_end, gpu_power, cpu_power,
+                              board_power, compute_util, memory_util)
+        self._ints.frombytes(ints)
+        self._floats.frombytes(floats)
 
     def append(self, seg: TraceSegment) -> None:
         self.add(*seg)
@@ -217,6 +224,11 @@ class Trace:
     def code(self, string: str) -> int:
         """Code of ``string`` in :attr:`strings`, or -1."""
         return self._codes.get(string, -1)
+
+    def intern(self, string: str) -> int:
+        """Code of ``string`` in :attr:`strings`, given on first use."""
+        codes = self._codes
+        return codes.setdefault(string, len(codes))
 
     def column(self, name: str) -> array:
         """Field ``name`` of every kept segment, as a new typed array

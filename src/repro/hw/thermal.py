@@ -66,6 +66,13 @@ class ThermalState:
         return 1.0 + cfg.leak_temp_coeff * max(
             0.0, self.temperature - cfg.t_ref)
 
+    def leak(self, gpu_w: float, static_w: float, cpu_w: float,
+             board_w: float, dt: float) -> float:
+        """GPU power plus leakage on ``static_w``; advances ``dt``."""
+        gpu_w += static_w * (self.leakage_multiplier() - 1.0)
+        self.advance(gpu_w + cpu_w + board_w, dt)
+        return gpu_w
+
     def advance(self, power_w: float, dt: float) -> None:
         """Integrate the RC network forward by ``dt`` seconds under
         ``power_w`` dissipation (exact exponential step, so large dt

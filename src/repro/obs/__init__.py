@@ -90,7 +90,6 @@ __all__ = [
 _LAZY_SUBMODULE = {
     "EnergyLedger": "ledger",
     "BlockLedgerRow": "ledger",
-    "OpLedgerRow": "ledger",
     "Reconciliation": "ledger",
     "Anomaly": "anomaly",
     "AnomalyDetector": "anomaly",

@@ -9,10 +9,15 @@ actually care about:
 * **per power block** — each block of the preset plan gets the wall
   time, platform energy and DVFS-level residency of exactly the
   segments its operators produced;
-* **per operator** — same attribution one level finer;
 * **overheads** — CPU preprocessing, switch stalls and idle time that
   belong to no block land in named overhead buckets instead of
-  disappearing.
+  disappearing, and a GPU segment outside every block lands in
+  ``"unattributed"``.
+
+The fold is one ``np.bincount`` per sum over each segment's bucket (its
+block, or an overhead bucket after the blocks) and over its (block,
+level) key.  ``bincount`` adds in input order, so every sum is the
+float a sequential loop over the segments gives.
 
 Two invariants make the ledger trustworthy:
 
@@ -40,6 +45,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple, TYPE_CHECKING
 
+import numpy as np
+
 from repro.hw.telemetry import KIND_CPU, KIND_GPU_OP, KIND_IDLE, \
     KIND_SWITCH
 
@@ -49,8 +56,8 @@ if TYPE_CHECKING:  # pragma: no cover - type-only imports
     from repro.hw.simulator import SimulationResult
     from repro.governors.preset import FrequencyPlan
 
-__all__ = ["BlockLedgerRow", "OpLedgerRow", "Reconciliation",
-           "EnergyLedger", "RECONCILIATION_TOLERANCE"]
+__all__ = ["BlockLedgerRow", "Reconciliation", "EnergyLedger",
+           "RECONCILIATION_TOLERANCE"]
 
 #: Acceptance bound on the attribution closure (relative error).
 RECONCILIATION_TOLERANCE = 1e-9
@@ -61,20 +68,9 @@ MISPREDICTION_MARGIN = 0.005
 
 #: Overhead bucket names (segment kinds that belong to no power block).
 OVERHEAD_KINDS = (KIND_CPU, KIND_SWITCH, KIND_IDLE)
-
-
-@dataclass
-class OpLedgerRow:
-    """Attributed totals for one operator (canonical compute index)."""
-
-    op_index: int
-    label: str = ""
-    time_s: float = 0.0
-    energy_j: float = 0.0
-
-    @property
-    def mean_power_w(self) -> float:
-        return self.energy_j / self.time_s if self.time_s > 0 else 0.0
+#: Every overhead bucket: a segment of any other kind, or a GPU segment
+#: outside every block, is unattributed.
+_OVERHEAD_BUCKETS = OVERHEAD_KINDS + ("unattributed",)
 
 
 @dataclass
@@ -88,7 +84,9 @@ class BlockLedgerRow:
     planned_level: Optional[int] = None
     time_s: float = 0.0
     energy_j: float = 0.0
-    #: Wall time spent at each DVFS level inside this block's segments.
+    #: Wall time spent at each DVFS level inside this block's segments
+    #: (levels ascending; a level seen only in zero-length segments
+    #: reads 0.0).
     level_time: Dict[int, float] = field(default_factory=dict)
     #: Exhaustive-sweep winner from the ProfileTable (None when the
     #: ledger was built without an evaluator).
@@ -142,7 +140,7 @@ class Reconciliation:
 
 
 class EnergyLedger:
-    """Per-block / per-op energy attribution for one simulator run.
+    """Per-block energy attribution for one simulator run.
 
     Build with :meth:`from_result` (or the
     :meth:`repro.core.pipeline.PowerLens.ledger` convenience, which
@@ -150,12 +148,10 @@ class EnergyLedger:
     """
 
     def __init__(self, blocks: List[BlockLedgerRow],
-                 ops: List[OpLedgerRow],
                  overheads: Dict[str, Tuple[float, float]],
                  reconciliation: Reconciliation,
                  images: int = 0) -> None:
         self.blocks = blocks
-        self.ops = ops
         #: kind -> (time_s, energy_j) for segments outside every block.
         self.overheads = overheads
         self.reconciliation = reconciliation
@@ -189,14 +185,14 @@ class EnergyLedger:
             raise ValueError(
                 "EnergyLedger needs a full trace: run the simulator "
                 "with keep_trace=True")
-        kinds, op_indices = trace.column("kind"), trace.column("op_index")
-        gpu_op = trace.code(KIND_GPU_OP)
+        kinds, ops, levels = (np.asarray(trace.column(name)) for name in
+                              ("kind", "op_index", "gpu_level"))
+        is_op = (kinds == trace.code(KIND_GPU_OP)) & (ops >= 0)
         # Blocks partition the ops of ``graph``, else of the trace.
         if graph is not None:
             n_ops = max(len(graph.compute_nodes()), 1)
         else:
-            n_ops = 1 + max((op for kind, op in zip(kinds, op_indices)
-                             if kind == gpu_op and op >= 0), default=0)
+            n_ops = 1 + int(ops[is_op].max(initial=0))
         if plan is not None:
             # Every op up to the plan's last step belongs to a block, so
             # each step's block is non-empty.
@@ -212,67 +208,47 @@ class EnergyLedger:
             for i, ((start, stop), level) in enumerate(zip(spans,
                                                            planned_levels))
         ]
-        op_rows: Dict[int, OpLedgerRow] = {}
-        overheads: Dict[str, Tuple[float, float]] = {}
-        over_t = {k: 0.0 for k in OVERHEAD_KINDS}
-        over_e = {k: 0.0 for k in OVERHEAD_KINDS}
-        block_of_op = [i for i, (start, stop) in enumerate(spans)
-                       for _ in range(start, stop)]
 
-        # Duration and energy elementwise; the attribution below stays a
-        # sequential loop, so every sum has the order it always had.
+        # Each segment's bucket: its block, or after the blocks the
+        # overhead bucket of its kind (looked up by the kind's code).
+        n_blocks = len(blocks)
+        in_block = is_op & (ops < n_ops)
+        block_of = np.repeat(np.arange(n_blocks),
+                             [stop - start for start, stop in spans])
+        overhead_of = np.array([n_blocks + _OVERHEAD_BUCKETS.index(
+            s if s in OVERHEAD_KINDS else "unattributed")
+            for s in trace.strings], dtype=np.intp)
+        bucket = np.where(in_block, block_of[np.where(in_block, ops, 0)],
+                          overhead_of[kinds])
         dts, energies = trace.durations_energies()
-        strings = trace.strings
-        for dt, energy, kind, gpu_level, op_index, label in zip(
-                memoryview(dts), memoryview(energies), kinds,
-                trace.column("gpu_level"), op_indices,
-                trace.column("label")):
-            if kind == gpu_op and op_index >= 0:
-                row = blocks[block_of_op[op_index]] \
-                    if op_index < n_ops else None
-                if row is None:
-                    over_t.setdefault("unattributed", 0.0)
-                    over_e.setdefault("unattributed", 0.0)
-                    over_t["unattributed"] += dt
-                    over_e["unattributed"] += energy
-                    continue
-                row.time_s += dt
-                row.energy_j += energy
-                row.level_time[gpu_level] = \
-                    row.level_time.get(gpu_level, 0.0) + dt
-                op = op_rows.get(op_index)
-                if op is None:
-                    op = op_rows[op_index] = OpLedgerRow(
-                        op_index=op_index, label=strings[label])
-                op.time_s += dt
-                op.energy_j += energy
-            else:
-                kind = strings[kind]
-                kind = kind if kind in over_t else "unattributed"
-                over_t.setdefault(kind, 0.0)
-                over_e.setdefault(kind, 0.0)
-                over_t[kind] += dt
-                over_e[kind] += energy
+        n_buckets = n_blocks + len(_OVERHEAD_BUCKETS)
+        times_s = np.bincount(bucket, dts, n_buckets).tolist()
+        energies_j = np.bincount(bucket, energies, n_buckets).tolist()
+        for row, row_s, row_j in zip(blocks, times_s, energies_j):
+            row.time_s, row.energy_j = row_s, row_j
+        overheads = {kind: (kind_s, kind_j) for kind, kind_s, kind_j in zip(
+            _OVERHEAD_BUCKETS, times_s[n_blocks:], energies_j[n_blocks:])
+            if kind_s or kind_j}
 
-        for kind in over_t:
-            if over_t[kind] or over_e[kind]:
-                overheads[kind] = (over_t[kind], over_e[kind])
+        # Level residency per (block, level) key; the count finds a key
+        # whose segments all have zero length.
+        n_levels = int(levels.max(initial=0)) + 1
+        keys = bucket[in_block] * n_levels + levels[in_block]
+        key_time = np.bincount(keys, dts[in_block], n_blocks * n_levels)
+        for key in np.flatnonzero(
+                np.bincount(keys, minlength=n_blocks * n_levels)).tolist():
+            blocks[key // n_levels].level_time[key % n_levels] = \
+                float(key_time[key])
 
-        attributed_e = math.fsum(
-            [b.energy_j for b in blocks] + [e for _, e in
-                                            overheads.values()])
-        attributed_t = math.fsum(
-            [b.time_s for b in blocks] + [t for t, _ in
-                                          overheads.values()])
+        # Every block and overhead bucket; the empty ones add 0.0.
         reconciliation = Reconciliation(
-            attributed_energy_j=attributed_e,
+            attributed_energy_j=math.fsum(energies_j),
             trace_energy_j=trace.total_energy,
-            attributed_time_s=attributed_t,
+            attributed_time_s=math.fsum(times_s),
             trace_time_s=trace.total_time,
         )
         ledger = cls(
             blocks=blocks,
-            ops=sorted(op_rows.values(), key=lambda r: r.op_index),
             overheads=overheads,
             reconciliation=reconciliation,
             images=result.report.images,

@@ -215,11 +215,9 @@ class DeviceTrack:
     jobs: List[Tuple[float, float, str]] = field(default_factory=list)
     probes: List[Tuple[float, float]] = field(default_factory=list)
     markers: List[Tuple[float, str]] = field(default_factory=list)
-
-    @property
-    def busy_s(self) -> float:
-        return (sum(end - start for start, end, _ in self.jobs)
-                + sum(end - start for start, end in self.probes))
+    #: Dispatch and probe durations summed in event order: the SLO
+    #: report's ``busy_time_s``, bit for bit.
+    busy_s: float = 0.0
 
 
 class ServingTimeline:
@@ -305,8 +303,9 @@ class ServingTimeline:
         elif kind == "probe":
             self._dispatch_seq += 1
             duration = float(event.get("duration", 0.0))
-            self._track(str(event["device"])).probes.append(
-                (t, t + duration))
+            track = self._track(str(event["device"]))
+            track.probes.append((t, t + duration))
+            track.busy_s += duration
             self.makespan_s = max(self.makespan_s, t + duration)
         elif kind in _DEVICE_MARKERS:
             self._track(str(event["device"])).markers.append((t, kind))
@@ -336,7 +335,9 @@ class ServingTimeline:
                  f"x{event.get('images', '?')}"
                  f" ({event.get('n_requests', len(ids))} req)")
         t_done = float(event.get("predicted_done", t))
-        self._track(name).jobs.append((t, t_done, label))
+        track = self._track(name)
+        track.jobs.append((t, t_done, label))
+        track.busy_s += float(event.get("duration", t_done - t))
         self._note_depth(t, -len(ids))
 
     def _new_row(self, rid: int, t: float,

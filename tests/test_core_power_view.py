@@ -46,14 +46,6 @@ class TestConstruction:
 
 
 class TestAccess:
-    def test_block_of_op(self, small_cnn):
-        view = _view(small_cnn, [4])
-        assert view.block_of_op(0).index == 0
-        assert view.block_of_op(3).index == 0
-        assert view.block_of_op(4).index == 1
-        with pytest.raises(IndexError):
-            view.block_of_op(999)
-
     def test_boundaries_are_instrumentation_points(self, small_cnn):
         view = _view(small_cnn, [4, 8])
         assert [b.start for b in view.blocks] == [0, 4, 8]

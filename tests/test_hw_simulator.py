@@ -37,6 +37,22 @@ class TestBasics:
         with pytest.raises(ValueError, match="noise_std"):
             InferenceSimulator(tx2, noise_std=noise_std)
 
+    @pytest.mark.parametrize("duration", [float("nan"), float("inf"),
+                                          0.0, -1e-3])
+    def test_op_duration_must_be_finite_and_positive(
+            self, tx2, job, monkeypatch, duration):
+        """The GPU loop writes its segments without ``Trace.add``'s
+        check, so the cost table admits only finite positive op
+        durations (an infinite or negative one used to loop forever)."""
+        from repro.hw.perf import LatencyModel, OpTiming
+
+        monkeypatch.setattr(LatencyModel, "time_of",
+                            lambda self, work, freq, batch_size=1:
+                            OpTiming(duration, 0.0, 0.0))
+        sim = InferenceSimulator(tx2, sample_period=0.01)
+        with pytest.raises(ValueError, match="at GPU level"):
+            sim.run([job], StaticGovernor())
+
     def test_result_accounting(self, sim, job):
         r = sim.run([job], StaticGovernor())
         assert r.report.images == job.images

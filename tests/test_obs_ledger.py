@@ -15,7 +15,9 @@ from repro.governors import FrequencyPlan, OndemandGovernor, PlanStep, \
 from repro.hw import FaultProfile, InferenceJob, InferenceSimulator, \
     jetson_tx2
 from repro.models.random_gen import RandomDNNConfig, RandomDNNGenerator
-from repro.hw.telemetry import KIND_GPU_OP
+from repro.hw.simulator import SimulationResult
+from repro.hw.telemetry import KIND_CPU, KIND_GPU_OP, KIND_IDLE, \
+    KIND_SWITCH, Trace, TraceSegment, report_from_trace
 from repro.obs.ledger import EnergyLedger, OVERHEAD_KINDS, \
     RECONCILIATION_TOLERANCE
 
@@ -56,13 +58,13 @@ def _governor_and_plan(name, graph):
 
 
 def _assert_matches_tuple_loop(ledger, trace):
-    """The ledger's column loop attributes every segment exactly as a
-    loop over ``TraceSegment`` tuples and their ``duration`` and
-    ``energy`` properties does, bit for bit."""
+    """The ledger's fold attributes every segment exactly as a loop over
+    ``TraceSegment`` tuples and their ``duration`` and ``energy``
+    properties does, bit for bit."""
     starts = [b.op_start for b in ledger.blocks]
     n_ops = ledger.blocks[-1].op_stop
     blocks = [(0.0, 0.0, {}) for _ in starts]
-    ops, over = {}, {}
+    over = {}
     for seg in trace.segments:
         dt, energy = seg.duration, seg.energy
         if seg.kind == KIND_GPU_OP and 0 <= seg.op_index < n_ops:
@@ -70,8 +72,6 @@ def _assert_matches_tuple_loop(ledger, trace):
             t, e, levels = blocks[i]
             levels[seg.gpu_level] = levels.get(seg.gpu_level, 0.0) + dt
             blocks[i] = (t + dt, e + energy, levels)
-            label, t, e = ops.get(seg.op_index, (seg.label, 0.0, 0.0))
-            ops[seg.op_index] = (label, t + dt, e + energy)
         else:
             kind = seg.kind if seg.kind in OVERHEAD_KINDS \
                 else "unattributed"
@@ -79,8 +79,6 @@ def _assert_matches_tuple_loop(ledger, trace):
             over[kind] = (t + dt, e + energy)
     assert [(b.time_s, b.energy_j, b.level_time)
             for b in ledger.blocks] == blocks
-    assert [(o.op_index, o.label, o.time_s, o.energy_j)
-            for o in ledger.ops] == [(i, *ops[i]) for i in sorted(ops)]
     assert ledger.overheads == {k: v for k, v in over.items() if any(v)}
 
 
@@ -129,10 +127,76 @@ class TestReconciliationProperty:
         block = ledger.blocks[0]
         assert (block.op_start, block.op_stop) == \
             (0, len(graph.compute_nodes()))
-        # Per-op rows re-partition exactly the block's attribution.
-        assert math.isclose(sum(op.energy_j for op in ledger.ops),
-                            block.energy_j, rel_tol=1e-12)
         assert ledger.reconciliation.ok
+
+
+def _hand_built(*segments):
+    """A result around a trace of the given ``TraceSegment`` fields."""
+    trace = Trace()
+    for fields in segments:
+        trace.append(TraceSegment(*fields))
+    return SimulationResult(report=report_from_trace(trace, 4),
+                            trace=trace, samples=[], switch_count=0,
+                            reversal_count=0)
+
+
+class TestFoldBuckets:
+    """The bucket rules of the fold, on hand-built traces."""
+
+    def test_zero_length_segment_keeps_its_level_key(self):
+        result = _hand_built(
+            (0.0, 0.5, KIND_GPU_OP, 3, 5.0, 1.0, 2.0, 0.5, 0.5, "a", 0),
+            (0.5, 0.5, KIND_GPU_OP, 7, 5.0, 1.0, 2.0, 0.5, 0.5, "a", 0),
+            (0.5, 1.0, KIND_GPU_OP, 3, 4.0, 1.0, 2.0, 0.5, 0.5, "b", 1))
+        ledger = EnergyLedger.from_result(result)
+        _assert_matches_tuple_loop(ledger, result.trace)
+        [block] = ledger.blocks
+        assert block.level_time == {3: 1.0, 7: 0.0}
+        assert list(block.level_time) == [3, 7]
+        assert ledger.to_dict()["blocks"][0]["level_time"] == \
+            {"3": 1.0, "7": 0.0}
+
+    def test_ops_outside_every_block_are_unattributed(self):
+        graph = build_small_cnn()
+        n_ops = len(graph.compute_nodes())
+        result = _hand_built(
+            (0.0, 1.0, KIND_GPU_OP, 2, 5.0, 1.0, 2.0, 0.5, 0.5, "a", 0),
+            (1.0, 2.0, KIND_GPU_OP, 2, 3.0, 1.0, 2.0, 0.5, 0.5, "?", -1),
+            (2.0, 4.0, KIND_GPU_OP, 2, 3.0, 1.0, 2.0, 0.5, 0.5, "z",
+             n_ops),
+            (4.0, 4.5, "custom", 2, 1.0, 1.0, 2.0, 0.0, 0.0, "", -1),
+            (4.5, 5.0, KIND_IDLE, 2, 1.0, 0.5, 2.0, 0.0, 0.0, "", -1))
+        ledger = EnergyLedger.from_result(result, graph=graph)
+        _assert_matches_tuple_loop(ledger, result.trace)
+        assert [(b.time_s, b.energy_j) for b in ledger.blocks] == \
+            [(1.0, 8.0)]
+        assert ledger.overheads == {"unattributed": (3.5, 20.0),
+                                    KIND_IDLE: (0.5, 1.75)}
+        assert ledger.reconciliation.ok
+
+    def test_trace_without_gpu_op_segments(self):
+        result = _hand_built(
+            (0.0, 1.0, KIND_CPU, 4, 1.0, 3.0, 2.0, 0.0, 0.0, "t:cpu", -1),
+            (1.0, 1.25, KIND_SWITCH, 4, 1.0, 3.0, 2.0, 0.0, 0.0,
+             "dvfs:4->2", -1))
+        ledger = EnergyLedger.from_result(result)
+        _assert_matches_tuple_loop(ledger, result.trace)
+        [block] = ledger.blocks
+        assert (block.op_start, block.op_stop, block.time_s,
+                block.energy_j, block.level_time) == (0, 1, 0.0, 0.0, {})
+        assert ledger.overheads == {KIND_CPU: (1.0, 6.0),
+                                    KIND_SWITCH: (0.25, 1.5)}
+        assert ledger.reconciliation.ok
+
+    def test_empty_trace(self):
+        result = _hand_built()
+        ledger = EnergyLedger.from_result(result)
+        _assert_matches_tuple_loop(ledger, result.trace)
+        assert [(b.op_start, b.op_stop, b.time_s, b.energy_j, b.level_time)
+                for b in ledger.blocks] == [(0, 1, 0.0, 0.0, {})]
+        assert ledger.overheads == {}
+        assert ledger.reconciliation.ok
+        assert ledger.total_energy_j == 0.0
 
 
 class TestMisprediction:

@@ -262,6 +262,26 @@ class TestTimelineCli:
         assert top["queue_s"] + top["batch_s"] + top["service_s"] \
             == pytest.approx(top["latency_s"], abs=1e-9)
 
+    def test_busy_seconds_equal_the_slo_report(self, tmp_path, capsys):
+        """Each device's busy seconds sum the dispatch and probe
+        durations in event order, as the SLO report does: bit-equal on
+        a faulty, recovering fleet whose probes interleave with its
+        dispatches."""
+        path = tmp_path / "ev.jsonl"
+        assert cli.main([
+            "serve-sim", "--devices", "tx2,tx2", "--rate", "20",
+            "--duration", "0.5", "--seed", "3", "--fault-profile",
+            "telemetry_noise_std=0.8,switch_drop_rate=0.2", "--recovery",
+            "--recovery-cooldown", "0.05", "--event-log", str(path),
+            "--json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert cli.main(["timeline", str(path), "--json"]) == 0
+        timeline = json.loads(capsys.readouterr().out)
+        busy = {d["name"]: d["busy_time_s"] for d in report["devices"]}
+        assert {name: d["busy_s"]
+                for name, d in timeline["devices"].items()} == busy
+        assert all(d["probes"] for d in timeline["devices"].values())
+
     def test_missing_file_fails(self, tmp_path, capsys):
         assert cli.main(["timeline",
                          str(tmp_path / "nope.jsonl")]) == 1
