@@ -19,6 +19,9 @@ figure of the paper can be regenerated from a shell::
 floor-clamping thermal window sized from the measured fault-free run)
 or an explicit ``key=value,...`` spec, e.g.
 ``switch_drop_rate=0.05,telemetry_drop_rate=0.02,cap=0.25:0.6:6``.
+A spec with ``worker_failure_rate > 0`` exits 2: only dataset
+generation injects worker faults, and no command generates datasets
+under the profile.
 
 Observability: every experiment command accepts ``--trace out.jsonl``
 (JSONL span trace of the whole run, metrics snapshot appended) and
@@ -220,9 +223,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fault-profile", default="none",
                    help="'none' or a key=value,... fault spec injected "
                         "on every device")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="plan-cache prewarm threads (results are "
-                        "identical at any value; default: 1)")
     p.add_argument("--recovery", action="store_true",
                    help="re-admit drained devices via cooldown → "
                         "probe → probation instead of permanent drain")
@@ -516,7 +516,7 @@ def _cmd_serve_sim(args, obs, faults) -> int:
     projections = [p for p in (tracer, burn) if p is not None]
     scheduler = FleetScheduler(fleet, config, obs=obs,
                                sinks=projections)
-    result = scheduler.run(trace, n_jobs=args.jobs)
+    result = scheduler.run(trace)
     if obs is not None:
         for projection in projections:
             obs.metrics.merge(projection.metrics())
@@ -606,6 +606,11 @@ def _dispatch(args, obs) -> int:
             faults = _fault_profile(args)
         except ValueError as exc:
             print(f"powerlens {args.command}: {exc}", file=sys.stderr)
+            return 2
+        if faults is not None and faults.worker_failure_rate > 0:
+            print(f"powerlens {args.command}: worker_failure_rate has no "
+                  f"effect here (only dataset generation injects worker "
+                  f"faults)", file=sys.stderr)
             return 2
     if args.command == "serve-sim":
         return _cmd_serve_sim(args, obs, faults)

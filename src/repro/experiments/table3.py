@@ -48,8 +48,7 @@ def measure_switch_overhead(ctx: ExperimentContext,
     t = 0.0
     for i in range(n_switches):
         target = (i % 2) * ctx.platform.max_level  # toggle bottom/top
-        switch = controller.request(t, target)
-        if switch is not None:
+        if controller.actuate(t, target).switch is not None:
             total += ctx.platform.dvfs_latency_s
             t += ctx.platform.dvfs_latency_s
             actuated += 1

@@ -82,9 +82,6 @@ class ReplanHealth:
     frozen_skips: int = 0
     #: Individual block levels changed across all adopted corrections.
     nudged_blocks: int = 0
-    #: Verdicts evicted from the preset validation cache (plan families
-    #: mint one fingerprint per member and can churn a small cache).
-    validation_evictions: int = 0
 
     def to_dict(self) -> Dict[str, int]:
         return asdict(self)
@@ -146,10 +143,6 @@ class AdaptivePresetGovernor(PresetGovernor):
                      **attrs: object) -> None:
         self.obs.tracer.record("replan", 0.0, action=action,
                                graph=graph_name, **attrs)
-
-    def _note_validation_eviction(self) -> None:
-        self.replan_health.validation_evictions += 1
-        self._replan_count("validation_evictions")
 
     # ------------------------------------------------------------------
     # the between-jobs feedback entry point

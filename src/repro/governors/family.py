@@ -37,7 +37,6 @@ runtime only ever sees the selected member.
 
 from __future__ import annotations
 
-import threading
 from bisect import bisect_right
 from typing import Dict, Sequence, Tuple
 
@@ -86,12 +85,7 @@ def analytic_plan(evaluator: AnalyticEvaluator, graph: Graph,
 
 class PlanCache:
     """One device's plan family: analytic members plus adopted
-    corrections, both keyed by :data:`MemberKey` (module docstring).
-
-    Thread-safe under one lock so the scheduler can pre-warm many
-    devices' caches in parallel (``n_jobs``) while each device's
-    underlying :class:`AnalyticEvaluator` LRU stays single-threaded.
-    """
+    corrections, both keyed by :data:`MemberKey` (module docstring)."""
 
     def __init__(self, evaluator: AnalyticEvaluator,
                  latency_slack: float = 0.25,
@@ -115,7 +109,6 @@ class PlanCache:
         # Adopted corrections, kept apart from the analytic members they
         # replace: get_or_build (prewarm, predict) reads only members.
         self._corrections: Dict[MemberKey, FrequencyPlan] = {}
-        self._lock = threading.Lock()
 
     def bucket(self, sparsity: float) -> float:
         """Representative sparsity of ``sparsity``'s bucket: the
@@ -128,17 +121,16 @@ class PlanCache:
         """The analytic member built for exactly ``sparsity`` (callers
         pass a bucket edge)."""
         key = _member_key(graph, batch_size, sparsity)
-        with self._lock:
-            plan = self._plans.get(key)
-            if plan is not None:
-                self.hits += 1
-                return plan
-            self.misses += 1
-            plan = analytic_plan(self.evaluator, graph, batch_size,
-                                 self.latency_slack, self.block_size,
-                                 sparsity=sparsity)
-            self._plans[key] = plan
+        plan = self._plans.get(key)
+        if plan is not None:
+            self.hits += 1
             return plan
+        self.misses += 1
+        plan = analytic_plan(self.evaluator, graph, batch_size,
+                             self.latency_slack, self.block_size,
+                             sparsity=sparsity)
+        self._plans[key] = plan
+        return plan
 
     def select(self, graph: Graph, batch_size: int,
                sparsity: float = 0.0) -> Tuple[FrequencyPlan, float]:

@@ -36,6 +36,7 @@ from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.governors.base import Governor
+from repro.graph.metrics import node_table
 from repro.hw.dvfs import SwitchResult
 from repro.hw.faults import OUTCOME_CAPPED
 from repro.hw.perf import OpWork
@@ -224,15 +225,6 @@ class PresetGovernor(Governor):
         self.metrics = metrics if metrics is not None else NULL_METRICS
         self.health = RuntimeHealth()
         self._installed: Dict[str, FrequencyPlan] = {}
-        # Verdict cache for the structural job-start validation, keyed
-        # by (plan fingerprint, graph fingerprint): a fault storm that
-        # re-enters the same (plan, graph) pair must not rescan the
-        # graph's node list every job (bounded FIFO — the adaptive
-        # replanner mints new plan fingerprints over time).
-        self._validation_cache: Dict[Tuple[str, str], bool] = {}
-        #: Verdicts evicted from the bounded validation cache
-        #: (cumulative — the cache itself survives reset()).
-        self.validation_evictions = 0
         self._active: Optional[FrequencyPlan] = None
         self._pending: Dict[int, int] = {}
         self._pinned: Dict[int, int] = {}
@@ -248,10 +240,6 @@ class PresetGovernor(Governor):
         """Mirror one RuntimeHealth increment into the metrics registry
         (no-op on the default disabled registry)."""
         self.metrics.counter(f"powerlens_runtime_{event}_total").inc(n)
-
-    def _note_validation_eviction(self) -> None:
-        """Hook for subclasses that mirror eviction counts elsewhere
-        (the adaptive governor folds them into ReplanHealth)."""
 
     def plan_for(self, graph_name: str) -> Optional[FrequencyPlan]:
         return self._plans.get(graph_name)
@@ -299,46 +287,21 @@ class PresetGovernor(Governor):
     # ------------------------------------------------------------------
     # plan execution
     # ------------------------------------------------------------------
-    #: Bound on the validation-verdict cache (FIFO eviction).  Each
-    #: plan-family member and each adopted correction is a distinct
-    #: fingerprint; evictions are counted in ``validation_evictions``
-    #: (and mirrored into :class:`~repro.governors.adaptive.ReplanHealth`
-    #: by the adaptive governor).
-    _VALIDATION_CACHE_SIZE = 256
-
     def _validated_plan(self, job) -> Optional[FrequencyPlan]:
         """Installed plan for the job's graph, or ``None`` when absent
         or rejected by the structural checks.
 
-        Verdicts are cached by ``(plan fingerprint, graph
-        fingerprint)`` so repeated job starts on the same pair — e.g.
-        every job of a fault storm that keeps re-entering the
-        degradation ladder — skip the graph-node rescan.  The per-run
-        rejection *counting* stays once per graph name regardless of
-        where the verdict came from.
+        Checked at every job start against facts the graph caches (its
+        node table and fingerprint), so a repeated job rescans nothing.
+        A rejection is counted once per graph name per run.
         """
         name = job.graph.name
         plan = self._installed.get(name)
         if plan is None:
             return None
-        key = (plan.fingerprint(), job.graph.fingerprint())
-        verdict = self._validation_cache.get(key)
-        if verdict is None:
-            n_ops = len(job.graph.compute_nodes())
-            verdict = not (
-                plan.max_op_index >= n_ops
+        if (plan.max_op_index >= len(node_table(job.graph))
                 or (plan.graph_fingerprint is not None
-                    and plan.graph_fingerprint != job.graph.fingerprint())
-            )
-            self._validation_cache[key] = verdict
-            while len(self._validation_cache) > \
-                    self._VALIDATION_CACHE_SIZE:
-                self._validation_cache.pop(
-                    next(iter(self._validation_cache)))
-                self.validation_evictions += 1
-                self._count("validation_evictions")
-                self._note_validation_eviction()
-        if not verdict:
+                    and plan.graph_fingerprint != job.graph.fingerprint())):
             if name not in self._rejected_names:
                 self._rejected_names.add(name)
                 self.health.plans_rejected += 1

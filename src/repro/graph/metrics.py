@@ -200,11 +200,7 @@ class NodeTable:
 
 def node_table(graph: Graph) -> NodeTable:
     """The :class:`NodeTable` of ``graph``: one :func:`node_metrics` call
-    per compute node, cached on the graph until its next ``add_node``.
-
-    The table is a pure function of the graph, so two threads that build
-    it at once store equal tables.
-    """
+    per compute node, cached on the graph until its next ``add_node``."""
     table = graph._node_table
     if table is not None:
         return table

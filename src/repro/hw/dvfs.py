@@ -19,8 +19,8 @@ governor).  :meth:`DVFSController.actuate` therefore reports a
 the command, not just the requested target; resilient runtimes
 (:class:`repro.governors.preset.PresetGovernor`) verify it and retry.
 The fault behaviour itself comes from an optional
-:class:`repro.hw.faults.FaultInjector` — without one, ``actuate`` is
-exactly the legacy always-succeeds path.
+:class:`repro.hw.faults.FaultInjector` — without one, ``actuate``
+always succeeds.
 """
 
 from __future__ import annotations
@@ -102,28 +102,14 @@ class DVFSController:
     def freq(self) -> float:
         return self.platform.freq_of_level(self.level)
 
-    def request(self, t: float, level: int) -> Optional[DVFSSwitch]:
-        """Request a switch to ``level`` at time ``t``.
-
-        Returns the switch record if a change actually happens, ``None``
-        if the request is a no-op (already at the level).  The caller is
-        responsible for charging ``platform.dvfs_stall_s`` of GPU stall
-        and ``platform.dvfs_latency_s`` of CPU occupancy.
-        """
-        level = self.platform.clamp_level(level)
-        if level == self.level:
-            return None
-        switch = DVFSSwitch(t=t, from_level=self.level, to_level=level)
-        self.level = level
-        self.history.append(switch)
-        return switch
-
     def actuate(self, t: float, level: int,
                 injector: Optional[FaultInjector] = None) -> SwitchResult:
         """Request a switch and report what actually happened.
 
-        Without ``injector`` this is the infallible legacy path (clamp,
-        move, record) expressed as a :class:`SwitchResult`.  With one,
+        Without ``injector`` this is infallible: clamp to the ladder,
+        move, and record the switch unless the level already holds (the
+        caller charges ``platform.dvfs_stall_s`` of GPU stall and
+        ``platform.dvfs_latency_s`` of CPU occupancy).  With one,
         the request is first truncated by any active external cap, then
         subjected to command faults: the returned result carries the
         achieved level, the outcome label and any extra stall time the

@@ -142,9 +142,8 @@ class SimCosts:
     :class:`~repro.hw.analytic.ProfileTable`.
 
     Nothing here depends on a run's seed, noise, faults or governor, so
-    one instance may serve every run on its board; it is not
-    thread-safe.  ``latency`` (a model of the same platform) shares an
-    existing graph-work cache.
+    one instance may serve every run on its board.  ``latency`` (a model
+    of the same platform) shares an existing graph-work cache.
     """
 
     def __init__(self, platform: PlatformSpec,

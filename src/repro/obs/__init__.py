@@ -52,7 +52,6 @@ from repro.obs.metrics import (
     NULL_METRICS,
     SWITCH_LATENCY_BUCKETS,
     nearest_rank_index,
-    parse_prometheus_text,
 )
 from repro.obs.replay import (
     SpanNode,
@@ -70,7 +69,7 @@ from repro.obs.tracing import (
 
 __all__ = [
     "Counter", "Gauge", "Histogram", "MetricsRegistry",
-    "parse_prometheus_text", "DEFAULT_BUCKETS", "SWITCH_LATENCY_BUCKETS",
+    "DEFAULT_BUCKETS", "SWITCH_LATENCY_BUCKETS",
     "NULL_METRICS", "Span", "Tracer", "NULL_TRACER", "DEFAULT_MAX_SPANS",
     "Observability", "NULL_OBS",
     "SpanNode", "TraceFile", "read_trace", "span_tree",

@@ -18,8 +18,9 @@ Design goals, in order:
   tests of the dataset generator;
 * **two interchangeable exports** — a Prometheus-style text exposition
   (counters as ``*_total``, histograms as cumulative ``_bucket{le=...}``
-  series) and a JSON snapshot; both round-trip losslessly through
-  :func:`parse_prometheus_text` / :meth:`MetricsRegistry.from_dict`.
+  series) and a JSON snapshot; the snapshot round-trips losslessly
+  through :meth:`MetricsRegistry.from_dict`, and the tests read the
+  text back with a parser of their own.
 
 Histograms use *fixed* bucket boundaries chosen at creation (upper
 bounds, seconds-flavored default) so shard merges are well-defined;
@@ -35,7 +36,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 __all__ = [
     "Counter", "Gauge", "Histogram", "MetricsRegistry",
     "NULL_METRICS", "DEFAULT_BUCKETS", "SWITCH_LATENCY_BUCKETS",
-    "nearest_rank_index", "parse_prometheus_text",
+    "nearest_rank_index",
 ]
 
 
@@ -365,63 +366,6 @@ class MetricsRegistry:
 def _fmt_float(value: float) -> str:
     """Shortest exact float rendering (repr round-trips in Python 3)."""
     return repr(float(value))
-
-
-def parse_prometheus_text(text: str) -> MetricsRegistry:
-    """Inverse of :meth:`MetricsRegistry.to_prometheus_text` for the
-    subset this module emits — enough to round-trip our own exposition
-    (used by the trace replay command and the round-trip tests)."""
-    registry = MetricsRegistry(enabled=True)
-    kinds: Dict[str, str] = {}
-    helps: Dict[str, str] = {}
-    hist_rows: Dict[str, Dict[str, Any]] = {}
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("# HELP "):
-            name, _, help_text = line[len("# HELP "):].partition(" ")
-            helps[name] = help_text
-            continue
-        if line.startswith("# TYPE "):
-            name, _, kind = line[len("# TYPE "):].partition(" ")
-            kinds[name] = kind
-            continue
-        if line.startswith("#"):
-            continue
-        key, _, value = line.rpartition(" ")
-        if key.endswith('"}') and "_bucket{le=" in key:
-            base = key[:key.index("_bucket{le=")]
-            bound = key[key.index('le="') + 4:-2]
-            row = hist_rows.setdefault(base, {"buckets": []})
-            row["buckets"].append((bound, int(value)))
-        elif key.endswith("_sum") and kinds.get(key[:-4]) == "histogram":
-            hist_rows.setdefault(key[:-4], {"buckets": []})["sum"] = \
-                float(value)
-        elif key.endswith("_count") and \
-                kinds.get(key[:-6]) == "histogram":
-            hist_rows.setdefault(key[:-6], {"buckets": []})["count"] = \
-                int(value)
-        elif kinds.get(key) == "counter":
-            counter = registry.counter(key, helps.get(key, ""))
-            counter.value = int(value)
-        elif kinds.get(key) == "gauge":
-            gauge = registry.gauge(key, helps.get(key, ""))
-            gauge.set(float(value))
-        else:
-            raise ValueError(f"unparseable exposition line: {raw!r}")
-    for name, row in hist_rows.items():
-        bounds = [float(b) for b, _ in row["buckets"] if b != "+Inf"]
-        hist = registry.histogram(name, helps.get(name, ""),
-                                  buckets=bounds)
-        cumulative = [c for _, c in row["buckets"]]
-        counts, previous = [], 0
-        for cum in cumulative:
-            counts.append(cum - previous)
-            previous = cum
-        hist.counts = counts
-        hist.sum = row.get("sum", 0.0)
-    return registry
 
 
 #: Shared disabled registry — safe module singleton (hands out the

@@ -25,7 +25,7 @@ Entry point::
 
 Determinism contract: identical ``(trace, fleet config, scheduler
 config)`` gives byte-identical event logs and fleet joules across runs
-and across ``n_jobs`` (``tests/test_serving_determinism.py``).
+(``tests/test_serving_determinism.py``).
 """
 
 from repro.serving.arrivals import (

@@ -313,7 +313,6 @@ class SimulatedDevice:
         # -- scheduler-visible state (what a device did is on the event
         # log; only what the loop acts on lives here) ----------------------
         self.busy = False
-        self.drained = False
         self.anomaly_count = 0
         self._predictions: Dict[Tuple[str, int], Tuple[float, float]] = {}
         # -- recovery state machine (driven by the scheduler) --------------
@@ -327,8 +326,8 @@ class SimulatedDevice:
     # ------------------------------------------------------------------
     def prewarm(self, graphs: Sequence[Graph], batch_sizes:
                 Sequence[int]) -> None:
-        """Build every plan this device could need (pure, idempotent —
-        safe to run from a thread pool)."""
+        """Build every plan and prediction this device could need
+        (pure and idempotent)."""
         for graph in graphs:
             for batch in batch_sizes:
                 for edge in self.plan_cache.sparsity_edges:
@@ -359,12 +358,9 @@ class SimulatedDevice:
     # health
     # ------------------------------------------------------------------
     @property
-    def healthy(self) -> bool:
-        return not self.drained
-
-    @property
-    def idle(self) -> bool:
-        return not self.busy
+    def drained(self) -> bool:
+        """Out of routing: drained, cooling down or running its probe."""
+        return self.recovery_state in ("drained", "cooldown", "probing")
 
     @property
     def over_anomaly_budget(self) -> bool:
@@ -379,7 +375,6 @@ class SimulatedDevice:
     # ------------------------------------------------------------------
     def begin_drain(self) -> None:
         """active/probation → drained."""
-        self.drained = True
         self.recovery_state = "drained"
 
     def begin_cooldown(self) -> None:
@@ -389,7 +384,6 @@ class SimulatedDevice:
     def begin_probation(self, probation_jobs: int) -> None:
         """cooldown → probation: the probe ran clean, serve real
         traffic again under a zero-tolerance anomaly budget."""
-        self.drained = False
         self.recovery_state = "probation"
         self.probation_left = probation_jobs
         self.anomaly_floor = self.anomaly_count
@@ -507,12 +501,7 @@ class SimulatedDevice:
             plan_fingerprint=plan_fingerprint,
             sparsity_bucket=sbucket,
         )
-        if (isinstance(self._governor, PresetGovernor)
-                and self._governor.validation_evictions):
-            # Evicted validation verdicts make a skipped run's lookups
-            # (re-validation, more evictions) observable: stop memoizing.
-            self._memo = None
-        elif tape is not None and new_anomalies == 0 and tape.explains(
+        if tape is not None and new_anomalies == 0 and tape.explains(
                 metrics_before, _metric_state(self.obs.metrics)):
             # An anomalous run moves device health, and an effect
             # outside the tape (a governor counter) may not repeat.
@@ -560,28 +549,12 @@ class Fleet:
         instead of the Table-1 zoo)."""
         self.graphs[graph.name] = graph
 
-    def prewarm(self, models: Sequence[str], batch_sizes: Sequence[int],
-                n_jobs: int = 1) -> None:
-        """Build all plan caches up front.
-
-        ``n_jobs > 1`` parallelizes across devices with threads; plans
-        are pure functions of (platform, graph, batch), so the results
-        — and everything downstream — are byte-identical at any
-        ``n_jobs`` (the determinism suite pins this).
-        """
+    def prewarm(self, models: Sequence[str],
+                batch_sizes: Sequence[int]) -> None:
+        """Build every device's plans and predictions up front."""
         graphs = [self.graph_for(m) for m in models]
-        if n_jobs <= 1 or len(self.devices) == 1:
-            for device in self.devices:
-                device.prewarm(graphs, batch_sizes)
-            return
-        from concurrent.futures import ThreadPoolExecutor
-
-        workers = min(n_jobs, len(self.devices))
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(d.prewarm, graphs, batch_sizes)
-                       for d in self.devices]
-            for future in futures:
-                future.result()
+        for device in self.devices:
+            device.prewarm(graphs, batch_sizes)
 
     def merged_metrics(self) -> MetricsRegistry:
         """Fold every device's registry into one fleet-wide registry."""

@@ -46,10 +46,6 @@ are called with each record as it is appended.  Request traces
 (:class:`~repro.obs.timeline.ServingTimeline`) are such sinks, so they
 cannot change what the loop does, and replaying a written log through
 them (or through the report's fold) rebuilds what they saw live.
-
-``n_jobs`` never touches execution: the event loop is strictly
-sequential; extra workers only pre-warm the per-device plan caches
-(pure functions), so results are byte-identical at any ``n_jobs``.
 """
 
 from __future__ import annotations
@@ -161,7 +157,7 @@ class FleetScheduler:
         self.sinks = tuple(sinks)
 
     # ------------------------------------------------------------------
-    def run(self, trace: ArrivalTrace, n_jobs: int = 1) -> ServingResult:
+    def run(self, trace: ArrivalTrace) -> ServingResult:
         """Serve ``trace`` to completion; returns the full outcome."""
         cfg = self.config
         fleet = self.fleet
@@ -169,7 +165,7 @@ class FleetScheduler:
             device.busy = False
         batch_sizes = sorted({r.images for r in trace.requests})
         if trace.requests:
-            fleet.prewarm(trace.models, batch_sizes, n_jobs=n_jobs)
+            fleet.prewarm(trace.models, batch_sizes)
 
         events: List[Dict[str, object]] = []
         dispatches: List[DispatchRecord] = []
@@ -284,7 +280,7 @@ class FleetScheduler:
                 if not queue:
                     return
                 candidates = [(i, d) for i, d in enumerate(fleet.devices)
-                              if d.healthy and d.idle]
+                              if not (d.drained or d.busy)]
                 if not candidates:
                     return
                 indices = self.policy.select_batch(queue, t,

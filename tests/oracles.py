@@ -1,11 +1,11 @@
 """Reference oracles for the byte-identity suites.
 
-Everything here is a reference implementation of a production path in
-``src/repro``, kept outside the shipped package as the baseline the
+Everything here is a reference implementation of (or the inverse of)
+a production path in ``src/repro``, kept outside the shipped package as the baseline the
 hypothesis suites (``tests/test_labeling_fastpath.py``,
 ``tests/test_distance_fastpath.py``, ``tests/test_node_table.py``) and
 the labeling and distance benchmarks compare against byte for byte.
-There are two kinds:
+There are three kinds:
 
 * the original loop implementations of vectorized or memoized paths
   (``*_reference``), kept verbatim;
@@ -14,14 +14,16 @@ There are two kinds:
   per-op cost loops (:func:`profile_reference`, :func:`graph_time`)
   that ``ProfileTable`` replaced and the CPU-ladder level loop
   (:func:`optimal_cpu_level_reference`) that ``LevelProfile.best_level``
-  replaced, moved here with their arithmetic unchanged.
+  replaced, moved here with their arithmetic unchanged;
+* :func:`parse_prometheus_text`, the reader that checks the
+  Prometheus text exposition round-trips.
 
 No production code path calls them.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -52,6 +54,7 @@ from repro.hw import analytic
 from repro.hw.analytic import AnalyticEvaluator, LevelProfile
 from repro.hw.perf import LatencyModel, OpWork, sparse_works
 from repro.hw.platform import PlatformSpec
+from repro.obs.metrics import MetricsRegistry
 
 
 # ----------------------------------------------------------------------
@@ -655,3 +658,63 @@ def label_network_reference(
         latency_slack=latency_slack)
     return NetworkLabels(best_scheme=best_idx, blocks=blocks,
                          qualities=qualities, levels=levels)
+
+
+# ----------------------------------------------------------------------
+# metrics exposition (obs/metrics.py)
+# ----------------------------------------------------------------------
+def parse_prometheus_text(text: str) -> MetricsRegistry:
+    """Inverse of :meth:`MetricsRegistry.to_prometheus_text` for the
+    subset it emits: the tests read ``--metrics`` files and registry
+    expositions back with it."""
+    registry = MetricsRegistry(enabled=True)
+    kinds: Dict[str, str] = {}
+    helps: Dict[str, str] = {}
+    hist_rows: Dict[str, Dict[str, Any]] = {}
+    for raw in text.splitlines():
+        line = raw.strip()
+        if not line:
+            continue
+        if line.startswith("# HELP "):
+            name, _, help_text = line[len("# HELP "):].partition(" ")
+            helps[name] = help_text
+            continue
+        if line.startswith("# TYPE "):
+            name, _, kind = line[len("# TYPE "):].partition(" ")
+            kinds[name] = kind
+            continue
+        if line.startswith("#"):
+            continue
+        key, _, value = line.rpartition(" ")
+        if key.endswith('"}') and "_bucket{le=" in key:
+            base = key[:key.index("_bucket{le=")]
+            bound = key[key.index('le="') + 4:-2]
+            row = hist_rows.setdefault(base, {"buckets": []})
+            row["buckets"].append((bound, int(value)))
+        elif key.endswith("_sum") and kinds.get(key[:-4]) == "histogram":
+            hist_rows.setdefault(key[:-4], {"buckets": []})["sum"] = \
+                float(value)
+        elif key.endswith("_count") and \
+                kinds.get(key[:-6]) == "histogram":
+            hist_rows.setdefault(key[:-6], {"buckets": []})["count"] = \
+                int(value)
+        elif kinds.get(key) == "counter":
+            counter = registry.counter(key, helps.get(key, ""))
+            counter.value = int(value)
+        elif kinds.get(key) == "gauge":
+            gauge = registry.gauge(key, helps.get(key, ""))
+            gauge.set(float(value))
+        else:
+            raise ValueError(f"unparseable exposition line: {raw!r}")
+    for name, row in hist_rows.items():
+        bounds = [float(b) for b, _ in row["buckets"] if b != "+Inf"]
+        hist = registry.histogram(name, helps.get(name, ""),
+                                  buckets=bounds)
+        cumulative = [c for _, c in row["buckets"]]
+        counts, previous = [], 0
+        for cum in cumulative:
+            counts.append(cum - previous)
+            previous = cum
+        hist.counts = counts
+        hist.sum = row.get("sum", 0.0)
+    return registry

@@ -51,3 +51,8 @@ def test_digest_lines_parse():
     m = bench_pairs.DIGEST_LINE.match(line)
     assert m.groups() == ("2", "679b522fcfa3dfad")
     assert bench_pairs.quartiles([3.0]) == (3.0, 3.0, 3.0)
+
+
+def test_cpu_shares_report_min_and_median():
+    runs = [(9.0, 10.0), (5.0, 10.0), (10.0, 10.0)]
+    assert bench_pairs.cpu_shares(runs) == (0.5, 0.9)

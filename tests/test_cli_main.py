@@ -89,6 +89,26 @@ def test_bad_fault_profile_exits_2_before_fitting(monkeypatch, capsys,
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [["robustness", "--adaptive"],
+                                  ["robustness"], ["ledger"],
+                                  ["serve-sim"]],
+                         ids=["robustness-adaptive", "robustness",
+                              "ledger", "serve-sim"])
+def test_worker_failure_rate_exits_2_before_fitting(monkeypatch, capsys,
+                                                    argv):
+    """Only dataset generation draws worker faults, and none of these
+    commands generates datasets under the profile: the field would be
+    silently ignored."""
+    monkeypatch.setattr("repro.experiments.common.get_context", _no_fit)
+    monkeypatch.setattr(
+        "repro.experiments.adaptive.run_adaptive_retention", _no_fit)
+    assert cli.main(argv + ["--fault-profile",
+                            "worker_failure_rate=0.9"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"powerlens {argv[0]}: worker_failure_rate ")
+    assert err.count("\n") == 1
+
+
 @pytest.mark.parametrize("command, spec, expected", [
     # robustness leaves "representative" to the sweep, which sizes the
     # thermal-cap window from the measured fault-free run.

@@ -9,7 +9,8 @@ import pytest
 from repro.cli import main
 from repro.experiments import common
 from repro.obs import read_trace, span_tree, summarize_trace
-from repro.obs.metrics import MetricsRegistry, parse_prometheus_text
+from repro.obs.metrics import MetricsRegistry
+from tests.oracles import parse_prometheus_text
 
 pytestmark = pytest.mark.obs
 
@@ -99,7 +100,7 @@ class TestExportOnCrash:
     def crashing_run(self, monkeypatch):
         from repro.serving.scheduler import FleetScheduler
 
-        def boom(self, trace, n_jobs=1):
+        def boom(self, trace):
             raise RuntimeError("mid-run crash")
 
         monkeypatch.setattr(FleetScheduler, "run", boom)

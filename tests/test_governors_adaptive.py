@@ -28,6 +28,7 @@ from repro.experiments.adaptive import build_drift_net
 from repro.governors import (AdaptivePresetGovernor, PresetGovernor,
                              analytic_plan)
 from repro.governors.adaptive import _Trial
+from repro.graph import Graph
 from repro.hw.analytic import AnalyticEvaluator
 from repro.hw.platform import get_platform
 from repro.hw.simulator import InferenceJob, InferenceSimulator
@@ -235,49 +236,40 @@ class TestReplanCounters:
 
 
 # ----------------------------------------------------------------------
-# plan-validation verdict cache (PresetGovernor satellite)
+# job-start plan validation (PresetGovernor)
 # ----------------------------------------------------------------------
-class TestValidationCache:
-    def test_repeated_jobs_hit_cached_verdict(self):
+class TestPlanValidation:
+    def test_repeated_jobs_read_cached_graph_facts(self, monkeypatch):
         graph = build_small_cnn()
-        plan = _plan(graph, 8)
-        gov = PresetGovernor([plan], resilient=True)
-        sim = InferenceSimulator(PLATFORM, seed=0)
-        job = InferenceJob(graph=graph, batch_size=8, n_batches=3,
-                          name="cachejob")
-        sim.run([job], gov)
-        key = (plan.fingerprint(), graph.fingerprint())
-        assert gov._validation_cache == {key: True}
+        gov = PresetGovernor([_plan(graph, 8)], resilient=True)
+        gov.reset(PLATFORM)
+        job = InferenceJob(graph=graph, batch_size=8, n_batches=1,
+                           name="cachejob")
+        installed = gov._installed[graph.name]
+        assert gov._validated_plan(job) is installed
+        calls = []
+        compute_nodes = Graph.compute_nodes
 
-    def test_rejection_verdict_cached_and_counted_once(self):
+        def counting(g):
+            calls.append(g.name)
+            return compute_nodes(g)
+
+        monkeypatch.setattr(Graph, "compute_nodes", counting)
+        for _ in range(3):
+            assert gov._validated_plan(job) is installed
+        assert calls == []
+
+    def test_rejection_counted_once_per_graph_name(self):
         graph = build_small_cnn()
         wrong = _plan(graph, 8)
         bad = type(wrong)(graph_name=graph.name, steps=wrong.steps,
                           graph_fingerprint="deadbeef")
         gov = PresetGovernor([bad], resilient=True)
         sim = InferenceSimulator(PLATFORM, seed=0)
-        job = InferenceJob(graph=graph, batch_size=8, n_batches=2,
-                          name="badjob")
-        sim.run([job], gov)
-        key = (bad.fingerprint(), graph.fingerprint())
-        assert gov._validation_cache[key] is False
+        jobs = [InferenceJob(graph=graph, batch_size=8, n_batches=2,
+                             name=f"badjob{i}") for i in range(3)]
+        sim.run(jobs, gov)
         assert gov.health.plans_rejected == 1
-
-    def test_cache_is_fifo_bounded(self):
-        graphs = [build_small_cnn(f"cnn_bound_{i}") for i in range(6)]
-        plans = [_plan(g, 8) for g in graphs]
-        gov = PresetGovernor(plans, resilient=True)
-        gov.reset(PLATFORM)
-        gov._VALIDATION_CACHE_SIZE = 4
-        for g in graphs:
-            job = InferenceJob(graph=g, batch_size=8, n_batches=1,
-                              name=f"{g.name}_j")
-            assert gov._validated_plan(job) is not None
-        assert len(gov._validation_cache) == 4
-        # the two oldest verdicts were evicted (FIFO)
-        evicted = {(plans[i].fingerprint(), graphs[i].fingerprint())
-                   for i in range(2)}
-        assert not evicted & set(gov._validation_cache)
 
     def test_plan_fingerprint_stable_and_distinct(self):
         graph = build_small_cnn()

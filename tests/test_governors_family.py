@@ -15,9 +15,6 @@ The contract under test (see ``repro.governors.family``):
 * **adaptive composition** — a correction adopted on a
   ``powerlens-family-adaptive`` device is written back to the member
   that produced the evidence, leaving sibling members untouched;
-* **validation-cache bound** — the preset governor's verdict cache
-  counts evictions, and the adaptive subclass mirrors the count into
-  :class:`ReplanHealth`;
 * **zero-op graphs** — selecting or predicting for a graph without
   operators raises and caches nothing.
 """
@@ -26,20 +23,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.experiments.adaptive import build_drift_net
-from repro.governors import (
-    AdaptivePresetGovernor,
-    FrequencyPlan,
-    PlanCache,
-    PlanStep,
-    PresetGovernor,
-    analytic_plan,
-)
+from repro.governors import PlanCache, PresetGovernor, analytic_plan
 from repro.graph import Graph
 from repro.hw import analytic
 from repro.hw.analytic import AnalyticEvaluator
 from repro.hw.platform import get_platform
 from repro.hw.simulator import InferenceJob, InferenceSimulator
-from repro.obs.metrics import MetricsRegistry
 from repro.serving import DeviceConfig, SimulatedDevice
 from tests.conftest import build_small_cnn
 
@@ -337,47 +326,6 @@ class TestAdaptiveComposition:
         health = device._governor.replan_health
         assert (health.adopted, health.rejected, health.rollbacks) \
             == (0, 0, 0)
-
-
-# ----------------------------------------------------------------------
-# validation-cache bound (eviction counters)
-# ----------------------------------------------------------------------
-class TestValidationCacheKnob:
-    @staticmethod
-    def _distinct_plans(graph, n):
-        """Plans with n distinct fingerprints (one flat level each)."""
-        return [FrequencyPlan(graph_name=graph.name,
-                              steps=[PlanStep(0, level)],
-                              graph_fingerprint=graph.fingerprint())
-                for level in range(n)]
-
-    def test_bound_and_eviction_count(self, monkeypatch):
-        monkeypatch.setattr(PresetGovernor, "_VALIDATION_CACHE_SIZE", 2)
-        graph = _graph()
-        plans = self._distinct_plans(graph, 6)
-        gov = PresetGovernor([plans[0]], resilient=True,
-                             metrics=MetricsRegistry())
-        for plan in plans:
-            gov.add_plan(plan)
-            _run_job(gov, graph, 4)
-        assert len(gov._validation_cache) <= 2
-        assert gov.validation_evictions == len(plans) - 2
-        assert gov.metrics.counter(
-            "powerlens_runtime_validation_evictions_total").value \
-            == gov.validation_evictions
-
-    def test_adaptive_mirrors_evictions_into_replan_health(
-            self, monkeypatch):
-        monkeypatch.setattr(PresetGovernor, "_VALIDATION_CACHE_SIZE", 1)
-        graph = _graph()
-        plans = self._distinct_plans(graph, 4)
-        gov = AdaptivePresetGovernor([], EVALUATOR, resilient=True)
-        for plan in plans:
-            gov.add_plan(plan)
-            _run_job(gov, graph, 4)
-        assert gov.validation_evictions == len(plans) - 1
-        assert gov.replan_health.validation_evictions \
-            == gov.validation_evictions
 
 
 # ----------------------------------------------------------------------

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.hw.dvfs import DVFSController, DVFSSwitch
-from repro.hw.faults import FaultInjector, FaultProfile
+from repro.hw.faults import OUTCOME_NOOP, FaultInjector, FaultProfile
 from repro.hw.telemetry import (
     KIND_CPU,
     KIND_GPU_OP,
@@ -29,33 +29,34 @@ def _seg(t0, t1, kind=KIND_GPU_OP, level=3, gpu=5.0, cpu=1.0, board=2.0):
 class TestDVFSController:
     def test_noop_request_ignored(self, tx2):
         c = DVFSController(tx2, level=3)
-        assert c.request(0.0, 3) is None
+        result = c.actuate(0.0, 3)
+        assert result.switch is None and result.outcome == OUTCOME_NOOP
         assert c.switch_count() == 0
 
     def test_request_clamps(self, tx2):
         c = DVFSController(tx2, level=0)
-        sw = c.request(0.0, 999)
+        sw = c.actuate(0.0, 999).switch
         assert sw.to_level == tx2.max_level
         assert c.level == tx2.max_level
 
     def test_history_records(self, tx2):
         c = DVFSController(tx2, level=0)
-        c.request(0.0, 5)
-        c.request(1.0, 2)
+        c.actuate(0.0, 5)
+        c.actuate(1.0, 2)
         assert c.switch_count() == 2
-        assert c.history[0] == DVFSSwitch(0.0, 0, 5)
+        assert c.history[0] == DVFSSwitch(0.0, 0, 5, requested_level=5)
         assert c.history[1].direction == -1
 
     def test_reversal_counting(self, tx2):
         c = DVFSController(tx2, level=0)
         for t, lvl in enumerate([5, 2, 6, 1, 8]):  # up,down,up,down,up
-            c.request(float(t), lvl)
+            c.actuate(float(t), lvl)
         assert c.reversal_count() == 4
 
     def test_monotone_ramp_has_no_reversals(self, tx2):
         c = DVFSController(tx2, level=0)
         for t, lvl in enumerate([2, 4, 6, 8, 10]):
-            c.request(float(t), lvl)
+            c.actuate(float(t), lvl)
         assert c.reversal_count() == 0
 
     def test_freq_property(self, tx2):

@@ -3,7 +3,6 @@ to the per-node reference loops, and each compute node's metrics are
 derived exactly once per graph."""
 
 import sys
-import threading
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -94,29 +93,3 @@ def test_node_metrics_once_per_compute_node(monkeypatch, tx2):
     AnalyticEvaluator(tx2).profile_table(graph, 4)
     assert len(calls) == n
     assert sorted(calls) == sorted(nd.name for nd in graph.compute_nodes())
-
-
-def test_threads_sharing_a_graph_build_equal_tables():
-    """Threads that race to build one graph's table (as
-    ``Fleet.prewarm`` threads do) all see reference-equal features."""
-    graph = RandomDNNGenerator(seed=11).generate()
-    ref = global_features_reference(graph).vector.tobytes()
-    results = []
-    barrier = threading.Barrier(8, timeout=30)
-
-    def work():
-        barrier.wait()
-        results.append(_GLOBAL.extract(graph).vector.tobytes())
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=work) for _ in range(8)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=30)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads)
-    assert results == [ref] * 8

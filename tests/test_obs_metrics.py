@@ -18,8 +18,8 @@ from repro.obs.metrics import (
     Histogram,
     MetricsRegistry,
     NULL_METRICS,
-    parse_prometheus_text,
 )
+from tests.oracles import parse_prometheus_text
 
 pytestmark = pytest.mark.obs
 

@@ -14,9 +14,9 @@ import pytest
 
 import repro.cli as cli
 from repro.obs import Observability
-from repro.obs.metrics import parse_prometheus_text
 from repro.serving import (RecoveryConfig, Request, SchedulerConfig,
                            make_trace)
+from tests.oracles import parse_prometheus_text
 
 pytestmark = pytest.mark.serving
 
@@ -63,6 +63,14 @@ def test_serve_sim_cli_rejects_bad_flags(capsys):
     assert "at least one platform preset" in capsys.readouterr().err
     assert cli.main(["serve-sim", "--governor", "warp-drive"]) == 2
     assert "unknown serving governor" in capsys.readouterr().err
+
+
+def test_serve_sim_has_no_jobs_flag(capsys):
+    """Serving runs on one thread: ``--jobs`` is an unknown argument."""
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["serve-sim", "--devices", "tx2", "--jobs", "2"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
 
 
 def test_fleet_metrics_prometheus_text_matches_report():
@@ -135,7 +143,7 @@ def test_serve_sim_cli_adaptive_governor(capsys):
 _NUMERIC_FLAGS = {
     "--rate": [], "--duration": [], "--seed": [], "--images": [],
     "--sparsities": [], "--slo": [], "--max-batch": [],
-    "--queue-capacity": [], "--jobs": [],
+    "--queue-capacity": [],
     "--recovery-cooldown": ["--recovery"],
     "--probation": ["--recovery"],
     "--trace-sample": ["--request-trace"],

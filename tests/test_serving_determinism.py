@@ -5,8 +5,7 @@ The contract under test (pinned here with hypothesis so it holds for
 
 * **replay** — the same ``(trace, fleet config)`` produces a
   byte-identical canonical event log and exactly equal fleet joules on
-  every run, including across ``n_jobs`` values (workers only pre-warm
-  pure plan caches);
+  every run;
 * **conservation** — every arrival is accounted exactly once:
   ``arrived == admitted + dropped_queue_full`` and
   ``admitted == completed + dropped_expired + dropped_unserviceable``,
@@ -56,8 +55,7 @@ def _build_fleet(governor: str = "powerlens", fleet_seed: int = 0,
 def _run(seed: int, kind: str = "poisson", policy: str = "fifo",
          governor: str = "powerlens", rate: float = 40.0,
          duration: float = 0.5, slo: float = math.inf,
-         faults: FaultProfile = None, n_jobs: int = 1,
-         queue_capacity: int = 64):
+         faults: FaultProfile = None, queue_capacity: int = 64):
     """One fresh fleet + scheduler + trace, fully determined by args."""
     fleet = _build_fleet(governor=governor, fleet_seed=seed,
                          faults=faults)
@@ -65,7 +63,7 @@ def _run(seed: int, kind: str = "poisson", policy: str = "fifo",
                        models=[MODEL], seed=seed, slo_latency_s=slo)
     scheduler = FleetScheduler(fleet, SchedulerConfig(
         policy=policy, queue_capacity=queue_capacity))
-    return scheduler.run(trace, n_jobs=n_jobs)
+    return scheduler.run(trace)
 
 
 @settings(max_examples=12, deadline=None)
@@ -78,16 +76,6 @@ def test_replay_is_byte_identical(seed, kind, policy):
     assert first.event_log() == second.event_log()
     assert first.report.fleet_energy_j == second.report.fleet_energy_j
     assert first.report.to_dict() == second.report.to_dict()
-
-
-@settings(max_examples=8, deadline=None)
-@given(seed=_SEEDS, n_jobs=st.sampled_from([2, 4, 8]))
-def test_n_jobs_never_changes_results(seed, n_jobs):
-    """Plan-cache prewarm width is invisible in every output byte."""
-    serial = _run(seed, n_jobs=1)
-    pooled = _run(seed, n_jobs=n_jobs)
-    assert serial.event_log() == pooled.event_log()
-    assert serial.report.fleet_energy_j == pooled.report.fleet_energy_j
 
 
 @settings(max_examples=10, deadline=None)

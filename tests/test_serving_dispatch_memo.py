@@ -24,7 +24,6 @@ from hypothesis import given, settings, strategies as st
 
 import repro.obs.anomaly as anomaly
 import repro.serving.fleet as fleet_mod
-from repro.governors.preset import PresetGovernor
 from repro.hw.faults import FaultProfile
 from repro.hw.simulator import InferenceJob
 from repro.serving import (
@@ -66,7 +65,7 @@ def _memo(enabled: Optional[bool]):
 
 
 def _run(seed: int, governor: str = "powerlens", policy: str = "fifo",
-         sparsity: float = 0.0, recovery: bool = False, n_jobs: int = 1,
+         sparsity: float = 0.0, recovery: bool = False,
          noise_std: float = 0.0, faults: FaultProfile = None,
          memo=None, rate: float = 40.0, duration: float = 0.5,
          sparsities=None):
@@ -86,7 +85,7 @@ def _run(seed: int, governor: str = "powerlens", policy: str = "fifo",
     config = SchedulerConfig(
         policy=policy,
         recovery=RecoveryConfig(cooldown_s=0.05) if recovery else None)
-    result = FleetScheduler(fleet, config).run(trace, n_jobs=n_jobs)
+    result = FleetScheduler(fleet, config).run(trace)
     return result, fleet
 
 
@@ -110,12 +109,11 @@ def _assert_identical(memo_on, memo_off) -> None:
        governor=st.sampled_from(STATIC_GOVERNORS),
        policy=st.sampled_from(["fifo", "slo", "energy"]),
        sparsity=st.sampled_from(SPARSITIES),
-       recovery=st.booleans(),
-       n_jobs=st.sampled_from([1, 4]))
+       recovery=st.booleans())
 def test_memo_is_invisible_on_static_fleets(seed, governor, policy,
-                                             sparsity, recovery, n_jobs):
+                                             sparsity, recovery):
     kwargs = dict(governor=governor, policy=policy, sparsity=sparsity,
-                  recovery=recovery, n_jobs=n_jobs)
+                  recovery=recovery)
     memo_on, fleet = _run(seed, **kwargs)
     memo_off, _ = _run(seed, memo=False, **kwargs)
     _assert_identical(memo_on, memo_off)
@@ -136,20 +134,18 @@ def test_memo_hits_on_a_steady_trace(governor):
     assert _hits(fleet) > misses > 0
 
 
-def test_memo_stops_once_validation_verdicts_evict(monkeypatch):
+def test_memo_is_invisible_when_requests_span_every_bucket():
     """A family fleet whose requests span every sparsity bucket
-    outgrows a one-entry validation cache mid-trace (the dense and the
-    sparse plan alternate): each device stops memoizing at its first
-    eviction, and the outputs stay identical to the full path."""
-    monkeypatch.setattr(PresetGovernor, "_VALIDATION_CACHE_SIZE", 1)
+    alternates the dense and the sparse plans on each device: each
+    plan's dispatches replay from the memo, and the outputs stay
+    identical to the full path."""
     kwargs = dict(governor="powerlens-family", policy="energy",
                   sparsities=SPARSITIES, rate=80.0, duration=2.0)
     memo_on, fleet = _run(7, **kwargs)
     memo_off, _ = _run(7, memo=False, **kwargs)
     _assert_identical(memo_on, memo_off)
     for device in fleet.devices:
-        assert device._governor.validation_evictions > 1
-        assert device._memo is None
+        assert device.memo_hits > 0
 
 
 @pytest.mark.parametrize("case", [

@@ -7,7 +7,7 @@ that see exactly the records the scheduler appends to
 ``result.events``, in order; a tracer, monitor and report rebuilt from
 the written ``event_log()`` file equal the live ones (the report's fold
 also rebuilds the scheduler's counters) — across governors × policies
-× fault storms × recovery configs × ``n_jobs``.  Also pinned:
+× fault storms × recovery configs.  Also pinned:
 
 * **sampling determinism** — the head-sampled id set is a pure
   function of ``(seed, request_id)``, so replays sample identically;
@@ -78,8 +78,7 @@ class Run(NamedTuple):
 def _run(seed: int, policy: str = "fifo", governor: str = "powerlens",
          rate: float = 30.0, duration: float = 0.5,
          slo: float = math.inf, faults: FaultProfile = None,
-         recovery: RecoveryConfig = None, n_jobs: int = 1,
-         queue_capacity: int = 64, sampling: SamplingConfig = None,
+         recovery: RecoveryConfig = None, queue_capacity: int = 64, sampling: SamplingConfig = None,
          burn: BurnRateConfig = None, devices=TWO_BOARDS,
          extra_sinks=()) -> Run:
     fleet = Fleet.build([DeviceConfig(name, platform)
@@ -99,14 +98,13 @@ def _run(seed: int, policy: str = "fifo", governor: str = "powerlens",
         SchedulerConfig(policy=policy, queue_capacity=queue_capacity,
                         recovery=recovery),
         sinks=[tracer, monitor, *extra_sinks])
-    return Run(scheduler.run(trace, n_jobs=n_jobs), tracer, monitor,
-               trace, fleet)
+    return Run(scheduler.run(trace), tracer, monitor, trace, fleet)
 
 
-def _matrix_run(seed, policy, governor, storm, recovery_on, n_jobs,
+def _matrix_run(seed, policy, governor, storm, recovery_on,
                 extra_sinks=()) -> Run:
     return _run(seed, policy=policy, governor=governor, slo=0.5,
-                duration=1.0, n_jobs=n_jobs, extra_sinks=extra_sinks,
+                duration=1.0, extra_sinks=extra_sinks,
                 faults=(FaultProfile(seed=seed, **STORM) if storm
                         else None),
                 recovery=(RecoveryConfig(cooldown_s=0.05,
@@ -115,8 +113,7 @@ def _matrix_run(seed, policy, governor, storm, recovery_on, n_jobs,
 
 
 _MATRIX = dict(seed=_SEEDS, policy=_POLICIES, governor=_GOVERNORS,
-               storm=st.booleans(), recovery_on=st.booleans(),
-               n_jobs=st.sampled_from([1, 4]))
+               storm=st.booleans(), recovery_on=st.booleans())
 
 
 # ----------------------------------------------------------------------
@@ -126,10 +123,10 @@ class TestOneStream:
     @settings(max_examples=10, deadline=None)
     @given(**_MATRIX)
     def test_sinks_receive_exactly_the_events(
-            self, seed, policy, governor, storm, recovery_on, n_jobs):
+            self, seed, policy, governor, storm, recovery_on):
         seen = []
         run = _matrix_run(seed, policy, governor, storm, recovery_on,
-                          n_jobs, extra_sinks=[seen.append])
+                          extra_sinks=[seen.append])
         events = run.result.events
         assert len(seen) == len(events)
         assert all(a is b for a, b in zip(seen, events))
@@ -138,9 +135,8 @@ class TestOneStream:
     @settings(max_examples=10, deadline=None)
     @given(**_MATRIX)
     def test_replayed_log_rebuilds_the_live_rows(
-            self, seed, policy, governor, storm, recovery_on, n_jobs):
-        run = _matrix_run(seed, policy, governor, storm, recovery_on,
-                          n_jobs)
+            self, seed, policy, governor, storm, recovery_on):
+        run = _matrix_run(seed, policy, governor, storm, recovery_on)
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "events.jsonl"
             path.write_text(run.result.event_log())

@@ -50,9 +50,6 @@ NO_CALLER_ALLOWED: Dict[str, str] = {
         "model-free upper bound that ROADMAP A.2, B.1 and C build on",
     "canonical_json": "the byte format of the experiment goldens",
     "DatasetCache.has": "cache-state inspection in 21 tests",
-    "parse_prometheus_text":
-        "reads back the Prometheus text that --metrics writes; the "
-        "tests pin that format with it",
 }
 
 

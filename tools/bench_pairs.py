@@ -19,20 +19,27 @@ against the metric's ``BENCHMARK.json`` bound:
 * ``unresolved`` either side's quartile spread is wider than the bound;
 * ``ok``         otherwise.
 
-It then says whether both sides printed the same output digests.  The
-exit code is 0 when no metric is ``worse``, every run passed its
-correctness gates and the digests match.
+It then says whether both sides printed the same output digests, and
+how contended the host was: each side's min and median share of a run's
+wall seconds that its processes spent on a CPU (a share well below 1
+means other load took the CPU), and the 1-minute load average at the
+start of each pair.  The contention lines are a report only; they
+change no verdict.  The exit code is 0 when no metric is ``worse``,
+every run passed its correctness gates and the digests match.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
+import resource
 import statistics
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -73,21 +80,38 @@ def summarize(metric: Dict, parent: Sequence[float],
             "pairs": len(parent), "delta": delta, "verdict": verdict}
 
 
+def cpu_shares(runs: Sequence[Tuple[float, float]]) -> Tuple[float, float]:
+    """(min, median) of ``cpu_s / wall_s`` over ``runs`` of
+    ``(cpu_s, wall_s)``."""
+    shares = [cpu / wall for cpu, wall in runs]
+    return min(shares), statistics.median(shares)
+
+
+def _children_cpu_s() -> float:
+    usage = resource.getrusage(resource.RUSAGE_CHILDREN)
+    return usage.ru_utime + usage.ru_stime
+
+
 def run_once(checkout: Path, command: List[str], workload: str, seed: int,
-             seconds: float) -> Tuple[Dict, Dict[str, str]]:
+             seconds: float
+             ) -> Tuple[Dict, Dict[str, str], Tuple[float, float]]:
     """One benchmark run in ``checkout``: (its JSON record, seed ->
-    digest prefix)."""
+    digest prefix, (CPU seconds of its processes, wall seconds))."""
+    cpu_before = _children_cpu_s()
+    start = time.perf_counter()
     proc = subprocess.run(
         [*command, "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", "0"],
         cwd=checkout, stdout=subprocess.PIPE, text=True)
+    wall = time.perf_counter() - start
+    cpu = _children_cpu_s() - cpu_before
     lines = proc.stdout.strip().splitlines()
     if not lines:
         raise RuntimeError(f"benchmark in {checkout} printed nothing "
                            f"(exit {proc.returncode})")
     digests = {m.group(1): m.group(2)
                for m in map(DIGEST_LINE.match, lines) if m}
-    return json.loads(lines[-1]), digests
+    return json.loads(lines[-1]), digests, (cpu, wall)
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -115,6 +139,9 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     records: Dict[str, List[Dict]] = {"parent": [], "change": []}
     digests: Dict[str, Dict[str, set]] = {"parent": {}, "change": {}}
+    times: Dict[str, List[Tuple[float, float]]] = {"parent": [],
+                                                   "change": []}
+    loads: List[float] = []
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
         parent_dir = Path(tmp) / "parent"
         subprocess.run(["git", "-C", str(root), "worktree", "add",
@@ -125,11 +152,13 @@ def main(argv: Optional[List[str]] = None) -> int:
             for i in range(args.pairs):
                 order = ("parent", "change") if i % 2 == 0 \
                     else ("change", "parent")
+                loads.append(os.getloadavg()[0])
                 for side in order:
-                    record, seen = run_once(sides[side], command,
-                                            args.workload, args.seed,
-                                            seconds)
+                    record, seen, cpu_wall = run_once(
+                        sides[side], command, args.workload, args.seed,
+                        seconds)
                     records[side].append(record)
+                    times[side].append(cpu_wall)
                     for seed, digest in seen.items():
                         digests[side].setdefault(seed, set()).add(digest)
                 print(f"pair {i + 1}/{args.pairs} done ({order[0]} first)",
@@ -162,6 +191,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     if not same:
         for side in ("parent", "change"):
             print(f"  {side}: {sorted(digests[side].items())}")
+    for side in ("parent", "change"):
+        low, mid = cpu_shares(times[side])
+        print(f"{side} cpu/wall share: min {low:.2f}, median {mid:.2f}")
+    print("1-min load average at each pair start: "
+          + " ".join(f"{load:.2f}" for load in loads))
     return 0 if correct and same and not worse else 1
 
 
